@@ -1,6 +1,9 @@
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
 
 from pseudoalg.cli import main
 
@@ -111,3 +114,27 @@ def test_json_format_is_machine_readable():
     assert data["ok"] is True
     assert data["seed"] == 20260801
     assert all("name" in c and "passed" in c for c in data["checks"])
+
+
+# -- golden output ---------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
+def test_readme_commands_golden_json(case, tmp_path, monkeypatch):
+    """The README commands, in JSON at the default seed, print exactly the
+    pinned bytes and exit with the pinned code.
+
+    The fixtures were captured from the reference implementation; change
+    them only for an intended change of output.  Commands that write or
+    read a file do so in a fresh working directory.
+    """
+    monkeypatch.chdir(tmp_path)
+    if "before" in case:
+        assert run_cli("--format", "json", *case["before"])[0] == 0
+    code, out = run_cli("--format", "json", *case["argv"])
+    expected = (GOLDEN / (case["name"] + ".out")).read_text(encoding="utf-8")
+    assert out == expected
+    assert code == case["exit"]
