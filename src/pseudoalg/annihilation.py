@@ -8,10 +8,14 @@ of filtration degree k costs k units of depth.
 
 The dual pairing is computed by multiplying inside U(d) and reading
 coefficients, so it is correct for noncommutative algebras as well.
+Series and annihilation elements are the sparse combinations of
+`linalg`; a sum keeps the smaller cutoff and drops what lies beyond it.
 """
 
 from fractions import Fraction
+from itertools import chain
 
+from .linalg import SparseCombination, bump
 from .pbw import HElt, mi_add, mi_weight, mi_zero, multiindices_up_to
 Fr = Fraction
 
@@ -20,10 +24,23 @@ class PrecisionError(ValueError):
     """Requested depth exceeds what the inputs can guarantee."""
 
 
-class TruncatedSeries:
+def _truncated_sum(x, y, weight):
+    """x + y known to the smaller cutoff; weight(key) is a term's weight."""
+    cut = min(x.cutoff, y.cutoff)
+    c = {}
+    for k, v in chain(x.c.items(), y.c.items()):
+        if weight(k) <= cut:
+            bump(c, k, v)
+    out = x._with(c)
+    out.cutoff = cut
+    return out
+
+
+class TruncatedSeries(SparseCombination):
     """Functional known modulo everything of weight > cutoff."""
 
     __slots__ = ("alg", "cutoff", "c")
+    _space = ("alg", "cutoff")
 
     def __init__(self, alg, cutoff, coeffs=None):
         if cutoff < 0:
@@ -55,27 +72,7 @@ class TruncatedSeries:
                                {I: v for I, v in self.c.items() if mi_weight(I) <= cutoff})
 
     def __add__(self, other):
-        cut = min(self.cutoff, other.cutoff)
-        out = {}
-        for I, v in list(self.c.items()) + list(other.c.items()):
-            if mi_weight(I) <= cut:
-                s = out.get(I, Fr(0)) + v
-                if s:
-                    out[I] = s
-                else:
-                    out.pop(I, None)
-        return TruncatedSeries(self.alg, cut, out)
-
-    def __neg__(self):
-        return TruncatedSeries(self.alg, self.cutoff, {I: -v for I, v in self.c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        k = Fr(k)
-        return TruncatedSeries(self.alg, self.cutoff,
-                               {I: k * v for I, v in self.c.items()} if k else {})
+        return _truncated_sum(self, other, mi_weight)
 
     def __mul__(self, other):
         """Product of functionals: t_J t_K = t_{J+K}; depth is the minimum."""
@@ -87,21 +84,16 @@ class TruncatedSeries:
             for J, b in other.c.items():
                 K = mi_add(I, J)
                 if mi_weight(K) <= cut:
-                    s = out.get(K, Fr(0)) + a * b
-                    if s:
-                        out[K] = s
-                    else:
-                        out.pop(K, None)
+                    bump(out, K, a * b)
         return TruncatedSeries(self.alg, cut, out)
-
-    __rmul__ = scale
 
     def pair(self, h):
         """<x, h> for h in U(d); needs cutoff >= degree of h."""
         deg = h.degree()
         if deg is not None and deg > self.cutoff:
             raise PrecisionError("pairing needs depth %d, have %d" % (deg, self.cutoff))
-        return sum((v * self.c.get(I, Fr(0)) for I, v in h.c.items()), Fr(0))
+        c = self.c
+        return sum((v * c[I] for I, v in h.c.items() if I in c), Fr(0))
 
     def act(self, h, side="left"):
         """Left action <h x, f> = <x, S(h) f>; right <x h, f> = <x, f S(h)>.
@@ -124,12 +116,6 @@ class TruncatedSeries:
                 out[I] = v
         return TruncatedSeries(self.alg, newcut, out)
 
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries) and self.alg is other.alg
-                and self.cutoff == other.cutoff and self.c == other.c)
-
-    __hash__ = None
-
     def __repr__(self):
         if not self.c:
             return "O(%d)" % (self.cutoff + 1)
@@ -147,10 +133,11 @@ def h_act_series(h, x, side="left"):
     return x.act(h, side)
 
 
-class AnnihilationElement:
+class AnnihilationElement(SparseCombination):
     """Element of (functionals) (x)_H L for a free module L, at a cutoff."""
 
     __slots__ = ("module", "cutoff", "c")
+    _space = ("module", "cutoff")
 
     def __init__(self, module, cutoff, coeffs=None):
         self.module = module
@@ -175,33 +162,11 @@ class AnnihilationElement:
         return {g: TruncatedSeries(self.module.alg, self.cutoff, d)
                 for g, d in by_gen.items()}
 
+    def _same_space(self, other):
+        return self.module.same_as(other.module) and self.cutoff == other.cutoff
+
     def __add__(self, other):
-        cut = min(self.cutoff, other.cutoff)
-        out = AnnihilationElement(self.module, cut)
-        for (I, g), v in list(self.c.items()) + list(other.c.items()):
-            if mi_weight(I) <= cut:
-                key = (I, g)
-                s = out.c.get(key, Fr(0)) + v
-                if s:
-                    out.c[key] = s
-                else:
-                    out.c.pop(key, None)
-        return out
-
-    def __neg__(self):
-        out = AnnihilationElement(self.module, self.cutoff)
-        out.c = {k: -v for k, v in self.c.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        k = Fr(k)
-        out = AnnihilationElement(self.module, self.cutoff)
-        if k:
-            out.c = {key: k * v for key, v in self.c.items()}
-        return out
+        return _truncated_sum(self, other, lambda key: mi_weight(key[0]))
 
     def truncate(self, cutoff):
         if cutoff > self.cutoff:
@@ -209,16 +174,6 @@ class AnnihilationElement:
         out = AnnihilationElement(self.module, cutoff)
         out.c = {(I, g): v for (I, g), v in self.c.items() if mi_weight(I) <= cutoff}
         return out
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        return (isinstance(other, AnnihilationElement)
-                and self.module.same_as(other.module)
-                and self.cutoff == other.cutoff and self.c == other.c)
-
-    __hash__ = None
 
     def __repr__(self):
         parts = self.series_parts()
@@ -267,12 +222,7 @@ def annihilation_bracket(P, u, v):
                 prod = prod.truncate(min(prod.cutoff, cut)) if prod.cutoff > cut else prod
                 for I, s in prod.c.items():
                     if mi_weight(I) <= cut:
-                        k2 = (I, g)
-                        sv = out.c.get(k2, Fr(0)) + coeff * s
-                        if sv:
-                            out.c[k2] = sv
-                        else:
-                            out.c.pop(k2, None)
+                        bump(out.c, (I, g), coeff * s)
     return out
 
 
@@ -289,14 +239,9 @@ def vector_field_bracket(alg, u, v):
         raise PrecisionError("vector-field bracket needs cutoff >= 1")
     out = AnnihilationElement(u.module, cut)
 
-    def bump(I, g, val):
-        if mi_weight(I) <= cut and val:
-            key = (I, g)
-            s = out.c.get(key, Fr(0)) + val
-            if s:
-                out.c[key] = s
-            else:
-                out.c.pop(key, None)
+    def add(I, g, val):
+        if mi_weight(I) <= cut:
+            bump(out.c, (I, g), val)
 
     uparts = u.series_parts()
     vparts = v.series_parts()
@@ -304,13 +249,13 @@ def vector_field_bracket(alg, u, v):
         for b, ys in vparts.items():
             for k, ck in alg.bracket(a, b).items():
                 for I, s in (xs * ys).c.items():
-                    bump(I, k, ck * s)
+                    add(I, k, ck * s)
             ya = ys.act(HElt.gen(alg, a), "right")
             for I, s in (xs.truncate(min(xs.cutoff, ya.cutoff)) * ya).c.items():
-                bump(I, b, -s)
+                add(I, b, -s)
             xb = xs.act(HElt.gen(alg, b), "right")
             for I, s in (xb * ys.truncate(min(ys.cutoff, xb.cutoff))).c.items():
-                bump(I, a, s)
+                add(I, a, s)
     return out
 
 

@@ -11,10 +11,11 @@ of the Jacobi identity on generator triples.
 
 from fractions import Fraction
 
-from .linalg import nullspace, quotient_representatives, span_dim
+from .linalg import bump, nullspace, quotient_representatives, span_dim
 from .pbw import (HElt, TensorElt, antipode_basis, mi_splits, mi_weight,
                   mi_zero, mul_basis, multiindices_up_to)
-from .pseudo import (PseudoStructure, Report, compose_left, compose_right)
+from .pseudo import (PseudoStructure, Report, compose_left, compose_right,
+                     extend_bilinear)
 from .tensor import FreeModule, MElt, QElt
 
 Fr = Fraction
@@ -41,38 +42,10 @@ class Cochain:
         self.M = M
         self.values = values
 
-    @classmethod
-    def skew_pair_table(cls, P, M, raw):
-        """Build a degree-2 cochain from values on ordered pairs by
-        antisymmetrizing: gamma(a, b) = raw(a, b) - sigma12 raw(b, a)."""
-        vals = {}
-        gens = P.module.gens
-        for a in gens:
-            for b in gens:
-                q1 = raw.get((a, b))
-                q2 = raw.get((b, a))
-                acc = QElt(M.module, 2)
-                if q1 is not None:
-                    acc = acc + q1
-                if q2 is not None:
-                    acc = acc - q2.permuted([1, 0])
-                vals[(a, b)] = acc.canonicalize()
-        return cls(2, P, M, vals)
-
     def value2(self, a_elt, b_elt):
         """H-bilinear extension of a degree-2 table to module elements."""
-        alg = self.P.alg
-        out = QElt(self.M.module, 2)
-        for (Ia, ga), ca in a_elt.c.items():
-            for (Ib, gb), cb in b_elt.c.items():
-                base = self.values.get((ga, gb))
-                if base is None:
-                    continue
-                for (key, g, L), v in base.c.items():
-                    for K1, c1 in mul_basis(alg, Ia, key[0]).items():
-                        for K2, c2 in mul_basis(alg, Ib, key[1]).items():
-                            out._bump((K1, K2), g, L, ca * cb * v * c1 * c2)
-        return out
+        return extend_bilinear(lambda ga, gb: self.values.get((ga, gb)),
+                               a_elt, b_elt, self.M.module)
 
 
 def differential(gamma):
@@ -151,20 +124,9 @@ def extension_cocycle_residual(P, Mact, Nact, gamma, a, b, n):
         gamma([a b])(n) = a (gamma(b)(n)) - sigma12 gamma(b)(a n)
                           - sigma12 (b (gamma(a)(n))) + gamma(a)(b n)
     """
-    alg = P.alg
-
     def gamma_ab(x_elt, y_elt):
-        out = QElt(Mact.module, 2)
-        for (Ix, gx), cx in x_elt.c.items():
-            for (Iy, gy), cy in y_elt.c.items():
-                base = gamma.get((gx, gy))
-                if base is None:
-                    continue
-                for (key, g, L), v in base.c.items():
-                    for K1, c1 in mul_basis(alg, Ix, key[0]).items():
-                        for K2, c2 in mul_basis(alg, Iy, key[1]).items():
-                            out._bump((K1, K2), g, L, cx * cy * v * c1 * c2)
-        return out
+        return extend_bilinear(lambda gx, gy: gamma.get((gx, gy)),
+                               x_elt, y_elt, Mact.module)
 
     ea, eb = P.element(a), P.element(b)
     en = Nact.module.element(n)
@@ -179,6 +141,19 @@ def extension_cocycle_residual(P, Mact, Nact, gamma, a, b, n):
 
 
 # -- central extensions: shared helpers ---------------------------------------
+
+def _degree_window(alg, dmax):
+    """Monomials of weight <= dmax, the support allowed for cocycle values."""
+    if dmax < 0:
+        raise ValueError("dmax must be nonnegative, got %d" % dmax)
+    return multiindices_up_to(alg.dim, dmax)
+
+
+def _bump_row(rows, eqkey, unknown, v):
+    """Add v times an unknown to the equation eqkey of a sparse system."""
+    if v:
+        bump(rows.setdefault(eqkey, {}), unknown, v)
+
 
 def trivial_cocycle_table(P, phi):
     """Cocycle of the split extension twisted by the H-linear functional phi.
@@ -227,10 +202,6 @@ def hat_central_extension(P, beta_table, name=None):
     P2 = PseudoStructure(mod, "lie", table=table, name=mod.label)
     P2.central_generator = zkey
     return P2
-
-
-def _s_on_basis_rows(alg, I):
-    return antipode_basis(alg, I)
 
 
 class CentralExtensionSolution:
@@ -300,30 +271,21 @@ def solve_central_extensions_rank1(P, dmax=4):
     two_sx = HElt.from_vector(alg, {i: 2 * datum.s[i] for i in range(alg.dim)}) \
         - HElt.from_vector(alg, xvec)
 
-    monos = multiindices_up_to(alg.dim, dmax)
+    monos = _degree_window(alg, dmax)
     unknowns = [((gen, gen), I) for I in monos]
     rows = {}
-
-    def bump_row(eqkey, unknown, v):
-        if v:
-            row = rows.setdefault(eqkey, {})
-            s = row.get(unknown, Fr(0)) + v
-            if s:
-                row[unknown] = s
-            else:
-                row.pop(unknown, None)
 
     one = HElt.one(alg)
     for I in monos:
         beta = HElt.monomial(alg, I, 1)
         u = ((gen, gen), I)
         for K, v in (beta + beta.antipode()).c.items():
-            bump_row(("skew", K), u, v)
+            _bump_row(rows, ("skew", K), u, v)
         lhs = alpha * beta.coproduct(2)
         lhs = lhs - (TensorElt.pure([beta, one]) + TensorElt.pure([one, beta])) * alpha
         lhs = lhs - TensorElt.pure([beta, three_sx]) + TensorElt.pure([three_sx, beta])
         for key, v in lhs.c.items():
-            bump_row(("jac", key), u, v)
+            _bump_row(rows, ("jac", key), u, v)
 
     basis = nullspace(rows.values(), unknowns)
     trivial = []
@@ -355,15 +317,6 @@ def _central_rows_for_unit(P, p0, q0, I0):
     beta_unit = HElt.monomial(alg, I0, 1)
     out = {}
 
-    def bump(trip, key, v):
-        if v:
-            k = (trip, key)
-            s = out.get(k, Fr(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-
     for a in gens:
         for b in gens:
             for c in gens:
@@ -373,13 +326,13 @@ def _central_rows_for_unit(P, p0, q0, I0):
                     if (a, g) == (p0, q0):
                         w = beta_unit * HElt.monomial(alg, L, 1).antipode()
                         for K, cv in w.c.items():
-                            bump(trip, (K, key[0]), v * cv)
+                            bump(out, (trip, (K, key[0])), v * cv)
                 # middle: b against module parts of [a c], slots swapped
                 for (key, g, L), v in P.gen_bracket(a, c).c.items():
                     if (b, g) == (p0, q0):
                         w = beta_unit * HElt.monomial(alg, L, 1).antipode()
                         for K, cv in w.c.items():
-                            bump(trip, (key[0], K), -v * cv)
+                            bump(out, (trip, (key[0], K)), -v * cv)
                 # left: beta of module parts of [a b] against c
                 for (key, g, L), v in P.gen_bracket(a, b).c.items():
                     if (g, c) == (p0, q0):
@@ -387,7 +340,7 @@ def _central_rows_for_unit(P, p0, q0, I0):
                         for K, cv in w.c.items():
                             for K1, K2 in ((s[0], s[1]) for s in mi_splits(K, 2)):
                                 for F1, cf in mul_basis(alg, key[0], K1).items():
-                                    bump(trip, (F1, K2), -v * cv * cf)
+                                    bump(out, (trip, (F1, K2)), -v * cv * cf)
     return out
 
 
@@ -403,34 +356,25 @@ def solve_central_extensions(P, dmax=4, complete=False):
     """
     alg = P.alg
     gens = P.module.gens
-    monos = multiindices_up_to(alg.dim, dmax)
+    monos = _degree_window(alg, dmax)
     unknowns = [((p, q), I) for p in gens for q in gens for I in monos]
 
     rows = {}
-
-    def bump_row(eqkey, unknown, v):
-        if v:
-            row = rows.setdefault(eqkey, {})
-            s = row.get(unknown, Fr(0)) + v
-            if s:
-                row[unknown] = s
-            else:
-                row.pop(unknown, None)
 
     # skew link
     for p in gens:
         for q in gens:
             for I in monos:
-                bump_row(("skew", p, q, I), ((q, p), I), Fr(1))
+                _bump_row(rows, ("skew", p, q, I), ((q, p), I), Fr(1))
                 for K, v in antipode_basis(alg, I).items():
-                    bump_row(("skew", p, q, K), ((p, q), I), v)
+                    _bump_row(rows, ("skew", p, q, K), ((p, q), I), v)
 
     # central Jacobi residual, one unknown at a time
     for p in gens:
         for q in gens:
             for I in monos:
                 for (trip, key), v in _central_rows_for_unit(P, p, q, I).items():
-                    bump_row(("jac", trip, key), ((p, q), I), v)
+                    _bump_row(rows, ("jac", trip, key), ((p, q), I), v)
 
     basis = nullspace(rows.values(), unknowns)
 
@@ -504,11 +448,8 @@ def verify_cur_cocycle(P_cur, d_element=None, beta_table=None, report=None):
             target = beta_table[(i, j)]
             idx = set(target.c) | {mi_zero(alg.dim)}
             for I in idx:
-                row = {}
-                if not any(I):
-                    for k, c in g.bracket(i, j).items():
-                        row[k] = row.get(k, Fr(0)) + c
-                v = target.c.get(I, Fr(0))
+                row = {} if any(I) else g.bracket(i, j)
+                v = target.c.get(I)
                 if v:
                     row[rhs_key] = v
                 if row:
@@ -544,7 +485,7 @@ def sd_central_suite(alg, dmax=4):
         raise ValueError("suite requires an abelian algebra of dimension >= 3")
     n = alg.dim
     pairs = [(a, b) for a in range(n) for b in range(n) if a < b]
-    monos = multiindices_up_to(alg.dim, dmax)
+    monos = _degree_window(alg, dmax)
     unknowns = [((p, q), I) for p in pairs for q in pairs for I in monos]
 
     def lookup(a, b):
@@ -555,15 +496,6 @@ def sd_central_suite(alg, dmax=4):
 
     rows = {}
 
-    def bump_row(eqkey, unknown, v):
-        if v:
-            row = rows.setdefault(eqkey, {})
-            s = row.get(unknown, Fr(0)) + v
-            if s:
-                row[unknown] = s
-            else:
-                row.pop(unknown, None)
-
     one = HElt.one(alg)
 
     def gen_vec(a):
@@ -573,9 +505,9 @@ def sd_central_suite(alg, dmax=4):
     for p in pairs:
         for q in pairs:
             for I in monos:
-                bump_row(("skew", p, q, I), ((q, p), I), Fr(1))
+                _bump_row(rows, ("skew", p, q, I), ((q, p), I), Fr(1))
                 for K, v in antipode_basis(alg, I).items():
-                    bump_row(("skew", p, q, K), ((p, q), I), v)
+                    _bump_row(rows, ("skew", p, q, K), ((p, q), I), v)
 
     # contraction of the generator relation into the first argument:
     # d_a beta(e_bc, Q) + d_b beta(e_ca, Q) + d_c beta(e_ab, Q) = 0
@@ -590,7 +522,7 @@ def sd_central_suite(alg, dmax=4):
                     pk, sg = pair
                     mono = HElt.gen(alg, v0[0]) * HElt.monomial(alg, I, 1)
                     for K, v in mono.c.items():
-                        bump_row(("rel", (a, b, c), Q, K), ((pk, Q), I), sg * v)
+                        _bump_row(rows, ("rel", (a, b, c), Q, K), ((pk, Q), I), sg * v)
 
     # restricted cocycle identity on (e_ab, e_ab, e_ac)
     for a in range(n):
@@ -617,7 +549,7 @@ def sd_central_suite(alg, dmax=4):
                         lhs = lhs - (TensorElt.pure([A * B, beta])
                                      - TensorElt.pure([beta, A * B]))
                         for key, v in lhs.c.items():
-                            bump_row(eq + (key,), (u_ac, I), sg * sgn_ab * v)
+                            _bump_row(rows, eq + (key,), (u_ac, I), sg * sgn_ab * v)
                     # beta_{ab,bc} terms
                     look = lookup(b, c)
                     if look is not None:
@@ -626,7 +558,7 @@ def sd_central_suite(alg, dmax=4):
                         sgn_ab = Fr(1) if a < b else Fr(-1)
                         t = TensorElt.pure([beta, A * A]) - TensorElt.pure([A * A, beta])
                         for key, v in t.c.items():
-                            bump_row(eq + (key,), (u_bc, I), -sg * sgn_ab * v)
+                            _bump_row(rows, eq + (key,), (u_bc, I), -sg * sgn_ab * v)
                     # beta_{ab,ab} terms
                     look = lookup(a, b)
                     pk, sg = look
@@ -634,7 +566,7 @@ def sd_central_suite(alg, dmax=4):
                     t = TensorElt.pure([beta, A * gen_vec(c)]) \
                         - TensorElt.pure([A * gen_vec(c), beta])
                     for key, v in t.c.items():
-                        bump_row(eq + (key,), (u_ab, I), -v)
+                        _bump_row(rows, eq + (key,), (u_ab, I), -v)
 
     basis = nullspace(rows.values(), unknowns)
 
@@ -654,8 +586,7 @@ def sd_central_suite(alg, dmax=4):
                     if w:
                         acc = acc + (gen_vec(u) * gen_vec(v)).scale(sgn * w)
                 for I, val in acc.c.items():
-                    vec[(((a, b), (c, d)), I)] = vec.get((((a, b), (c, d)), I), Fr(0)) + val
-        vec = {k: v for k, v in vec.items() if v}
+                    vec[(((a, b), (c, d)), I)] = val
         if vec:
             trivial.append(vec)
 

@@ -9,6 +9,7 @@ the module element with coefficient h_a on generator a.
 from fractions import Fraction
 
 from .liealg import validate_geometric_datum
+from .linalg import bump, sparse_sum
 from .pbw import (HElt, TensorElt, antipode_basis, mi_splits,
                   mi_weight, mi_zero, mul_basis, multiindices_up_to)
 from .pseudo import (ModuleStructure, PseudoStructure, Report,
@@ -249,7 +250,7 @@ def _koszul_decompose(alg, tops, d, directions=None):
             for I, v in list(p[j].items()):
                 if I[i] > 0:
                     J = tuple(x - (1 if q == i else 0) for q, x in enumerate(I))
-                    phi[J] = phi.get(J, Fr(0)) + v / I[i]
+                    bump(phi, J, v / I[i])
                     del p[j][I]
             if phi:
                 out[(i, j)] = out.get((i, j), HElt.zero(alg)) + HElt(alg, phi)
@@ -302,13 +303,10 @@ class Rank1Datum:
 
     def x_element(self):
         """x = (1/2) sum r^{ij} [d_i, d_j], the bracket contraction of r."""
-        acc = {}
-        for i in range(self.alg.dim):
-            for j in range(self.alg.dim):
-                if self.r[i][j]:
-                    for k, c in self.alg.bracket(i, j).items():
-                        acc[k] = acc.get(k, Fr(0)) + self.r[i][j] * c / 2
-        return {k: v for k, v in acc.items() if v}
+        n = self.alg.dim
+        return sparse_sum((k, self.r[i][j] * c / 2)
+                          for i in range(n) for j in range(n) if self.r[i][j]
+                          for k, c in self.alg.bracket(i, j).items())
 
 
 def check_ybe(datum):
@@ -319,51 +317,43 @@ def check_ybe(datum):
     n = alg.dim
 
     # [r, s (x) 1 + 1 (x) s] = 0 componentwise in d (x) d
-    acc = {}
-    for i in range(n):
-        for j in range(n):
-            c = datum.r[i][j]
-            if not c:
-                continue
-            for k, ck in alg.bracket_elements({i: Fr(1)}, dict(enumerate(datum.s))).items():
-                acc[(k, j)] = acc.get((k, j), Fr(0)) + c * ck
-            for k, ck in alg.bracket_elements({j: Fr(1)}, dict(enumerate(datum.s))).items():
-                acc[(i, k)] = acc.get((i, k), Fr(0)) + c * ck
-    acc = {k: v for k, v in acc.items() if v}
+    def commutator_terms():
+        for i in range(n):
+            for j in range(n):
+                c = datum.r[i][j]
+                if not c:
+                    continue
+                for k, ck in alg.bracket_elements({i: Fr(1)}, dict(enumerate(datum.s))).items():
+                    yield (k, j), c * ck
+                for k, ck in alg.bracket_elements({j: Fr(1)}, dict(enumerate(datum.s))).items():
+                    yield (i, k), c * ck
+
+    acc = sparse_sum(commutator_terms())
     rep.record("r-commutes-with-s", not acc, acc or None)
 
     # ([r_12, r_13] + r_12 s_3) + cyclic = 0 in d (x) d (x) d
+    def base_terms():
+        for i in range(n):
+            for j in range(n):
+                ci = datum.r[i][j]
+                if not ci:
+                    continue
+                for k in range(n):
+                    for l in range(n):
+                        cj = datum.r[k][l]
+                        if not cj:
+                            continue
+                        for m, cm in alg.bracket(i, k).items():
+                            yield (m, j, l), ci * cj * cm
+                for k in range(n):
+                    if datum.s[k]:
+                        yield (i, j, k), ci * datum.s[k]
+
     triple = {}
-
-    def bump3(i, j, k, v):
-        if v:
-            key = (i, j, k)
-            s = triple.get(key, Fr(0)) + v
-            if s:
-                triple[key] = s
-            else:
-                triple.pop(key, None)
-
-    base = {}
-    for i in range(n):
-        for j in range(n):
-            ci = datum.r[i][j]
-            if not ci:
-                continue
-            for k in range(n):
-                for l in range(n):
-                    cj = datum.r[k][l]
-                    if not cj:
-                        continue
-                    for m, cm in alg.bracket(i, k).items():
-                        base[(m, j, l)] = base.get((m, j, l), Fr(0)) + ci * cj * cm
-            for k in range(n):
-                if datum.s[k]:
-                    base[(i, j, k)] = base.get((i, j, k), Fr(0)) + ci * datum.s[k]
-    for (i, j, k), v in base.items():
-        bump3(i, j, k, v)
-        bump3(k, i, j, v)
-        bump3(j, k, i, v)
+    for (i, j, k), v in sparse_sum(base_terms()).items():
+        bump(triple, (i, j, k), v)
+        bump(triple, (k, i, j), v)
+        bump(triple, (j, k, i), v)
     rep.record("dynamical-triple-identity", not triple, triple or None)
     return rep
 
@@ -553,10 +543,6 @@ def apply_anti_involution(C, elt, gamma=None):
                     for (pp, qq), cg in gamma(p, q).items():
                         out._bump(Ip, (J2, pp, qq), v * cs * ci * cg)
     return out
-
-
-def gamma_transpose(p, q):
-    return {(q, p): Fr(1)}
 
 
 def gamma_symplectic(n):

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .liealg import _perm_sign
+from .linalg import SparseCombination, bump
 from .pbw import HElt, mi_zero, mul_basis
 from .pseudo import ModuleStructure, PseudoStructure
 from .tensor import FreeModule, MElt, QElt
@@ -35,10 +36,15 @@ def full_form_module(alg):
     return FreeModule(alg, gens, names=names, label="forms:%s" % alg.name)
 
 
-class PForm:
-    """Degree-n pseudoform: {increasing index tuple: HElt coefficients}."""
+class PForm(SparseCombination):
+    """Degree-n pseudoform: {increasing index tuple: HElt coefficients}.
+
+    A sparse combination in the sense of `linalg` whose coefficients are
+    nonzero HElt values rather than rationals.
+    """
 
     __slots__ = ("alg", "degree", "c")
+    _space = ("alg", "degree")
 
     def __init__(self, alg, degree, coeffs=None):
         self.alg = alg
@@ -50,12 +56,7 @@ class PForm:
     def set_value(self, T, h):
         if len(T) != self.degree or list(T) != sorted(set(T)):
             raise ValueError("indices must be strictly increasing")
-        if h:
-            cur = self.c.get(T, HElt.zero(self.alg)) + h
-            if cur:
-                self.c[T] = cur
-            else:
-                self.c.pop(T, None)
+        bump(self.c, T, h)
 
     @classmethod
     def basis(cls, alg, T):
@@ -81,20 +82,6 @@ class PForm:
             out = out + self.value((i,) + tuple(rest)).scale(ci)
         return out
 
-    def __add__(self, other):
-        out = PForm(self.alg, self.degree)
-        for T, h in self.c.items():
-            out.set_value(T, h)
-        for T, h in other.c.items():
-            out.set_value(T, h)
-        return out
-
-    def __neg__(self):
-        return PForm(self.alg, self.degree, {T: -h for T, h in self.c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def h_mul(self, h):
         return PForm(self.alg, self.degree, {T: h * v for T, v in self.c.items()})
 
@@ -115,12 +102,6 @@ class PForm:
             out.set_value(T, HElt.monomial(alg, I, v))
         return out
 
-    def __eq__(self, other):
-        return (isinstance(other, PForm) and self.degree == other.degree
-                and self.c == other.c)
-
-    __hash__ = None
-
     def __repr__(self):
         if not self.c:
             return "PForm(0)"
@@ -128,10 +109,10 @@ class PForm:
                           for T, h in sorted(self.c.items()))
 
 
-def _insert_map(q_out, key_pair, T, value_h):
-    """Add (d^(key0) (x) value-expansion) (x)_H basis form T to a raw QElt."""
-    for I, v in value_h.c.items():
-        q_out._bump((key_pair[0], I), T, mi_zero(value_h.alg.dim), v)
+def _add_pairs(acc, K, h, scale):
+    """acc += scale * (d^(K) (x) h), keyed by pairs (K, I)."""
+    for I, v in h.c.items():
+        bump(acc, (K, I), scale * v)
 
 
 def act_on_form(alg, wfield, w):
@@ -148,10 +129,10 @@ def act_on_form(alg, wfield, w):
     zero = mi_zero(alg.dim)
     for (F, a), fv in wfield.c.items():
         for T in combinations(range(alg.dim), n):
-            acc = HPairAccumulator(alg)
+            acc = {}  # coefficients of d^(K) (x) d^(I)
             base = w.value(T)
             if base:
-                acc.add(F, base * HElt.gen(alg, a), Fr(-fv))
+                _add_pairs(acc, F, base * HElt.gen(alg, a), Fr(-fv))
             for pos in range(n):
                 rest = T[:pos] + T[pos + 1:]
                 sign = Fr((-1) ** (pos + 1))
@@ -159,37 +140,15 @@ def act_on_form(alg, wfield, w):
                 if inner:
                     ai = tuple(1 if p == T[pos] else 0 for p in range(alg.dim))
                     for K, ck in mul_basis(alg, F, ai).items():
-                        acc.add(K, inner, sign * fv * ck)
+                        _add_pairs(acc, K, inner, sign * fv * ck)
                 brk = alg.bracket(a, T[pos])
                 if brk:
                     val = w.value_with_vector(brk, rest)
                     if val:
-                        acc.add(F, val, sign * fv)
+                        _add_pairs(acc, F, val, sign * fv)
             for (K, I), v in acc.items():
                 out._bump((K, I), T, zero, v)
     return out.canonicalize()
-
-
-class HPairAccumulator:
-    """Collects coefficients of d^(K) (x) d^(I) pairs."""
-
-    def __init__(self, alg):
-        self.alg = alg
-        self.c = {}
-
-    def add(self, K, h, scale):
-        if not scale:
-            return
-        for I, v in h.c.items():
-            key = (K, I)
-            s = self.c.get(key, Fr(0)) + scale * v
-            if s:
-                self.c[key] = s
-            else:
-                self.c.pop(key, None)
-
-    def items(self):
-        return self.c.items()
 
 
 def contract_form(alg, wfield, w):

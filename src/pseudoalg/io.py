@@ -18,6 +18,7 @@ import json
 from fractions import Fraction
 
 from .liealg import LieAlgebra, algebra_by_name
+from .linalg import sparse_sum
 from .literals import parse_fraction, parse_helt, render_helt
 from .pbw import HElt, mi_zero
 from .pseudo import PseudoStructure
@@ -42,10 +43,9 @@ def lie_algebra_from_dict(data):
         if i > j:
             i, j = j, i
             comps = {k: -v for k, v in comps.items()}
-        acc = brackets.setdefault((i, j), {})
-        for k, v in comps.items():
-            acc[k] = acc.get(k, Fr(0)) + v
-    return LieAlgebra(data.get("name", "loaded"), basis, brackets)
+        brackets.setdefault((i, j), []).extend(comps.items())
+    return LieAlgebra(data.get("name", "loaded"), basis,
+                      {pair: sparse_sum(terms) for pair, terms in brackets.items()})
 
 
 def lie_algebra_to_dict(alg):
@@ -184,11 +184,6 @@ def pseudo_to_dict(P):
         "generators": list(P.module.gens),
         "brackets": rows,
     }
-
-
-def load_pseudo(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return pseudo_from_dict(json.load(fh))
 
 
 def load_poisson(path):

@@ -9,7 +9,7 @@ families; validation of that data lives here as well.
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import invert_matrix
+from .linalg import SparseCombination, bump, invert_matrix
 
 Fr = Fraction
 
@@ -79,11 +79,7 @@ class LieAlgebra:
         for i, ci in u.items():
             for j, cj in v.items():
                 for k, c in self.bracket(i, j).items():
-                    s = out.get(k, Fr(0)) + ci * cj * c
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+                    bump(out, k, ci * cj * c)
         return out
 
     @property
@@ -106,11 +102,7 @@ class LieAlgebra:
                 inner = self.bracket(b, c)
                 for m, cm in inner.items():
                     for p, cp in self.bracket(a, m).items():
-                        s = acc.get(p, Fr(0)) + cm * cp
-                        if s:
-                            acc[p] = s
-                        else:
-                            acc.pop(p, None)
+                        bump(acc, p, cm * cp)
             if acc:
                 fails.append(((i, j, k), acc))
         return fails
@@ -165,12 +157,14 @@ def validate_lie_algebra(alg):
     return rep
 
 
-class Form:
+class Form(SparseCombination):
     """Alternating form on the Lie algebra with rational coefficients.
 
     Coefficients are indexed by strictly increasing index tuples into the
     dual basis; evaluation on arbitrary tuples sorts and signs.
     """
+
+    _space = ("alg", "degree")
 
     def __init__(self, alg, degree, coeffs=None):
         if not 0 <= degree <= alg.dim:
@@ -200,23 +194,6 @@ class Form:
         """Evaluate with a coefficient vector {i: c} in the first slot."""
         return sum((c * self(i, *rest) for i, c in vec.items()), Fr(0))
 
-    def __add__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            s = out.get(k, Fr(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return Form(self.alg, self.degree, out)
-
-    def __neg__(self):
-        return Form(self.alg, self.degree, {k: -v for k, v in self.c.items()})
-
-    def scale(self, c):
-        c = Fr(c)
-        return Form(self.alg, self.degree, {k: c * v for k, v in self.c.items()})
-
     def is_zero(self):
         return not self.c
 
@@ -233,12 +210,7 @@ class Form:
                 merged = a + b
                 order = sorted(range(len(merged)), key=lambda p: merged[p])
                 sign = _perm_sign(order)
-                key = tuple(sorted(merged))
-                s = out.get(key, Fr(0)) + sign * ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                bump(out, tuple(sorted(merged)), sign * ca * cb)
         return Form(self.alg, deg, out)
 
     def __repr__(self):

@@ -1,9 +1,17 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and the sparse core of the package.
 
 Everything here works with sparse vectors: dictionaries mapping an
 arbitrary hashable column key to a nonzero Fraction.  Systems stay small
 (a few hundred unknowns), so sparse Gaussian elimination with exact
 arithmetic is entirely adequate.
+
+Every element type of the package (enveloping-algebra elements, tensors,
+module and quotient elements, truncated functionals, forms) is such a
+sparse combination, built on `bump` and `SparseCombination`.  Their one
+invariant: the coefficient map stores no zeros, so an element is zero iff
+its map is empty and equality is map equality.  Coefficients stay
+Fractions (pseudoforms hold enveloping-algebra elements instead); `bump`
+stores what it is given, so callers pass Fractions.
 """
 
 from fractions import Fraction
@@ -11,15 +19,92 @@ from fractions import Fraction
 Fr = Fraction
 
 
+def bump(d, key, v):
+    """d[key] += v, dropping the key when the sum vanishes."""
+    s = d.get(key)
+    if s is None:
+        if v:
+            d[key] = v
+    else:
+        s = s + v
+        if s:
+            d[key] = s
+        else:
+            del d[key]
+
+
+class SparseCombination:
+    """Finite combination sum c_k [k], stored as the coefficient map `c`.
+
+    A subclass names in `_space` the attributes that fix where its
+    elements live (algebra, arity, module, cutoff); sums, negatives and
+    multiples share them.  It may refine `_bump` with an admission rule.
+    """
+
+    __slots__ = ()
+    _space = ()
+
+    def _with(self, c):
+        """Element of the same space with coefficient map c."""
+        out = object.__new__(type(self))
+        for name in self._space:
+            setattr(out, name, getattr(self, name))
+        out.c = c
+        return out
+
+    def _same_space(self, other):
+        return all(getattr(self, n) == getattr(other, n) for n in self._space)
+
+    def _bump(self, key, v):
+        bump(self.c, key, v)
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __add__(self, other):
+        c = dict(self.c)
+        for k, v in other.c.items():
+            bump(c, k, v)
+        return self._with(c)
+
+    def __neg__(self):
+        return self._with({k: -v for k, v in self.c.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, k):
+        k = Fr(k)
+        return self._with({key: k * v for key, v in self.c.items()} if k else {})
+
+    def __rmul__(self, k):
+        return self.scale(k)
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and self._same_space(other)
+                and self.c == other.c)
+
+    __hash__ = None
+
+
+def sparse_sum(terms):
+    """Sum of (key, value) terms as a sparse vector.
+
+    Zeros are dropped at the end, so unlike repeated `bump` a key whose
+    partial sum passes through zero keeps the place of its first term.
+    """
+    out = {}
+    for k, v in terms:
+        s = out.get(k)
+        out[k] = v if s is None else s + v
+    return {k: v for k, v in out.items() if v}
+
+
 def vec_add(u, v, cv=Fr(1)):
     """u + cv*v for sparse vectors, dropping zeros."""
     out = dict(u)
     for k, c in v.items():
-        s = out.get(k, Fr(0)) + cv * c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+        bump(out, k, cv * c)
     return out
 
 
@@ -105,8 +190,8 @@ def nullspace(rows, columns):
         for pcol, prow in pivots.items():
             coeff = prow.get(fc)
             if coeff:
-                sol[pcol] = sol.get(pcol, Fr(0)) - coeff
-        basis.append({k: v for k, v in sol.items() if v})
+                sol[pcol] = -coeff
+        basis.append(sol)
     return basis
 
 

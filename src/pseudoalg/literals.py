@@ -15,6 +15,8 @@ truncated-series monomials as "t^(i1,...,iN)" and form monomials as
 import re
 from fractions import Fraction
 
+from .linalg import sparse_sum
+
 Fr = Fraction
 
 _TERM_RE = re.compile(
@@ -27,8 +29,10 @@ _TERM_RE = re.compile(
 def parse_fraction(s):
     s = s.strip()
     if "/" in s:
-        p, q = s.split("/")
-        return Fr(int(p), int(q))
+        p, q = (int(x) for x in s.split("/"))
+        if not q:
+            raise ValueError("zero denominator in %r" % s)
+        return Fr(p, q)
     return Fr(int(s))
 
 
@@ -116,11 +120,8 @@ def parse_helt(alg, text, symbol="d"):
     text = text.strip()
     if text == "0":
         return HElt.zero(alg)
-    out = {}
-    for term in _split_terms(text):
-        I, v = parse_term(alg, term, symbol)
-        out[I] = out.get(I, Fr(0)) + v
-    return HElt(alg, out)
+    return HElt(alg, sparse_sum(parse_term(alg, term, symbol)
+                                for term in _split_terms(text)))
 
 
 def parse_tensor(alg, text, arity=None, symbol="d"):

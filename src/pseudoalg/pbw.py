@@ -1,8 +1,9 @@
 """Exact arithmetic in the universal enveloping algebra of a finite Lie algebra.
 
-Elements are stored in the divided-power basis d^(I) = d_1^{i_1} ... d_N^{i_N}
-divided by i_1! ... i_N!, as sparse maps from multi-indices to rationals.
-That normalization makes the coproduct integer-free:
+Elements are combinations of the divided-power basis d^(I) = d_1^{i_1} ...
+d_N^{i_N} divided by i_1! ... i_N!, keyed by the multi-index I and stored
+as the sparse combinations of `linalg`.  That normalization makes the
+coproduct integer-free:
 
     coproduct(d^(I)) = sum over J + K = I of d^(J) (x) d^(K)
 
@@ -15,6 +16,8 @@ boundary.  Filtration degree of d^(I) is |I|.
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
+
+from .linalg import SparseCombination, bump
 
 Fr = Fraction
 
@@ -108,11 +111,7 @@ def _straighten(alg, word):
     for k, c in alg.bracket(a, b).items():
         sub = word[:desc] + (k,) + word[desc + 2:]
         for I, ci in _straighten(alg, sub).items():
-            s = acc.get(I, Fr(0)) + c * ci
-            if s:
-                acc[I] = s
-            else:
-                acc.pop(I, None)
+            bump(acc, I, c * ci)
     cache[word] = acc
     return acc
 
@@ -129,12 +128,8 @@ def mul_basis(alg, I, J):
         res = {K: coeff}
     else:
         norm = Fr(1, mi_factorial(I) * mi_factorial(J))
-        res = {}
-        for K, c in _straighten(alg, word_of(I) + word_of(J)).items():
-            v = c * norm * mi_factorial(K)
-            if v:
-                res[K] = res.get(K, Fr(0)) + v
-        res = {K: v for K, v in res.items() if v}
+        res = {K: c * norm * mi_factorial(K)
+               for K, c in _straighten(alg, word_of(I) + word_of(J)).items()}
     alg._mul_cache[key] = res
     return res
 
@@ -148,21 +143,19 @@ def antipode_basis(alg, I):
         res = {I: Fr((-1) ** mi_weight(I))}
     else:
         sign = Fr((-1) ** mi_weight(I), mi_factorial(I))
-        res = {}
-        for K, c in _straighten(alg, tuple(reversed(word_of(I)))).items():
-            v = sign * c * mi_factorial(K)
-            if v:
-                res[K] = v
+        res = {K: sign * c * mi_factorial(K)
+               for K, c in _straighten(alg, tuple(reversed(word_of(I)))).items()}
     alg._antipode_cache[I] = res
     return res
 
 
 # -- elements ---------------------------------------------------------------
 
-class HElt:
+class HElt(SparseCombination):
     """Element of U(d) as a sparse rational combination of d^(I)."""
 
     __slots__ = ("alg", "c")
+    _space = ("alg",)
 
     def __init__(self, alg, coeffs=None):
         self.alg = alg
@@ -200,46 +193,6 @@ class HElt:
             out = out + cls(alg, {tuple(I): v})
         return out
 
-    def clone(self):
-        e = HElt(self.alg)
-        e.c = dict(self.c)
-        return e
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        return isinstance(other, HElt) and self.alg is other.alg and self.c == other.c
-
-    __hash__ = None
-
-    def __add__(self, other):
-        out = dict(self.c)
-        for I, v in other.c.items():
-            s = out.get(I, Fr(0)) + v
-            if s:
-                out[I] = s
-            else:
-                out.pop(I, None)
-        e = HElt(self.alg)
-        e.c = out
-        return e
-
-    def __neg__(self):
-        e = HElt(self.alg)
-        e.c = {I: -v for I, v in self.c.items()}
-        return e
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        k = Fr(k)
-        e = HElt(self.alg)
-        if k:
-            e.c = {I: k * v for I, v in self.c.items()}
-        return e
-
     def __mul__(self, other):
         if isinstance(other, HElt):
             if other.alg is not self.alg:
@@ -249,31 +202,16 @@ class HElt:
                 for J, b in other.c.items():
                     ab = a * b
                     for K, c in mul_basis(self.alg, I, J).items():
-                        s = out.get(K, Fr(0)) + ab * c
-                        if s:
-                            out[K] = s
-                        else:
-                            out.pop(K, None)
-            e = HElt(self.alg)
-            e.c = out
-            return e
+                        bump(out, K, ab * c)
+            return self._with(out)
         return self.scale(other)
-
-    def __rmul__(self, k):
-        return self.scale(k)
 
     def antipode(self):
         out = {}
         for I, v in self.c.items():
             for K, c in antipode_basis(self.alg, I).items():
-                s = out.get(K, Fr(0)) + v * c
-                if s:
-                    out[K] = s
-                else:
-                    out.pop(K, None)
-        e = HElt(self.alg)
-        e.c = out
-        return e
+                bump(out, K, v * c)
+        return self._with(out)
 
     def counit(self):
         return self.c.get(mi_zero(self.alg.dim), Fr(0))
@@ -291,21 +229,19 @@ class HElt:
         t = TensorElt(self.alg, n)
         for I, v in self.c.items():
             for split in mi_splits(I, n):
-                t._bump(split, v)
+                bump(t.c, split, v)
         return t
-
-    def support_degrees(self):
-        return sorted({mi_weight(I) for I in self.c})
 
     def __repr__(self):
         from .literals import render_helt
         return render_helt(self)
 
 
-class TensorElt:
+class TensorElt(SparseCombination):
     """Element of the n-fold tensor power of U(d), coefficients on divided monomials."""
 
     __slots__ = ("alg", "n", "c")
+    _space = ("alg", "n")
 
     def __init__(self, alg, n, coeffs=None):
         self.alg = alg
@@ -315,13 +251,6 @@ class TensorElt:
             v = Fr(v)
             if v:
                 self.c[tuple(tuple(I) for I in key)] = v
-
-    def _bump(self, key, v):
-        s = self.c.get(key, Fr(0)) + v
-        if s:
-            self.c[key] = s
-        else:
-            self.c.pop(key, None)
 
     @classmethod
     def zero(cls, alg, n):
@@ -345,44 +274,13 @@ class TensorElt:
             t._bump(key, v)
         return t
 
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElt) and self.alg is other.alg
-                and self.n == other.n and self.c == other.c)
-
-    __hash__ = None
-
-    def __add__(self, other):
-        out = TensorElt(self.alg, self.n)
-        out.c = dict(self.c)
-        for k, v in other.c.items():
-            out._bump(k, v)
-        return out
-
-    def __neg__(self):
-        out = TensorElt(self.alg, self.n)
-        out.c = {k: -v for k, v in self.c.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        k = Fr(k)
-        out = TensorElt(self.alg, self.n)
-        if k:
-            out.c = {key: k * v for key, v in self.c.items()}
-        return out
-
     def __mul__(self, other):
         """Slotwise product in U(d)^{(x) n}."""
         if not isinstance(other, TensorElt):
             return self.scale(other)
         if other.n != self.n or other.alg is not self.alg:
             raise ValueError("arity or algebra mismatch")
-        out = TensorElt(self.alg, self.n)
+        out = {}
         for ka, va in self.c.items():
             for kb, vb in other.c.items():
                 pieces = [mul_basis(self.alg, ka[i], kb[i]) for i in range(self.n)]
@@ -392,20 +290,17 @@ class TensorElt:
                     v = base
                     for _, cv in combo:
                         v *= cv
-                    out._bump(key, v)
-        return out
-
-    def __rmul__(self, k):
-        return self.scale(k)
+                    bump(out, key, v)
+        return self._with(out)
 
     def permuted(self, perm):
         """Pull slots through a permutation: new slot i holds old slot perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation of the slots")
-        out = TensorElt(self.alg, self.n)
+        out = {}
         for key, v in self.c.items():
-            out._bump(tuple(key[perm[i]] for i in range(self.n)), v)
-        return out
+            bump(out, tuple(key[perm[i]] for i in range(self.n)), v)
+        return self._with(out)
 
     def max_degree(self):
         if not self.c:
@@ -428,7 +323,7 @@ def fourier(t, slots=(0, 1), inverse=False):
     if i == j or not (0 <= i < t.n) or not (0 <= j < t.n):
         raise ValueError("slots must be two distinct positions")
     alg = t.alg
-    out = TensorElt(alg, t.n)
+    out = {}
     for key, v in t.c.items():
         g = key[j]
         for J, K in ((s[0], s[1]) for s in mi_splits(g, 2)):
@@ -438,5 +333,5 @@ def fourier(t, slots=(0, 1), inverse=False):
                     nk = list(key)
                     nk[i] = newI
                     nk[j] = K
-                    out._bump(tuple(nk), v * cj * ci)
-    return out
+                    bump(out, tuple(nk), v * cj * ci)
+    return t._with(out)

@@ -18,6 +18,7 @@ Constant kernel terms ride along as a central-extension candidate.
 from fractions import Fraction
 
 from .liealg import abelian
+from .linalg import bump
 from .pbw import (HElt, mi_add, mi_factorial, mi_splits, mi_weight, mi_zero)
 from .pseudo import PseudoStructure
 from .tensor import FreeModule, MElt, QElt
@@ -48,11 +49,7 @@ class PoissonBracketSpec:
             return
         key = (tuple(lam), tuple(der))
         tbl = self.Q.setdefault((i, j, k), {})
-        s = tbl.get(key, Fr(0)) + coeff
-        if s:
-            tbl[key] = s
-        else:
-            tbl.pop(key, None)
+        bump(tbl, key, coeff)
         if not tbl:
             del self.Q[(i, j, k)]
 
@@ -62,11 +59,7 @@ class PoissonBracketSpec:
             return
         key = tuple(lam)
         tbl = self.central.setdefault((i, j), {})
-        s = tbl.get(key, Fr(0)) + coeff
-        if s:
-            tbl[key] = s
-        else:
-            tbl.pop(key, None)
+        bump(tbl, key, coeff)
         if not tbl:
             del self.central[(i, j)]
 
@@ -128,12 +121,7 @@ def _substitute(terms, flip_first):
         for B1, B2 in ((s[0], s[1]) for s in mi_splits(B, 2)):
             # binomial from expanding (a + b)^B in commuting variables
             mult = Fr(mi_factorial(B), mi_factorial(B1) * mi_factorial(B2))
-            key = (mi_add(A, B1), B2)
-            s = out.get(key, Fr(0)) + sign * c * mult
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            bump(out, (mi_add(A, B1), B2), sign * c * mult)
     return out
 
 
@@ -187,13 +175,7 @@ def pseudo_to_poisson(P, names=None):
             for (key, g, L), v in q.c.items():
                 for L1, L2 in ((s[0], s[1]) for s in mi_splits(L, 2)):
                     M = mi_add(key[0], L1)
-                    cc = v * _divided_product_coeff(key[0], L1)
-                    kk = (M, L2, index[g])
-                    s = terms.get(kk, Fr(0)) + cc
-                    if s:
-                        terms[kk] = s
-                    else:
-                        terms.pop(kk, None)
+                    bump(terms, (M, L2, index[g]), v * _divided_product_coeff(key[0], L1))
             for (M, K, k), c in terms.items():
                 # divided monomials back to plain power coefficients
                 poly = {(M, K): c / (mi_factorial(M) * mi_factorial(K))}
@@ -213,8 +195,8 @@ def lambda_bracket_terms(spec, i, j):
         if (ii, jj) != (i, j):
             continue
         for (A, B), c in terms.items():
-            out[(A, B, k)] = out.get((A, B, k), Fr(0)) + c
-    return {k: v for k, v in out.items() if v}
+            out[(A, B, k)] = c
+    return out
 
 
 # -- catalog -------------------------------------------------------------------

@@ -9,12 +9,8 @@ skew-commutativity, the Jacobi identity (or associativity), module
 identities and homomorphisms by exact comparison of canonical forms.
 """
 
-from fractions import Fraction
-
 from .pbw import HElt, mi_splits, mi_weight, mul_basis
 from .tensor import MElt, QElt
-
-Fr = Fraction
 
 
 class CheckResult:
@@ -65,6 +61,41 @@ class Report:
         return "\n".join(lines)
 
 
+def extend_bilinear(lookup, a, b, out_module):
+    """H-bilinear extension of a generator table to module elements.
+
+    lookup(ga, gb) gives the value on a generator pair as a QElt of arity
+    2 (None or zero where the table vanishes); the value on
+    d^(Ia) e_ga, d^(Ib) e_gb is d^(Ia) (x) d^(Ib) times it.  The result is
+    returned uncanonicalized.
+    """
+    out = QElt(out_module, 2)
+    alg = out_module.alg
+    for (Ia, ga), ca in a.c.items():
+        for (Ib, gb), cb in b.c.items():
+            base = lookup(ga, gb)
+            if not base:
+                continue
+            cab = ca * cb
+            for (key, g, L), v in base.c.items():
+                left = mul_basis(alg, Ia, key[0])
+                right = mul_basis(alg, Ib, key[1])
+                for K1, c1 in left.items():
+                    for K2, c2 in right.items():
+                        out._bump((K1, K2), g, L, cab * v * c1 * c2)
+    return out
+
+
+def _table_value(table, fn, key, module):
+    """Entry of a bracket or action table, filled on demand from fn."""
+    q = table.get(key)
+    if q is None:
+        if fn is None:
+            return QElt.zero(module, 2)
+        q = table[key] = fn(*key).canonicalize()
+    return q
+
+
 class PseudoStructure:
     """Bracket data on a free module; kind is "lie" or "assoc".
 
@@ -89,14 +120,7 @@ class PseudoStructure:
             self._table[pair] = q.canonicalize()
 
     def gen_bracket(self, gi, gj):
-        key = (gi, gj)
-        if key in self._table:
-            return self._table[key]
-        if self._bracket_fn is not None:
-            q = self._bracket_fn(gi, gj).canonicalize()
-            self._table[key] = q
-            return q
-        return QElt.zero(self.module, 2)
+        return _table_value(self._table, self._bracket_fn, (gi, gj), self.module)
 
     def element(self, g):
         return self.module.element(g)
@@ -105,19 +129,7 @@ class PseudoStructure:
         """Pseudoproduct of two module elements, canonicalized."""
         if not a.module.same_as(self.module) or not b.module.same_as(self.module):
             raise ValueError("foreign elements")
-        out = QElt(self.module, 2)
-        alg = self.alg
-        for (Ia, ga), ca in a.c.items():
-            for (Ib, gb), cb in b.c.items():
-                base = self.gen_bracket(ga, gb)
-                cab = ca * cb
-                for (key, g, L), v in base.c.items():
-                    left = mul_basis(alg, Ia, key[0])
-                    right = mul_basis(alg, Ib, key[1])
-                    for K1, c1 in left.items():
-                        for K2, c2 in right.items():
-                            out._bump((K1, K2), g, L, cab * v * c1 * c2)
-        return out.canonicalize()
+        return extend_bilinear(self.gen_bracket, a, b, self.module).canonicalize()
 
     def max_coefficient_degree(self):
         """Largest filtration degree occurring in the stored bracket table."""
@@ -146,29 +158,12 @@ class ModuleStructure:
             self._table[pair] = q.canonicalize()
 
     def gen_action(self, g_l, g_m):
-        key = (g_l, g_m)
-        if key in self._table:
-            return self._table[key]
-        if self._action_fn is not None:
-            q = self._action_fn(g_l, g_m).canonicalize()
-            self._table[key] = q
-            return q
-        return QElt.zero(self.module, 2)
+        return _table_value(self._table, self._action_fn, (g_l, g_m), self.module)
 
     def act(self, a, m):
         if not a.module.same_as(self.pseudo.module) or not m.module.same_as(self.module):
             raise ValueError("foreign elements")
-        out = QElt(self.module, 2)
-        alg = self.alg
-        for (Ia, ga), ca in a.c.items():
-            for (Im, gm), cm in m.c.items():
-                base = self.gen_action(ga, gm)
-                cam = ca * cm
-                for (key, g, L), v in base.c.items():
-                    for K1, c1 in mul_basis(alg, Ia, key[0]).items():
-                        for K2, c2 in mul_basis(alg, Im, key[1]).items():
-                            out._bump((K1, K2), g, L, cam * v * c1 * c2)
-        return out.canonicalize()
+        return extend_bilinear(self.gen_action, a, m, self.module).canonicalize()
 
 
 # -- composition in the third tensor power ----------------------------------

@@ -1,7 +1,8 @@
 """Canonical forms in H^{(x) n} (x)_H M for free modules M over H = U(d).
 
-A QElt stores sums  c * (d^(I1) (x) ... (x) d^(In)) (x)_H (d^(L) e_g)
-as a sparse map  (htuple, g, L) -> c.  Different raw storages can denote
+A QElt is a sum of terms  c * (d^(I1) (x) ... (x) d^(In)) (x)_H (d^(L) e_g)
+keyed by (htuple, g, L), a sparse combination in the sense of `linalg`
+(as is MElt, keyed by (I, g)).  Different raw storages can denote
 the same class; `canonicalize` rewrites every term so the last tensor
 slot is d^(0), after which the coefficient map is a complete invariant
 and equality is dictionary equality.
@@ -16,12 +17,14 @@ with g_1, ..., g_n the n-part divided-power splits of g.
 
 Module generators normally generate free summands; a generator may
 instead be marked `counit`, meaning h e = counit(h) e (the one-dimensional
-center used by central extensions).
+center used by central extensions); `_bump` then drops every term that
+is not constant on it.
 """
 
 from fractions import Fraction
 from itertools import product as iproduct
 
+from .linalg import SparseCombination, bump
 from .pbw import HElt, antipode_basis, mi_splits, mi_zero, mul_basis
 
 Fr = Fraction
@@ -73,10 +76,11 @@ class FreeModule:
                                        ", ".join(self.gen_name(g) for g in self.gens))
 
 
-class MElt:
+class MElt(SparseCombination):
     """Element of a free module: sparse map (multi-index, generator) -> rational."""
 
     __slots__ = ("module", "c")
+    _space = ("module",)
 
     def __init__(self, module, coeffs=None):
         self.module = module
@@ -91,47 +95,14 @@ class MElt:
             # h e = counit(h) e: only the constant component survives
             if any(I):
                 return
-        key = (I, g)
-        s = self.c.get(key, Fr(0)) + v
-        if s:
-            self.c[key] = s
-        else:
-            self.c.pop(key, None)
+        bump(self.c, (I, g), v)
+
+    def _same_space(self, other):
+        return self.module.same_as(other.module)
 
     @classmethod
     def zero(cls, module):
         return cls(module)
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        return (isinstance(other, MElt) and self.module.same_as(other.module)
-                and self.c == other.c)
-
-    __hash__ = None
-
-    def __add__(self, other):
-        out = MElt(self.module)
-        out.c = dict(self.c)
-        for (I, g), v in other.c.items():
-            out._bump(I, g, v)
-        return out
-
-    def __neg__(self):
-        out = MElt(self.module)
-        out.c = {k: -v for k, v in self.c.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        k = Fr(k)
-        out = MElt(self.module)
-        if k:
-            out.c = {key: k * v for key, v in self.c.items()}
-        return out
 
     def h_mul(self, h):
         """Left action of h in U(d)."""
@@ -146,31 +117,17 @@ class MElt:
                     out._bump(K, g, v * cj * ck)
         return out
 
-    def h_coefficients(self):
-        """Split into {generator: HElt} coefficient form."""
-        by_gen = {}
-        for (I, g), v in self.c.items():
-            by_gen.setdefault(g, {})[I] = v
-        return {g: HElt(self.module.alg, d) for g, d in by_gen.items()}
-
-    def map_gens(self, target_module, fn):
-        """H-linear pushforward along fn: generator -> MElt over the target."""
-        out = MElt.zero(target_module)
-        for (I, g), v in self.c.items():
-            img = fn(g)
-            h = HElt.monomial(self.module.alg, I, v)
-            out = out + img.h_mul(h)
-        return out
-
     def __repr__(self):
         from .literals import render_module_element
         return render_module_element(self)
 
 
-class QElt:
+class QElt(SparseCombination):
     """Element of H^{(x) n} (x)_H M, stored term by term (see module docstring)."""
 
     __slots__ = ("module", "n", "c", "canonical")
+    # the flag rides along: negatives and multiples of a canonical form are canonical
+    _space = ("module", "n", "canonical")
 
     def __init__(self, module, n, coeffs=None, canonical=False):
         self.module = module
@@ -185,12 +142,7 @@ class QElt:
             return
         if self.module.is_counit(g) and any(L):
             return
-        k = (key, g, L)
-        s = self.c.get(k, Fr(0)) + v
-        if s:
-            self.c[k] = s
-        else:
-            self.c.pop(k, None)
+        bump(self.c, (key, g, L), v)
 
     @classmethod
     def zero(cls, module, n):
@@ -205,33 +157,9 @@ class QElt:
                 out._bump(key, g, L, tv * mv)
         return out
 
-    def __bool__(self):
-        return bool(self.c)
-
     def __add__(self, other):
-        out = QElt(self.module, self.n)
-        out.c = dict(self.c)
-        out.canonical = False
-        for (key, g, L), v in other.c.items():
-            out._bump(key, g, L, v)
+        out = SparseCombination.__add__(self, other)
         out.canonical = self.canonical and other.canonical
-        return out
-
-    def __neg__(self):
-        out = QElt(self.module, self.n)
-        out.c = {k: -v for k, v in self.c.items()}
-        out.canonical = self.canonical
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        k = Fr(k)
-        out = QElt(self.module, self.n)
-        if k:
-            out.c = {key: k * v for key, v in self.c.items()}
-        out.canonical = self.canonical
         return out
 
     def tensor_mul_left(self, t):
@@ -279,11 +207,7 @@ class QElt:
                     acc = {}
                     for Jp, cj in antipode_basis(alg, split[p]).items():
                         for K, ck in mul_basis(alg, key[p], Jp).items():
-                            s = acc.get(K, Fr(0)) + cj * ck
-                            if s:
-                                acc[K] = s
-                            else:
-                                acc.pop(K, None)
+                            bump(acc, K, cj * ck)
                     factor_maps.append(acc)
                 modmap = mul_basis(alg, split[-1], L)
                 for combo in iproduct(*[list(fm.items()) for fm in factor_maps]):

@@ -91,6 +91,19 @@ def test_poisson_catalog_and_verify(tmp_path):
     assert code == 0 and json.loads(out)["r"] == 1
 
 
+def test_zero_denominator_literal_is_usage_error():
+    code, out = run_cli("bracket", "--structure", "wd:abelian2",
+                        "--left", "1/0*d^(1,0) @ w_d1", "--right", "(1) @ w_d2")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("structure", ["wd:dim1", "cur:abelian1", "sd:abelian3"])
+def test_negative_dmax_is_usage_error(structure):
+    # one structure per solver: rank-one, generic, divergence-type suite
+    code, out = run_cli("cohomology", "central", "--structure", structure, "--dmax", "-1")
+    assert code == 2 and out == ""
+
+
 def test_catalog_listing():
     code, out = run_cli("catalog")
     assert code == 0

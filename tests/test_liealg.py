@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from pseudoalg import liealg
+from pseudoalg.constructions import Rank1Datum, check_ybe
 from pseudoalg.liealg import (Form, GeometricDatum, LieAlgebra, ce_differential,
                               validate_geometric_datum, validate_lie_algebra)
 
@@ -114,6 +115,10 @@ def test_h_type_abelian_standard():
     W = [[omega(i, j) for j in range(2)] for i in range(2)]
     prod = [[sum(r[i][k] * W[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
     assert prod == [[1, 0], [0, 1]]
+    # the same data as a rank-one datum satisfies the rank-one conditions
+    datum = Rank1Datum.from_geometric(alg, GeometricDatum("H", chi=chi, omega=omega))
+    assert datum.r == r and datum.s == s
+    assert check_ybe(datum).ok
 
 
 def test_h_type_simple_algebra_has_no_solution():
@@ -126,9 +131,11 @@ def test_h_type_simple_algebra_has_no_solution():
 
 def test_h_type_odd_dimension_rejected():
     alg = liealg.abelian(3)
-    rep = validate_geometric_datum(
-        alg, GeometricDatum("H", chi=Form(alg, 1, {}), omega=Form(alg, 2, {(0, 1): 1})))
+    datum = GeometricDatum("H", chi=Form(alg, 1, {}), omega=Form(alg, 2, {(0, 1): 1}))
+    rep = validate_geometric_datum(alg, datum)
     assert not rep.ok
+    with pytest.raises(ValueError):
+        Rank1Datum.from_geometric(alg, datum)
 
 
 def test_k_type_heisenberg_contact_datum():
