@@ -6,8 +6,11 @@ and unknown beyond.  Operations track the guaranteed cutoff of their
 result and refuse to produce silently lossy answers: acting by an element
 of filtration degree k costs k units of depth.
 
-The dual pairing is computed by multiplying inside U(d) and reading
-coefficients, so it is correct for noncommutative algebras as well.
+H acts on functionals by the transpose of multiplication in U(d).  For
+each basis monomial d^(J) the transposed product table is built once from
+the straightened products `mul_basis` and cached on the algebra, so the
+action is correct for noncommutative algebras as well and costs one table
+lookup per pair of terms.
 Series and annihilation elements are the sparse combinations of
 `linalg`; a sum keeps the smaller cutoff and drops what lies beyond it.
 """
@@ -16,7 +19,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .linalg import SparseCombination, bump
-from .pbw import HElt, mi_add, mi_weight, mi_zero, multiindices_up_to
+from .pbw import HElt, mi_add, mi_weight, mi_zero, mul_basis, multiindices_up_to
 Fr = Fraction
 
 
@@ -34,6 +37,25 @@ def _truncated_sum(x, y, weight):
     out = x._with(c)
     out.cutoff = cut
     return out
+
+
+def _adjoint(alg, J, side, cut):
+    """Transpose of multiplication by d^(J), for factors of weight <= cut.
+
+    Maps K to the list of (I, c) with |I| <= cut, where c is the
+    coefficient of d^(K) in d^(J) d^(I) (side "left") or d^(I) d^(J)
+    (side "right").  Built once per (J, side, cut) and cached on alg.
+    """
+    key = (J, side, cut)
+    table = alg._adjoint_cache.get(key)
+    if table is None:
+        table = {}
+        for I in multiindices_up_to(alg.dim, cut):
+            prod = mul_basis(alg, J, I) if side == "left" else mul_basis(alg, I, J)
+            for K, c in prod.items():
+                table.setdefault(K, []).append((I, c))
+        alg._adjoint_cache[key] = table
+    return table
 
 
 class TruncatedSeries(SparseCombination):
@@ -98,7 +120,9 @@ class TruncatedSeries(SparseCombination):
     def act(self, h, side="left"):
         """Left action <h x, f> = <x, S(h) f>; right <x h, f> = <x, f S(h)>.
 
-        The output is exact to depth cutoff - deg(h).
+        The output is exact to depth cutoff - deg(h).  Each term a d^(J)
+        of S(h) adds a v c at t_I for every term v t_K of the series and
+        every entry (I, c) of the transposed table of d^(J) at K.
         """
         deg = h.degree()
         if deg is None:
@@ -106,15 +130,16 @@ class TruncatedSeries(SparseCombination):
         newcut = self.cutoff - deg
         if newcut < 0:
             raise PrecisionError("action by degree %d exceeds depth %d" % (deg, self.cutoff))
-        sh = h.antipode()
         out = {}
-        for I in multiindices_up_to(self.alg.dim, newcut):
-            mono = HElt.monomial(self.alg, I, 1)
-            prod = sh * mono if side == "left" else mono * sh
-            v = self.pair(prod)
-            if v:
-                out[I] = v
-        return TruncatedSeries(self.alg, newcut, out)
+        for J, a in h.antipode().c.items():
+            table = _adjoint(self.alg, J, side, newcut)
+            for K, v in self.c.items():
+                av = a * v
+                for I, c in table.get(K, ()):
+                    bump(out, I, av * c)
+        res = self._with(out)
+        res.cutoff = newcut
+        return res
 
     def __repr__(self):
         if not self.c:
@@ -140,6 +165,8 @@ class AnnihilationElement(SparseCombination):
     _space = ("module", "cutoff")
 
     def __init__(self, module, cutoff, coeffs=None):
+        if cutoff < 0:
+            raise PrecisionError("cutoff must be nonnegative")
         self.module = module
         self.cutoff = cutoff
         self.c = {}

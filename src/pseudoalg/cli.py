@@ -8,6 +8,7 @@ deterministic for a fixed --seed, which is echoed in every report.
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -26,6 +27,15 @@ from .literals import parse_helt, parse_tensor
 from .pseudo import Report, verify_axioms, verify_axioms_elements, verify_module
 
 Fr = Fraction
+
+# Largest number of dual basis monomials t_I (|I| <= cutoff) that
+# `annihilate` takes on.  The run builds and caches one transposed product
+# table over them per monomial it acts by, so time and memory grow with
+# this count: at the budget the slowest catalog algebras (sl2 at cutoff
+# 20, abelian4 at 12) take about 5 s and 50 MB, while the README command
+# (wd:abelian2 at cutoff 6) needs 28.  Beyond it a run is refused as an
+# input error instead of running for minutes or without end.
+ANNIHILATE_MAX_MONOMIALS = 2000
 
 CHECK_GLOSSARY = {
     "skew-commutativity": "bracket is odd under the slot transposition",
@@ -192,6 +202,10 @@ def cmd_annihilate(args):
     P, _ = payload
     alg = P.alg
     D = args.cutoff
+    need = math.comb(D + alg.dim, alg.dim) if D >= 0 else 0
+    if need > ANNIHILATE_MAX_MONOMIALS:
+        raise ValueError("cutoff %d needs %d dual basis monomials, over the budget of %d"
+                         % (D, need, ANNIHILATE_MAX_MONOMIALS))
     rep = Report("annihilation:%s@D=%d" % (alg.name, D))
     rng = random.Random(args.seed)
     from .pbw import multiindices_up_to

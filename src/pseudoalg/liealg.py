@@ -64,6 +64,7 @@ class LieAlgebra:
         self._mul_cache = {}
         self._straight_cache = {}
         self._antipode_cache = {}
+        self._adjoint_cache = {}
 
     def bracket(self, i, j):
         """[x_i, x_j] as {k: coeff}, any index order."""

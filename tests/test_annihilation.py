@@ -8,8 +8,10 @@ from pseudoalg.annihilation import (AnnihilationElement, PrecisionError,
                                     counit_functional, h_act_series,
                                     vector_field_bracket)
 from pseudoalg.constructions import make_current, make_wd
-from pseudoalg.pbw import HElt, mi_weight, multiindices_up_to
+from pseudoalg.pbw import HElt, mi_weight, mi_zero, multiindices_up_to
 from pseudoalg.pseudo import x_bracket
+
+from conftest import CATALOG
 
 
 def test_actions_dim1_derivative():
@@ -37,6 +39,82 @@ def test_filtration_shift_exhaustive(name):
         x = TruncatedSeries(alg, 5, {I: 1})
         got = x.act(h, "left")
         assert got.cutoff == 5 - mi_weight(I)
+
+
+def _dense_act(x, h, side):
+    """Reference action: pair x with S(h) d^(I), or d^(I) S(h), for every I."""
+    deg = h.degree()
+    if deg is None:
+        return TruncatedSeries.zero(x.alg, x.cutoff)
+    newcut = x.cutoff - deg
+    if newcut < 0:
+        raise PrecisionError("action by degree %d exceeds depth %d" % (deg, x.cutoff))
+    sh = h.antipode()
+    out = {}
+    for I in multiindices_up_to(x.alg.dim, newcut):
+        mono = HElt.monomial(x.alg, I, 1)
+        v = x.pair(sh * mono if side == "left" else mono * sh)
+        if v:
+            out[I] = v
+    return TruncatedSeries(x.alg, newcut, out)
+
+
+def _random_fraction(rng):
+    return Fr(rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)), rng.choice((1, 2, 3, 7)))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_act_matches_dense_reference(name, rng):
+    # every series coefficient is nonzero, so a missing or wrong entry of
+    # the transposed table shows in the output
+    alg = liealg.algebra_by_name(name)
+    for cutoff in range(7):
+        mis = multiindices_up_to(alg.dim, cutoff)
+        x = TruncatedSeries(alg, cutoff, {I: _random_fraction(rng) for I in mis})
+        for side in ("left", "right"):
+            for _ in range(3):
+                # 1-3 terms, one of them of degree 0
+                hc = {mi_zero(alg.dim): _random_fraction(rng)}
+                for _ in range(rng.randint(0, 2)):
+                    deg = rng.randint(0, cutoff)
+                    hc[rng.choice(multiindices_up_to(alg.dim, deg))] = _random_fraction(rng)
+                h = HElt(alg, hc)
+                got = x.act(h, side)
+                assert got == _dense_act(x, h, side)
+                assert got.cutoff == cutoff - h.degree()
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_act_edge_cases_match_dense_reference(name, rng):
+    alg = liealg.algebra_by_name(name)
+    for cutoff in range(7):
+        mis = multiindices_up_to(alg.dim, cutoff)
+        x = TruncatedSeries(alg, cutoff, {I: _random_fraction(rng)
+                                          for I in rng.sample(mis, min(3, len(mis)))})
+        top = [I for I in mis if mi_weight(I) == cutoff]
+        for side in ("left", "right"):
+            zero = x.act(HElt.zero(alg), side)
+            assert zero == _dense_act(x, HElt.zero(alg), side)
+            assert zero.cutoff == cutoff and not zero
+            # deg h equal to the cutoff leaves only the constant term
+            h = HElt(alg, {rng.choice(top): _random_fraction(rng),
+                           mi_zero(alg.dim): _random_fraction(rng)})
+            got = x.act(h, side)
+            assert got == _dense_act(x, h, side)
+            assert got.cutoff == 0
+            with pytest.raises(PrecisionError):
+                x.act(HElt.monomial(alg, mi_zero(alg.dim)[:-1] + (cutoff + 1,)), side)
+
+
+def test_negative_cutoff_is_precision_error():
+    alg = liealg.abelian(2)
+    P, _ = make_wd(alg)
+    with pytest.raises(PrecisionError, match="nonnegative"):
+        TruncatedSeries(alg, -1)
+    with pytest.raises(PrecisionError, match="nonnegative"):
+        AnnihilationElement(P.module, -1)
+    with pytest.raises(PrecisionError, match="nonnegative"):
+        AnnihilationElement.generator(P.module, (0, 0), 0, 6).truncate(-1)
 
 
 def test_product_rule_dual_basis():
@@ -99,7 +177,7 @@ def test_precision_error_names_requirement():
         annihilation_bracket(P, u, u)
 
 
-@pytest.mark.parametrize("name", ["abelian1", "abelian2"])
+@pytest.mark.parametrize("name", ["abelian1", "abelian2", "solv2", "heis3", "sl2"])
 def test_cross_oracle_vector_fields(name):
     alg = liealg.algebra_by_name(name)
     P, _ = make_wd(alg)

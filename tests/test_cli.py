@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -102,6 +103,24 @@ def test_negative_dmax_is_usage_error(structure):
     # one structure per solver: rank-one, generic, divergence-type suite
     code, out = run_cli("cohomology", "central", "--structure", structure, "--dmax", "-1")
     assert code == 2 and out == ""
+
+
+def test_annihilate_cutoff_over_budget_is_usage_error(capsys):
+    # refused from its size estimate before any table is built
+    start = time.perf_counter()
+    code, out = run_cli("annihilate", "--structure", "wd:abelian1", "--cutoff", "100000000")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert "budget" in capsys.readouterr().err
+    # the budget of 2000 monomials admits cutoff 61 in two variables (1953)
+    assert run_cli("annihilate", "--structure", "wd:abelian2", "--cutoff", "62")[0] == 2
+    assert run_cli("annihilate", "--structure", "wd:abelian2", "--cutoff", "61")[0] == 0
+
+
+def test_annihilate_negative_cutoff_is_usage_error(capsys):
+    code, out = run_cli("annihilate", "--structure", "wd:abelian2", "--cutoff", "-1")
+    assert code == 2 and out == ""
+    assert "cutoff must be nonnegative" in capsys.readouterr().err
 
 
 def test_catalog_listing():
