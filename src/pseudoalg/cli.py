@@ -9,7 +9,6 @@ deterministic for a fixed --seed, which is echoed in every report.
 import argparse
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -207,7 +206,6 @@ def cmd_annihilate(args):
         raise ValueError("cutoff %d needs %d dual basis monomials, over the budget of %d"
                          % (D, need, ANNIHILATE_MAX_MONOMIALS))
     rep = Report("annihilation:%s@D=%d" % (alg.name, D))
-    rng = random.Random(args.seed)
     from .pbw import multiindices_up_to
     basis_depth = max(0, D - 2)
     mis = multiindices_up_to(alg.dim, min(3, basis_depth))
@@ -235,26 +233,19 @@ def cmd_cohomology(args):
         print("only central-extension cohomology is implemented", file=sys.stderr)
         return 2
     kind, payload = build_structure(args.structure, args.alpha, args.algebra)
+    if kind == "wd" and payload[0].alg.dim == 1 and payload[0].alg.is_abelian:
+        # the one-variable vector fields are the rank-one datum r = 0, s = 1
+        kind, payload = "rank1-datum", Rank1Datum(payload[0].alg, [[0]], (1,))
     if kind == "sd":
-        S = payload
-        sol = sd_central_suite(S.alg, dmax=args.dmax)
-        tables = [""]
+        if any(payload.chi):
+            raise ValueError("central extensions of sd are solved for chi = 0 only")
+        sol = sd_central_suite(payload.alg, dmax=args.dmax)
     elif kind == "rank1-datum":
-        P = make_rank1(payload, run_axioms=False)
-        sol = solve_central_extensions_rank1(P, dmax=args.dmax)
-        tables = ["; ".join("%s -> %s" % (k, v) for k, v in t.items())
-                  for t in sol.representative_tables()]
-    elif kind == "wd" and payload[0].alg.dim == 1 and payload[0].alg.is_abelian:
-        datum = Rank1Datum(payload[0].alg, [[0]], (1,))
-        P = make_rank1(datum, run_axioms=False)
-        sol = solve_central_extensions_rank1(P, dmax=args.dmax)
-        tables = ["; ".join("%s -> %s" % (k, v) for k, v in t.items())
-                  for t in sol.representative_tables()]
+        sol = solve_central_extensions_rank1(make_rank1(payload, run_axioms=False),
+                                             dmax=args.dmax)
     else:
-        P = _main_structure(payload, kind)
-        sol = solve_central_extensions(P, dmax=args.dmax)
-        tables = ["; ".join("%s -> %s" % (k, v) for k, v in t.items())
-                  for t in sol.representative_tables()]
+        sol = solve_central_extensions(_main_structure(payload, kind), dmax=args.dmax)
+
     def render_tables(vectors):
         return ["; ".join("%s -> %s" % (k, v) for k, v in sol.beta_table_of(vec).items())
                 for vec in vectors]
@@ -262,7 +253,7 @@ def cmd_cohomology(args):
     data = sol.summary()
     data["completeness"] = ("complete" if sol.complete
                             else "complete up to degree %d" % sol.dmax)
-    data["representatives"] = tables
+    data["representatives"] = render_tables(sol.representatives)
     data["cocycle_basis"] = render_tables(sol.basis)
     data["shift_space"] = render_tables(sol.trivial)
     data["seed"] = args.seed
@@ -273,9 +264,8 @@ def cmd_cohomology(args):
         print("second cohomology dimension: %d (%s)" % (data["dim_h2"], data["completeness"]))
         print("cocycle space %d, shift space %d, dmax %d, seed %d"
               % (data["dim_cocycles"], data["dim_trivial"], data["dmax"], args.seed))
-        for t in tables:
-            if t:
-                print("  representative: %s" % t)
+        for t in data["representatives"]:
+            print("  representative: %s" % t)
     return 0
 
 

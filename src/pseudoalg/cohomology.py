@@ -10,7 +10,9 @@ of the Jacobi identity on generator triples.
 """
 
 from fractions import Fraction
+from itertools import chain, combinations_with_replacement
 
+from .constructions import make_sd
 from .linalg import bump, nullspace, quotient_representatives, span_dim
 from .pbw import (HElt, TensorElt, antipode_basis, mi_splits, mi_weight,
                   mi_zero, mul_basis, multiindices_up_to)
@@ -299,60 +301,70 @@ def solve_central_extensions_rank1(P, dmax=4):
 
 # -- generic solver -----------------------------------------------------------
 
-def _central_rows_for_unit(P, p0, q0, I0):
-    """Central Jacobi residual with beta = d^(I0) at the ordered pair (p0, q0).
+def _central_jacobi_rows(P, monos):
+    """Rows of the central Jacobi residual, one generator triple at a time.
 
-    Returns {(triple, tensor-key): coefficient}: for canonical brackets
-    sum (d^F (x) 1) (x)_H d^L e_g, the central part of the Jacobi identity
-    on (a, b, c) collects
+    For canonical brackets sum (d^F (x) 1) (x)_H d^L e_g, the central part
+    of the Jacobi identity on (a, b, c) collects
 
         right:  beta(a, e_g) S(d^L) (x) d^F (x) 1   over terms of [b c]
         middle: slots 1,2 swapped, over terms of [a c] with beta(b, .)
-        left:   split of d^L beta(e_g, c-gen) against d^F, over [a b]
+        left:   split of d^L beta(e_g, c) against d^F, over [a b]
 
-    and the residual right - middle - left must vanish.
+    and the residual right - middle - left must vanish.  Only triples
+    a <= b <= c in generator order are visited: once the skew link holds
+    the extended bracket is skew-commutative, and then the Jacobi identity
+    on one order of a triple gives it on every other.  The rows of a triple
+    are built only after those of the previous one were consumed.
     """
     alg = P.alg
-    gens = P.module.gens
-    beta_unit = HElt.monomial(alg, I0, 1)
-    out = {}
+    products = {}  # (I, L) -> d^(I) S(d^(L))
+    splits = {}    # (F, L, I) -> d^(L) d^(I) split, first leg times d^(F)
 
-    for a in gens:
-        for b in gens:
-            for c in gens:
-                trip = (a, b, c)
-                # right composition: a against module parts of [b c]
-                for (key, g, L), v in P.gen_bracket(b, c).c.items():
-                    if (a, g) == (p0, q0):
-                        w = beta_unit * HElt.monomial(alg, L, 1).antipode()
-                        for K, cv in w.c.items():
-                            bump(out, (trip, (K, key[0])), v * cv)
-                # middle: b against module parts of [a c], slots swapped
-                for (key, g, L), v in P.gen_bracket(a, c).c.items():
-                    if (b, g) == (p0, q0):
-                        w = beta_unit * HElt.monomial(alg, L, 1).antipode()
-                        for K, cv in w.c.items():
-                            bump(out, (trip, (key[0], K)), -v * cv)
-                # left: beta of module parts of [a b] against c
-                for (key, g, L), v in P.gen_bracket(a, b).c.items():
-                    if (g, c) == (p0, q0):
-                        w = HElt.monomial(alg, L, 1) * beta_unit
-                        for K, cv in w.c.items():
-                            for K1, K2 in ((s[0], s[1]) for s in mi_splits(K, 2)):
-                                for F1, cf in mul_basis(alg, key[0], K1).items():
-                                    bump(out, (trip, (F1, K2)), -v * cv * cf)
-    return out
+    def times_antipode(I, L):
+        w = products.get((I, L))
+        if w is None:
+            w = products[(I, L)] = (HElt.monomial(alg, I, 1)
+                                    * HElt.monomial(alg, L, 1).antipode()).c
+        return w
+
+    def split_against(F, L, I):
+        out = splits.get((F, L, I))
+        if out is None:
+            out = splits[(F, L, I)] = {}
+            for K, cv in mul_basis(alg, L, I).items():
+                for K1, K2 in mi_splits(K, 2):
+                    for F1, cf in mul_basis(alg, F, K1).items():
+                        bump(out, (F1, K2), cv * cf)
+        return out
+
+    for a, b, c in combinations_with_replacement(P.module.gens, 3):
+        rows = {}
+        for (key, g, L), v in P.gen_bracket(b, c).c.items():
+            for I in monos:
+                for K, cv in times_antipode(I, L).items():
+                    _bump_row(rows, (K, key[0]), ((a, g), I), v * cv)
+        for (key, g, L), v in P.gen_bracket(a, c).c.items():
+            for I in monos:
+                for K, cv in times_antipode(I, L).items():
+                    _bump_row(rows, (key[0], K), ((b, g), I), -v * cv)
+        for (key, g, L), v in P.gen_bracket(a, b).c.items():
+            for I in monos:
+                for tkey, cs in split_against(key[0], L, I).items():
+                    _bump_row(rows, tkey, ((g, c), I), -v * cs)
+        yield from rows.values()
 
 
 def solve_central_extensions(P, dmax=4, complete=False):
     """Generic central-extension solve over a degree window.
 
     Unknowns are the coefficients of beta on every ordered generator pair;
-    constraints are the skew link beta(b, a) = -S(beta(a, b)) and the
-    central Jacobi residual on all generator triples.  `complete` is a
-    caller-supplied assertion that the window provably captures all
-    cocycles (true for the families whose solutions are known to lie in
-    low degree).
+    constraints are the skew link beta(b, a) = -S(beta(a, b)), the module
+    relations of P contracted into the first argument (the skew link
+    carries them to the second), and the central Jacobi residual on
+    generator triples.  `complete` is a caller-supplied assertion that the
+    window provably captures all cocycles (true for the families whose
+    solutions are known to lie in low degree).
     """
     alg = P.alg
     gens = P.module.gens
@@ -369,18 +381,22 @@ def solve_central_extensions(P, dmax=4, complete=False):
                 for K, v in antipode_basis(alg, I).items():
                     _bump_row(rows, ("skew", p, q, K), ((p, q), I), v)
 
-    # central Jacobi residual, one unknown at a time
-    for p in gens:
+    # beta(sum h_g e_g, e_q) = sum h_g beta(e_g, e_q) = 0 per relation
+    for r, rel in enumerate(P.relations):
         for q in gens:
             for I in monos:
-                for (trip, key), v in _central_rows_for_unit(P, p, q, I).items():
-                    _bump_row(rows, ("jac", trip, key), ((p, q), I), v)
+                for g, h in rel.items():
+                    for K, v in (h * HElt.monomial(alg, I, 1)).c.items():
+                        _bump_row(rows, ("rel", r, q, K), ((g, q), I), v)
 
-    basis = nullspace(rows.values(), unknowns)
+    basis = nullspace(chain(rows.values(), _central_jacobi_rows(P, monos)), unknowns)
 
+    # counit shifts by the functionals that vanish on every relation
+    zero = mi_zero(alg.dim)
+    counits = [{g: h.c[zero] for g, h in rel.items() if zero in h.c} for rel in P.relations]
     trivial = []
-    for g0 in gens:
-        table = trivial_cocycle_table(P, {g0: Fr(1)})
+    for phi in nullspace(counits, gens):
+        table = trivial_cocycle_table(P, phi)
         vec = {}
         for pair, h in table.items():
             for I, v in h.c.items():
@@ -472,128 +488,15 @@ def verify_cur_cocycle(P_cur, d_element=None, beta_table=None, report=None):
 # -- divergence-type central suite --------------------------------------------
 
 def sd_central_suite(alg, dmax=4):
-    """Cocycle table solve for the divergence-zero structure on an abelian
-    algebra of dimension at least 3, over pair generators.
+    """Central extensions of the divergence-zero structure on an abelian
+    algebra of dimension at least 3.
 
-    Unknowns are table values on ordered pairs of generators e_ab; the
-    constraints are the pair skew link, the generator relation contracted
-    into the first argument, and the cocycle identity of the restricted
-    rank-one substructures.  Returns the solution together with the span
-    of counit shifts for comparison.
+    The generic solve over the pair generators e_ab, whose module
+    relations enter as rows.  The window is asserted complete from
+    dmax = 2, the degree of the counit shifts; a smaller one raises,
+    because the shifts leave it.
     """
     if not alg.is_abelian or alg.dim < 3:
         raise ValueError("suite requires an abelian algebra of dimension >= 3")
-    n = alg.dim
-    pairs = [(a, b) for a in range(n) for b in range(n) if a < b]
-    monos = _degree_window(alg, dmax)
-    unknowns = [((p, q), I) for p in pairs for q in pairs for I in monos]
-
-    def lookup(a, b):
-        """(pair key, sign) for the generator e_ab; None if zero."""
-        if a == b:
-            return None
-        return ((a, b), Fr(1)) if a < b else ((b, a), Fr(-1))
-
-    rows = {}
-
-    one = HElt.one(alg)
-
-    def gen_vec(a):
-        return HElt.gen(alg, a)
-
-    # skew link between the two arguments
-    for p in pairs:
-        for q in pairs:
-            for I in monos:
-                _bump_row(rows, ("skew", p, q, I), ((q, p), I), Fr(1))
-                for K, v in antipode_basis(alg, I).items():
-                    _bump_row(rows, ("skew", p, q, K), ((p, q), I), v)
-
-    # contraction of the generator relation into the first argument:
-    # d_a beta(e_bc, Q) + d_b beta(e_ca, Q) + d_c beta(e_ab, Q) = 0
-    from itertools import combinations
-    for (a, b, c) in combinations(range(n), 3):
-        for Q in pairs:
-            for I in monos:
-                for (v0, pair) in (((a,), lookup(b, c)), ((b,), lookup(c, a)),
-                                   ((c,), lookup(a, b))):
-                    if pair is None:
-                        continue
-                    pk, sg = pair
-                    mono = HElt.gen(alg, v0[0]) * HElt.monomial(alg, I, 1)
-                    for K, v in mono.c.items():
-                        _bump_row(rows, ("rel", (a, b, c), Q, K), ((pk, Q), I), sg * v)
-
-    # restricted cocycle identity on (e_ab, e_ab, e_ac)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            for c in range(n):
-                if c == a:
-                    continue
-                eq = ("coc", a, b, c)
-                A, B = gen_vec(a), gen_vec(b)
-                skew_ba = TensorElt.pure([B, A]) - TensorElt.pure([A, B])
-                for I in monos:
-                    beta = HElt.monomial(alg, I, 1)
-                    # left side terms with beta_{ab,ac}
-                    look = lookup(a, c)
-                    if look is not None:
-                        pk, sg = look
-                        u_ac = (((a, b) if a < b else (b, a)), pk)
-                        sgn_ab = Fr(1) if a < b else Fr(-1)
-                        lhs = skew_ba * (beta.coproduct(2)
-                                         - TensorElt.pure([beta, one])
-                                         - TensorElt.pure([one, beta]))
-                        lhs = lhs - (TensorElt.pure([A * B, beta])
-                                     - TensorElt.pure([beta, A * B]))
-                        for key, v in lhs.c.items():
-                            _bump_row(rows, eq + (key,), (u_ac, I), sg * sgn_ab * v)
-                    # beta_{ab,bc} terms
-                    look = lookup(b, c)
-                    if look is not None:
-                        pk, sg = look
-                        u_bc = (((a, b) if a < b else (b, a)), pk)
-                        sgn_ab = Fr(1) if a < b else Fr(-1)
-                        t = TensorElt.pure([beta, A * A]) - TensorElt.pure([A * A, beta])
-                        for key, v in t.c.items():
-                            _bump_row(rows, eq + (key,), (u_bc, I), -sg * sgn_ab * v)
-                    # beta_{ab,ab} terms
-                    look = lookup(a, b)
-                    pk, sg = look
-                    u_ab = (pk, pk)
-                    t = TensorElt.pure([beta, A * gen_vec(c)]) \
-                        - TensorElt.pure([A * gen_vec(c), beta])
-                    for key, v in t.c.items():
-                        _bump_row(rows, eq + (key,), (u_ab, I), -v)
-
-    basis = nullspace(rows.values(), unknowns)
-
-    # counit shifts: tau(e_ab, e_cd) = -ad phi_bc - bc phi_ad + ac phi_bd + bd phi_ac
-    trivial = []
-    for (p0, q0) in pairs:
-        phi = {}
-        phi[(p0, q0)] = Fr(1)
-        phi[(q0, p0)] = Fr(-1)
-        vec = {}
-        for (a, b) in pairs:
-            for (c, d) in pairs:
-                acc = HElt.zero(alg)
-                for (u, v, pk, sgn) in ((a, d, (b, c), Fr(-1)), (b, c, (a, d), Fr(-1)),
-                                        (a, c, (b, d), Fr(1)), (b, d, (a, c), Fr(1))):
-                    w = phi.get(pk, Fr(0))
-                    if w:
-                        acc = acc + (gen_vec(u) * gen_vec(v)).scale(sgn * w)
-                for I, val in acc.c.items():
-                    vec[(((a, b), (c, d)), I)] = val
-        if vec:
-            trivial.append(vec)
-
-    class Dummy:
-        pass
-
-    P = Dummy()
-    P.alg = alg
-    return CentralExtensionSolution(P, unknowns, basis, trivial,
-                                    complete=(dmax >= 2), dmax=dmax)
+    return solve_central_extensions(make_sd(alg).pair_structure(), dmax,
+                                    complete=(dmax >= 2))

@@ -7,6 +7,7 @@ the module element with coefficient h_a on generator a.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from .liealg import validate_geometric_datum
 from .linalg import bump, sparse_sum
@@ -154,6 +155,7 @@ class GeneratedSubalgebra:
         self.ambient, self.h_action = make_wd(alg)
         self.pairs = [(a, b) for a in self.directions for b in self.directions if a < b]
         self.gens = {(a, b): sd_generator(self.ambient, chi, a, b) for a, b in self.pairs}
+        self._pair_structure = None
 
     def generator(self, a, b):
         if a == b:
@@ -207,6 +209,59 @@ class GeneratedSubalgebra:
             out = out + self.gens[(a, b)].h_mul(f)
         return out
 
+    def _bracket_by_first_slot(self, p, q):
+        """{F: m_F} with [e_p e_q] = sum (d^(F) (x) 1) (x)_H m_F in the ambient."""
+        grouped = {}
+        for (key, g, L), v in self.ambient.bracket(self.gens[p], self.gens[q]).c.items():
+            grouped.setdefault(key[0], MElt.zero(self.ambient.module))._bump(L, g, v)
+        return grouped
+
+    def pair_structure(self):
+        """The structure on the pair generators e_ab, keyed (a, b) with a < b,
+        built on first call; table entries are filled on first use.
+
+        A bracket is the ambient one grouped by its first slot, each group
+        expressed over the generators.  The pair generators satisfy, for
+        directions a < b < c, the relation
+
+            (d_a + chi_a) e_bc - (d_b + chi_b) e_ac + (d_c + chi_c) e_ab = 0,
+
+        corrected over a nonabelian algebra by the expression of its value;
+        the structure carries these as `relations`.
+        """
+        if self._pair_structure is None:
+            alg = self.alg
+            mod = FreeModule(alg, self.pairs, label="sd:%s" % alg.name,
+                             names={(a, b): "e_%d%d" % (a + 1, b + 1) for a, b in self.pairs})
+            zero = mi_zero(alg.dim)
+
+            def bracket(p, q):
+                out = QElt(mod, 2)
+                for F, m in self._bracket_by_first_slot(p, q).items():
+                    for pr, h in self.express(m).items():
+                        for L, v in h.c.items():
+                            out._bump((F, zero), pr, L, v)
+                return out
+
+            self._pair_structure = PseudoStructure(mod, "lie", bracket_fn=bracket,
+                                                   relations=self._relations(),
+                                                   name=mod.label)
+        return self._pair_structure
+
+    def _relations(self):
+        rels = []
+        one = HElt.one(self.alg)
+        for a, b, c in combinations(self.directions, 3):
+            rel = {}
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                h = HElt.gen(self.alg, x) + one.scale(self.chi[x])
+                rel[(min(y, z), max(y, z))] = h if y < z else -h
+            for pr, h in self.express(self.evaluate(rel)).items():
+                if h:
+                    rel[pr] = rel.get(pr, HElt.zero(self.alg)) - h
+            rels.append(rel)
+        return rels
+
     def closure_report(self):
         """Brackets of generators have divergence-free coefficients, and the
         bracket's module parts re-express over the generators.
@@ -218,12 +273,7 @@ class GeneratedSubalgebra:
         rep = Report("sd-closure:%s" % self.alg.name)
         for p in self.pairs:
             for q in self.pairs:
-                br = self.ambient.bracket(self.gens[p], self.gens[q]).canonicalize()
-                grouped = {}
-                for (key, g, L), v in br.c.items():
-                    m = grouped.setdefault(key[0], MElt.zero(self.ambient.module))
-                    m._bump(L, g, v)
-                for F, m in grouped.items():
+                for F, m in self._bracket_by_first_slot(p, q).items():
                     ok = self.is_member(m)
                     rep.record("bracket-coefficient-membership[%s,%s]" % (p, q), ok,
                                None if ok else (F, m))

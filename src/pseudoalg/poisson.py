@@ -21,7 +21,7 @@ from .liealg import abelian
 from .linalg import bump
 from .pbw import (HElt, mi_add, mi_factorial, mi_splits, mi_weight, mi_zero)
 from .pseudo import PseudoStructure
-from .tensor import FreeModule, MElt, QElt
+from .tensor import FreeModule, QElt
 
 Fr = Fraction
 
@@ -257,6 +257,7 @@ def catalog_special(r, N, chi=None):
     alg = abelian(N)
     chi_full = tuple(list(chi) + [Fr(0)] * (N - r))
     S = GeneratedSubalgebra(alg, chi_full, directions=list(range(r)))
+    E = S.pair_structure()
     pairs = S.pairs
     names = ["u%d%d" % (a + 1, b + 1) for (a, b) in pairs]
     index = {p: n for n, p in enumerate(pairs)}
@@ -266,17 +267,10 @@ def catalog_special(r, N, chi=None):
     table = {}
     for P1 in pairs:
         for P2 in pairs:
-            q = S.ambient.bracket(S.gens[P1], S.gens[P2]).canonicalize()
-            grouped = {}
-            for (key, g, L), v in q.c.items():
-                m = grouped.setdefault(key[0], MElt.zero(S.ambient.module))
-                m._bump(L, g, v)
-            # pair fields map to the negated generators, so express and flip
+            # pair fields map to the negated generators, so flip the signs
             out = QElt(pair_mod, 2)
-            for F, m in grouped.items():
-                for pr, h in (S.express(m) if m else {}).items():
-                    for L2, v2 in h.c.items():
-                        out._bump((F, mi_zero(N)), index[pr], L2, -v2)
+            for (key, g, L), v in E.gen_bracket(P1, P2).c.items():
+                out._bump(key, index[g], L, -v)
             table[(index[P1], index[P2])] = out
     P = PseudoStructure(pair_mod, "lie", table=table, name="S(%d,%d)" % (r, N))
     return pseudo_to_poisson(P, names=names)

@@ -102,11 +102,13 @@ class PseudoStructure:
     `table` maps ordered generator pairs to canonical arity-2 QElt values.
     Large or lazily indexed structures may instead supply `bracket_fn`,
     called on demand for generator pairs, plus `verify_gens`, the finite
-    generator list the axiom checks run over.
+    generator list the axiom checks run over.  A structure presented on
+    generators that are not free lists its module relations in
+    `relations`, each a vanishing combination {generator: HElt}.
     """
 
     def __init__(self, module, kind="lie", table=None, bracket_fn=None,
-                 verify_gens=None, name=""):
+                 verify_gens=None, relations=(), name=""):
         if kind not in ("lie", "assoc"):
             raise ValueError("kind must be 'lie' or 'assoc'")
         self.module = module
@@ -116,6 +118,7 @@ class PseudoStructure:
         self._table = {}
         self._bracket_fn = bracket_fn
         self.verify_gens = list(verify_gens if verify_gens is not None else module.gens)
+        self.relations = list(relations)
         for pair, q in (table or {}).items():
             self._table[pair] = q.canonicalize()
 

@@ -105,6 +105,23 @@ def test_negative_dmax_is_usage_error(structure):
     assert code == 2 and out == ""
 
 
+def test_sd_cohomology_rejects_nonzero_chi(capsys):
+    # the solver covers chi = 0; a nonzero chi is refused rather than dropped
+    code, out = run_cli("cohomology", "central", "--structure", "sd:abelian3:1,2,3")
+    assert code == 2 and out == ""
+    assert "chi" in capsys.readouterr().err
+    assert (run_cli("cohomology", "central", "--structure", "sd:abelian3:0,0,0", "--dmax", "2")
+            == run_cli("cohomology", "central", "--structure", "sd:abelian3", "--dmax", "2"))
+
+
+@pytest.mark.parametrize("dmax", ["0", "1"])
+def test_sd_cohomology_window_below_shift_degree_is_usage_error(dmax, capsys):
+    # the counit shifts of S(d) have degree 2 and would leave the window
+    code, out = run_cli("cohomology", "central", "--structure", "sd:abelian3", "--dmax", dmax)
+    assert code == 2 and out == ""
+    assert "degree window" in capsys.readouterr().err
+
+
 def test_annihilate_cutoff_over_budget_is_usage_error(capsys):
     # refused from its size estimate before any table is built
     start = time.perf_counter()
@@ -156,8 +173,8 @@ GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
 def test_readme_commands_golden_json(case, tmp_path, monkeypatch):
-    """The README commands, in JSON at the default seed, print exactly the
-    pinned bytes and exit with the pinned code.
+    """The README commands and a few more, in JSON at the default seed,
+    print exactly the pinned bytes and exit with the pinned code.
 
     The fixtures were captured from the reference implementation; change
     them only for an intended change of output.  Commands that write or

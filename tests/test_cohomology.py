@@ -1,17 +1,22 @@
 from fractions import Fraction as Fr
+from functools import partial
+from itertools import combinations
 
 import pytest
 
 from conftest import random_melt
 from pseudoalg import liealg
-from pseudoalg.cohomology import (Cochain, differential, extension_cocycle_residual,
+from pseudoalg.cohomology import (Cochain, _bump_row, differential,
+                                  extension_cocycle_residual,
                                   hat_central_extension, is_zero_cochain,
                                   sd_central_suite, solve_central_extensions,
                                   solve_central_extensions_rank1,
                                   trivial_cocycle_table, verify_cur_cocycle)
 from pseudoalg.constructions import (Rank1Datum, make_current, make_module_rank1,
-                                     make_rank1, make_wd, named_rank1_datum)
-from pseudoalg.pbw import HElt
+                                     make_rank1, make_sd, make_wd, named_rank1_datum)
+from pseudoalg.linalg import SparseEliminator, bump, nullspace
+from pseudoalg.pbw import (HElt, TensorElt, antipode_basis, mi_splits, mul_basis,
+                           multiindices_up_to)
 from pseudoalg.pseudo import ModuleStructure, verify_axioms, verify_homomorphism
 from pseudoalg.tensor import MElt, QElt
 
@@ -238,8 +243,215 @@ def test_sd_suite_only_trivial_solutions():
     assert sol.dim_trivial == 3 and sol.dim_cocycles == 3
 
 
+def test_sd_shifts_respect_the_relations():
+    # with chi != 0 a relation has a nonzero counit, so only the functionals
+    # that vanish on it give shifts, and those are cocycles
+    S = make_sd(liealg.abelian(3), (1, 0, 0))
+    sol = solve_central_extensions(S.pair_structure(), dmax=2)
+    assert (sol.dim_cocycles, sol.dim_trivial, sol.dim) == (2, 2, 0)
+    elim = SparseEliminator()
+    for v in sol.basis:
+        elim.add(v)
+    assert all(elim.contains(t) for t in sol.trivial)
+    # every cocycle vanishes on each relation sum h_g e_g in the first argument
+    E = S.pair_structure()
+    for v in sol.basis:
+        beta = sol.beta_table_of(v)
+        for rel in E.relations:
+            for q in E.module.gens:
+                assert not sum((h * beta.get((g, q), HElt.zero(S.alg)) for g, h in rel.items()),
+                               HElt.zero(S.alg))
+
+
 def test_sd_suite_rejects_low_dimension():
     with pytest.raises(ValueError):
         sd_central_suite(liealg.abelian(2), dmax=3)
     with pytest.raises(ValueError):
         sd_central_suite(liealg.heisenberg3(), dmax=3)
+
+
+# -- the replaced solvers, kept as references ---------------------------------------
+#
+# Before the generic solver took triples one at a time, it built the central
+# Jacobi rows one unknown at a time over every ordered triple, and S(d) had a
+# solver of its own with hand-derived rows.  Both live on here as references.
+
+def _central_rows_for_unit(P, p0, q0, I0):
+    """Central Jacobi residual with beta = d^(I0) at the ordered pair (p0, q0),
+    as {(triple, tensor-key): coefficient} over every ordered triple."""
+    alg = P.alg
+    gens = P.module.gens
+    beta_unit = HElt.monomial(alg, I0, 1)
+    out = {}
+    for a in gens:
+        for b in gens:
+            for c in gens:
+                trip = (a, b, c)
+                for (key, g, L), v in P.gen_bracket(b, c).c.items():
+                    if (a, g) == (p0, q0):
+                        w = beta_unit * HElt.monomial(alg, L, 1).antipode()
+                        for K, cv in w.c.items():
+                            bump(out, (trip, (K, key[0])), v * cv)
+                for (key, g, L), v in P.gen_bracket(a, c).c.items():
+                    if (b, g) == (p0, q0):
+                        w = beta_unit * HElt.monomial(alg, L, 1).antipode()
+                        for K, cv in w.c.items():
+                            bump(out, (trip, (key[0], K)), -v * cv)
+                for (key, g, L), v in P.gen_bracket(a, b).c.items():
+                    if (g, c) == (p0, q0):
+                        w = HElt.monomial(alg, L, 1) * beta_unit
+                        for K, cv in w.c.items():
+                            for K1, K2 in mi_splits(K, 2):
+                                for F1, cf in mul_basis(alg, key[0], K1).items():
+                                    bump(out, (trip, (F1, K2)), -v * cv * cf)
+    return out
+
+
+def _skew_link_rows(rows, pairs, monos, alg):
+    for p in pairs:
+        for q in pairs:
+            for I in monos:
+                _bump_row(rows, ("skew", p, q, I), ((q, p), I), Fr(1))
+                for K, v in antipode_basis(alg, I).items():
+                    _bump_row(rows, ("skew", p, q, K), ((p, q), I), v)
+
+
+def reference_generic_solve(P, dmax):
+    """(unknowns, cocycle basis, shift vectors) of a free structure."""
+    alg = P.alg
+    gens = P.module.gens
+    monos = multiindices_up_to(alg.dim, dmax)
+    unknowns = [((p, q), I) for p in gens for q in gens for I in monos]
+    rows = {}
+    _skew_link_rows(rows, gens, monos, alg)
+    for p in gens:
+        for q in gens:
+            for I in monos:
+                for (trip, key), v in _central_rows_for_unit(P, p, q, I).items():
+                    _bump_row(rows, ("jac", trip, key), ((p, q), I), v)
+    trivial = []
+    for g0 in gens:
+        vec = {(pair, I): v for pair, h in trivial_cocycle_table(P, {g0: Fr(1)}).items()
+               for I, v in h.c.items()}
+        if vec:
+            trivial.append(vec)
+    return unknowns, nullspace(rows.values(), unknowns), trivial
+
+
+def reference_sd_solve(alg, dmax):
+    """(unknowns, cocycle basis, shift vectors) of S(d) over an abelian algebra:
+    pair skew link, the generator relation contracted into the first
+    argument, and the cocycle identity of the restricted rank-one
+    substructures on (e_ab, e_ab, e_ac)."""
+    n = alg.dim
+    pairs = [(a, b) for a in range(n) for b in range(n) if a < b]
+    monos = multiindices_up_to(n, dmax)
+    unknowns = [((p, q), I) for p in pairs for q in pairs for I in monos]
+
+    def lookup(a, b):
+        """(pair key, sign) for the generator e_ab; None if zero."""
+        if a == b:
+            return None
+        return ((a, b), Fr(1)) if a < b else ((b, a), Fr(-1))
+
+    one = HElt.one(alg)
+    gen_vec = partial(HElt.gen, alg)
+    rows = {}
+    _skew_link_rows(rows, pairs, monos, alg)
+
+    # d_a beta(e_bc, Q) + d_b beta(e_ca, Q) + d_c beta(e_ab, Q) = 0
+    for (a, b, c) in combinations(range(n), 3):
+        for Q in pairs:
+            for I in monos:
+                for v0, pair in ((a, lookup(b, c)), (b, lookup(c, a)), (c, lookup(a, b))):
+                    pk, sg = pair
+                    mono = gen_vec(v0) * HElt.monomial(alg, I, 1)
+                    for K, v in mono.c.items():
+                        _bump_row(rows, ("rel", (a, b, c), Q, K), ((pk, Q), I), sg * v)
+
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            for c in range(n):
+                if c == a:
+                    continue
+                eq = ("coc", a, b, c)
+                A, B = gen_vec(a), gen_vec(b)
+                skew_ba = TensorElt.pure([B, A]) - TensorElt.pure([A, B])
+                sgn_ab = Fr(1) if a < b else Fr(-1)
+                ab = (a, b) if a < b else (b, a)
+                for I in monos:
+                    beta = HElt.monomial(alg, I, 1)
+                    look = lookup(a, c)
+                    if look is not None:
+                        pk, sg = look
+                        lhs = skew_ba * (beta.coproduct(2) - TensorElt.pure([beta, one])
+                                         - TensorElt.pure([one, beta]))
+                        lhs = lhs - (TensorElt.pure([A * B, beta])
+                                     - TensorElt.pure([beta, A * B]))
+                        for key, v in lhs.c.items():
+                            _bump_row(rows, eq + (key,), ((ab, pk), I), sg * sgn_ab * v)
+                    look = lookup(b, c)
+                    if look is not None:
+                        pk, sg = look
+                        t = TensorElt.pure([beta, A * A]) - TensorElt.pure([A * A, beta])
+                        for key, v in t.c.items():
+                            _bump_row(rows, eq + (key,), ((ab, pk), I), -sg * sgn_ab * v)
+                    t = TensorElt.pure([beta, A * gen_vec(c)]) \
+                        - TensorElt.pure([A * gen_vec(c), beta])
+                    for key, v in t.c.items():
+                        _bump_row(rows, eq + (key,), ((ab, ab), I), -v)
+
+    # tau(e_ab, e_cd) = -ad phi_bc - bc phi_ad + ac phi_bd + bd phi_ac
+    trivial = []
+    for (p0, q0) in pairs:
+        phi = {(p0, q0): Fr(1), (q0, p0): Fr(-1)}
+        vec = {}
+        for (a, b) in pairs:
+            for (c, d) in pairs:
+                acc = HElt.zero(alg)
+                for (u, v, pk, sgn) in ((a, d, (b, c), Fr(-1)), (b, c, (a, d), Fr(-1)),
+                                        (a, c, (b, d), Fr(1)), (b, d, (a, c), Fr(1))):
+                    w = phi.get(pk, Fr(0))
+                    if w:
+                        acc = acc + (gen_vec(u) * gen_vec(v)).scale(sgn * w)
+                for I, val in acc.c.items():
+                    vec[(((a, b), (c, d)), I)] = val
+        if vec:
+            trivial.append(vec)
+    return unknowns, nullspace(rows.values(), unknowns), trivial
+
+
+def _pool_structure(name):
+    family, _, rest = name.partition(":")
+    if family == "rank1":
+        return w_type_dim1() if rest == "w1" else make_rank1(named_rank1_datum(rest),
+                                                              run_axioms=False)
+    if family == "cur":
+        return make_current(liealg.abelian(1), liealg.algebra_by_name(rest))
+    return make_wd(liealg.algebra_by_name(rest))[0]
+
+
+# the benchmark's central pool at every window up to 4 (sd:abelian4 at 3)
+POOL_WINDOWS = ([(s, d) for s in ("rank1:w1", "rank1:abelian2", "rank1:heisenberg",
+                                  "rank1:solv2", "rank1:sl2", "cur:sl2", "wd:solv2",
+                                  "wd:heis3", "wd:abelian3", "sd:abelian3")
+                 for d in (3, 4)] + [("sd:abelian4", 3)])
+
+
+@pytest.mark.parametrize("name,dmax", POOL_WINDOWS,
+                         ids=["%s@%d" % w for w in POOL_WINDOWS])
+def test_central_solve_matches_reference(name, dmax):
+    # the same unknowns and, vector by vector, the same cocycle basis and
+    # shift vectors as the per-unknown rows over every ordered triple (free
+    # structures) or the hand-derived rows (S(d))
+    if name.startswith("sd:"):
+        alg = liealg.algebra_by_name(name[3:])
+        sol = sd_central_suite(alg, dmax)
+        ref = reference_sd_solve(alg, dmax)
+    else:
+        P = _pool_structure(name)
+        sol = solve_central_extensions(P, dmax)
+        ref = reference_generic_solve(_pool_structure(name), dmax)
+    assert (sol.unknowns, sol.basis, sol.trivial) == ref

@@ -1,4 +1,5 @@
 from fractions import Fraction as Fr
+from itertools import combinations
 
 import pytest
 
@@ -229,6 +230,22 @@ def test_sd_closure_all_catalog(catalog_algebra):
         pytest.skip("no pairs in dimension one")
     S = make_sd(alg)
     assert S.closure_report().ok
+
+
+@pytest.mark.parametrize("name,chi", [("abelian3", None), ("abelian3", (1, -2, 3)),
+                                      ("abelian4", None), ("heis3", None),
+                                      ("heis3", (1, 0, 0)), ("sl2", None)])
+def test_sd_pair_structure(name, chi):
+    # the pair-generator table maps onto the ambient brackets, and every
+    # carried relation is a vanishing combination of the generators
+    S = make_sd(liealg.algebra_by_name(name), chi)
+    E = S.pair_structure()
+    assert E is S.pair_structure()
+    assert verify_homomorphism(E, S.ambient, S.gens).ok
+    assert len(E.relations) == len(list(combinations(S.directions, 3)))
+    for rel in E.relations:
+        assert rel and not S.evaluate(rel)
+    assert make_wd(S.alg)[0].relations == []
 
 
 def test_sd_axioms_inside_ambient():
