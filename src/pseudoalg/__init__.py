@@ -11,7 +11,7 @@ from .liealg import (Form, GeometricDatum, LieAlgebra, algebra_by_name,
                      ce_differential, validate_geometric_datum,
                      validate_lie_algebra)
 from .pbw import HElt, TensorElt, fourier
-from .tensor import FreeModule, MElt, QElt, canonicalize, permute
+from .tensor import FreeModule, MElt, QElt
 from .pseudo import (ModuleStructure, PseudoStructure, Report, triple_compose,
                      verify_axioms, verify_homomorphism, verify_module,
                      x_bracket)

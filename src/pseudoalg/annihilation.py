@@ -19,7 +19,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .linalg import SparseCombination, bump
-from .pbw import HElt, mi_add, mi_weight, mi_zero, mul_basis, multiindices_up_to
+from .pbw import (HElt, antipode_basis, mi_add, mi_weight, mi_zero, mul_basis,
+                  multiindices_up_to)
 Fr = Fraction
 
 
@@ -120,9 +121,10 @@ class TruncatedSeries(SparseCombination):
     def act(self, h, side="left"):
         """Left action <h x, f> = <x, S(h) f>; right <x h, f> = <x, f S(h)>.
 
-        The output is exact to depth cutoff - deg(h).  Each term a d^(J)
-        of S(h) adds a v c at t_I for every term v t_K of the series and
-        every entry (I, c) of the transposed table of d^(J) at K.
+        The output is exact to depth cutoff - deg(h).  Each term u d^(L)
+        of h and each term a d^(J) of the cached S(d^(L)) add u a v c at
+        t_I for every term v t_K of the series and every entry (I, c) of
+        the transposed table of d^(J) at K.
         """
         deg = h.degree()
         if deg is None:
@@ -131,12 +133,14 @@ class TruncatedSeries(SparseCombination):
         if newcut < 0:
             raise PrecisionError("action by degree %d exceeds depth %d" % (deg, self.cutoff))
         out = {}
-        for J, a in h.antipode().c.items():
-            table = _adjoint(self.alg, J, side, newcut)
-            for K, v in self.c.items():
-                av = a * v
-                for I, c in table.get(K, ()):
-                    bump(out, I, av * c)
+        for L, u in h.c.items():
+            for J, a in antipode_basis(self.alg, L).items():
+                table = _adjoint(self.alg, J, side, newcut)
+                ua = u * a
+                for K, v in self.c.items():
+                    av = ua * v
+                    for I, c in table.get(K, ()):
+                        bump(out, I, av * c)
         res = self._with(out)
         res.cutoff = newcut
         return res

@@ -28,12 +28,15 @@ from .pseudo import Report, verify_axioms, verify_axioms_elements, verify_module
 Fr = Fraction
 
 # Largest number of dual basis monomials t_I (|I| <= cutoff) that
-# `annihilate` takes on.  The run builds and caches one transposed product
-# table over them per monomial it acts by, so time and memory grow with
-# this count: at the budget the slowest catalog algebras (sl2 at cutoff
-# 20, abelian4 at 12) take about 5 s and 50 MB, while the README command
-# (wd:abelian2 at cutoff 6) needs 28.  Beyond it a run is refused as an
-# input error instead of running for minutes or without end.
+# `annihilate` takes on; the README command (wd:abelian2 at cutoff 6)
+# needs 28.  The run builds and caches one transposed product table over
+# them per monomial it acts by, so this count bounds the table work and
+# the memory (at the budget, sl2 at cutoff 20 and abelian4 at 12 take
+# about 50 MB), and beyond it a run is refused as an input error instead
+# of running for minutes or without end.  It does not bound the run time,
+# which is set by the dim^2 * C(min(3, cutoff - 2) + dim, dim)^2 bracket
+# pairs checked: those stop growing at cutoff 5, so abelian4 takes about
+# 5 s at cutoff 6 (210 monomials) as at 12.
 ANNIHILATE_MAX_MONOMIALS = 2000
 
 CHECK_GLOSSARY = {

@@ -425,10 +425,7 @@ def verify_cur_cocycle(P_cur, d_element=None, beta_table=None, report=None):
     g = P_cur.coefficient_algebra
     alg = P_cur.alg
     K = g.killing_form()
-    try:
-        from .linalg import invert_matrix
-        invert_matrix(K)
-    except ValueError:
+    if not g.killing_nondegenerate():
         raise ValueError("coefficient algebra has degenerate pairing; not simple")
 
     if beta_table is None:

@@ -10,11 +10,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from .liealg import validate_geometric_datum
-from .linalg import bump, sparse_sum
+from .linalg import bump, invert_matrix, sparse_sum
 from .pbw import (HElt, TensorElt, antipode_basis, mi_splits,
                   mi_weight, mi_zero, mul_basis, multiindices_up_to)
 from .pseudo import (ModuleStructure, PseudoStructure, Report,
-                     verify_homomorphism)
+                     verify_axioms, verify_homomorphism)
 from .tensor import FreeModule, MElt, QElt
 
 Fr = Fraction
@@ -332,7 +332,7 @@ class Rank1Datum:
     def from_geometric(cls, alg, datum):
         rep = validate_geometric_datum(alg, datum)
         if not rep.ok:
-            raise ValueError("invalid geometric datum: %s" % rep.failures)
+            raise ValueError("invalid geometric datum: %s" % rep.failures())
         return cls(alg, rep.data["r"], rep.data["s"])
 
     def alpha(self):
@@ -416,7 +416,7 @@ def make_rank1(datum, run_axioms=True, name=None):
     P = PseudoStructure(mod, "lie", table={("e", "e"): q}, name=mod.label)
     P.datum = datum
     if run_axioms:
-        P.axiom_report = verify_axioms_from_alpha(P)
+        P.axiom_report = verify_axioms(P)
     return P
 
 
@@ -425,11 +425,6 @@ def make_rank1_from_alpha(alg, alpha, name="rank1"):
     mod = FreeModule(alg, ["e"], label=name)
     q = QElt.from_tensor_and_module(alpha, mod.element("e"))
     return PseudoStructure(mod, "lie", table={("e", "e"): q}, name=name)
-
-
-def verify_axioms_from_alpha(P):
-    from .pseudo import verify_axioms
-    return verify_axioms(P)
 
 
 def embed_rank1_element(datum, P_wd):
@@ -447,7 +442,7 @@ def embed_rank1_element(datum, P_wd):
     return m
 
 
-def embed_rank1_in_wd(datum, check_h_type_divergence=True):
+def embed_rank1_in_wd(datum):
     """Certify e -> -r + 1 (x) s as a homomorphism into the vector fields.
 
     For data with nondegenerate r the image is additionally checked to be
@@ -463,17 +458,15 @@ def embed_rank1_in_wd(datum, check_h_type_divergence=True):
     rep = verify_homomorphism(P1, P_wd, {"e": e_img})
     rep.title = "embed-rank1:%s" % alg.name
 
-    if check_h_type_divergence:
-        phi = _h_type_phi(datum)
-        if phi is not None:
-            div = divergence(alg, e_img, phi)
-            rep.record("image-divergence-free", not div, div or None)
+    phi = _h_type_phi(datum)
+    if phi is not None:
+        div = divergence(alg, e_img, phi)
+        rep.record("image-divergence-free", not div, div or None)
     return rep
 
 
 def _h_type_phi(datum):
     """phi = iota_{x - s} omega for nondegenerate r; None when r is singular."""
-    from .linalg import invert_matrix
     alg = datum.alg
     try:
         omega = invert_matrix(datum.r)

@@ -12,7 +12,7 @@ relevant degree, via the identification
 from fractions import Fraction
 from itertools import combinations
 
-from .liealg import _perm_sign
+from .liealg import sort_with_sign
 from .linalg import SparseCombination, bump
 from .pbw import HElt, mi_zero, mul_basis
 from .pseudo import ModuleStructure, PseudoStructure
@@ -66,12 +66,9 @@ class PForm(SparseCombination):
         """Evaluate on basis vectors in any order, with sign; 0 on repeats."""
         if len(args) != self.degree:
             raise ValueError("arity mismatch")
-        if len(set(args)) != len(args):
-            return HElt.zero(self.alg)
-        order = sorted(range(len(args)), key=lambda p: args[p])
-        sign = _perm_sign(order)
-        base = self.c.get(tuple(sorted(args)))
-        if base is None:
+        sign, key = sort_with_sign(args)
+        base = self.c.get(key)
+        if not sign or base is None:
             return HElt.zero(self.alg)
         return base.scale(sign)
 
@@ -242,12 +239,9 @@ def wedge_structure(alg):
 
     def product(T1, T2):
         out = QElt(mod, 2)
-        if set(T1) & set(T2):
-            return out
-        merged = T1 + T2
-        order = sorted(range(len(merged)), key=lambda p: merged[p])
-        sign = _perm_sign(order)
-        out._bump((zero, zero), tuple(sorted(merged)), zero, Fr(sign))
+        sign, key = sort_with_sign(T1 + T2)
+        if sign:
+            out._bump((zero, zero), key, zero, Fr(sign))
         return out
 
     return PseudoStructure(mod, "assoc", bracket_fn=product, name="wedge:%s" % alg.name)

@@ -9,29 +9,10 @@ families; validation of that data lives here as well.
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import SparseCombination, bump, invert_matrix
+from .linalg import SparseCombination, bump, invert_matrix, nullspace
+from .pseudo import Report
 
 Fr = Fraction
-
-
-class ValidationReport:
-    """Outcome of a structural check: a list of named failures, empty iff valid."""
-
-    def __init__(self):
-        self.failures = []
-        self.data = {}
-
-    def fail(self, name, witness=None):
-        self.failures.append((name, witness))
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def __repr__(self):
-        if self.ok:
-            return "ValidationReport(ok)"
-        return "ValidationReport(failures=%r)" % (self.failures,)
 
 
 class LieAlgebra:
@@ -149,9 +130,9 @@ class LieAlgebra:
 
 
 def validate_lie_algebra(alg):
-    rep = ValidationReport()
+    rep = Report("lie-algebra:%s" % alg.name)
     for idx, acc in alg.jacobi_failures():
-        rep.fail("jacobi", {"triple": idx, "residual": acc})
+        rep.record("jacobi", False, {"triple": idx, "residual": acc})
     if rep.ok:
         rep.data["trace_ad"] = alg.trace_ad()
         rep.data["killing"] = alg.killing_form()
@@ -185,11 +166,8 @@ class Form(SparseCombination):
         """Evaluate on basis vectors x_{i1} ^ ... ^ x_{in} (any order)."""
         if len(indices) != self.degree:
             raise ValueError("arity mismatch")
-        if len(set(indices)) != len(indices):
-            return Fr(0)
-        order = sorted(range(len(indices)), key=lambda p: indices[p])
-        sign = _perm_sign(order)
-        return sign * self.c.get(tuple(sorted(indices)), Fr(0))
+        sign, key = sort_with_sign(indices)
+        return sign * self.c.get(key, Fr(0))
 
     def eval_vector_slot(self, vec, rest):
         """Evaluate with a coefficient vector {i: c} in the first slot."""
@@ -206,12 +184,9 @@ class Form(SparseCombination):
         out = {}
         for a, ca in self.c.items():
             for b, cb in other.c.items():
-                if set(a) & set(b):
-                    continue
-                merged = a + b
-                order = sorted(range(len(merged)), key=lambda p: merged[p])
-                sign = _perm_sign(order)
-                bump(out, tuple(sorted(merged)), sign * ca * cb)
+                sign, key = sort_with_sign(a + b)
+                if sign:
+                    bump(out, key, sign * ca * cb)
         return Form(self.alg, deg, out)
 
     def __repr__(self):
@@ -220,20 +195,18 @@ class Form(SparseCombination):
         return "Form(" + " + ".join("%s*e*%s" % (v, list(k)) for k, v in sorted(self.c.items())) + ")"
 
 
-def _perm_sign(order):
-    sign = 1
-    seen = [False] * len(order)
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+def sort_with_sign(indices):
+    """(sign, sorted tuple) of x_{i1} ^ ... ^ x_{in} = sign * x_sorted.
+
+    The sign is that of the sorting permutation, and 0 when an index
+    repeats (the wedge vanishes).
+    """
+    key = tuple(sorted(indices))
+    if len(set(key)) != len(key):
+        return 0, key
+    n = len(key)
+    inversions = sum(indices[p] > indices[q] for p in range(n) for q in range(p + 1, n))
+    return (-1) ** inversions, key
 
 
 def ce_differential(alg, w):
@@ -280,42 +253,42 @@ def validate_geometric_datum(alg, datum):
     radical of d(theta) normalized by theta(s) = -1, and r inverts
     d(theta) on ker theta.
     """
-    rep = ValidationReport()
+    rep = Report("geometric-datum:%s" % datum.kind)
     N = alg.dim
     if datum.kind == "H":
         if N % 2 == 1:
-            rep.fail("even-dimension")
+            rep.record("even-dimension", False)
             return rep
         omega, chi = datum.omega, datum.chi
         if omega.degree != 2 or chi.degree != 1:
-            rep.fail("degree-shape")
+            rep.record("degree-shape", False)
             return rep
         top = omega
         for _ in range(N // 2 - 1):
             top = top.wedge(omega)
         if top.is_zero():
-            rep.fail("omega-degenerate")
+            rep.record("omega-degenerate", False)
         if not ce_differential(alg, chi).is_zero():
-            rep.fail("chi-not-closed")
+            rep.record("chi-not-closed", False)
         if omega.degree < N:
             # otherwise d(omega) and chi ^ omega live above the top degree
             resid = ce_differential(alg, omega) + chi.wedge(omega)
             if not resid.is_zero():
-                rep.fail("omega-twisted-cocycle", repr(resid))
+                rep.record("omega-twisted-cocycle", False, repr(resid))
         if not rep.ok:
             return rep
         W = [[omega(i, j) for j in range(N)] for i in range(N)]
         try:
             R = invert_matrix(W)
         except ValueError:
-            rep.fail("omega-degenerate")
+            rep.record("omega-degenerate", False)
             return rep
         # chi(x_j) = omega(s ^ x_j) = sum_i s^i W[i][j], so s = chi . W^{-1}
         s = [sum((chi(i) * R[i][k] for i in range(N)), Fr(0)) for k in range(N)]
         for j in range(N):
             got = sum((s[i] * W[i][j] for i in range(N)), Fr(0))
             if got != chi(j):
-                rep.fail("s-recovery")
+                rep.record("s-recovery", False)
                 return rep
         rep.data["r"] = R
         rep.data["s"] = tuple(s)
@@ -323,16 +296,16 @@ def validate_geometric_datum(alg, datum):
 
     # contact kind
     if N % 2 == 0:
-        rep.fail("odd-dimension")
+        rep.record("odd-dimension", False)
         return rep
     theta = datum.theta
     if theta.degree != 1:
-        rep.fail("degree-shape")
+        rep.record("degree-shape", False)
         return rep
     if N == 1:
         # the contact condition degenerates to theta != 0
         if theta.is_zero():
-            rep.fail("not-contact")
+            rep.record("not-contact", False)
             return rep
         v = theta(0)
         rep.data["r"] = [[Fr(0)]]
@@ -343,84 +316,39 @@ def validate_geometric_datum(alg, datum):
     for _ in range((N - 1) // 2):
         top = top.wedge(dtheta)
     if top.is_zero():
-        rep.fail("not-contact")
+        rep.record("not-contact", False)
         return rep
-    # radical of dtheta
-    M = [[dtheta(i, j) for j in range(N)] for i in range(N)]
-    kernel = _matrix_kernel(M)
+    # radical of dtheta; theta(s) = -1 fixes s whatever basis spans it
+    D = [[dtheta(i, j) for j in range(N)] for i in range(N)]
+    kernel = nullspace(({j: x for j, x in enumerate(row) if x} for row in D), range(N))
     if len(kernel) != 1:
-        rep.fail("radical-dimension", len(kernel))
+        rep.record("radical-dimension", False, len(kernel))
         return rep
     v = kernel[0]
-    pairing = sum((theta(i) * v[i] for i in range(N)), Fr(0))
+    pairing = sum((theta(i) * c for i, c in v.items()), Fr(0))
     if not pairing:
-        rep.fail("radical-on-kernel")
+        rep.record("radical-on-kernel", False)
         return rep
-    s = tuple(-v[i] / pairing for i in range(N))  # theta(s) = -1
-    # basis of ker theta
-    kb = _functional_kernel([theta(i) for i in range(N)])
-    G = [[sum((kb[p][i] * kb[q][j] * dtheta(i, j) for i in range(N) for j in range(N)), Fr(0))
-          for q in range(len(kb))] for p in range(len(kb))]
+    s = tuple(-v.get(i, Fr(0)) / pairing for i in range(N))
+    # r = K G^-1 K^T with G = K^T D K is the same for every basis K of ker theta
+    kb = nullspace([{i: theta(i) for i in range(N) if theta(i)}], range(N))
+    G = [[sum((a * b * D[i][j] for i, a in u.items() for j, b in w.items()), Fr(0))
+          for w in kb] for u in kb]
     try:
         Ginv = invert_matrix(G)
     except ValueError:
-        rep.fail("dtheta-degenerate-on-kernel")
+        rep.record("dtheta-degenerate-on-kernel", False)
         return rep
     R = [[Fr(0)] * N for _ in range(N)]
-    for p in range(len(kb)):
-        for q in range(len(kb)):
+    for p, u in enumerate(kb):
+        for q, w in enumerate(kb):
             if Ginv[p][q]:
-                for i in range(N):
-                    for j in range(N):
-                        R[i][j] += Ginv[p][q] * kb[p][i] * kb[q][j]
+                for i, a in u.items():
+                    for j, b in w.items():
+                        R[i][j] += Ginv[p][q] * a * b
     rep.data["r"] = R
     rep.data["s"] = s
     return rep
-
-
-def _matrix_kernel(M):
-    n = len(M)
-    rows = [list(r) for r in M]
-    pivots = []
-    rr = 0
-    for col in range(n):
-        piv = next((r for r in range(rr, n) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rr], rows[piv] = rows[piv], rows[rr]
-        inv = Fr(1) / rows[rr][col]
-        rows[rr] = [x * inv for x in rows[rr]]
-        for r in range(n):
-            if r != rr and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rr])]
-        pivots.append(col)
-        rr += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fr(0)] * n
-        v[fc] = Fr(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(v)
-    return basis
-
-
-def _functional_kernel(chi):
-    n = len(chi)
-    piv = next((i for i in range(n) if chi[i]), None)
-    if piv is None:
-        return [[Fr(1) if i == j else Fr(0) for i in range(n)] for j in range(n)]
-    basis = []
-    for j in range(n):
-        if j == piv:
-            continue
-        v = [Fr(0)] * n
-        v[j] = Fr(1)
-        v[piv] = -chi[j] / chi[piv]
-        basis.append(v)
-    return basis
 
 
 # ---------------------------------------------------------------------------

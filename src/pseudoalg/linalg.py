@@ -251,20 +251,15 @@ def invert_matrix(mat):
     """Inverse of a dense square rational matrix (list of lists).
 
     Raises ValueError on a singular input; callers rely on the loud
-    failure rather than a silent pseudo-inverse.
+    failure rather than a silent pseudo-inverse.  The rows [A | I] are
+    reduced with A's columns (0, j) ahead of I's (1, j): A is singular iff
+    some pivot lands on an identity column, and otherwise pivot row (0, i)
+    reads (e_i | row i of the inverse).
     """
     n = len(mat)
-    a = [[Fr(x) for x in row] + [Fr(1) if i == j else Fr(0) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fr(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    elim = SparseEliminator()
+    for i, row in enumerate(mat):
+        elim.add({**{(0, j): Fr(x) for j, x in enumerate(row) if x}, (1, i): Fr(1)})
+    if any(side for side, _ in elim.pivots):
+        raise ValueError("singular matrix")
+    return [[elim.pivots[(0, i)].get((1, j), Fr(0)) for j in range(n)] for i in range(n)]

@@ -26,11 +26,16 @@ class CheckResult:
 
 
 class Report:
-    """Accumulated named checks; ok iff every recorded check passed."""
+    """Accumulated named checks; ok iff every recorded check passed.
+
+    `data` holds results a check computed on the way (kept out of
+    `as_dict`, so reports print the same with or without it).
+    """
 
     def __init__(self, title=""):
         self.title = title
         self.checks = []
+        self.data = {}
 
     def record(self, name, passed, witness=None):
         self.checks.append(CheckResult(name, bool(passed), witness))

@@ -279,11 +279,3 @@ class QElt(SparseCombination):
     def __repr__(self):
         from .literals import render_quotient
         return render_quotient(self)
-
-
-def canonicalize(q):
-    return q.canonicalize()
-
-
-def permute(q, perm):
-    return q.permuted(perm)

@@ -1,4 +1,5 @@
 from fractions import Fraction as Fr
+import random
 
 import pytest
 
@@ -28,8 +29,8 @@ def test_jacobi_failure_reported():
     bad = LieAlgebra("bad", ["a", "b", "c"], {(0, 1): {2: 1}, (0, 2): {0: 1}})
     rep = validate_lie_algebra(bad)
     assert not rep.ok
-    assert rep.failures[0][0] == "jacobi"
-    assert rep.failures[0][1]["residual"] == {2: Fr(1)}
+    assert rep.failures()[0].name == "jacobi"
+    assert rep.failures()[0].witness["residual"] == {2: Fr(1)}
 
 
 def test_swap_table_satisfies_jacobi_by_brute_force():
@@ -173,3 +174,143 @@ def test_wedge_signs():
     ba = b.wedge(a)
     assert ab.c == {(0, 1): Fr(1)}
     assert ba.c == {(0, 1): Fr(-1)}
+
+
+# -- dense references ----------------------------------------------------------
+# The dense Gauss-Jordan loops the package used before every row reduction
+# went through `SparseEliminator`; kept as references for `invert_matrix`,
+# `nullspace` and `sort_with_sign`.
+
+def _dense_invert_matrix(mat):
+    n = len(mat)
+    a = [[Fr(x) for x in row] + [Fr(1) if i == j else Fr(0) for j in range(n)]
+         for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = Fr(1) / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def _dense_matrix_kernel(M):
+    n = len(M)
+    rows = [list(r) for r in M]
+    pivots = []
+    rr = 0
+    for col in range(n):
+        piv = next((r for r in range(rr, n) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rr], rows[piv] = rows[piv], rows[rr]
+        inv = Fr(1) / rows[rr][col]
+        rows[rr] = [x * inv for x in rows[rr]]
+        for r in range(n):
+            if r != rr and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rr])]
+        pivots.append(col)
+        rr += 1
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fr(0)] * n
+        v[fc] = Fr(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _dense_functional_kernel(chi):
+    n = len(chi)
+    piv = next((i for i in range(n) if chi[i]), None)
+    if piv is None:
+        return [[Fr(1) if i == j else Fr(0) for i in range(n)] for j in range(n)]
+    basis = []
+    for j in range(n):
+        if j == piv:
+            continue
+        v = [Fr(0)] * n
+        v[j] = Fr(1)
+        v[piv] = -chi[j] / chi[piv]
+        basis.append(v)
+    return basis
+
+
+def _perm_sign(order):
+    sign = 1
+    seen = [False] * len(order)
+    for i in range(len(order)):
+        if seen[i]:
+            continue
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = order[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _random_square(rng, n, singular):
+    entries = [Fr(0)] * 3 + [Fr(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)]
+    M = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+    if singular:
+        # one row becomes a combination of the others (zero when n = 1)
+        k = rng.randrange(n)
+        coeffs = [Fr(rng.randint(-2, 2)) for _ in range(n)]
+        M[k] = [sum((coeffs[p] * M[p][j] for p in range(n) if p != k), Fr(0))
+                for j in range(n)]
+    return M
+
+
+def _same_span(us, vs):
+    from pseudoalg.linalg import span_dim
+    return len(us) == len(vs) == span_dim(us) == span_dim(vs) == span_dim(us + vs)
+
+
+def _sparse(v):
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def test_eliminator_matches_dense_references():
+    from pseudoalg.linalg import invert_matrix, nullspace
+    rng = random.Random(5)
+    for trial in range(240):
+        n = 1 + trial % 12
+        M = _random_square(rng, n, singular=trial % 2 == 1)
+        try:
+            want = _dense_invert_matrix(M)
+        except ValueError:
+            want = None
+        if want is None:
+            with pytest.raises(ValueError):
+                invert_matrix(M)
+        else:
+            got = invert_matrix(M)
+            assert got == want and all(type(x) is Fr for row in got for x in row)
+        kernel = nullspace([_sparse(row) for row in M], range(n))
+        assert _same_span(kernel, [_sparse(v) for v in _dense_matrix_kernel(M)]), M
+        assert (want is None) == bool(kernel)
+        functional = nullspace([_sparse(M[0])], range(n))
+        assert _same_span(functional, [_sparse(v) for v in _dense_functional_kernel(M[0])])
+
+
+def test_sort_with_sign_matches_permutation_sign():
+    from itertools import permutations, product
+    for n in range(6):
+        for idx in permutations(range(n)):
+            order = sorted(range(n), key=lambda p: idx[p])
+            assert liealg.sort_with_sign(idx) == (_perm_sign(order), tuple(range(n)))
+    for idx in product(range(3), repeat=4):
+        sign, key = liealg.sort_with_sign(list(idx))
+        assert key == tuple(sorted(idx))
+        assert (sign == 0) == (len(set(idx)) < len(idx))
