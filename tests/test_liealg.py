@@ -305,12 +305,9 @@ def test_eliminator_matches_dense_references():
 
 
 def test_sort_with_sign_matches_permutation_sign():
-    from itertools import permutations, product
-    for n in range(6):
-        for idx in permutations(range(n)):
+    from itertools import product
+    for n in range(5):
+        for idx in product(range(5), repeat=n):
             order = sorted(range(n), key=lambda p: idx[p])
-            assert liealg.sort_with_sign(idx) == (_perm_sign(order), tuple(range(n)))
-    for idx in product(range(3), repeat=4):
-        sign, key = liealg.sort_with_sign(list(idx))
-        assert key == tuple(sorted(idx))
-        assert (sign == 0) == (len(set(idx)) < len(idx))
+            sign = _perm_sign(order) if len(set(idx)) == n else 0
+            assert liealg.sort_with_sign(list(idx)) == (sign, tuple(sorted(idx))), idx
