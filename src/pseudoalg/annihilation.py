@@ -15,13 +15,11 @@ Series and annihilation elements are the sparse combinations of
 `linalg`; a sum keeps the smaller cutoff and drops what lies beyond it.
 """
 
-from fractions import Fraction
 from itertools import chain
 
-from .linalg import SparseCombination, bump
+from .linalg import SparseCombination, bump, exact
 from .pbw import (HElt, antipode_basis, mi_add, mi_weight, mi_zero, mul_basis,
                   multiindices_up_to)
-Fr = Fraction
 
 
 class PrecisionError(ValueError):
@@ -73,7 +71,7 @@ class TruncatedSeries(SparseCombination):
         self.c = {}
         for I, v in (coeffs or {}).items():
             I = tuple(I)
-            v = Fr(v)
+            v = exact(v)
             if mi_weight(I) > cutoff:
                 raise ValueError("index beyond cutoff")
             if v:
@@ -116,7 +114,7 @@ class TruncatedSeries(SparseCombination):
         if deg is not None and deg > self.cutoff:
             raise PrecisionError("pairing needs depth %d, have %d" % (deg, self.cutoff))
         c = self.c
-        return sum((v * c[I] for I, v in h.c.items() if I in c), Fr(0))
+        return sum(v * c[I] for I, v in h.c.items() if I in c)
 
     def act(self, h, side="left"):
         """Left action <h x, f> = <x, S(h) f>; right <x h, f> = <x, f S(h)>.
@@ -178,7 +176,7 @@ class AnnihilationElement(SparseCombination):
             I = tuple(I)
             if mi_weight(I) > cutoff:
                 raise ValueError("index beyond cutoff")
-            v = Fr(v)
+            v = exact(v)
             if v:
                 self.c[(I, g)] = v
 

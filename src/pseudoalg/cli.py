@@ -25,8 +25,6 @@ from .liealg import algebra_by_name
 from .literals import parse_helt, parse_tensor
 from .pseudo import Report, verify_axioms, verify_axioms_elements, verify_module
 
-Fr = Fraction
-
 # Largest number of dual basis monomials t_I (|I| <= cutoff) that
 # `annihilate` takes on; the README command (wd:abelian2 at cutoff 6)
 # needs 28.  The run builds and caches one transposed product table over

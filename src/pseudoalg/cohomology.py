@@ -9,7 +9,6 @@ or through the generic linear system extracted from the central component
 of the Jacobi identity on generator triples.
 """
 
-from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 
 from .constructions import make_sd
@@ -19,8 +18,6 @@ from .pbw import (HElt, TensorElt, antipode_basis, mi_splits, mi_weight,
 from .pseudo import (PseudoStructure, Report, compose_left, compose_right,
                      extend_bilinear)
 from .tensor import FreeModule, MElt, QElt
-
-Fr = Fraction
 
 
 # -- cochains ----------------------------------------------------------------
@@ -171,7 +168,7 @@ def trivial_cocycle_table(P, phi):
             for (key, g, L), v in P.gen_bracket(gi, gj).c.items():
                 if any(L):
                     continue
-                w = phi.get(g, Fr(0))
+                w = phi.get(g, 0)
                 if w:
                     acc = acc + HElt.monomial(alg, key[0], v * w)
             out[(gi, gj)] = acc
@@ -377,7 +374,7 @@ def solve_central_extensions(P, dmax=4, complete=False):
     for p in gens:
         for q in gens:
             for I in monos:
-                _bump_row(rows, ("skew", p, q, I), ((q, p), I), Fr(1))
+                _bump_row(rows, ("skew", p, q, I), ((q, p), I), 1)
                 for K, v in antipode_basis(alg, I).items():
                     _bump_row(rows, ("skew", p, q, K), ((p, q), I), v)
 
@@ -429,7 +426,7 @@ def verify_cur_cocycle(P_cur, d_element=None, beta_table=None, report=None):
         raise ValueError("coefficient algebra has degenerate pairing; not simple")
 
     if beta_table is None:
-        d_elt = HElt.from_vector(alg, {i: Fr(c) for i, c in enumerate(d_element)})
+        d_elt = HElt.from_vector(alg, dict(enumerate(d_element)))
         beta_table = {(i, j): d_elt.scale(K[i][j]) for i in range(g.dim)
                       for j in range(g.dim)}
 
@@ -444,9 +441,9 @@ def verify_cur_cocycle(P_cur, d_element=None, beta_table=None, report=None):
     for i in range(g.dim):
         for j in range(g.dim):
             for k in range(g.dim):
-                lhs = TensorElt.pure([beta_pair({i: Fr(1)}, g.bracket(j, k)), one]) \
-                    - TensorElt.pure([one, beta_pair({j: Fr(1)}, g.bracket(i, k))])
-                rhs = beta_pair(g.bracket(i, j), {k: Fr(1)}).coproduct(2)
+                lhs = TensorElt.pure([beta_pair({i: 1}, g.bracket(j, k)), one]) \
+                    - TensorElt.pure([one, beta_pair({j: 1}, g.bracket(i, k))])
+                rhs = beta_pair(g.bracket(i, j), {k: 1}).coproduct(2)
                 ok = (lhs - rhs) == TensorElt(alg, 2)
                 rep.record("closed[%d,%d,%d]" % (i, j, k), ok,
                            None if ok else (lhs - rhs))
@@ -471,9 +468,8 @@ def verify_cur_cocycle(P_cur, d_element=None, beta_table=None, report=None):
     matched = sol is not None
     if matched:
         for row in rows:
-            acc = sum((v * sol.get(k, Fr(0)) for k, v in row.items() if k != rhs_key),
-                      Fr(0))
-            if acc != row.get(rhs_key, Fr(0)):
+            acc = sum(v * sol.get(k, 0) for k, v in row.items() if k != rhs_key)
+            if acc != row.get(rhs_key, 0):
                 matched = False
                 break
     rep.record("trivial" if matched else "nontrivial", True,

@@ -6,18 +6,15 @@ basis vector of the underlying Lie algebra; an element sum h_a (x) d_a is
 the module element with coefficient h_a on generator a.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from .liealg import validate_geometric_datum
-from .linalg import bump, invert_matrix, sparse_sum
+from .linalg import bump, div, exact, invert_matrix, sparse_sum
 from .pbw import (HElt, TensorElt, antipode_basis, mi_splits,
                   mi_weight, mi_zero, mul_basis, multiindices_up_to)
 from .pseudo import (ModuleStructure, PseudoStructure, Report,
                      verify_axioms, verify_homomorphism)
 from .tensor import FreeModule, MElt, QElt
-
-Fr = Fraction
 
 
 # -- current pseudoalgebras --------------------------------------------------
@@ -64,8 +61,8 @@ def make_wd(alg):
                 q._bump((zero, zero), k, zero, c)
             ea = tuple(1 if p == a else 0 for p in range(alg.dim))
             eb = tuple(1 if p == b else 0 for p in range(alg.dim))
-            q._bump((zero, ea), b, zero, Fr(-1))
-            q._bump((eb, zero), a, zero, Fr(1))
+            q._bump((zero, ea), b, zero, -1)
+            q._bump((eb, zero), a, zero, 1)
             table[(a, b)] = q
     P = PseudoStructure(mod, "lie", table=table, name="wd:%s" % alg.name)
 
@@ -84,7 +81,7 @@ def wd_element(P, pairs):
     """Module element sum coeff * d^(I) (x) d_a from (I, a, coeff) triples."""
     m = MElt.zero(P.module)
     for I, a, c in pairs:
-        m._bump(tuple(I), a, Fr(c))
+        m._bump(tuple(I), a, exact(c))
     return m
 
 
@@ -94,7 +91,7 @@ def divergence(alg, w, chi=None):
     chi is a rational coefficient tuple over the basis and must vanish on
     brackets; None means zero.
     """
-    chi = tuple(Fr(0) for _ in range(alg.dim)) if chi is None else tuple(Fr(x) for x in chi)
+    chi = (0,) * alg.dim if chi is None else tuple(map(exact, chi))
     if not alg.is_trace_form(chi):
         raise ValueError("chi is not a trace form")
     out = HElt.zero(alg)
@@ -108,7 +105,7 @@ def divergence2(alg, q, chi=None):
     """Divergence applied inside H^{(x) 2} (x)_H W(d), landing in H (x) H."""
     out = TensorElt(alg, 2)
     for (key, a, L), v in q.c.items():
-        chi_v = Fr(0) if chi is None else Fr(chi[a])
+        chi_v = 0 if chi is None else chi[a]
         div = HElt.monomial(alg, L, 1) * (HElt.gen(alg, a) + HElt.one(alg).scale(chi_v))
         t = TensorElt(alg, 2, {key: v})
         out = out + t * div.coproduct(2)
@@ -125,10 +122,10 @@ def sd_generator(P, chi, a, b):
     eb = tuple(1 if p == b else 0 for p in range(alg.dim))
     zero = mi_zero(alg.dim)
     m = MElt.zero(P.module)
-    m._bump(ea, b, Fr(1))
-    m._bump(zero, b, Fr(chi[a]))
-    m._bump(eb, a, Fr(-1))
-    m._bump(zero, a, Fr(-chi[b]))
+    m._bump(ea, b, 1)
+    m._bump(zero, b, exact(chi[a]))
+    m._bump(eb, a, -1)
+    m._bump(zero, a, exact(-chi[b]))
     for k, c in alg.bracket(a, b).items():
         m._bump(zero, k, -c)
     return m
@@ -143,7 +140,7 @@ class GeneratedSubalgebra:
     """
 
     def __init__(self, alg, chi=None, directions=None):
-        chi = tuple(Fr(0) for _ in range(alg.dim)) if chi is None else tuple(Fr(x) for x in chi)
+        chi = (0,) * alg.dim if chi is None else tuple(map(exact, chi))
         if not alg.is_trace_form(chi):
             raise ValueError("chi is not a trace form")
         self.alg = alg
@@ -300,7 +297,7 @@ def _koszul_decompose(alg, tops, d, directions=None):
             for I, v in list(p[j].items()):
                 if I[i] > 0:
                     J = tuple(x - (1 if q == i else 0) for q, x in enumerate(I))
-                    bump(phi, J, v / I[i])
+                    bump(phi, J, div(v, I[i]))
                     del p[j][I]
             if phi:
                 out[(i, j)] = out.get((i, j), HElt.zero(alg)) + HElt(alg, phi)
@@ -321,12 +318,12 @@ class Rank1Datum:
     def __init__(self, alg, r, s):
         self.alg = alg
         n = alg.dim
-        self.r = [[Fr(r[i][j]) for j in range(n)] for i in range(n)]
+        self.r = [[exact(r[i][j]) for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
                 if self.r[i][j] != -self.r[j][i]:
                     raise ValueError("r must be skew")
-        self.s = tuple(Fr(x) for x in s)
+        self.s = tuple(map(exact, s))
 
     @classmethod
     def from_geometric(cls, alg, datum):
@@ -354,7 +351,7 @@ class Rank1Datum:
     def x_element(self):
         """x = (1/2) sum r^{ij} [d_i, d_j], the bracket contraction of r."""
         n = self.alg.dim
-        return sparse_sum((k, self.r[i][j] * c / 2)
+        return sparse_sum((k, div(self.r[i][j] * c, 2))
                           for i in range(n) for j in range(n) if self.r[i][j]
                           for k, c in self.alg.bracket(i, j).items())
 
@@ -373,9 +370,9 @@ def check_ybe(datum):
                 c = datum.r[i][j]
                 if not c:
                     continue
-                for k, ck in alg.bracket_elements({i: Fr(1)}, dict(enumerate(datum.s))).items():
+                for k, ck in alg.bracket_elements({i: 1}, dict(enumerate(datum.s))).items():
                     yield (k, j), c * ck
-                for k, ck in alg.bracket_elements({j: Fr(1)}, dict(enumerate(datum.s))).items():
+                for k, ck in alg.bracket_elements({j: 1}, dict(enumerate(datum.s))).items():
                     yield (i, k), c * ck
 
     acc = sparse_sum(commutator_terms())
@@ -473,8 +470,8 @@ def _h_type_phi(datum):
     except ValueError:
         return None
     x = datum.x_element()
-    xs = {k: x.get(k, Fr(0)) - datum.s[k] for k in range(alg.dim)}
-    return tuple(sum((xs.get(i, Fr(0)) * omega[i][j] for i in range(alg.dim)), Fr(0))
+    xs = {k: x.get(k, 0) - datum.s[k] for k in range(alg.dim)}
+    return tuple(sum(xs.get(i, 0) * omega[i][j] for i in range(alg.dim))
                  for j in range(alg.dim))
 
 
@@ -555,7 +552,7 @@ def cend_action_on_v(C):
         J, p, q = gen
         out = QElt(vmod, 2)
         if vkey == "v%d" % q:
-            out._bump((zero, J), "v%d" % p, zero, Fr(1))
+            out._bump((zero, J), "v%d" % p, zero, 1)
         return out
 
     return ModuleStructure(C, vmod, action_fn=action, name="cend-on-V")
@@ -565,7 +562,7 @@ def cend_element_from_pairs(C, triples):
     """Element sum c * d^(I) (x) d^(J) (x) E_pq of the pseudolinear structure."""
     m = MElt.zero(C.module)
     for I, J, p, q, c in triples:
-        m._bump(tuple(I), (tuple(J), p, q), Fr(c))
+        m._bump(tuple(I), (tuple(J), p, q), exact(c))
     return m
 
 
@@ -577,7 +574,7 @@ def apply_anti_involution(C, elt, gamma=None):
     """
     alg = C.alg
     if gamma is None:
-        gamma = lambda p, q: {(q, p): Fr(1)}
+        gamma = lambda p, q: {(q, p): 1}
     out = MElt.zero(C.module)
     for (I, (J, p, q)), v in elt.c.items():
         for Js, cs in antipode_basis(alg, J).items():
@@ -601,7 +598,7 @@ def gamma_symplectic(n):
         return i + m if i < m else i - m
 
     def gamma(p, q):
-        return {(bar(q), bar(p)): Fr(eps(p) * eps(q))}
+        return {(bar(q), bar(p)): eps(p) * eps(q)}
     return gamma
 
 
@@ -635,10 +632,10 @@ def wd_into_gc1(alg):
 
 def make_module_rank1(alg, lam, chi=None):
     """Free rank-one module with action alpha v = (lam Div alpha (x) 1 - alpha) v."""
-    chi = tuple(Fr(0) for _ in range(alg.dim)) if chi is None else tuple(Fr(x) for x in chi)
+    chi = (0,) * alg.dim if chi is None else tuple(map(exact, chi))
     if not alg.is_trace_form(chi):
         raise ValueError("chi is not a trace form")
-    lam = Fr(lam)
+    lam = exact(lam)
     P, _ = make_wd(alg)
     vmod = FreeModule(alg, ["v"], label="V(%s)" % (lam,))
     zero = mi_zero(alg.dim)
@@ -651,7 +648,7 @@ def make_module_rank1(alg, lam, chi=None):
             out._bump((ea, zero), "v", zero, lam)
             if chi[a]:
                 out._bump((zero, zero), "v", zero, lam * chi[a])
-        out._bump((zero, ea), "v", zero, Fr(-1))
+        out._bump((zero, ea), "v", zero, -1)
         return out
 
     return P, ModuleStructure(P, vmod, action_fn=action, name="V(%s,%s)" % (lam, chi))

@@ -9,7 +9,6 @@ relevant degree, via the identification
     ((u (x) v) (x)_H w)(args) = (u (x) v) * coproduct(w(args)).
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from .liealg import sort_with_sign
@@ -17,8 +16,6 @@ from .linalg import SparseCombination, bump
 from .pbw import HElt, mi_zero, mul_basis
 from .pseudo import ModuleStructure, PseudoStructure
 from .tensor import FreeModule, MElt, QElt
-
-Fr = Fraction
 
 
 def form_module(alg, degree):
@@ -129,10 +126,10 @@ def act_on_form(alg, wfield, w):
             acc = {}  # coefficients of d^(K) (x) d^(I)
             base = w.value(T)
             if base:
-                _add_pairs(acc, F, base * HElt.gen(alg, a), Fr(-fv))
+                _add_pairs(acc, F, base * HElt.gen(alg, a), -fv)
             for pos in range(n):
                 rest = T[:pos] + T[pos + 1:]
-                sign = Fr((-1) ** (pos + 1))
+                sign = (-1) ** (pos + 1)
                 inner = w.value((a,) + rest)
                 if inner:
                     ai = tuple(1 if p == T[pos] else 0 for p in range(alg.dim))
@@ -181,11 +178,11 @@ def form_differential(alg, w):
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 rest = tuple(T[p] for p in range(n + 1) if p != i and p != j)
-                sign = Fr((-1) ** (i + j))  # (-1)^{i+j} for the 1-based pair
+                sign = (-1) ** (i + j)  # (-1)^{i+j} for the 1-based pair
                 acc = acc + w.value_with_vector(alg.bracket(T[i], T[j]), rest).scale(sign)
         for i in range(n + 1):
             rest = tuple(T[p] for p in range(n + 1) if p != i)
-            sign = Fr((-1) ** (i + 1))
+            sign = (-1) ** (i + 1)
             acc = acc + (w.value(rest) * HElt.gen(alg, T[i])).scale(sign)
         out.set_value(T, acc)
     return out
@@ -222,11 +219,11 @@ def volume_action_expected(alg, a):
     zero = mi_zero(alg.dim)
     ea = tuple(1 if p == a else 0 for p in range(n))
     out = QElt(mod, 2)
-    out._bump((ea, zero), T, zero, Fr(-1))
+    out._bump((ea, zero), T, zero, -1)
     tr = alg.trace_ad()[a]
     if tr:
         out._bump((zero, zero), T, zero, -tr)
-    out._bump((zero, ea), T, zero, Fr(-1))
+    out._bump((zero, ea), T, zero, -1)
     return out.canonicalize()
 
 
@@ -241,7 +238,7 @@ def wedge_structure(alg):
         out = QElt(mod, 2)
         sign, key = sort_with_sign(T1 + T2)
         if sign:
-            out._bump((zero, zero), key, zero, Fr(sign))
+            out._bump((zero, zero), key, zero, sign)
         return out
 
     return PseudoStructure(mod, "assoc", bracket_fn=product, name="wedge:%s" % alg.name)

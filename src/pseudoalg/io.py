@@ -15,7 +15,6 @@ coefficient.
 """
 
 import json
-from fractions import Fraction
 
 from .liealg import LieAlgebra, algebra_by_name
 from .linalg import sparse_sum
@@ -23,8 +22,6 @@ from .literals import parse_fraction, parse_helt, render_helt
 from .pbw import HElt, mi_zero
 from .pseudo import PseudoStructure
 from .tensor import FreeModule, QElt
-
-Fr = Fraction
 
 
 def lie_algebra_from_dict(data):
@@ -106,10 +103,10 @@ def parse_bracket_entry(module, text):
             pos += 1
         if pos >= n:
             break
-        sign = Fr(1)
+        sign = 1
         if text[pos] in "+-":
             if text[pos] == "-":
-                sign = Fr(-1)
+                sign = -1
             pos += 1
             while pos < n and text[pos].isspace():
                 pos += 1

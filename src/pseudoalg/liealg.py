@@ -6,13 +6,10 @@ a contact form theta) that parameterize the rank-one pseudoalgebra
 families; validation of that data lives here as well.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
-from .linalg import SparseCombination, bump, invert_matrix, nullspace
+from .linalg import SparseCombination, bump, div, exact, invert_matrix, nullspace
 from .pseudo import Report
-
-Fr = Fraction
 
 
 class LieAlgebra:
@@ -23,7 +20,7 @@ class LieAlgebra:
     """
 
     def __init__(self, name, basis, brackets):
-        """`brackets`: {(i, j): {k: Fraction}} with i < j, [x_i, x_j] = sum c^k x_k."""
+        """`brackets`: {(i, j): {k: rational}} with i < j, [x_i, x_j] = sum c^k x_k."""
         self.name = name
         self.basis = tuple(basis)
         self.dim = len(self.basis)
@@ -33,7 +30,7 @@ class LieAlgebra:
         for (i, j), comps in brackets.items():
             if not (0 <= i < j < self.dim):
                 raise ValueError("bracket indices must satisfy 0 <= i < j < dim")
-            comps = {k: Fr(c) for k, c in comps.items() if Fr(c)}
+            comps = {k: c for k, c in zip(comps, map(exact, comps.values())) if c}
             for k in comps:
                 if not 0 <= k < self.dim:
                     raise ValueError("bracket component out of range")
@@ -70,7 +67,7 @@ class LieAlgebra:
 
     def ad_matrix(self, i):
         """Matrix of ad x_i: column j holds [x_i, x_j]."""
-        m = [[Fr(0)] * self.dim for _ in range(self.dim)]
+        m = [[0] * self.dim for _ in range(self.dim)]
         for j in range(self.dim):
             for k, c in self.bracket(i, j).items():
                 m[k][j] = c
@@ -92,7 +89,7 @@ class LieAlgebra:
     def trace_ad(self):
         if self._trace_ad is None:
             self._trace_ad = tuple(
-                sum((self.ad_matrix(i)[j][j] for j in range(self.dim)), Fr(0))
+                sum(self.ad_matrix(i)[j][j] for j in range(self.dim))
                 for i in range(self.dim))
         return self._trace_ad
 
@@ -101,11 +98,11 @@ class LieAlgebra:
         if self._killing is None:
             ads = [self.ad_matrix(i) for i in range(self.dim)]
             n = self.dim
-            K = [[Fr(0)] * n for _ in range(n)]
+            K = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
-                    t = sum((ads[i][p][q] * ads[j][q][p]
-                             for p in range(n) for q in range(n)), Fr(0))
+                    t = sum(ads[i][p][q] * ads[j][q][p]
+                            for p in range(n) for q in range(n))
                     K[i][j] = K[j][i] = t
             self._killing = K
         return self._killing
@@ -120,7 +117,7 @@ class LieAlgebra:
     def is_trace_form(self, chi):
         """chi vanishes on [d, d]; chi given as a length-dim coefficient tuple."""
         for (i, j), comps in self.table.items():
-            v = sum((Fr(chi[k]) * c for k, c in comps.items()), Fr(0))
+            v = sum(exact(chi[k]) * c for k, c in comps.items())
             if v:
                 return False
         return True
@@ -158,7 +155,7 @@ class Form(SparseCombination):
             idx = tuple(idx)
             if len(idx) != degree or list(idx) != sorted(idx) or len(set(idx)) != degree:
                 raise ValueError("indices must be strictly increasing of the right length")
-            v = Fr(v)
+            v = exact(v)
             if v:
                 self.c[idx] = v
 
@@ -167,11 +164,11 @@ class Form(SparseCombination):
         if len(indices) != self.degree:
             raise ValueError("arity mismatch")
         sign, key = sort_with_sign(indices)
-        return sign * self.c.get(key, Fr(0))
+        return sign * self.c.get(key, 0)
 
     def eval_vector_slot(self, vec, rest):
         """Evaluate with a coefficient vector {i: c} in the first slot."""
-        return sum((c * self(i, *rest) for i, c in vec.items()), Fr(0))
+        return sum(c * self(i, *rest) for i, c in vec.items())
 
     def is_zero(self):
         return not self.c
@@ -220,11 +217,11 @@ def ce_differential(alg, w):
         raise ValueError("degree overflow")
     out = {}
     for idx in combinations(range(alg.dim), n + 1):
-        total = Fr(0)
+        total = 0
         for a in range(n + 1):
             for b in range(a + 1, n + 1):
                 rest = tuple(idx[p] for p in range(n + 1) if p != a and p != b)
-                sign = Fr((-1) ** (a + b))  # 0-based pair (a,b) of (-1)^{i+j}, i<j 1-based
+                sign = (-1) ** (a + b)  # 0-based pair (a,b) of (-1)^{i+j}, i<j 1-based
                 inner = alg.bracket(idx[a], idx[b])
                 total += sign * w.eval_vector_slot(inner, rest)
         if total:
@@ -284,9 +281,9 @@ def validate_geometric_datum(alg, datum):
             rep.record("omega-degenerate", False)
             return rep
         # chi(x_j) = omega(s ^ x_j) = sum_i s^i W[i][j], so s = chi . W^{-1}
-        s = [sum((chi(i) * R[i][k] for i in range(N)), Fr(0)) for k in range(N)]
+        s = [sum(chi(i) * R[i][k] for i in range(N)) for k in range(N)]
         for j in range(N):
-            got = sum((s[i] * W[i][j] for i in range(N)), Fr(0))
+            got = sum(s[i] * W[i][j] for i in range(N))
             if got != chi(j):
                 rep.record("s-recovery", False)
                 return rep
@@ -308,8 +305,8 @@ def validate_geometric_datum(alg, datum):
             rep.record("not-contact", False)
             return rep
         v = theta(0)
-        rep.data["r"] = [[Fr(0)]]
-        rep.data["s"] = (Fr(-1) / v,)
+        rep.data["r"] = [[0]]
+        rep.data["s"] = (div(-1, v),)
         return rep
     dtheta = ce_differential(alg, theta)
     top = theta
@@ -325,21 +322,21 @@ def validate_geometric_datum(alg, datum):
         rep.record("radical-dimension", False, len(kernel))
         return rep
     v = kernel[0]
-    pairing = sum((theta(i) * c for i, c in v.items()), Fr(0))
+    pairing = sum(theta(i) * c for i, c in v.items())
     if not pairing:
         rep.record("radical-on-kernel", False)
         return rep
-    s = tuple(-v.get(i, Fr(0)) / pairing for i in range(N))
+    s = tuple(div(-v.get(i, 0), pairing) for i in range(N))
     # r = K G^-1 K^T with G = K^T D K is the same for every basis K of ker theta
     kb = nullspace([{i: theta(i) for i in range(N) if theta(i)}], range(N))
-    G = [[sum((a * b * D[i][j] for i, a in u.items() for j, b in w.items()), Fr(0))
+    G = [[sum(a * b * D[i][j] for i, a in u.items() for j, b in w.items())
           for w in kb] for u in kb]
     try:
         Ginv = invert_matrix(G)
     except ValueError:
         rep.record("dtheta-degenerate-on-kernel", False)
         return rep
-    R = [[Fr(0)] * N for _ in range(N)]
+    R = [[0] * N for _ in range(N)]
     for p, u in enumerate(kb):
         for q, w in enumerate(kb):
             if Ginv[p][q]:

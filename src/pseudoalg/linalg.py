@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals, and the sparse core of the package.
 
 Everything here works with sparse vectors: dictionaries mapping an
-arbitrary hashable column key to a nonzero Fraction.  Systems stay small
+arbitrary hashable column key to a nonzero rational.  Systems stay small
 (a few hundred unknowns), so sparse Gaussian elimination with exact
 arithmetic is entirely adequate.
 
@@ -9,14 +9,33 @@ Every element type of the package (enveloping-algebra elements, tensors,
 module and quotient elements, truncated functionals, forms) is such a
 sparse combination, built on `bump` and `SparseCombination`.  Their one
 invariant: the coefficient map stores no zeros, so an element is zero iff
-its map is empty and equality is map equality.  Coefficients stay
-Fractions (pseudoforms hold enveloping-algebra elements instead); `bump`
-stores what it is given, so callers pass Fractions.
+its map is empty and equality is map equality.  Coefficients are `int`
+or `Fraction`, never float; equal values compare and hash alike.  Entry
+points pass their inputs through `exact`, which keeps an integral value an
+`int` (the constructions are integral almost everywhere, and int
+arithmetic is several times cheaper), and quotients go through `div`.
+`bump` stores what it is given.  Pseudoforms hold enveloping-algebra
+elements instead of rationals.
 """
 
 from fractions import Fraction
 
-Fr = Fraction
+
+def exact(v):
+    """v as an exact coefficient: an int when integral, else a Fraction."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def div(a, b):
+    """Exact quotient a / b of two coefficients, an int when integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return exact(Fraction(a) / b)
 
 
 def bump(d, key, v):
@@ -74,7 +93,7 @@ class SparseCombination:
         return self + (-other)
 
     def scale(self, k):
-        k = Fr(k)
+        k = exact(k)
         return self._with({key: k * v for key, v in self.c.items()} if k else {})
 
     def __rmul__(self, k):
@@ -100,7 +119,7 @@ def sparse_sum(terms):
     return {k: v for k, v in out.items() if v}
 
 
-def vec_add(u, v, cv=Fr(1)):
+def vec_add(u, v, cv=1):
     """u + cv*v for sparse vectors, dropping zeros."""
     out = dict(u)
     for k, c in v.items():
@@ -118,16 +137,20 @@ class SparseEliminator:
     """Incremental row reduction of sparse rational vectors.
 
     Rows are fed one at a time; each is reduced against the pivots seen so
-    far and, if anything survives, normalized and stored under its pivot
-    column.  `reduce` alone gives span-membership tests.
+    far and, if anything survives, normalized (divided by its pivot entry)
+    and stored under its pivot column.  `reduce` alone gives
+    span-membership tests.
     """
 
     def __init__(self):
         self.pivots = {}  # pivot column -> normalized row
 
     def reduce(self, row):
-        """Eliminate every pivot column from the row before choosing its own."""
-        row = dict(row)
+        """Eliminate every pivot column from the row before choosing its own.
+
+        Zero entries of the input are dropped, so none can become a pivot.
+        """
+        row = {c: v for c, v in row.items() if v}
         while True:
             hit = [c for c in row if c in self.pivots]
             if not hit:
@@ -148,8 +171,8 @@ class SparseEliminator:
         red, col = self.reduce(row)
         if not red:
             return False
-        inv = Fr(1) / red[col]
-        self.pivots[col] = vec_scale(red, inv)
+        p = red[col]
+        self.pivots[col] = {c: div(v, p) for c, v in red.items()}
         # keep stored rows mutually reduced
         for pcol, prow in list(self.pivots.items()):
             if pcol != col and col in prow:
@@ -185,7 +208,7 @@ def nullspace(rows, columns):
     free_cols = [c for c in columns if c not in pivot_cols]
     basis = []
     for fc in free_cols:
-        sol = {fc: Fr(1)}
+        sol = {fc: 1}
         # each pivot row determines the pivot variable from the free ones
         for pcol, prow in pivots.items():
             coeff = prow.get(fc)
@@ -235,7 +258,7 @@ def solve(rows, rhs_key="__rhs__"):
             return None
     # back-substitute with free variables set to zero
     for pcol, prow in sorted(elim.pivots.items(), key=lambda kv: _colkey(kv[0])):
-        rhs = Fr(0)
+        rhs = 0
         for c, v in prow.items():
             if c == rhs_key:
                 rhs += v
@@ -254,12 +277,12 @@ def invert_matrix(mat):
     failure rather than a silent pseudo-inverse.  The rows [A | I] are
     reduced with A's columns (0, j) ahead of I's (1, j): A is singular iff
     some pivot lands on an identity column, and otherwise pivot row (0, i)
-    reads (e_i | row i of the inverse).
+    reads (e_i | row i of the inverse).  Entries are returned as Fractions.
     """
     n = len(mat)
     elim = SparseEliminator()
     for i, row in enumerate(mat):
-        elim.add({**{(0, j): Fr(x) for j, x in enumerate(row) if x}, (1, i): Fr(1)})
+        elim.add({**{(0, j): exact(x) for j, x in enumerate(row) if x}, (1, i): 1})
     if any(side for side, _ in elim.pivots):
         raise ValueError("singular matrix")
-    return [[elim.pivots[(0, i)].get((1, j), Fr(0)) for j in range(n)] for i in range(n)]
+    return [[Fraction(elim.pivots[(0, i)].get((1, j), 0)) for j in range(n)] for i in range(n)]

@@ -13,11 +13,8 @@ truncated-series monomials as "t^(i1,...,iN)" and form monomials as
 """
 
 import re
-from fractions import Fraction
 
-from .linalg import sparse_sum
-
-Fr = Fraction
+from .linalg import div, sparse_sum
 
 _TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-])?\s*
@@ -32,8 +29,8 @@ def parse_fraction(s):
         p, q = (int(x) for x in s.split("/"))
         if not q:
             raise ValueError("zero denominator in %r" % s)
-        return Fr(p, q)
-    return Fr(int(s))
+        return div(p, q)
+    return int(s)
 
 
 def _fmt_coeff(v):
@@ -96,12 +93,12 @@ def _split_terms(text):
 
 
 def parse_term(alg, text, symbol="d"):
-    """One signed term -> (multi-index, Fraction)."""
+    """One signed term -> (multi-index, coefficient)."""
     m = _TERM_RE.fullmatch(text)
     if not m or (m.group("coeff") is None and m.group("mono") is None):
         raise ValueError("cannot parse term %r" % text)
-    sign = Fr(-1) if m.group("sign") == "-" else Fr(1)
-    coeff = parse_fraction(m.group("coeff")) if m.group("coeff") else Fr(1)
+    sign = -1 if m.group("sign") == "-" else 1
+    coeff = parse_fraction(m.group("coeff")) if m.group("coeff") else 1
     if m.group("mono"):
         if m.group("mono") != symbol:
             raise ValueError("expected %s^(...) monomials in %r" % (symbol, text))
@@ -135,7 +132,7 @@ def parse_tensor(alg, text, arity=None, symbol="d"):
         if arity is not None and len(factors) != arity:
             raise ValueError("expected %d tensor factors in %r" % (arity, term))
         key = []
-        coeff = Fr(1)
+        coeff = 1
         for pos, f in enumerate(factors):
             I, v = parse_term(alg, f if pos == 0 else f.strip(), symbol)
             key.append(I)
@@ -173,7 +170,7 @@ def parse_module_element(module, text):
         left, gname = term.rsplit("@", 1)
         gname = gname.strip()
         left = left.strip()
-        sign = Fr(1)
+        sign = 1
         while left and left[0] in "+-":
             if left[0] == "-":
                 sign = -sign
@@ -250,7 +247,7 @@ def parse_pform(alg, text, degree=None):
         if list(T) != sorted(set(T)):
             raise ValueError("form indices must be strictly increasing")
         left = left.strip()
-        sign = Fr(1)
+        sign = 1
         while left and left[0] in "+-":
             if left[0] == "-":
                 sign = -sign

@@ -11,15 +11,18 @@ Multiplication straightens words of generators with the rewriting rule
 d_j d_i = d_i d_j - [d_i, d_j] (for j > i), memoized per word on the
 owning algebra, and converts between plain and divided monomials at the
 boundary.  Filtration degree of d^(I) is |I|.
+
+Coefficients follow the `linalg` invariant: `int` or `Fraction`, never
+float.  Over an abelian algebra every product and antipode coefficient is
+an integer (a product of binomials, a sign); otherwise the conversion
+divides exactly with `div`, so an integral coefficient stays an `int`.
 """
 
-from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 
-from .linalg import SparseCombination, bump
-
-Fr = Fraction
+from .linalg import SparseCombination, bump, div, exact
 
 
 # -- multi-index helpers ----------------------------------------------------
@@ -53,11 +56,15 @@ def compositions(total, parts):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)
 def mi_splits(I, parts):
-    """All ways of writing I as an ordered sum of `parts` multi-indices."""
+    """All ways of writing I as an ordered sum of `parts` multi-indices.
+
+    A tuple, memoised on (I, parts): the splits depend on nothing else.
+    """
     per_coord = [list(compositions(x, parts)) for x in I]
-    for choice in iproduct(*per_coord):
-        yield tuple(tuple(c[p] for c in choice) for p in range(parts))
+    return tuple(tuple(tuple(c[p] for c in choice) for p in range(parts))
+                 for choice in iproduct(*per_coord))
 
 
 def multiindices_up_to(n, D):
@@ -87,7 +94,7 @@ def mi_of_sorted_word(word, n):
 def _straighten(alg, word):
     """Expand an arbitrary generator word in the plain PBW monomial basis.
 
-    Returns {multi-index: Fraction} with d^I meaning the plain ordered
+    Returns {multi-index: coefficient} with d^I meaning the plain ordered
     product (no factorials).  Recursion swaps the first descent and adds
     the bracket correction; results are memoized on the algebra.
     """
@@ -101,7 +108,7 @@ def _straighten(alg, word):
             desc = t
             break
     if desc is None:
-        res = {mi_of_sorted_word(word, alg.dim): Fr(1)}
+        res = {mi_of_sorted_word(word, alg.dim): 1}
         cache[word] = res
         return res
     a, b = word[desc], word[desc + 1]
@@ -124,11 +131,10 @@ def mul_basis(alg, I, J):
         return hit
     if alg.is_abelian:
         K = mi_add(I, J)
-        coeff = Fr(mi_factorial(K), mi_factorial(I) * mi_factorial(J))
-        res = {K: coeff}
+        res = {K: mi_factorial(K) // (mi_factorial(I) * mi_factorial(J))}
     else:
-        norm = Fr(1, mi_factorial(I) * mi_factorial(J))
-        res = {K: c * norm * mi_factorial(K)
+        norm = mi_factorial(I) * mi_factorial(J)
+        res = {K: div(c * mi_factorial(K), norm)
                for K, c in _straighten(alg, word_of(I) + word_of(J)).items()}
     alg._mul_cache[key] = res
     return res
@@ -140,10 +146,10 @@ def antipode_basis(alg, I):
     if hit is not None:
         return hit
     if alg.is_abelian:
-        res = {I: Fr((-1) ** mi_weight(I))}
+        res = {I: (-1) ** mi_weight(I)}
     else:
-        sign = Fr((-1) ** mi_weight(I), mi_factorial(I))
-        res = {K: sign * c * mi_factorial(K)
+        sign, norm = (-1) ** mi_weight(I), mi_factorial(I)
+        res = {K: div(sign * c * mi_factorial(K), norm)
                for K, c in _straighten(alg, tuple(reversed(word_of(I)))).items()}
     alg._antipode_cache[I] = res
     return res
@@ -161,7 +167,7 @@ class HElt(SparseCombination):
         self.alg = alg
         self.c = {}
         for I, v in (coeffs or {}).items():
-            v = Fr(v)
+            v = exact(v)
             if v:
                 self.c[tuple(I)] = v
 
@@ -214,7 +220,7 @@ class HElt(SparseCombination):
         return self._with(out)
 
     def counit(self):
-        return self.c.get(mi_zero(self.alg.dim), Fr(0))
+        return self.c.get(mi_zero(self.alg.dim), 0)
 
     def degree(self):
         """Filtration degree; None for the zero element."""
@@ -248,7 +254,7 @@ class TensorElt(SparseCombination):
         self.n = n
         self.c = {}
         for key, v in (coeffs or {}).items():
-            v = Fr(v)
+            v = exact(v)
             if v:
                 self.c[tuple(tuple(I) for I in key)] = v
 
@@ -268,7 +274,7 @@ class TensorElt(SparseCombination):
         keys = [list(f.c.items()) for f in factors]
         for combo in iproduct(*keys):
             key = tuple(I for I, _ in combo)
-            v = Fr(1)
+            v = 1
             for _, cv in combo:
                 v *= cv
             t._bump(key, v)
@@ -327,7 +333,7 @@ def fourier(t, slots=(0, 1), inverse=False):
     for key, v in t.c.items():
         g = key[j]
         for J, K in ((s[0], s[1]) for s in mi_splits(g, 2)):
-            left = antipode_basis(alg, J) if not inverse else {J: Fr(1)}
+            left = antipode_basis(alg, J) if not inverse else {J: 1}
             for Jp, cj in left.items():
                 for newI, ci in mul_basis(alg, key[i], Jp).items():
                     nk = list(key)

@@ -15,15 +15,11 @@ with the first polynomial slot acting on the first tensor factor.
 Constant kernel terms ride along as a central-extension candidate.
 """
 
-from fractions import Fraction
-
 from .liealg import abelian
-from .linalg import bump
+from .linalg import bump, div, exact
 from .pbw import (HElt, mi_add, mi_factorial, mi_splits, mi_weight, mi_zero)
 from .pseudo import PseudoStructure
 from .tensor import FreeModule, QElt
-
-Fr = Fraction
 
 
 class PoissonBracketSpec:
@@ -44,7 +40,7 @@ class PoissonBracketSpec:
                 self.add_central(i, j, A, c)
 
     def add_term(self, i, j, k, lam, der, coeff):
-        coeff = Fr(coeff)
+        coeff = exact(coeff)
         if not coeff:
             return
         key = (tuple(lam), tuple(der))
@@ -54,7 +50,7 @@ class PoissonBracketSpec:
             del self.Q[(i, j, k)]
 
     def add_central(self, i, j, lam, coeff):
-        coeff = Fr(coeff)
+        coeff = exact(coeff)
         if not coeff:
             return
         key = tuple(lam)
@@ -117,10 +113,10 @@ def _substitute(terms, flip_first):
     """
     out = {}
     for (A, B), c in terms.items():
-        sign = Fr((-1) ** mi_weight(A))
+        sign = (-1) ** mi_weight(A)
         for B1, B2 in ((s[0], s[1]) for s in mi_splits(B, 2)):
             # binomial from expanding (a + b)^B in commuting variables
-            mult = Fr(mi_factorial(B), mi_factorial(B1) * mi_factorial(B2))
+            mult = mi_factorial(B) // (mi_factorial(B1) * mi_factorial(B2))
             bump(out, (mi_add(A, B1), B2), sign * c * mult)
     return out
 
@@ -153,7 +149,7 @@ def poisson_to_pseudo(spec, alg=None):
         for (i, j), terms in spec.central.items():
             acc = HElt.zero(alg)
             for A, c in terms.items():
-                acc = acc + HElt.monomial(alg, A, Fr((-1) ** mi_weight(A)) * c
+                acc = acc + HElt.monomial(alg, A, (-1) ** mi_weight(A) * c
                                           * mi_factorial(A))
             beta[(i, j)] = acc
     return P, beta
@@ -178,14 +174,14 @@ def pseudo_to_poisson(P, names=None):
                     bump(terms, (M, L2, index[g]), v * _divided_product_coeff(key[0], L1))
             for (M, K, k), c in terms.items():
                 # divided monomials back to plain power coefficients
-                poly = {(M, K): c / (mi_factorial(M) * mi_factorial(K))}
+                poly = {(M, K): div(c, mi_factorial(M) * mi_factorial(K))}
                 for (A, B), c2 in _substitute(poly, False).items():
                     spec.add_term(i, j, k, A, B, c2)
     return spec
 
 
 def _divided_product_coeff(I, J):
-    return Fr(mi_factorial(mi_add(I, J)), mi_factorial(I) * mi_factorial(J))
+    return mi_factorial(mi_add(I, J)) // (mi_factorial(I) * mi_factorial(J))
 
 
 def lambda_bracket_terms(spec, i, j):
@@ -252,10 +248,10 @@ def catalog_special(r, N, chi=None):
     """
     if not 2 <= r <= N:
         raise ValueError("needs 2 <= r <= N")
-    chi = tuple(Fr(0) for _ in range(r)) if chi is None else tuple(Fr(x) for x in chi)
+    chi = (0,) * r if chi is None else tuple(map(exact, chi))
     from .constructions import GeneratedSubalgebra
     alg = abelian(N)
-    chi_full = tuple(list(chi) + [Fr(0)] * (N - r))
+    chi_full = chi + (0,) * (N - r)
     S = GeneratedSubalgebra(alg, chi_full, directions=list(range(r)))
     E = S.pair_structure()
     pairs = S.pairs
@@ -304,7 +300,7 @@ def catalog_h_cocycle(spec, alpha):
     if spec.r != 1:
         raise ValueError("the central candidate applies to single-field tables")
     for i, a in enumerate(alpha):
-        if Fr(a):
+        if exact(a):
             ei = tuple(1 if p == i else 0 for p in range(spec.N))
             spec.add_central(0, 0, ei, a)
     return spec

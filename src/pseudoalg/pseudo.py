@@ -9,8 +9,24 @@ skew-commutativity, the Jacobi identity (or associativity), module
 identities and homomorphisms by exact comparison of canonical forms.
 """
 
+from fractions import Fraction
+
 from .pbw import HElt, mi_splits, mi_weight, mul_basis
 from .tensor import MElt, QElt
+
+
+def witness_text(w, nested=False):
+    """A witness as text: str(w), except that rationals inside dicts, tuples
+    and lists print with str, so an int and an equal Fraction print alike."""
+    if isinstance(w, dict):
+        return "{%s}" % ", ".join("%s: %s" % (witness_text(k, True), witness_text(v, True))
+                                  for k, v in w.items())
+    if isinstance(w, (tuple, list)):
+        inner = ", ".join(witness_text(x, True) for x in w)
+        if isinstance(w, list):
+            return "[%s]" % inner
+        return "(%s,)" % inner if len(w) == 1 else "(%s)" % inner
+    return repr(w) if nested and not isinstance(w, Fraction) else str(w)
 
 
 class CheckResult:
@@ -22,7 +38,7 @@ class CheckResult:
     def __repr__(self):
         return "%s: %s%s" % (self.name, "pass" if self.passed else "FAIL",
                              "" if self.passed or self.witness is None
-                             else " (%s)" % (self.witness,))
+                             else " (%s)" % witness_text(self.witness))
 
 
 class Report:
@@ -56,7 +72,7 @@ class Report:
             "title": self.title,
             "ok": self.ok,
             "checks": [{"name": c.name, "passed": c.passed,
-                        "witness": None if c.witness is None else str(c.witness)}
+                        "witness": None if c.witness is None else witness_text(c.witness)}
                        for c in self.checks],
         }
 

@@ -21,13 +21,10 @@ center used by central extensions); `_bump` then drops every term that
 is not constant on it.
 """
 
-from fractions import Fraction
 from itertools import product as iproduct
 
-from .linalg import SparseCombination, bump
+from .linalg import SparseCombination, bump, exact
 from .pbw import HElt, antipode_basis, mi_splits, mi_zero, mul_basis
-
-Fr = Fraction
 
 
 class FreeModule:
@@ -86,7 +83,7 @@ class MElt(SparseCombination):
         self.module = module
         self.c = {}
         for (I, g), v in (coeffs or {}).items():
-            self._bump(tuple(I), g, Fr(v))
+            self._bump(tuple(I), g, exact(v))
 
     def _bump(self, I, g, v):
         if not v:
@@ -135,7 +132,7 @@ class QElt(SparseCombination):
         self.c = {}
         self.canonical = canonical
         for (key, g, L), v in (coeffs or {}).items():
-            self._bump(tuple(tuple(I) for I in key), g, tuple(L), Fr(v))
+            self._bump(tuple(tuple(I) for I in key), g, tuple(L), exact(v))
 
     def _bump(self, key, g, L, v):
         if not v:

@@ -1,0 +1,142 @@
+"""The exact-value helpers, the eliminator on explicit zeros, and the value
+types the kernel hands back: int or Fraction, never float, never bool."""
+
+from fractions import Fraction as Fr
+from itertools import product
+
+import pytest
+
+from pseudoalg import liealg
+from pseudoalg.cohomology import (sd_central_suite, solve_central_extensions,
+                                  solve_central_extensions_rank1)
+from pseudoalg.constructions import (Rank1Datum, make_current, make_rank1, make_sd,
+                                     make_wd, named_rank1_datum, wd_element)
+from pseudoalg.liealg import Form, GeometricDatum, validate_geometric_datum
+from pseudoalg.linalg import div, exact, nullspace, solve
+from pseudoalg.pbw import HElt, antipode_basis, mi_splits, mul_basis, multiindices_up_to
+from pseudoalg.poisson import PoissonBracketSpec, pseudo_to_poisson
+from pseudoalg.pseudo import PseudoStructure
+from pseudoalg.tensor import FreeModule, QElt
+
+
+def _assert_exact(values, what):
+    for v in values:
+        assert type(v) in (int, Fr), "%s: %r is a %s" % (what, v, type(v).__name__)
+
+
+def test_exact_keeps_integral_values_int():
+    for v, want in ((3, 3), (Fr(6, 3), 2), (Fr(1, 2), Fr(1, 2)), (True, 1),
+                    ("-4/2", -2), ("1/3", Fr(1, 3)), (0.5, Fr(1, 2))):
+        got = exact(v)
+        assert got == want and type(got) is type(want), v
+
+
+def test_div_is_exact():
+    for a, b, want in ((6, 3, 2), (1, 2, Fr(1, 2)), (-3, 6, Fr(-1, 2)), (Fr(3, 2), Fr(1, 2), 3),
+                       (Fr(1, 3), 2, Fr(1, 6)), (4, Fr(2, 3), 6), (0, 5, 0)):
+        got = div(a, b)
+        assert got == want and type(got) is type(want), (a, b)
+    with pytest.raises(ZeroDivisionError):
+        div(1, 0)
+
+
+def test_nullspace_drops_explicit_zero_entries():
+    assert nullspace([{0: Fr(0), 1: Fr(1)}], [0, 1]) == [{0: 1}]
+
+
+def test_nullspace_and_solve_on_mixed_rows_are_exact():
+    rows = [{0: 2, 1: Fr(1, 3), 2: 0}, {1: Fr(3, 2), 2: 4, 3: Fr(6, 2)}, {0: True, 3: 1}]
+    kernel = nullspace(rows, range(4))
+    assert kernel
+    for v in kernel:
+        _assert_exact(v.values(), "nullspace")
+        assert all(sum(c * v.get(k, 0) for k, c in row.items()) == 0 for row in rows)
+    rhs = [dict(row, __rhs__=Fr(5, 4) if i % 2 else 7) for i, row in enumerate(rows)]
+    sol = solve(rhs)
+    _assert_exact(sol.values(), "solve")
+    for row in rhs:
+        assert sum(c * sol.get(k, 0) for k, c in row.items() if k != "__rhs__") == row["__rhs__"]
+
+
+def test_pbw_tables_are_exact(catalog_algebra):
+    monos = multiindices_up_to(catalog_algebra.dim, 3)
+    for I, J in product(monos, repeat=2):
+        _assert_exact(mul_basis(catalog_algebra, I, J).values(), "mul_basis")
+    for I in monos:
+        _assert_exact(antipode_basis(catalog_algebra, I).values(), "antipode_basis")
+
+
+def test_x_element_is_exact():
+    for name in ("solv2", "abelian2", "heisenberg", "sl2"):
+        _assert_exact(named_rank1_datum(name).x_element().values(), name)
+    # r^{12} = -r^{21} = 1/3 over sl2 (e, f, h): x = (1/2)(1/3 [e, f] - 1/3 [f, e]) = h/3
+    datum = Rank1Datum(liealg.sl2(), [[0, Fr(1, 3), 0], [Fr(-1, 3), 0, 0], [0, 0, 0]], (0, 0, 0))
+    x = datum.x_element()
+    assert x == {2: Fr(1, 3)}
+    _assert_exact(x.values(), "x_element")
+
+
+def test_quotient_sites_divide_exactly():
+    """Thirds that an int / int would round to binary floats come out as
+    Fractions wherever the package divides."""
+    line, heis = liealg.abelian(1), liealg.heisenberg3()
+    for alg, s in ((line, (Fr(-1, 3),)), (heis, (0, 0, Fr(-1, 3)))):
+        theta = Form(alg, 1, {(alg.dim - 1,): 3})
+        rep = validate_geometric_datum(alg, GeometricDatum("K", theta=theta))
+        assert rep.data["s"] == s
+        _assert_exact(rep.data["s"], "contact s")
+    # d^(3,0) (x) d_2 - 1/3 d^(2,1) (x) d_1 is (1/3) d^(2,0) e_12
+    S = make_sd(liealg.abelian(2))
+    w = wd_element(S.ambient, [((3, 0), 1, 1), ((2, 1), 0, Fr(-1, 3))])
+    assert S.express(w) == {(0, 1): HElt(S.alg, {(2, 0): Fr(1, 3)})}
+    # the pseudo coefficient -2 of d^(3) (x) 1 is the kernel lambda^3 / 3
+    mod = FreeModule(line, [0])
+    P = PseudoStructure(mod, table={(0, 0): QElt(mod, 2, {(((3,), (0,)), 0, (0,)): -2})})
+    assert pseudo_to_poisson(P) == PoissonBracketSpec(1, 1, {(0, 0, 0): {((3,), (0,)): Fr(1, 3)}})
+
+
+# the central-extension windows of the benchmark with dmax <= 4
+CENTRAL_WINDOWS = (
+    [(s, d) for s in ("rank1:w1", "rank1:abelian2", "rank1:heisenberg", "rank1:solv2",
+                      "rank1:sl2") for d in (3, 4)]
+    + [(s, d) for s in ("cur:sl2", "wd:solv2", "wd:heis3", "wd:abelian3", "sd:abelian3")
+       for d in (3, 4)]
+    + [("sd:abelian4", 3)])
+
+
+def _central_solutions(struct, dmax):
+    family, _, name = struct.partition(":")
+    if family == "rank1":
+        datum = (Rank1Datum(liealg.abelian(1), [[0]], (1,)) if name == "w1"
+                 else named_rank1_datum(name))
+        P = make_rank1(datum, run_axioms=False)
+        return [solve_central_extensions_rank1(P, dmax), solve_central_extensions(P, dmax)]
+    alg = liealg.algebra_by_name(name)
+    if family == "sd":
+        return [sd_central_suite(alg, dmax)]
+    if family == "cur":
+        return [solve_central_extensions(make_current(liealg.abelian(1), alg), dmax)]
+    return [solve_central_extensions(make_wd(alg)[0], dmax)]
+
+
+@pytest.mark.parametrize("struct,dmax", CENTRAL_WINDOWS,
+                         ids=["%s@%d" % w for w in CENTRAL_WINDOWS])
+def test_central_solutions_are_exact(struct, dmax):
+    for sol in _central_solutions(struct, dmax):
+        for vec in sol.basis + sol.trivial + sol.representatives:
+            _assert_exact(vec.values(), struct)
+
+
+def _reference_splits(I, parts):
+    from pseudoalg.pbw import compositions
+    per_coord = [list(compositions(x, parts)) for x in I]
+    return [tuple(tuple(c[p] for c in choice) for p in range(parts))
+            for choice in product(*per_coord)]
+
+
+def test_mi_splits_memoised_tuple_matches_reference():
+    for I in multiindices_up_to(3, 4):
+        for parts in (1, 2, 3):
+            got = mi_splits(I, parts)
+            assert isinstance(got, tuple) and list(got) == _reference_splits(I, parts)
+            assert mi_splits(I, parts) is got

@@ -10,7 +10,7 @@ from pseudoalg.constructions import (make_current, make_gc,
                                      make_rank1_from_alpha, make_wd,
                                      named_rank1_datum)
 from pseudoalg.pbw import HElt, TensorElt, multiindices_up_to
-from pseudoalg.pseudo import (jacobi_residual, skew_residual, triple_compose,
+from pseudoalg.pseudo import (Report, jacobi_residual, skew_residual, triple_compose,
                               verify_axioms, verify_homomorphism, verify_module,
                               x_bracket)
 from pseudoalg.tensor import MElt, QElt
@@ -211,3 +211,15 @@ def test_commutator_structures_pass_lie_axioms():
         C, G = make_gc(alg, n)
         assert verify_axioms(C).ok      # associativity
         assert verify_axioms(G).ok      # skew + Jacobi of the commutator
+
+
+def test_dict_witness_prints_ints_and_fractions_alike():
+    texts = []
+    for one in (1, Fr(1)):
+        rep = Report("w")
+        rep.record("jacobi", False, {"triple": (0, 1, 2), "residual": {2: one, 0: Fr(-1, 2)},
+                                     "rows": [one], "single": (one,)})
+        texts.append((rep.as_dict()["checks"][0]["witness"], repr(rep)))
+    assert texts[0] == texts[1]
+    witness = "{'triple': (0, 1, 2), 'residual': {2: 1, 0: -1/2}, 'rows': [1], 'single': (1,)}"
+    assert texts[0] == (witness, "Report(w): FAILED\n  jacobi: FAIL (%s)" % witness)
