@@ -212,16 +212,6 @@ class AnnihilationElement(SparseCombination):
                           for g, s in sorted(parts.items(), key=lambda kv: str(kv[0])))
 
 
-def table_depth_cost(P):
-    """Worst filtration degree moved onto functionals by one bracket."""
-    cost = 0
-    for gi in P.verify_gens:
-        for gj in P.verify_gens:
-            for (key, g, L), _ in P.gen_bracket(gi, gj).c.items():
-                cost = max(cost, mi_weight(key[0]) + mi_weight(L))
-    return cost
-
-
 def annihilation_bracket(P, u, v):
     """Bracket on functionals (x)_H L induced by the structure table:
 
@@ -231,7 +221,7 @@ def annihilation_bracket(P, u, v):
     cost; a negative guarantee raises PrecisionError naming the need.
     """
     alg = P.alg
-    cost = table_depth_cost(P)
+    cost = P.max_coefficient_degree()
     cut = min(u.cutoff, v.cutoff) - cost
     if cut < 0:
         raise PrecisionError(

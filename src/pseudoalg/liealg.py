@@ -40,6 +40,8 @@ class LieAlgebra:
         self._trace_ad = None
         self._killing = None
         self._mul_cache = {}
+        # pbw._gen_mul per (generator, multi-index): at most dim entries for
+        # each divided monomial a product or antipode reaches
         self._straight_cache = {}
         self._antipode_cache = {}
         self._adjoint_cache = {}

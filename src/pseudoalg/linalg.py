@@ -127,12 +127,6 @@ def vec_add(u, v, cv=1):
     return out
 
 
-def vec_scale(u, c):
-    if not c:
-        return {}
-    return {k: c * v for k, v in u.items()}
-
-
 class SparseEliminator:
     """Incremental row reduction of sparse rational vectors.
 

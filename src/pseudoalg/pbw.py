@@ -7,15 +7,17 @@ coproduct integer-free:
 
     coproduct(d^(I)) = sum over J + K = I of d^(J) (x) d^(K)
 
-Multiplication straightens words of generators with the rewriting rule
-d_j d_i = d_i d_j - [d_i, d_j] (for j > i), memoized per word on the
-owning algebra, and converts between plain and divided monomials at the
-boundary.  Filtration degree of d^(I) is |I|.
+Multiplication rests on one step, `_gen_mul`: the left product d_g d^(K)
+of a generator and a divided monomial, straightened with
+d_g d_h = d_h d_g + [d_g, d_h] and memoized per (g, K) on the owning
+algebra.  `mul_basis` and `antipode_basis` peel one generator at a time
+onto it, so every recursion is linear in the weight.  Filtration degree
+of d^(I) is |I|.
 
 Coefficients follow the `linalg` invariant: `int` or `Fraction`, never
 float.  Over an abelian algebra every product and antipode coefficient is
-an integer (a product of binomials, a sign); otherwise the conversion
-divides exactly with `div`, so an integral coefficient stays an `int`.
+an integer (a product of binomials, a sign); otherwise each step divides
+exactly with `div`, so an integral coefficient stays an `int`.
 """
 
 from functools import lru_cache
@@ -75,82 +77,84 @@ def multiindices_up_to(n, D):
     return out
 
 
-def word_of(I):
-    w = []
-    for pos, reps in enumerate(I):
-        w.extend([pos] * reps)
-    return tuple(w)
-
-
-def mi_of_sorted_word(word, n):
-    I = [0] * n
-    for g in word:
-        I[g] += 1
-    return tuple(I)
-
-
 # -- straightening ----------------------------------------------------------
 
-def _straighten(alg, word):
-    """Expand an arbitrary generator word in the plain PBW monomial basis.
+def _mi_step(K, i, d):
+    """K with entry i moved by d."""
+    return K[:i] + (K[i] + d,) + K[i + 1:]
 
-    Returns {multi-index: coefficient} with d^I meaning the plain ordered
-    product (no factorials).  Recursion swaps the first descent and adds
-    the bracket correction; results are memoized on the algebra.
+
+def _gen_mul(alg, g, K):
+    """Left product d_g d^(K) of a generator and a divided monomial.
+
+    With h the smallest generator in K: for g <= h the product is ordered,
+    (k_g + 1) d^(K + e_g).  Otherwise d^(K) = d_h d^(K - e_h) / k_h, and
+    d_g d_h = d_h d_g + [d_g, d_h] leaves products of lower weight.
+    Memoized per (g, K) on the algebra.
     """
-    cache = alg._straight_cache
-    hit = cache.get(word)
+    key = (g, K)
+    hit = alg._straight_cache.get(key)
     if hit is not None:
         return hit
-    desc = None
-    for t in range(len(word) - 1):
-        if word[t] > word[t + 1]:
-            desc = t
-            break
-    if desc is None:
-        res = {mi_of_sorted_word(word, alg.dim): 1}
-        cache[word] = res
-        return res
-    a, b = word[desc], word[desc + 1]
-    swapped = word[:desc] + (b, a) + word[desc + 2:]
-    acc = dict(_straighten(alg, swapped))
-    # word = swapped + [d_a, d_b]-correction in place of the pair
-    for k, c in alg.bracket(a, b).items():
-        sub = word[:desc] + (k,) + word[desc + 2:]
-        for I, ci in _straighten(alg, sub).items():
-            bump(acc, I, c * ci)
-    cache[word] = acc
+    h = next((i for i, k in enumerate(K) if k), g)
+    if g <= h:
+        res = {_mi_step(K, g, 1): K[g] + 1}
+    else:
+        rest = _mi_step(K, h, -1)
+        acc = _gen_times(alg, h, _gen_mul(alg, g, rest), {})
+        for m, b in alg.bracket(g, h).items():
+            _gen_times(alg, m, {rest: b}, acc)
+        res = {L: div(c, K[h]) for L, c in acc.items()}
+    alg._straight_cache[key] = res
+    return res
+
+
+def _gen_times(alg, g, comb, acc):
+    """acc += d_g times the combination {multi-index: coefficient}."""
+    for L, c in comb.items():
+        for M, cm in _gen_mul(alg, g, L).items():
+            bump(acc, M, c * cm)
     return acc
 
 
 def mul_basis(alg, I, J):
-    """Product d^(I) d^(J) expanded in divided-power monomials."""
+    """Product d^(I) d^(J) expanded in divided-power monomials.
+
+    Peels the first generator h of I: d^(I) = d_h d^(I - e_h) / i_h.
+    """
     key = (I, J)
     hit = alg._mul_cache.get(key)
     if hit is not None:
         return hit
+    h = next((i for i, k in enumerate(I) if k), None)
     if alg.is_abelian:
         K = mi_add(I, J)
         res = {K: mi_factorial(K) // (mi_factorial(I) * mi_factorial(J))}
+    elif h is None:
+        res = {J: 1}
     else:
-        norm = mi_factorial(I) * mi_factorial(J)
-        res = {K: div(c * mi_factorial(K), norm)
-               for K, c in _straighten(alg, word_of(I) + word_of(J)).items()}
+        acc = _gen_times(alg, h, mul_basis(alg, _mi_step(I, h, -1), J), {})
+        res = {K: div(c, I[h]) for K, c in acc.items()}
     alg._mul_cache[key] = res
     return res
 
 
 def antipode_basis(alg, I):
-    """Antipode of d^(I): sign-reversed word product, back in divided powers."""
+    """Antipode of d^(I), peeling the last generator h of I:
+
+        S(d^(I)) = -d_h S(d^(I - e_h)) / i_h.
+    """
     hit = alg._antipode_cache.get(I)
     if hit is not None:
         return hit
+    h = next((i for i in reversed(range(len(I))) if I[i]), None)
     if alg.is_abelian:
         res = {I: (-1) ** mi_weight(I)}
+    elif h is None:
+        res = {I: 1}
     else:
-        sign, norm = (-1) ** mi_weight(I), mi_factorial(I)
-        res = {K: div(sign * c * mi_factorial(K), norm)
-               for K, c in _straighten(alg, tuple(reversed(word_of(I)))).items()}
+        acc = _gen_times(alg, h, antipode_basis(alg, _mi_step(I, h, -1)), {})
+        res = {K: div(c, -I[h]) for K, c in acc.items()}
     alg._antipode_cache[I] = res
     return res
 

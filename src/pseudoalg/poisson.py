@@ -140,7 +140,7 @@ def poisson_to_pseudo(spec, alg=None):
     for (i, j, k), terms in spec.Q.items():
         for (M, K), c in _substitute(terms, True).items():
             # plain powers z^M w^K against divided monomials
-            coeff = c * mi_factorial(M) * mi_factorial(K)
+            coeff = exact(c * mi_factorial(M) * mi_factorial(K))
             table[(i, j)]._bump((M, K), k, zero, coeff)
     P = PseudoStructure(mod, "lie", table=table, name="poisson(r=%d,N=%d)" % (spec.r, spec.N))
     beta = None

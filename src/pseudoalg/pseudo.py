@@ -156,11 +156,13 @@ class PseudoStructure:
         return extend_bilinear(self.gen_bracket, a, b, self.module).canonicalize()
 
     def max_coefficient_degree(self):
-        """Largest filtration degree occurring in the stored bracket table."""
+        """Worst filtration degree one bracket of `verify_gens` moves onto
+        functionals; read through `gen_bracket`, so a lazy table agrees."""
         best = 0
-        for q in self._table.values():
-            for (key, g, L), _ in q.c.items():
-                best = max(best, mi_weight(key[0]) + mi_weight(L))
+        for gi in self.verify_gens:
+            for gj in self.verify_gens:
+                for (key, g, L), _ in self.gen_bracket(gi, gj).c.items():
+                    best = max(best, mi_weight(key[0]) + mi_weight(L))
         return best
 
     def __repr__(self):

@@ -60,6 +60,14 @@ def test_bracket_and_xbracket():
     assert code == 0 and out.strip() == "(-2) @ w_d1"
 
 
+def test_deep_bracket_exits_zero():
+    # weight 34 on each side: straightening recursion stays linear in the weight
+    code, out = run_cli("bracket", "--structure", "wd:sl2",
+                        "--left", "(d^(0,0,34)) @ w_h", "--right", "(d^(34,0,0)) @ w_e")
+    assert code == 0
+    assert out.rstrip().endswith("+ 35*(d^(35,0,34) # d^(0,0,0)) @ w_h")
+
+
 def test_xbracket_precision_exit():
     code, _ = run_cli("xbracket", "--structure", "wd:abelian1",
                       "--left", "(1) @ w_d1", "--right", "(1) @ w_d1",

@@ -155,11 +155,12 @@ def test_generic_solver_agrees_with_rank1():
 
 def test_solution_space_closed_under_combinations():
     sol = solve_central_extensions_rank1(w_type_dim1(), dmax=4)
-    from pseudoalg.linalg import SparseEliminator, vec_add, vec_scale
+    from pseudoalg.linalg import SparseEliminator, vec_add
     elim = SparseEliminator()
     for v in sol.basis:
         elim.add(v)
-    combo = vec_add(vec_scale(sol.basis[0], Fr(2, 3)), sol.basis[-1], Fr(-5))
+    scaled = {k: Fr(2, 3) * v for k, v in sol.basis[0].items()}
+    combo = vec_add(scaled, sol.basis[-1], Fr(-5))
     assert elim.contains(combo)
 
 

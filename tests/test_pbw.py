@@ -1,9 +1,13 @@
 from fractions import Fraction as Fr
+from math import factorial
+
+import pytest
 
 from conftest import random_helt
 from pseudoalg import liealg
-from pseudoalg.pbw import (HElt, TensorElt, antipode_basis, fourier,
-                           mi_zero, multiindices_up_to)
+from pseudoalg.linalg import bump, div
+from pseudoalg.pbw import (HElt, TensorElt, antipode_basis, fourier, mi_factorial,
+                           mi_weight, mi_zero, mul_basis, multiindices_up_to)
 
 
 def test_abelian_multinomial_product():
@@ -212,3 +216,105 @@ def test_fourier_braid(catalog_algebra, rng):
         lhs = fourier(fourier(fourier(t, (1, 2)), (0, 2)), (0, 1))
         rhs = fourier(fourier(t, (0, 1)), (1, 2))
         assert lhs == rhs
+
+
+# -- reference: the word rewriter the generator step replaced -----------------
+
+def word_of(I):
+    w = []
+    for pos, reps in enumerate(I):
+        w.extend([pos] * reps)
+    return tuple(w)
+
+
+def mi_of_sorted_word(word, n):
+    I = [0] * n
+    for g in word:
+        I[g] += 1
+    return tuple(I)
+
+
+def _straighten(alg, word, cache):
+    """Expand a generator word in the plain PBW monomial basis.
+
+    Recursion swaps the first descent and adds the bracket correction,
+    d_j d_i = d_i d_j - [d_i, d_j] for j > i; results are memoized in cache.
+    """
+    hit = cache.get(word)
+    if hit is not None:
+        return hit
+    desc = None
+    for t in range(len(word) - 1):
+        if word[t] > word[t + 1]:
+            desc = t
+            break
+    if desc is None:
+        res = {mi_of_sorted_word(word, alg.dim): 1}
+        cache[word] = res
+        return res
+    a, b = word[desc], word[desc + 1]
+    swapped = word[:desc] + (b, a) + word[desc + 2:]
+    acc = dict(_straighten(alg, swapped, cache))
+    for k, c in alg.bracket(a, b).items():
+        sub = word[:desc] + (k,) + word[desc + 2:]
+        for I, ci in _straighten(alg, sub, cache).items():
+            bump(acc, I, c * ci)
+    cache[word] = acc
+    return acc
+
+
+def reference_mul_basis(alg, I, J, cache):
+    norm = mi_factorial(I) * mi_factorial(J)
+    return {K: div(c * mi_factorial(K), norm)
+            for K, c in _straighten(alg, word_of(I) + word_of(J), cache).items()}
+
+
+def reference_antipode_basis(alg, I, cache):
+    sign, norm = (-1) ** mi_weight(I), mi_factorial(I)
+    return {K: div(sign * c * mi_factorial(K), norm)
+            for K, c in _straighten(alg, tuple(reversed(word_of(I))), cache).items()}
+
+
+def _exact(table):
+    return all(type(v) is int or v.denominator != 1 for v in table.values())
+
+
+@pytest.mark.parametrize("name", ["solv2", "heis3", "sl2"])
+def test_generator_step_matches_word_rewriter(name):
+    alg = liealg.algebra_by_name(name)
+    cache = {}
+    mis = multiindices_up_to(alg.dim, 4)
+    for I in mis:
+        got = antipode_basis(alg, I)
+        assert got == reference_antipode_basis(alg, I, cache), I
+        assert _exact(got), I
+        for J in mis:
+            got = mul_basis(alg, I, J)
+            assert got == reference_mul_basis(alg, I, J, cache), (I, J)
+            assert _exact(got), (I, J)
+
+
+# -- deep probes against closed forms -------------------------------------------
+
+def probe_closed_form(name, k):
+    """d^(0..,k) d^(k,..0) without straightening.
+
+    sl2 (e, f, h): h e = e (h + 2), so h^k e^k = e^k (h + 2k)^k and
+        d^(0,0,k) d^(k,0,0) = sum_j (2k)^(k-j) / (k-j)! d^(k,0,j).
+    solv2 (a, b), [a, b] = b: b a = (a - 1) b, so b^k a^k = (a - k)^k b^k and
+        d^(0,k) d^(k,0) = sum_j (-k)^(k-j) / (k-j)! d^(j,k).
+    """
+    if name == "sl2":
+        return {(k, 0, j): Fr((2 * k) ** (k - j), factorial(k - j))
+                for j in range(k + 1)}
+    return {(j, k): Fr((-k) ** (k - j), factorial(k - j)) for j in range(k + 1)}
+
+
+@pytest.mark.parametrize("name,k", [("sl2", 18), ("sl2", 33), ("sl2", 37),
+                                    ("sl2", 100), ("solv2", 22), ("solv2", 35)])
+def test_deep_probe_closed_form(name, k):
+    alg = liealg.algebra_by_name(name)
+    zeros = (0,) * (alg.dim - 1)
+    got = mul_basis(alg, zeros + (k,), (k,) + zeros)
+    assert got == probe_closed_form(name, k)
+    assert _exact(got)

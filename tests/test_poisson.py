@@ -75,6 +75,13 @@ def test_zero_spec_abelian_image():
     assert pseudo_to_poisson(P) == spec
 
 
+def test_integral_table_coefficient_is_int():
+    spec = PoissonBracketSpec(1, 1, {(0, 0, 0): {((3,), (0,)): Fr(1, 3)}})
+    P, _ = poisson_to_pseudo(spec)
+    (v,) = P.gen_bracket(0, 0).c.values()
+    assert v == -2 and type(v) is int
+
+
 @pytest.mark.parametrize("build", [
     lambda: catalog_general(1, 1),
     lambda: catalog_general(2, 2),

@@ -181,6 +181,16 @@ def test_x_bracket_locality():
             assert not x_bracket(P, a, x, b)
 
 
+def test_max_coefficient_degree_same_on_lazy_table():
+    C, P = make_gc(liealg.abelian(1), 2)
+    fresh = P.max_coefficient_degree()
+    for gi in P.verify_gens:
+        for gj in P.verify_gens:
+            P.bracket(P.element(gi), P.element(gj))
+    assert fresh == P.max_coefficient_degree() == 1
+    assert C.max_coefficient_degree() == 1
+
+
 def test_x_bracket_precision_error():
     P, _ = make_wd(liealg.abelian(1))
     shallow = TruncatedSeries(P.alg, 0, {(0,): 1})
