@@ -10,8 +10,8 @@ coproduct integer-free:
 Multiplication rests on one step, `_gen_mul`: the left product d_g d^(K)
 of a generator and a divided monomial, straightened with
 d_g d_h = d_h d_g + [d_g, d_h] and memoized per (g, K) on the owning
-algebra.  `mul_basis` and `antipode_basis` peel one generator at a time
-onto it, so every recursion is linear in the weight.  Filtration degree
+algebra.  `mul_basis` and `antipode_basis` apply it one generator at a
+time in a loop; only `_gen_mul` recurses, linearly in the weight.  Filtration degree
 of d^(I) is |I|.
 
 Coefficients follow the `linalg` invariant: `int` or `Fraction`, never
@@ -120,41 +120,45 @@ def _gen_times(alg, g, comb, acc):
 def mul_basis(alg, I, J):
     """Product d^(I) d^(J) expanded in divided-power monomials.
 
-    Peels the first generator h of I: d^(I) = d_h d^(I - e_h) / i_h.
+    d^(I) = d_1^{i_1} ... d_N^{i_N} / I!, so d^(J) is multiplied on the
+    left by d_h, divided by t, for h = N down to 1 and t = 1 .. i_h.
     """
     key = (I, J)
     hit = alg._mul_cache.get(key)
     if hit is not None:
         return hit
-    h = next((i for i, k in enumerate(I) if k), None)
     if alg.is_abelian:
         K = mi_add(I, J)
         res = {K: mi_factorial(K) // (mi_factorial(I) * mi_factorial(J))}
-    elif h is None:
-        res = {J: 1}
     else:
-        acc = _gen_times(alg, h, mul_basis(alg, _mi_step(I, h, -1), J), {})
-        res = {K: div(c, I[h]) for K, c in acc.items()}
+        res = {J: 1}
+        for h in reversed(range(len(I))):
+            for t in range(1, I[h] + 1):
+                res = {K: div(c, t)
+                       for K, c in _gen_times(alg, h, res, {}).items()}
     alg._mul_cache[key] = res
     return res
 
 
 def antipode_basis(alg, I):
-    """Antipode of d^(I), peeling the last generator h of I:
+    """Antipode of d^(I) = d_1^{i_1} ... d_N^{i_N} / I!, an anti-homomorphism:
 
-        S(d^(I)) = -d_h S(d^(I - e_h)) / i_h.
+        S(d^(I)) = (-d_N)^{i_N} ... (-d_1)^{i_1} / I!,
+
+    built by multiplying on the left by d_h, divided by -t, for h = 1 .. N
+    and t = 1 .. i_h.
     """
     hit = alg._antipode_cache.get(I)
     if hit is not None:
         return hit
-    h = next((i for i in reversed(range(len(I))) if I[i]), None)
     if alg.is_abelian:
         res = {I: (-1) ** mi_weight(I)}
-    elif h is None:
-        res = {I: 1}
     else:
-        acc = _gen_times(alg, h, antipode_basis(alg, _mi_step(I, h, -1)), {})
-        res = {K: div(c, -I[h]) for K, c in acc.items()}
+        res = {mi_zero(len(I)): 1}
+        for h in range(len(I)):
+            for t in range(1, I[h] + 1):
+                res = {K: div(c, -t)
+                       for K, c in _gen_times(alg, h, res, {}).items()}
     alg._antipode_cache[I] = res
     return res
 
