@@ -318,3 +318,26 @@ def test_deep_probe_closed_form(name, k):
     got = mul_basis(alg, zeros + (k,), (k,) + zeros)
     assert got == probe_closed_form(name, k)
     assert _exact(got)
+
+
+def test_weight_1000_peel_runs_in_a_loop():
+    """h e = e (h + 2): d^(0,0,k) d^(1,0,0) = sum_j 2^(k-j) / (k-j)! d^(1,0,j)."""
+    alg = liealg.algebra_by_name("sl2")
+    k = 1000
+    assert mul_basis(alg, (0, 0, k), (1, 0, 0)) == {
+        (1, 0, j): Fr(2 ** (k - j), factorial(k - j)) for j in range(k + 1)}
+    assert antipode_basis(alg, (k, 0, 0)) == {(k, 0, 0): 1}
+
+
+def test_public_names_called_once_per_product(monkeypatch):
+    """Wrappers on the module names see one call per product or antipode."""
+    import pseudoalg.pbw as pbw
+    calls = []
+    for name in ("mul_basis", "antipode_basis"):
+        inner = getattr(pbw, name)
+        monkeypatch.setattr(pbw, name, lambda *a, _f=inner, _n=name:
+                            calls.append(_n) or _f(*a))
+    alg = liealg.algebra_by_name("sl2")
+    pbw.mul_basis(alg, (1, 2, 3), (3, 2, 1))
+    pbw.antipode_basis(alg, (1, 2, 3))
+    assert calls == ["mul_basis", "antipode_basis"]
