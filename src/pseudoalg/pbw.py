@@ -10,8 +10,9 @@ coproduct integer-free:
 Multiplication rests on one step, `_gen_mul`: the left product d_g d^(K)
 of a generator and a divided monomial, straightened with
 d_g d_h = d_h d_g + [d_g, d_h] and memoized per (g, K) on the owning
-algebra.  `mul_basis` and `antipode_basis` apply it one generator at a
-time in a loop; only `_gen_mul` recurses, linearly in the weight.  Filtration degree
+algebra.  `mul_basis` and `antipode_basis` peel one generator at a time
+onto it in a loop (`_peel`) that caches every partial product; only
+`_gen_mul` recurses, linearly in the weight.  Filtration degree
 of d^(I) is |I|.
 
 Coefficients follow the `linalg` invariant: `int` or `Fraction`, never
@@ -117,50 +118,50 @@ def _gen_times(alg, g, comb, acc):
     return acc
 
 
+def _peel(alg, cache, key, I, base, pick, sign):
+    """d^(I) times `base` on the left, by d^(I) = d_h d^(I - e_h) / i_h.
+
+    h = pick(generators in I).  Walks that chain inward to the first entry
+    cached under key(I'), then outward, dividing each step by sign * i'_h
+    and caching every entry on the way.
+    """
+    chain = []
+    while (hit := cache.get(key(I))) is None and any(I):
+        h = pick(i for i, k in enumerate(I) if k)
+        chain.append((I, h))
+        I = _mi_step(I, h, -1)
+    res = base if hit is None else hit
+    for K, h in reversed(chain):
+        acc = _gen_times(alg, h, res, {})
+        res = cache[key(K)] = {L: div(c, sign * K[h]) for L, c in acc.items()}
+    return res
+
+
 def mul_basis(alg, I, J):
     """Product d^(I) d^(J) expanded in divided-power monomials.
 
-    d^(I) = d_1^{i_1} ... d_N^{i_N} / I!, so d^(J) is multiplied on the
-    left by d_h, divided by t, for h = N down to 1 and t = 1 .. i_h.
+    Peels the first generator h of I: d^(I) = d_h d^(I - e_h) / i_h.
     """
-    key = (I, J)
-    hit = alg._mul_cache.get(key)
+    hit = alg._mul_cache.get((I, J))
     if hit is not None:
         return hit
-    if alg.is_abelian:
-        K = mi_add(I, J)
-        res = {K: mi_factorial(K) // (mi_factorial(I) * mi_factorial(J))}
-    else:
-        res = {J: 1}
-        for h in reversed(range(len(I))):
-            for t in range(1, I[h] + 1):
-                res = {K: div(c, t)
-                       for K, c in _gen_times(alg, h, res, {}).items()}
-    alg._mul_cache[key] = res
+    if not alg.is_abelian:
+        return _peel(alg, alg._mul_cache, lambda K: (K, J), I, {J: 1}, min, 1)
+    K = mi_add(I, J)
+    res = alg._mul_cache[I, J] = {
+        K: mi_factorial(K) // (mi_factorial(I) * mi_factorial(J))}
     return res
 
 
 def antipode_basis(alg, I):
-    """Antipode of d^(I) = d_1^{i_1} ... d_N^{i_N} / I!, an anti-homomorphism:
+    """Antipode of d^(I), peeling the last generator h of I:
 
-        S(d^(I)) = (-d_N)^{i_N} ... (-d_1)^{i_1} / I!,
-
-    built by multiplying on the left by d_h, divided by -t, for h = 1 .. N
-    and t = 1 .. i_h.
+        S(d^(I)) = -d_h S(d^(I - e_h)) / i_h.
     """
-    hit = alg._antipode_cache.get(I)
-    if hit is not None:
-        return hit
     if alg.is_abelian:
-        res = {I: (-1) ** mi_weight(I)}
-    else:
-        res = {mi_zero(len(I)): 1}
-        for h in range(len(I)):
-            for t in range(1, I[h] + 1):
-                res = {K: div(c, -t)
-                       for K, c in _gen_times(alg, h, res, {}).items()}
-    alg._antipode_cache[I] = res
-    return res
+        return {I: (-1) ** mi_weight(I)}
+    return _peel(alg, alg._antipode_cache, lambda K: K, I,
+                 {mi_zero(len(I)): 1}, max, -1)
 
 
 # -- elements ---------------------------------------------------------------
