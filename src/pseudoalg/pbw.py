@@ -130,7 +130,7 @@ def _peel(alg, cache, key, I, base, pick, sign):
         h = pick(i for i, k in enumerate(I) if k)
         chain.append((I, h))
         I = _mi_step(I, h, -1)
-    res = base if hit is None else hit
+    res = cache[key(I)] = base if hit is None else hit
     for K, h in reversed(chain):
         acc = _gen_times(alg, h, res, {})
         res = cache[key(K)] = {L: div(c, sign * K[h]) for L, c in acc.items()}
@@ -143,14 +143,12 @@ def mul_basis(alg, I, J):
     Peels the first generator h of I: d^(I) = d_h d^(I - e_h) / i_h.
     """
     hit = alg._mul_cache.get((I, J))
-    if hit is not None:
-        return hit
-    if not alg.is_abelian:
-        return _peel(alg, alg._mul_cache, lambda K: (K, J), I, {J: 1}, min, 1)
-    K = mi_add(I, J)
-    res = alg._mul_cache[I, J] = {
-        K: mi_factorial(K) // (mi_factorial(I) * mi_factorial(J))}
-    return res
+    if hit is None and alg.is_abelian:
+        K = mi_add(I, J)
+        hit = alg._mul_cache[I, J] = {
+            K: mi_factorial(K) // (mi_factorial(I) * mi_factorial(J))}
+    return hit or _peel(alg, alg._mul_cache, lambda K: (K, J), I,
+                        {J: 1}, min, 1)
 
 
 def antipode_basis(alg, I):
@@ -158,10 +156,11 @@ def antipode_basis(alg, I):
 
         S(d^(I)) = -d_h S(d^(I - e_h)) / i_h.
     """
-    if alg.is_abelian:
-        return {I: (-1) ** mi_weight(I)}
-    return _peel(alg, alg._antipode_cache, lambda K: K, I,
-                 {mi_zero(len(I)): 1}, max, -1)
+    hit = alg._antipode_cache.get(I)
+    if hit is None and alg.is_abelian:
+        hit = alg._antipode_cache[I] = {I: (-1) ** mi_weight(I)}
+    return hit or _peel(alg, alg._antipode_cache, lambda K: K, I,
+                        {mi_zero(len(I)): 1}, max, -1)
 
 
 # -- elements ---------------------------------------------------------------
