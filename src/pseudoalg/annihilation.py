@@ -156,10 +156,6 @@ class TruncatedSeries(SparseCombination):
         return s + " + O(%d)" % (self.cutoff + 1)
 
 
-def h_act_series(h, x, side="left"):
-    return x.act(h, side)
-
-
 class AnnihilationElement(SparseCombination):
     """Element of (functionals) (x)_H L for a free module L, at a cutoff."""
 
@@ -238,7 +234,6 @@ def annihilation_bracket(P, u, v):
                 prod = xf * yg
                 if any(L):
                     prod = prod.act(HElt.monomial(alg, L, 1), "right")
-                prod = prod.truncate(min(prod.cutoff, cut)) if prod.cutoff > cut else prod
                 for I, s in prod.c.items():
                     if mi_weight(I) <= cut:
                         bump(out.c, (I, g), coeff * s)

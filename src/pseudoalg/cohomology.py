@@ -14,7 +14,7 @@ from itertools import chain, combinations_with_replacement
 from .constructions import make_sd
 from .linalg import bump, nullspace, quotient_representatives, span_dim
 from .pbw import (HElt, TensorElt, antipode_basis, mi_splits, mi_weight,
-                  mi_zero, mul_basis, multiindices_up_to)
+                  mi_zero, mul_antipode, mul_basis, multiindices_up_to)
 from .pseudo import (PseudoStructure, Report, compose_left, compose_right,
                      extend_bilinear)
 from .tensor import FreeModule, MElt, QElt
@@ -94,7 +94,7 @@ def differential(gamma):
                 ea, eb, ec = P.element(a), P.element(b), P.element(c)
                 acc = compose_right(ea, gamma.value2(eb, ec), M.act, M.module)
                 acc = acc - compose_right(eb, gamma.value2(ea, ec), M.act,
-                                          M.module).permuted([1, 0, 2]).canonicalize()
+                                          M.module).permuted([1, 0, 2])
                 acc = acc + compose_right(ec, gamma.value2(ea, eb), M.act,
                                           M.module).permuted([1, 2, 0]).canonicalize()
                 acc = acc - compose_left(P.bracket(ea, eb), gamma.value2, ec, M.module)
@@ -132,9 +132,9 @@ def extension_cocycle_residual(P, Mact, Nact, gamma, a, b, n):
     lhs = compose_left(P.bracket(ea, eb), gamma_ab, en, Mact.module)
     r1 = compose_right(ea, gamma_ab(eb, en), Mact.act, Mact.module)
     r2 = compose_right(eb, Nact.act(ea, en), lambda _, y: gamma_ab(eb, y),
-                       Mact.module).permuted([1, 0, 2]).canonicalize()
+                       Mact.module).permuted([1, 0, 2])
     r3 = compose_right(ea, gamma_ab(ea, en), lambda _, y: Mact.act(eb, y),
-                       Mact.module).permuted([1, 0, 2]).canonicalize()
+                       Mact.module).permuted([1, 0, 2])
     r4 = compose_right(ea, Nact.act(eb, en), lambda _, y: gamma_ab(ea, y), Mact.module)
     return (lhs - r1 + r2 + r3 - r4).canonicalize()
 
@@ -315,15 +315,7 @@ def _central_jacobi_rows(P, monos):
     are built only after those of the previous one were consumed.
     """
     alg = P.alg
-    products = {}  # (I, L) -> d^(I) S(d^(L))
     splits = {}    # (F, L, I) -> d^(L) d^(I) split, first leg times d^(F)
-
-    def times_antipode(I, L):
-        w = products.get((I, L))
-        if w is None:
-            w = products[(I, L)] = (HElt.monomial(alg, I, 1)
-                                    * HElt.monomial(alg, L, 1).antipode()).c
-        return w
 
     def split_against(F, L, I):
         out = splits.get((F, L, I))
@@ -339,11 +331,11 @@ def _central_jacobi_rows(P, monos):
         rows = {}
         for (key, g, L), v in P.gen_bracket(b, c).c.items():
             for I in monos:
-                for K, cv in times_antipode(I, L).items():
+                for K, cv in mul_antipode(alg, I, L).items():
                     _bump_row(rows, (K, key[0]), ((a, g), I), v * cv)
         for (key, g, L), v in P.gen_bracket(a, c).c.items():
             for I in monos:
-                for K, cv in times_antipode(I, L).items():
+                for K, cv in mul_antipode(alg, I, L).items():
                     _bump_row(rows, (key[0], K), ((b, g), I), -v * cv)
         for (key, g, L), v in P.gen_bracket(a, b).c.items():
             for I in monos:

@@ -10,7 +10,7 @@ from itertools import combinations
 
 from .liealg import validate_geometric_datum
 from .linalg import bump, div, exact, invert_matrix, sparse_sum
-from .pbw import (HElt, TensorElt, antipode_basis, mi_splits,
+from .pbw import (HElt, TensorElt, antipode_basis, mi_splits, mi_unit,
                   mi_weight, mi_zero, mul_basis, multiindices_up_to)
 from .pseudo import (ModuleStructure, PseudoStructure, Report,
                      verify_axioms, verify_homomorphism)
@@ -59,8 +59,8 @@ def make_wd(alg):
             q = QElt(mod, 2)
             for k, c in alg.bracket(a, b).items():
                 q._bump((zero, zero), k, zero, c)
-            ea = tuple(1 if p == a else 0 for p in range(alg.dim))
-            eb = tuple(1 if p == b else 0 for p in range(alg.dim))
+            ea = mi_unit(alg.dim, a)
+            eb = mi_unit(alg.dim, b)
             q._bump((zero, ea), b, zero, -1)
             q._bump((eb, zero), a, zero, 1)
             table[(a, b)] = q
@@ -70,7 +70,7 @@ def make_wd(alg):
 
     def action(g_l, g_m):
         # (1 (x) a) * h = -(1 (x) h a) (x)_H 1, on the generator h = 1
-        ea = tuple(1 if p == g_l else 0 for p in range(alg.dim))
+        ea = mi_unit(alg.dim, g_l)
         return QElt(hmod, 2, {((zero, ea), "h", zero): -1})
 
     M = ModuleStructure(P, hmod, action_fn=action, name="wd-on-H")
@@ -118,8 +118,8 @@ def sd_generator(P, chi, a, b):
     """Divergence-free generator attached to a basis pair:
     (a + chi(a)) (x) b - (b + chi(b)) (x) a - 1 (x) [a, b]."""
     alg = P.alg
-    ea = tuple(1 if p == a else 0 for p in range(alg.dim))
-    eb = tuple(1 if p == b else 0 for p in range(alg.dim))
+    ea = mi_unit(alg.dim, a)
+    eb = mi_unit(alg.dim, b)
     zero = mi_zero(alg.dim)
     m = MElt.zero(P.module)
     m._bump(ea, b, 1)
@@ -338,9 +338,9 @@ class Rank1Datum:
         t = TensorElt(alg, 2)
         zero = mi_zero(alg.dim)
         for i in range(alg.dim):
-            ei = tuple(1 if p == i else 0 for p in range(alg.dim))
+            ei = mi_unit(alg.dim, i)
             for j in range(alg.dim):
-                ej = tuple(1 if p == j else 0 for p in range(alg.dim))
+                ej = mi_unit(alg.dim, j)
                 if self.r[i][j]:
                     t._bump((ei, ej), self.r[i][j])
             if self.s[i]:
@@ -430,7 +430,7 @@ def embed_rank1_element(datum, P_wd):
     m = MElt.zero(P_wd.module)
     zero = mi_zero(alg.dim)
     for i in range(alg.dim):
-        ei = tuple(1 if p == i else 0 for p in range(alg.dim))
+        ei = mi_unit(alg.dim, i)
         for j in range(alg.dim):
             if datum.r[i][j]:
                 m._bump(ei, j, -datum.r[i][j])
@@ -621,7 +621,7 @@ def wd_into_gc1(alg):
     C, gc1 = make_gc(alg, 1)
     images = {}
     for a in range(alg.dim):
-        ea = tuple(1 if p == a else 0 for p in range(alg.dim))
+        ea = mi_unit(alg.dim, a)
         images[a] = cend_element_from_pairs(C, [(mi_zero(alg.dim), ea, 0, 0, -1)])
     rep = verify_homomorphism(P_wd, gc1, images)
     rep.title = "wd-into-gc1:%s" % alg.name
@@ -641,7 +641,7 @@ def make_module_rank1(alg, lam, chi=None):
     zero = mi_zero(alg.dim)
 
     def action(a, vkey):
-        ea = tuple(1 if p == a else 0 for p in range(alg.dim))
+        ea = mi_unit(alg.dim, a)
         out = QElt(vmod, 2)
         # lam * Div(1 (x) d_a) (x) 1 = lam (d_a + chi_a) (x) 1
         if lam:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .liealg import sort_with_sign
 from .linalg import SparseCombination, bump
-from .pbw import HElt, mi_zero, mul_basis
+from .pbw import HElt, mi_unit, mi_zero, mul_basis
 from .pseudo import ModuleStructure, PseudoStructure
 from .tensor import FreeModule, MElt, QElt
 
@@ -132,7 +132,7 @@ def act_on_form(alg, wfield, w):
                 sign = (-1) ** (pos + 1)
                 inner = w.value((a,) + rest)
                 if inner:
-                    ai = tuple(1 if p == T[pos] else 0 for p in range(alg.dim))
+                    ai = mi_unit(alg.dim, T[pos])
                     for K, ck in mul_basis(alg, F, ai).items():
                         _add_pairs(acc, K, inner, sign * fv * ck)
                 brk = alg.bracket(a, T[pos])
@@ -217,7 +217,7 @@ def volume_action_expected(alg, a):
     mod = form_module(alg, n)
     T = tuple(range(n))
     zero = mi_zero(alg.dim)
-    ea = tuple(1 if p == a else 0 for p in range(n))
+    ea = mi_unit(n, a)
     out = QElt(mod, 2)
     out._bump((ea, zero), T, zero, -1)
     tr = alg.trace_ad()[a]

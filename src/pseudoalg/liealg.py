@@ -40,6 +40,7 @@ class LieAlgebra:
         self._trace_ad = None
         self._killing = None
         self._mul_cache = {}
+        self._mul_antipode_cache = {}  # pbw.mul_antipode per (I, J)
         # pbw._gen_mul per (generator, multi-index): at most dim entries for
         # each divided monomial a product or antipode reaches
         self._straight_cache = {}

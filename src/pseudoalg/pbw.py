@@ -11,9 +11,14 @@ Multiplication rests on one step, `_gen_mul`: the left product d_g d^(K)
 of a generator and a divided monomial, straightened with
 d_g d_h = d_h d_g + [d_g, d_h] and memoized per (g, K) on the owning
 algebra.  `mul_basis` and `antipode_basis` peel one generator at a time
-onto it in a loop (`_peel`) that caches every partial product; only
-`_gen_mul` recurses, linearly in the weight.  Filtration degree
-of d^(I) is |I|.
+onto it in a loop (`_peel`) that caches every partial product, and
+`_gen_mul` walks its own chain in a loop too.  Filtration degree of
+d^(I) is |I|.
+
+Tensor powers H^{(x) n} use two kernels: `mul_slots`, the slot-by-slot
+product of two tensor keys, and `mul_antipode`, the factor d^(I) S(d^(J))
+a slot picks up when another moves across (x)_H, memoized per (I, J) on
+the algebra beside the product cache.
 
 Coefficients follow the `linalg` invariant: `int` or `Fraction`, never
 float.  Over an abelian algebra every product and antipode coefficient is
@@ -32,6 +37,11 @@ from .linalg import SparseCombination, bump, div, exact
 
 def mi_zero(n):
     return (0,) * n
+
+
+def mi_unit(n, i):
+    """The multi-index e_i of length n."""
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
 def mi_add(a, b):
@@ -91,22 +101,23 @@ def _gen_mul(alg, g, K):
     With h the smallest generator in K: for g <= h the product is ordered,
     (k_g + 1) d^(K + e_g).  Otherwise d^(K) = d_h d^(K - e_h) / k_h, and
     d_g d_h = d_h d_g + [d_g, d_h] leaves products of lower weight.
-    Memoized per (g, K) on the algebra.
+    Walks the chain K -> K - e_h inward to the first cached or ordered
+    entry, then outward, memoizing each (g, K) on the algebra.
     """
-    key = (g, K)
-    hit = alg._straight_cache.get(key)
-    if hit is not None:
-        return hit
-    h = next((i for i, k in enumerate(K) if k), g)
-    if g <= h:
-        res = {_mi_step(K, g, 1): K[g] + 1}
-    else:
-        rest = _mi_step(K, h, -1)
-        acc = _gen_times(alg, h, _gen_mul(alg, g, rest), {})
+    cache = alg._straight_cache
+    chain = []
+    while (res := cache.get((g, K))) is None:
+        h = next((i for i, k in enumerate(K) if k), g)
+        if g <= h:
+            res = cache[g, K] = {_mi_step(K, g, 1): K[g] + 1}
+            break
+        chain.append((K, h))
+        K = _mi_step(K, h, -1)
+    for K, h in reversed(chain):
+        acc = _gen_times(alg, h, res, {})
         for m, b in alg.bracket(g, h).items():
-            _gen_times(alg, m, {rest: b}, acc)
-        res = {L: div(c, K[h]) for L, c in acc.items()}
-    alg._straight_cache[key] = res
+            _gen_times(alg, m, {_mi_step(K, h, -1): b}, acc)
+        res = cache[g, K] = {L: div(c, K[h]) for L, c in acc.items()}
     return res
 
 
@@ -163,6 +174,30 @@ def antipode_basis(alg, I):
                         {mi_zero(len(I)): 1}, max, -1)
 
 
+def mul_antipode(alg, I, J):
+    """d^(I) S(d^(J)), memoized per (I, J) on the algebra."""
+    hit = alg._mul_antipode_cache.get((I, J))
+    if hit is None:
+        hit = {}
+        for K, c in antipode_basis(alg, J).items():
+            for L, cl in mul_basis(alg, I, K).items():
+                bump(hit, L, c * cl)
+        alg._mul_antipode_cache[I, J] = hit
+    return hit
+
+
+def mul_slots(alg, A, B, mul):
+    """Terms (key, c) of mul(A_1, B_1) (x) ... (x) mul(A_n, B_n), keys distinct.
+
+    `mul` is `mul_basis` or `mul_antipode`, passed by the caller.
+    """
+    terms = [((), 1)]
+    for a, b in zip(A, B):
+        terms = [(key + (K,), c * ck) for key, c in terms
+                 for K, ck in mul(alg, a, b).items()]
+    return terms
+
+
 # -- elements ---------------------------------------------------------------
 
 class HElt(SparseCombination):
@@ -189,9 +224,7 @@ class HElt(SparseCombination):
 
     @classmethod
     def gen(cls, alg, i):
-        I = [0] * alg.dim
-        I[i] = 1
-        return cls(alg, {tuple(I): 1})
+        return cls(alg, {mi_unit(alg.dim, i): 1})
 
     @classmethod
     def monomial(cls, alg, I, coeff=1):
@@ -200,12 +233,7 @@ class HElt(SparseCombination):
     @classmethod
     def from_vector(cls, alg, vec):
         """Image of a coefficient vector {i: c} of the Lie algebra in U(d)."""
-        out = cls.zero(alg)
-        for i, v in vec.items():
-            I = [0] * alg.dim
-            I[i] = 1
-            out = out + cls(alg, {tuple(I): v})
-        return out
+        return cls(alg, {mi_unit(alg.dim, i): v for i, v in vec.items()})
 
     def __mul__(self, other):
         if isinstance(other, HElt):
@@ -297,14 +325,9 @@ class TensorElt(SparseCombination):
         out = {}
         for ka, va in self.c.items():
             for kb, vb in other.c.items():
-                pieces = [mul_basis(self.alg, ka[i], kb[i]) for i in range(self.n)]
-                base = va * vb
-                for combo in iproduct(*[list(p.items()) for p in pieces]):
-                    key = tuple(I for I, _ in combo)
-                    v = base
-                    for _, cv in combo:
-                        v *= cv
-                    bump(out, key, v)
+                vab = va * vb
+                for key, c in mul_slots(self.alg, ka, kb, mul_basis):
+                    bump(out, key, vab * c)
         return self._with(out)
 
     def permuted(self, perm):
@@ -338,14 +361,12 @@ def fourier(t, slots=(0, 1), inverse=False):
         raise ValueError("slots must be two distinct positions")
     alg = t.alg
     out = {}
+    mul = mul_basis if inverse else mul_antipode
     for key, v in t.c.items():
-        g = key[j]
-        for J, K in ((s[0], s[1]) for s in mi_splits(g, 2)):
-            left = antipode_basis(alg, J) if not inverse else {J: 1}
-            for Jp, cj in left.items():
-                for newI, ci in mul_basis(alg, key[i], Jp).items():
-                    nk = list(key)
-                    nk[i] = newI
-                    nk[j] = K
-                    bump(out, tuple(nk), v * cj * ci)
+        for J, K in mi_splits(key[j], 2):
+            for newI, c in mul(alg, key[i], J).items():
+                nk = list(key)
+                nk[i] = newI
+                nk[j] = K
+                bump(out, tuple(nk), v * c)
     return t._with(out)

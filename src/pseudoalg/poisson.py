@@ -17,7 +17,7 @@ Constant kernel terms ride along as a central-extension candidate.
 
 from .liealg import abelian
 from .linalg import bump, div, exact
-from .pbw import (HElt, mi_add, mi_factorial, mi_splits, mi_weight, mi_zero)
+from .pbw import HElt, mi_add, mi_factorial, mi_splits, mi_unit, mi_weight, mi_zero
 from .pseudo import PseudoStructure
 from .tensor import FreeModule, QElt
 
@@ -204,8 +204,8 @@ def catalog_general(r, N):
     spec = PoissonBracketSpec(r, N)
     for i in range(r):
         for j in range(r):
-            ei = tuple(1 if p == i else 0 for p in range(N))
-            ej = tuple(1 if p == j else 0 for p in range(N))
+            ei = mi_unit(N, i)
+            ej = mi_unit(N, j)
             z = (0,) * N
             spec.add_term(i, j, j, z, ei, 1)
             spec.add_term(i, j, j, ei, z, 1)
@@ -221,8 +221,8 @@ def catalog_hamiltonian(two_s, N):
     spec = PoissonBracketSpec(1, N, names=["u"])
     z = (0,) * N
     for i in range(s):
-        ei = tuple(1 if p == i else 0 for p in range(N))
-        ej = tuple(1 if p == i + s else 0 for p in range(N))
+        ei = mi_unit(N, i)
+        ej = mi_unit(N, i + s)
         spec.add_term(0, 0, 0, ej, ei, 1)
         spec.add_term(0, 0, 0, ei, ej, -1)
     return spec
@@ -287,7 +287,7 @@ def catalog_semidirect(r, N, g):
             spec.add_term(r + i, r + j, r + k, key[0], key[1], v)
     z = (0,) * N
     for i in range(r):
-        ei = tuple(1 if p == i else 0 for p in range(N))
+        ei = mi_unit(N, i)
         for m in range(g.dim):
             spec.add_term(i, r + m, r + m, z, ei, 1)
             spec.add_term(i, r + m, r + m, ei, z, 1)
@@ -301,7 +301,7 @@ def catalog_h_cocycle(spec, alpha):
         raise ValueError("the central candidate applies to single-field tables")
     for i, a in enumerate(alpha):
         if exact(a):
-            ei = tuple(1 if p == i else 0 for p in range(spec.N))
+            ei = mi_unit(spec.N, i)
             spec.add_central(0, 0, ei, a)
     return spec
 

@@ -11,7 +11,7 @@ identities and homomorphisms by exact comparison of canonical forms.
 
 from fractions import Fraction
 
-from .pbw import HElt, mi_splits, mi_weight, mul_basis
+from .pbw import HElt, mi_splits, mi_weight, mul_basis, mul_slots
 from .tensor import MElt, QElt
 
 
@@ -99,11 +99,8 @@ def extend_bilinear(lookup, a, b, out_module):
                 continue
             cab = ca * cb
             for (key, g, L), v in base.c.items():
-                left = mul_basis(alg, Ia, key[0])
-                right = mul_basis(alg, Ib, key[1])
-                for K1, c1 in left.items():
-                    for K2, c2 in right.items():
-                        out._bump((K1, K2), g, L, cab * v * c1 * c2)
+                for K, c in mul_slots(alg, (Ia, Ib), key, mul_basis):
+                    out._bump(K, g, L, cab * v * c)
     return out
 
 
@@ -140,6 +137,7 @@ class PseudoStructure:
         self._bracket_fn = bracket_fn
         self.verify_gens = list(verify_gens if verify_gens is not None else module.gens)
         self.relations = list(relations)
+        self._coefficient_degree = None
         for pair, q in (table or {}).items():
             self._table[pair] = q.canonicalize()
 
@@ -157,13 +155,14 @@ class PseudoStructure:
 
     def max_coefficient_degree(self):
         """Worst filtration degree one bracket of `verify_gens` moves onto
-        functionals; read through `gen_bracket`, so a lazy table agrees."""
-        best = 0
-        for gi in self.verify_gens:
-            for gj in self.verify_gens:
-                for (key, g, L), _ in self.gen_bracket(gi, gj).c.items():
-                    best = max(best, mi_weight(key[0]) + mi_weight(L))
-        return best
+        functionals; read through `gen_bracket`, so a lazy table agrees.
+        Computed once per structure."""
+        if self._coefficient_degree is None:
+            self._coefficient_degree = max(
+                (mi_weight(key[0]) + mi_weight(L) for gi in self.verify_gens
+                 for gj in self.verify_gens
+                 for key, g, L in self.gen_bracket(gi, gj).c), default=0)
+        return self._coefficient_degree
 
     def __repr__(self):
         return "PseudoStructure(%s, kind=%s, rank=%d)" % (
@@ -194,40 +193,36 @@ class ModuleStructure:
 
 # -- composition in the third tensor power ----------------------------------
 
-def compose_left(inner, op, c, out_module=None):
-    """((a op1 b) op2 c) in H^{(x) 3}: `inner` is the arity-2 result of op1."""
+def _compose(inner, outer, out_module, pos):
+    """Shared body of the compositions in H^{(x) 3}.
+
+    outer(m) applies the second operation to one module part m of the
+    arity-2 `inner`; slot `pos` of each of its terms splits in two, and the
+    inner key multiplies the two legs, which fill slots pos and pos + 1.
+    """
     alg = inner.module.alg
     out = QElt(out_module, 3) if out_module is not None else None
     for key, m in inner.module_parts():
-        q2 = op(m, c)
+        q2 = outer(m)
         if out is None:
             out = QElt(q2.module, 3)
         for (pk, g, L), v in q2.c.items():
-            for P1, P2 in ((s[0], s[1]) for s in mi_splits(pk[0], 2)):
-                for K1, c1 in mul_basis(alg, key[0], P1).items():
-                    for K2, c2 in mul_basis(alg, key[1], P2).items():
-                        out._bump((K1, K2, pk[1]), g, L, v * c1 * c2)
+            for split in mi_splits(pk[pos], 2):
+                for K, c in mul_slots(alg, key, split, mul_basis):
+                    out._bump(pk[:pos] + K + pk[pos + 1:], g, L, v * c)
     if out is None:
         raise ValueError("composition of an empty inner result needs out_module")
     return out.canonicalize()
+
+
+def compose_left(inner, op, c, out_module=None):
+    """((a op1 b) op2 c) in H^{(x) 3}: `inner` is the arity-2 result of op1."""
+    return _compose(inner, lambda m: op(m, c), out_module, 0)
 
 
 def compose_right(a, inner, op, out_module=None):
     """(a op2 (b op1 c)) in H^{(x) 3}: `inner` is the arity-2 result of op1."""
-    alg = inner.module.alg
-    out = QElt(out_module, 3) if out_module is not None else None
-    for key, d in inner.module_parts():
-        q2 = op(a, d)
-        if out is None:
-            out = QElt(q2.module, 3)
-        for (pk, g, L), v in q2.c.items():
-            for Q1, Q2 in ((s[0], s[1]) for s in mi_splits(pk[1], 2)):
-                for K1, c1 in mul_basis(alg, key[0], Q1).items():
-                    for K2, c2 in mul_basis(alg, key[1], Q2).items():
-                        out._bump((pk[0], K1, K2), g, L, v * c1 * c2)
-    if out is None:
-        raise ValueError("composition of an empty inner result needs out_module")
-    return out.canonicalize()
+    return _compose(inner, lambda d: op(a, d), out_module, 1)
 
 
 def triple_compose(P, a, b, c, shape):
@@ -242,8 +237,7 @@ def triple_compose(P, a, b, c, shape):
     if shape == "right":
         return compose_right(a, P.bracket(b, c), P.bracket, P.module)
     if shape == "middle":
-        inner = compose_right(b, P.bracket(a, c), P.bracket, P.module)
-        return inner.permuted([1, 0, 2]).canonicalize()
+        return compose_right(b, P.bracket(a, c), P.bracket, P.module).permuted([1, 0, 2])
     raise ValueError("shape must be left, right or middle")
 
 
@@ -274,7 +268,7 @@ def module_residual(P, M, a, b, m):
     left = compose_left(P.bracket(a, b), M.act, m, M.module)
     if P.kind == "assoc":
         return (right - left).canonicalize()
-    middle = compose_right(b, M.act(a, m), M.act, M.module).permuted([1, 0, 2]).canonicalize()
+    middle = compose_right(b, M.act(a, m), M.act, M.module).permuted([1, 0, 2])
     return (right - middle - left).canonicalize()
 
 

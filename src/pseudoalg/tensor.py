@@ -21,10 +21,8 @@ center used by central extensions); `_bump` then drops every term that
 is not constant on it.
 """
 
-from itertools import product as iproduct
-
 from .linalg import SparseCombination, bump, exact
-from .pbw import HElt, antipode_basis, mi_splits, mi_zero, mul_basis
+from .pbw import HElt, mi_splits, mi_zero, mul_antipode, mul_basis, mul_slots
 
 
 class FreeModule:
@@ -167,20 +165,20 @@ class QElt(SparseCombination):
         out = QElt(self.module, self.n)
         for (key, g, L), v in self.c.items():
             for tkey, tv in t.c.items():
-                pieces = [mul_basis(alg, tkey[i], key[i]) for i in range(self.n)]
-                for combo in iproduct(*[list(p.items()) for p in pieces]):
-                    nk = tuple(I for I, _ in combo)
-                    w = v * tv
-                    for _, cv in combo:
-                        w *= cv
-                    out._bump(nk, g, L, w)
+                for nk, c in mul_slots(alg, tkey, key, mul_basis):
+                    out._bump(nk, g, L, v * tv * c)
         return out
 
     def permuted(self, perm):
-        """Permute tensor slots: new slot i holds old slot perm[i]."""
+        """Permute tensor slots: new slot i holds old slot perm[i].
+
+        A permutation that fixes the last slot maps a canonical form to a
+        canonical form, so the flag is kept then.
+        """
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a slot permutation")
-        out = QElt(self.module, self.n)
+        out = QElt(self.module, self.n,
+                   canonical=self.canonical and perm[-1] == self.n - 1)
         for (key, g, L), v in self.c.items():
             out._bump(tuple(key[perm[i]] for i in range(self.n)), g, L, v)
         return out
@@ -190,6 +188,7 @@ class QElt(SparseCombination):
         if self.canonical:
             return self
         alg = self.module.alg
+        one = (mi_zero(alg.dim),)
         out = QElt(self.module, self.n)
         for (key, g, L), v in self.c.items():
             last = key[-1]
@@ -199,21 +198,11 @@ class QElt(SparseCombination):
             for split in mi_splits(last, self.n):
                 # first n-1 legs act through the antipode on the left slots,
                 # the last leg lands on the module coefficient
-                factor_maps = []
-                for p in range(self.n - 1):
-                    acc = {}
-                    for Jp, cj in antipode_basis(alg, split[p]).items():
-                        for K, ck in mul_basis(alg, key[p], Jp).items():
-                            bump(acc, K, cj * ck)
-                    factor_maps.append(acc)
                 modmap = mul_basis(alg, split[-1], L)
-                for combo in iproduct(*[list(fm.items()) for fm in factor_maps]):
-                    nk = tuple(I for I, _ in combo) + (mi_zero(alg.dim),)
-                    w = v
-                    for _, cv in combo:
-                        w *= cv
+                for nk, w in mul_slots(alg, key[:-1], split[:-1], mul_antipode):
+                    nk += one
                     for Lp, cl in modmap.items():
-                        out._bump(nk, g, Lp, w * cl)
+                        out._bump(nk, g, Lp, v * w * cl)
         out.canonical = True
         return out
 

@@ -5,8 +5,7 @@ import pytest
 from pseudoalg import liealg
 from pseudoalg.annihilation import (AnnihilationElement, PrecisionError,
                                     TruncatedSeries, annihilation_bracket,
-                                    counit_functional, h_act_series,
-                                    vector_field_bracket)
+                                    counit_functional, vector_field_bracket)
 from pseudoalg.constructions import make_current, make_wd
 from pseudoalg.pbw import HElt, mi_weight, mi_zero, multiindices_up_to
 from pseudoalg.pseudo import x_bracket
@@ -20,14 +19,14 @@ def test_actions_dim1_derivative():
     alg = liealg.abelian(1)
     x = TruncatedSeries.dual_basis(alg, (3,), 6)
     d = HElt.gen(alg, 0)
-    assert h_act_series(d, x, "left").c == {(2,): Fr(-3)}
-    assert h_act_series(d, x, "right").c == {(2,): Fr(-3)}
+    assert x.act(d, "left").c == {(2,): Fr(-3)}
+    assert x.act(d, "right").c == {(2,): Fr(-3)}
 
 
 def test_action_by_one_is_identity(catalog_algebra):
     alg = catalog_algebra
     x = TruncatedSeries(alg, 5, {tuple(1 if i == 0 else 0 for i in range(alg.dim)): 2})
-    got = h_act_series(HElt.one(alg), x, "left")
+    got = x.act(HElt.one(alg), "left")
     assert got.cutoff == 5 and got.c == x.c
 
 
@@ -139,6 +138,22 @@ def test_annihilation_bracket_fields_dim1():
     got = annihilation_bracket(P, u, v)
     assert got.cutoff == 5
     assert got.c == {((1,), 0): Fr(2)}
+
+
+def test_second_bracket_does_not_recompute_the_depth():
+    # one generator pair per bracket: the depth cost reads all dim^2 pairs,
+    # and only the first bracket on P may pay for it
+    P, _ = make_wd(liealg.sl2())
+    read = []
+    gen_bracket = P.gen_bracket
+    P.gen_bracket = lambda gi, gj: read.append((gi, gj)) or gen_bracket(gi, gj)
+    u = AnnihilationElement.generator(P.module, (1, 0, 0), 0, 5)
+    v = AnnihilationElement.generator(P.module, (0, 0, 1), 2, 5)
+    first = annihilation_bracket(P, u, v)
+    assert len(read) == 1 + 3 * 3
+    del read[:]
+    assert annihilation_bracket(P, u, v) == first
+    assert read == [(0, 2)]
 
 
 def test_annihilation_bracket_zero_and_skew(rng):

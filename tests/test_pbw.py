@@ -341,3 +341,13 @@ def test_public_names_called_once_per_product(monkeypatch):
     pbw.mul_basis(alg, (1, 2, 3), (3, 2, 1))
     pbw.antipode_basis(alg, (1, 2, 3))
     assert calls == ["mul_basis", "antipode_basis"]
+
+
+@pytest.mark.parametrize("k", [1000, 3000])
+def test_generator_times_deep_monomial_runs_in_a_loop(k):
+    """[h, e] = 2e and [h, f] = -2f on sl2 (e, f, h), so
+    d_h d^(k,0,0) = d^(k,0,1) + 2k d^(k,0,0) and
+    d_h d^(0,k,0) = d^(0,k,1) - 2k d^(0,k,0), at the default recursion limit."""
+    alg = liealg.algebra_by_name("sl2")
+    assert mul_basis(alg, (0, 0, 1), (k, 0, 0)) == {(k, 0, 1): 1, (k, 0, 0): 2 * k}
+    assert mul_basis(alg, (0, 0, 1), (0, k, 0)) == {(0, k, 1): 1, (0, k, 0): -2 * k}
