@@ -191,11 +191,14 @@ def mul_slots(alg, A, B, mul):
 
     `mul` is `mul_basis` or `mul_antipode`, passed by the caller.
     """
-    terms = [((), 1)]
+    terms = None  # the first slot seeds it, so no coefficient is multiplied by 1
     for a, b in zip(A, B):
-        terms = [(key + (K,), c * ck) for key, c in terms
-                 for K, ck in mul(alg, a, b).items()]
-    return terms
+        items = mul(alg, a, b).items()
+        if terms is None:
+            terms = [((K,), c) for K, c in items]
+        else:
+            terms = [(key + (K,), c * ck) for key, c in terms for K, ck in items]
+    return [((), 1)] if terms is None else terms
 
 
 # -- elements ---------------------------------------------------------------

@@ -207,9 +207,10 @@ def _compose(inner, outer, out_module, pos):
         if out is None:
             out = QElt(q2.module, 3)
         for (pk, g, L), v in q2.c.items():
+            head, tail = pk[:pos], pk[pos + 1:]
             for split in mi_splits(pk[pos], 2):
                 for K, c in mul_slots(alg, key, split, mul_basis):
-                    out._bump(pk[:pos] + K + pk[pos + 1:], g, L, v * c)
+                    out._bump(head + K + tail, g, L, v * c)
     if out is None:
         raise ValueError("composition of an empty inner result needs out_module")
     return out.canonicalize()

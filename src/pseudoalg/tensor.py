@@ -201,8 +201,9 @@ class QElt(SparseCombination):
                 modmap = mul_basis(alg, split[-1], L)
                 for nk, w in mul_slots(alg, key[:-1], split[:-1], mul_antipode):
                     nk += one
+                    w *= v
                     for Lp, cl in modmap.items():
-                        out._bump(nk, g, Lp, v * w * cl)
+                        out._bump(nk, g, Lp, w * cl)
         out.canonical = True
         return out
 
