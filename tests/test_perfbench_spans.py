@@ -44,8 +44,8 @@ def test_tracer_wraps_every_span_and_uninstall_restores_it():
     spans = load_spans()
     before = package_bindings()
     tracer = spans.Tracer()
-    tracer.install()
     try:
+        tracer.install()
         patches = list(tracer._patches)
         for _, modname, path, _, _ in spans.SPANS:
             owner = sys.modules["pseudoalg." + modname]
