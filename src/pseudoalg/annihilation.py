@@ -146,14 +146,10 @@ class TruncatedSeries(SparseCombination):
     def __repr__(self):
         if not self.c:
             return "O(%d)" % (self.cutoff + 1)
-        bits = []
-        for I in sorted(self.c, key=lambda I: (mi_weight(I), I)):
-            v = self.c[I]
-            mono = "t^(%s)" % ",".join(str(x) for x in I)
-            bits.append(("- " if v < 0 else "+ ") + (mono if abs(v) == 1 else "%s*%s" % (abs(v), mono)))
-        s = " ".join(bits)
-        s = s[2:] if s.startswith("+ ") else "-" + s[2:]
-        return s + " + O(%d)" % (self.cutoff + 1)
+        from .literals import _signed_sum, render_mi
+        keys = sorted(self.c, key=lambda I: (mi_weight(I), I))
+        return "%s + O(%d)" % (_signed_sum((self.c[I], render_mi(I, "t")) for I in keys),
+                               self.cutoff + 1)
 
 
 class AnnihilationElement(SparseCombination):

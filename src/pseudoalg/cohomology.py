@@ -357,6 +357,8 @@ def solve_central_extensions(P, dmax=4, complete=False):
     """
     alg = P.alg
     gens = P.module.gens
+    if not gens:
+        raise ValueError("%s lists no generators to solve over" % P.name)
     monos = _degree_window(alg, dmax)
     unknowns = [((p, q), I) for p in gens for q in gens for I in monos]
 

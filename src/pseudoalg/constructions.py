@@ -85,15 +85,27 @@ def wd_element(P, pairs):
     return m
 
 
+def _trace_form(alg, chi):
+    """chi as an exact tuple over the basis, zero for None.
+
+    Refuses a tuple of the wrong length or one that does not vanish on
+    brackets.
+    """
+    chi = (0,) * alg.dim if chi is None else tuple(map(exact, chi))
+    if len(chi) != alg.dim:
+        raise ValueError("chi needs %d entries, got %d" % (alg.dim, len(chi)))
+    if not alg.is_trace_form(chi):
+        raise ValueError("chi is not a trace form")
+    return chi
+
+
 def divergence(alg, w, chi=None):
     """Divergence of a vector-field element: sum h_a (d_a + chi(d_a)).
 
     chi is a rational coefficient tuple over the basis and must vanish on
     brackets; None means zero.
     """
-    chi = (0,) * alg.dim if chi is None else tuple(map(exact, chi))
-    if not alg.is_trace_form(chi):
-        raise ValueError("chi is not a trace form")
+    chi = _trace_form(alg, chi)
     out = HElt.zero(alg)
     for (I, a), v in w.c.items():
         h = HElt.monomial(alg, I, v)
@@ -140,9 +152,7 @@ class GeneratedSubalgebra:
     """
 
     def __init__(self, alg, chi=None, directions=None):
-        chi = (0,) * alg.dim if chi is None else tuple(map(exact, chi))
-        if not alg.is_trace_form(chi):
-            raise ValueError("chi is not a trace form")
+        chi = _trace_form(alg, chi)
         self.alg = alg
         self.chi = chi
         self.directions = sorted(directions) if directions is not None else list(range(alg.dim))
@@ -486,7 +496,6 @@ def cend_module(alg, n, label):
         return "c[%s;%d,%d]" % (",".join(map(str, J)), p, q)
 
     mod.gen_name = name  # generator set is infinite; names computed on demand
-    mod.gen_by_name = None
     mod.is_counit = lambda g: False
     return mod
 
@@ -504,6 +513,8 @@ def make_cend(alg, n, max_gen_degree=1):
     products land on generators of higher degree, which the lazy module
     accepts.
     """
+    if n < 1:
+        raise ValueError("pseudolinear maps need rank n >= 1, got %d" % n)
     mod = cend_module(alg, n, "cend%d:%s" % (n, alg.name))
     zero = mi_zero(alg.dim)
 
@@ -632,9 +643,7 @@ def wd_into_gc1(alg):
 
 def make_module_rank1(alg, lam, chi=None):
     """Free rank-one module with action alpha v = (lam Div alpha (x) 1 - alpha) v."""
-    chi = (0,) * alg.dim if chi is None else tuple(map(exact, chi))
-    if not alg.is_trace_form(chi):
-        raise ValueError("chi is not a trace form")
+    chi = _trace_form(alg, chi)
     lam = exact(lam)
     P, _ = make_wd(alg)
     vmod = FreeModule(alg, ["v"], label="V(%s)" % (lam,))

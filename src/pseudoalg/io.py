@@ -10,15 +10,16 @@ Pseudoalgebra:  {"algebra": <name or inline spec>, "kind": "lie"|"assoc",
                  "generators": [names],
                  "brackets": [{"left": g, "right": g, "value": <entry>}]}
 where <entry> is a sum of "(h) @ gen" or "(h) @ (m) gen" terms: h is the
-tensor-slot coefficient in element-literal syntax, m an optional module
-coefficient.
+tensor-slot coefficient, m an optional module coefficient.  The grammar of
+these terms and of generator names is the one in `literals`.
 """
 
 import json
 
 from .liealg import LieAlgebra, algebra_by_name
 from .linalg import sparse_sum
-from .literals import parse_fraction, parse_helt, render_helt
+from .literals import (check_gen_name, parse_at_terms, parse_coefficient,
+                       parse_fraction, render_helt, split_group)
 from .pbw import HElt, mi_zero
 from .pseudo import PseudoStructure
 from .tensor import FreeModule, QElt
@@ -70,72 +71,20 @@ def resolve_algebra(ref):
     return algebra_by_name(ref)
 
 
-def _scan_group(text, pos):
-    """Balanced parenthesized group starting at pos; returns (inner, next_pos)."""
-    if pos >= len(text) or text[pos] != "(":
-        raise ValueError("expected '(' at %d in %r" % (pos, text))
-    depth = 0
-    for q in range(pos, len(text)):
-        if text[q] == "(":
-            depth += 1
-        elif text[q] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[pos + 1:q], q + 1
-    raise ValueError("unbalanced parentheses in %r" % text)
-
-
 def parse_bracket_entry(module, text):
-    """Sum of "(h) @ gen" / "(h) @ (m) gen" terms into a canonical entry.
-
-    Coefficients may contain nested parentheses from the monomial syntax,
-    so groups are scanned with balance rather than matched by pattern.
-    """
+    """Sum of "(h) @ gen" / "(h) @ (m) gen" terms into a canonical entry."""
+    alg = module.alg
     q = QElt(module, 2)
-    zero = mi_zero(module.alg.dim)
-    text = text.strip()
-    if text in ("0", ""):
-        return q
-    pos = 0
-    n = len(text)
-    while pos < n:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        sign = 1
-        if text[pos] in "+-":
-            if text[pos] == "-":
-                sign = -1
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
-        h_text, pos = _scan_group(text, pos)
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n or text[pos] != "@":
-            raise ValueError("expected '@' in bracket entry %r" % text)
-        pos += 1
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos < n and text[pos] == "(":
-            m_text, pos = _scan_group(text, pos)
-        else:
-            m_text = None
-        while pos < n and text[pos].isspace():
-            pos += 1
-        start = pos
-        while pos < n and not (text[pos] in "+-" and text[pos - 1].isspace()):
-            pos += 1
-        gen_name = text[start:pos].strip()
-        if not gen_name:
-            raise ValueError("missing generator name in %r" % text)
-        h = parse_helt(module.alg, h_text)
-        mcoef = parse_helt(module.alg, m_text) if m_text else HElt.one(module.alg)
-        gen = module.gen_by_name(gen_name)
+    zero = mi_zero(alg.dim)
+    for h, rest in parse_at_terms(alg, text):
+        mcoef = HElt.one(alg)
+        if rest.startswith("("):
+            group, rest = split_group(rest)
+            mcoef = parse_coefficient(alg, group)
+        gen = module.gen_by_name(rest.strip())
         for I, hv in h.c.items():
             for L, mv in mcoef.c.items():
-                q._bump((I, zero), gen, L, sign * hv * mv)
+                q._bump((I, zero), gen, L, hv * mv)
     return q
 
 
@@ -158,6 +107,8 @@ def pseudo_from_dict(data):
     alg = resolve_algebra(data["algebra"])
     gens = list(data["generators"])
     mod = FreeModule(alg, gens, label=data.get("name", "loaded"))
+    for g in gens:
+        check_gen_name(mod.gen_name(g))
     table = {}
     for row in data.get("brackets", []):
         gi, gj = row["left"], row["right"]

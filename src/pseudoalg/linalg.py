@@ -246,22 +246,14 @@ def solve(rows, rhs_key="__rhs__"):
     for r in rows:
         elim.add(r)
     # inconsistent iff some reduced row is constant-only
-    sol = {}
-    for pcol, prow in elim.pivots.items():
-        if pcol == rhs_key:
-            return None
-    # back-substitute with free variables set to zero
-    for pcol, prow in sorted(elim.pivots.items(), key=lambda kv: _colkey(kv[0])):
-        rhs = 0
-        for c, v in prow.items():
-            if c == rhs_key:
-                rhs += v
-            elif c != pcol and c in sol:
-                rhs -= v * sol[c]
-            elif c != pcol:
-                pass  # free variable, taken as zero
-        sol[pcol] = rhs
-    return {k: v for k, v in sol.items() if v and k != rhs_key}
+    if rhs_key in elim.pivots:
+        return None
+    # the stored rows are mutually reduced, so no pivot row holds another
+    # pivot column: with the free unknowns at zero each pivot unknown is
+    # its row's right-hand side
+    return {pcol: prow[rhs_key]
+            for pcol, prow in sorted(elim.pivots.items(), key=lambda kv: _colkey(kv[0]))
+            if prow.get(rhs_key)}
 
 
 def invert_matrix(mat):

@@ -1,15 +1,31 @@
-"""Textual element literals.
-
-Grammar, shared by the CLI and the file formats:
+"""Textual element literals: the one grammar of the CLI and the file formats.
 
     coeff    := integer | "p/q"
     monomial := "d^(" int ("," int)* ")"
     term     := coeff ["*" monomial] | monomial
     element  := [sign] term (("+"|"-") term)*
 
-Tensor factors are joined by "#", module terms are written "(h) @ e_k",
-truncated-series monomials as "t^(i1,...,iN)" and form monomials as
-"h @ e*^(i1,...,ik)".
+Tensor factors are joined by "#" and truncated-series monomials are
+written "t^(i1,...,iN)".  Module elements, bracket entries and forms are
+sums of "@"-terms:
+
+    at-term  := sign* ("(" element ")" | element) "@" rest
+    at-sum   := "0" | "" | at-term (("+"|"-") at-term)*
+
+A top-level "+" or "-" starts a new "@"-term only once the current term
+holds its "@", so a coefficient may itself be a sum.  The signs before a
+term scale its whole coefficient, and an empty coefficient is refused.
+The caller reads `rest`:
+
+    module element  "(h) @ gen"
+    bracket entry   "(h) @ gen" or "(h) @ (m) gen", m a module coefficient
+    pseudoform      "(h) @ e*^(i1,...,ik)", indices 1-based and increasing;
+                    a form needs at least one term
+
+A generator name is non-empty, has no whitespace at either end, holds
+none of "+", "-" and "@", does not open with "(" and keeps its
+parentheses balanced; `check_gen_name` refuses any other name, since the
+grammar cannot read it back.
 """
 
 import re
@@ -33,47 +49,51 @@ def parse_fraction(s):
     return int(s)
 
 
-def _fmt_coeff(v):
-    return str(v)
-
-
 def render_mi(I, symbol="d"):
     return "%s^(%s)" % (symbol, ",".join(str(x) for x in I))
 
 
-def render_helt(e, symbol="d"):
-    if not e.c:
-        return "0"
+def _signed_sum(pairs):
+    """Print (coefficient, body) pairs as "a - b + c", or "0" for none.
+
+    A body stands alone under a unit coefficient and as "|v|*body" under
+    any other; an empty body prints the bare |v|.
+    """
     bits = []
-    for I in sorted(e.c, key=lambda I: (sum(I), I)):
-        v = e.c[I]
-        mono = render_mi(I, symbol)
-        if all(x == 0 for x in I):
-            text = _fmt_coeff(abs(v))
-        elif abs(v) == 1:
-            text = mono
+    for v, body in pairs:
+        mag = abs(v)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
         else:
-            text = "%s*%s" % (_fmt_coeff(abs(v)), mono)
+            text = "%s*%s" % (mag, body)
         bits.append(("- " if v < 0 else "+ ") + text)
+    if not bits:
+        return "0"
     out = " ".join(bits)
     return out[2:] if out.startswith("+ ") else ("-" + out[2:])
+
+
+def render_helt(e, symbol="d"):
+    return _signed_sum((e.c[I], render_mi(I, symbol) if any(I) else "")
+                       for I in sorted(e.c, key=lambda I: (sum(I), I)))
 
 
 def render_tensor(t, symbol="d"):
-    if not t.c:
-        return "0"
-    bits = []
+    pairs = []
     for key in sorted(t.c):
         v = t.c[key]
         mono = " # ".join(render_mi(I, symbol) for I in key)
-        text = mono if abs(v) == 1 else "%s*(%s)" % (_fmt_coeff(abs(v)), mono)
-        bits.append(("- " if v < 0 else "+ ") + text)
-    out = " ".join(bits)
-    return out[2:] if out.startswith("+ ") else ("-" + out[2:])
+        pairs.append((v, mono if abs(v) == 1 else "(%s)" % mono))
+    return _signed_sum(pairs)
 
 
-def _split_terms(text):
-    """Split on top-level + and - (keeping signs), respecting parentheses."""
+def _split_terms(text, after=""):
+    """Split on top-level + and - (keeping signs), respecting parentheses.
+
+    A sign starts a new term only once the current term holds `after`.
+    """
     terms = []
     depth = 0
     cur = ""
@@ -82,7 +102,7 @@ def _split_terms(text):
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch in "+-" and depth == 0 and cur.strip():
+        if ch in "+-" and depth == 0 and after in cur and cur.strip():
             terms.append(cur)
             cur = ch
         else:
@@ -90,6 +110,60 @@ def _split_terms(text):
     if cur.strip():
         terms.append(cur)
     return terms
+
+
+def split_group(text):
+    """Text opening with "(" -> (its first balanced group, the text after it)."""
+    depth = 0
+    for pos, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if not depth:
+                return text[:pos + 1], text[pos + 1:]
+    raise ValueError("unbalanced parentheses in %r" % text)
+
+
+def parse_coefficient(alg, text):
+    """Coefficient "(h)" or "h" of an "@"-term; an empty one is refused."""
+    text = text.strip()
+    if text.startswith("("):
+        group, tail = split_group(text)
+        if not tail.strip():
+            text = group[1:-1]
+    if not text.strip():
+        raise ValueError("empty coefficient")
+    return parse_helt(alg, text)
+
+
+def parse_at_terms(alg, text):
+    """Each "(h) @ rest" term of an "@"-sum -> (signed HElt h, stripped rest)."""
+    if text.strip() in ("", "0"):
+        return
+    for term in _split_terms(text, "@"):
+        left, at, rest = term.partition("@")
+        if not at:
+            raise ValueError("term %r lacks '@'" % term.strip())
+        left = left.strip()
+        sign = 1
+        while left.startswith(("+", "-")):
+            if left[0] == "-":
+                sign = -sign
+            left = left[1:].strip()
+        yield parse_coefficient(alg, left).scale(sign), rest.strip()
+
+
+def check_gen_name(name):
+    """Refuse a generator name that "(h) @ name" or "(h) @ (m) name" cannot read back."""
+    depth = 0
+    for ch in name:
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+    if depth or name != name.strip() or name[:1] in ("", "(") or any(c in "+-@" for c in name):
+        raise ValueError("generator name %r cannot be read back from an element literal"
+                         % (name,))
 
 
 def parse_term(alg, text, symbol="d"):
@@ -147,42 +221,11 @@ def parse_tensor(alg, text, arity=None, symbol="d"):
 def parse_module_element(module, text):
     """Sums of "(h) @ gen" with gen a generator name of the module."""
     from .tensor import MElt
-    alg = module.alg
     out = MElt.zero(module)
-    terms = []
-    depth = 0
-    cur = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        if ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and cur.strip() and "@" in cur:
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    if cur.strip():
-        terms.append(cur)
-    for term in terms:
-        if "@" not in term:
-            raise ValueError("module term %r lacks '@ gen'" % term)
-        left, gname = term.rsplit("@", 1)
-        gname = gname.strip()
-        left = left.strip()
-        sign = 1
-        while left and left[0] in "+-":
-            if left[0] == "-":
-                sign = -sign
-            left = left[1:].strip()
-        if left.startswith("(") and left.endswith(")"):
-            left = left[1:-1]
-        h = parse_helt(alg, left) if left.strip() else None
-        if h is None:
-            raise ValueError("empty coefficient in %r" % term)
-        key = module.gen_by_name(gname)
+    for h, name in parse_at_terms(module.alg, text):
+        key = module.gen_by_name(name)
         for I, v in h.c.items():
-            out._bump(I, key, sign * v)
+            out._bump(I, key, v)
     return out
 
 
@@ -201,60 +244,26 @@ def render_module_element(m):
 
 
 def render_quotient(q):
-    if not q.c:
-        return "0"
-    bits = []
+    pairs = []
     for (key, g, L) in sorted(q.c, key=lambda item: (item[0], str(item[1]), item[2])):
-        v = q.c[(key, g, L)]
-        slots = " # ".join(render_mi(I) for I in key)
         mod = q.module.gen_name(g)
         if any(L):
             mod = "%s %s" % (render_mi(L), mod)
-        sign = "- " if v < 0 else "+ "
-        mag = abs(v)
-        coeff = "" if mag == 1 else "%s*" % _fmt_coeff(mag)
-        bits.append("%s%s(%s) @ %s" % (sign, coeff, slots, mod))
-    out = " ".join(bits)
-    return out[2:] if out.startswith("+ ") else ("-" + out[2:])
+        pairs.append((q.c[(key, g, L)],
+                      "(%s) @ %s" % (" # ".join(render_mi(I) for I in key), mod)))
+    return _signed_sum(pairs)
 
 
 def parse_pform(alg, text, degree=None):
     """Form literal: sums of "h @ e*^(i1,...,ik)" with 1-based increasing indices."""
     from .forms import PForm
-    terms = []
-    depth = 0
-    cur = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        if ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and cur.strip() and "@" in cur:
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    if cur.strip():
-        terms.append(cur)
     out = None
-    for term in terms:
-        left, right = term.rsplit("@", 1)
-        right = right.strip()
-        if not right.startswith("e*^(") or not right.endswith(")"):
-            raise ValueError("form term %r needs an e*^(...) tail" % term)
-        inner = right[4:-1].strip()
-        T = tuple(int(x) - 1 for x in inner.split(",") if x.strip()) if inner else ()
-        if list(T) != sorted(set(T)):
-            raise ValueError("form indices must be strictly increasing")
-        left = left.strip()
-        sign = 1
-        while left and left[0] in "+-":
-            if left[0] == "-":
-                sign = -sign
-            left = left[1:].strip()
-        if left.startswith("(") and left.endswith(")"):
-            left = left[1:-1]
-        h = parse_helt(alg, left if left else "1").scale(sign)
+    for h, tail in parse_at_terms(alg, text):
+        if not tail.startswith("e*^(") or not tail.endswith(")"):
+            raise ValueError("form term %r needs an e*^(...) tail" % tail)
+        T = tuple(int(x) - 1 for x in tail[4:-1].split(",") if x.strip())
+        if list(T) != sorted(set(T)) or not all(0 <= i < alg.dim for i in T):
+            raise ValueError("form indices must be strictly increasing in 1..%d" % alg.dim)
         if degree is None:
             degree = len(T)
         if len(T) != degree:

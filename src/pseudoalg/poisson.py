@@ -105,7 +105,7 @@ def _parse_coeff(text):
     return parse_fraction(str(text))
 
 
-def _substitute(terms, flip_first):
+def _substitute(terms):
     """Apply (a, b) -> (-a, a + b) or its inverse to a two-block polynomial.
 
     terms: {(A, B): coeff} with A the first block.  Forward and backward
@@ -138,7 +138,7 @@ def poisson_to_pseudo(spec, alg=None):
         for j in range(spec.r):
             table[(i, j)] = QElt(mod, 2)
     for (i, j, k), terms in spec.Q.items():
-        for (M, K), c in _substitute(terms, True).items():
+        for (M, K), c in _substitute(terms).items():
             # plain powers z^M w^K against divided monomials
             coeff = exact(c * mi_factorial(M) * mi_factorial(K))
             table[(i, j)]._bump((M, K), k, zero, coeff)
@@ -175,7 +175,7 @@ def pseudo_to_poisson(P, names=None):
             for (M, K, k), c in terms.items():
                 # divided monomials back to plain power coefficients
                 poly = {(M, K): div(c, mi_factorial(M) * mi_factorial(K))}
-                for (A, B), c2 in _substitute(poly, False).items():
+                for (A, B), c2 in _substitute(poly).items():
                     spec.add_term(i, j, k, A, B, c2)
     return spec
 
@@ -306,18 +306,24 @@ def catalog_h_cocycle(spec, alpha):
     return spec
 
 
+# each family's catalog function and its parameters in call order; only chi may be absent
+_CATALOG_FAMILIES = {
+    "W": (catalog_general, ("r", "N")),
+    "S": (catalog_special, ("r", "N", "chi")),
+    "H": (catalog_hamiltonian, ("r", "N")),
+    "Cur": (catalog_current, ("g", "N")),
+    "semidirect": (catalog_semidirect, ("r", "N", "g")),
+}
+
+
 def poisson_catalog(name, **params):
-    if name == "W":
-        return catalog_general(params["r"], params["N"])
-    if name == "S":
-        return catalog_special(params["r"], params["N"], params.get("chi"))
-    if name == "H":
-        return catalog_hamiltonian(params["r"], params["N"])
-    if name == "Cur":
-        return catalog_current(params["g"], params["N"])
-    if name == "semidirect":
-        return catalog_semidirect(params["r"], params["N"], params["g"])
-    raise KeyError("unknown catalog family %r" % name)
+    if name not in _CATALOG_FAMILIES:
+        raise KeyError("unknown catalog family %r" % name)
+    build, names = _CATALOG_FAMILIES[name]
+    missing = [p for p in names if p != "chi" and params.get(p) is None]
+    if missing:
+        raise ValueError("family %s needs the parameter %s" % (name, ", ".join(missing)))
+    return build(*(params.get(p) for p in names))
 
 
 def verify_poisson_jacobi(spec, report=None):

@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -195,3 +196,54 @@ def test_readme_commands_golden_json(case, tmp_path, monkeypatch):
     expected = (GOLDEN / (case["name"] + ".out")).read_text(encoding="utf-8")
     assert out == expected
     assert code == case["exit"]
+
+
+# -- inputs that once ended in a traceback or an empty pass ----------------------
+
+BAD_INPUTS = [
+    # the lazily indexed pseudolinear modules have no generator names to look up
+    ["bracket", "--structure", "cend:1", "--left", "(1) @ x", "--right", "(1) @ x"],
+    ["bracket", "--structure", "gc:1", "--left", "(1) @ x", "--right", "(1) @ x"],
+    # rank below one: no generators, so the axiom suite checked nothing
+    ["verify", "--structure", "gc:0"],
+    ["verify", "--structure", "gc:-1"],
+    # no listed generators, so the solver reported dimension 0 over nothing
+    ["cohomology", "central", "--structure", "gc:1", "--dmax", "1"],
+    # chi with 2 entries over a 3-dimensional algebra
+    ["verify", "--structure", "sd:abelian3:1,0"],
+    # catalog families without their parameters
+    ["poisson", "catalog", "--family", "W", "--r", "1"],
+    ["poisson", "catalog", "--family", "Cur", "--N", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=[" ".join(a) for a in BAD_INPUTS])
+def test_bad_structure_input_is_usage_error(argv, capsys):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_poisson_catalog_error_names_missing_parameter(capsys):
+    assert run_cli("poisson", "catalog", "--family", "W", "--r", "1")[0] == 2
+    assert "parameter N" in capsys.readouterr().err
+    assert run_cli("poisson", "catalog", "--family", "semidirect", "--r", "1", "--N", "1")[0] == 2
+    assert "parameter g" in capsys.readouterr().err
+
+
+def _readme_commands():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("pseudoalg ")]
+
+
+def test_readme_commands_are_golden_cases():
+    """Every command of the README's command-line block is pinned by a golden case."""
+    pinned = [c["argv"] for c in GOLDEN_CASES] + [c["before"] for c in GOLDEN_CASES
+                                                  if "before" in c]
+    commands = _readme_commands()
+    assert len(commands) == 14
+    for argv in commands:
+        assert argv in pinned, argv

@@ -183,6 +183,27 @@ def test_sd_generator_relation_nonabelian(name):
         assert lhs == rhs
 
 
+def test_chi_of_wrong_length_or_not_a_trace_form_is_refused():
+    alg = liealg.heisenberg3()
+    w = wd_element(make_wd(alg)[0], [((0, 0, 0), 0, 1)])
+    for build in (lambda chi: divergence(alg, w, chi), lambda chi: make_sd(alg, chi),
+                  lambda chi: make_module_rank1(alg, 1, chi)):
+        for chi in ((1, 0), (1, 0, 0, 0)):
+            with pytest.raises(ValueError, match="chi needs 3 entries"):
+                build(chi)
+        with pytest.raises(ValueError, match="not a trace form"):
+            build((0, 0, 1))  # c = [a, b] is a bracket
+        build((1, 0, 0))
+
+
+def test_pseudolinear_rank_below_one_is_refused():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="rank"):
+            make_cend(liealg.abelian(1), n)
+        with pytest.raises(ValueError, match="rank"):
+            make_gc(liealg.abelian(1), n)
+
+
 def test_sd_twisted_relation_with_chi():
     alg = liealg.heisenberg3()
     chi = (Fr(1), Fr(0), Fr(0))  # trace form: c and b are killed

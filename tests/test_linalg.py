@@ -140,3 +140,39 @@ def test_mi_splits_memoised_tuple_matches_reference():
             got = mi_splits(I, parts)
             assert isinstance(got, tuple) and list(got) == _reference_splits(I, parts)
             assert mi_splits(I, parts) is got
+
+
+def _solve_reference(rows, rhs_key="__rhs__"):
+    """The back-substituting body `solve` had before it read the pivot rows."""
+    from pseudoalg.linalg import SparseEliminator, _colkey
+    elim = SparseEliminator()
+    for r in rows:
+        elim.add(r)
+    sol = {}
+    for pcol, prow in elim.pivots.items():
+        if pcol == rhs_key:
+            return None
+    for pcol, prow in sorted(elim.pivots.items(), key=lambda kv: _colkey(kv[0])):
+        rhs = 0
+        for c, v in prow.items():
+            if c == rhs_key:
+                rhs += v
+            elif c != pcol and c in sol:
+                rhs -= v * sol[c]
+        sol[pcol] = rhs
+    return {k: v for k, v in sol.items() if v and k != rhs_key}
+
+
+def test_solve_matches_back_substitution_reference(rng):
+    inconsistent = 0
+    for _ in range(400):
+        ncols = rng.randint(1, 6)
+        cols = rng.sample([0, 1, 2, "a", "b", (0, 1), (1, 0)], ncols)
+        rows = [{c: Fr(rng.randint(-3, 3), rng.randint(1, 3))
+                 for c in rng.sample(cols + ["__rhs__"], rng.randint(1, ncols + 1))}
+                for _ in range(rng.randint(1, 7))]
+        want = _solve_reference(rows)
+        got = solve(rows)
+        inconsistent += want is None
+        assert got == want and (got is None or list(got) == list(want)), rows
+    assert 50 < inconsistent < 350

@@ -126,7 +126,7 @@ def test_substitution_involution_and_point_oracle(rng):
             B = tuple(rng.randint(0, 2) for _ in range(N))
             terms[(A, B)] = terms.get((A, B), Fr(0)) + Fr(rng.randint(-3, 3))
         terms = {k: v for k, v in terms.items() if v}
-        sub = _substitute(terms, True)
+        sub = _substitute(terms)
 
         def ev(t, a, b):
             tot = Fr(0)
@@ -142,7 +142,7 @@ def test_substitution_involution_and_point_oracle(rng):
             w = [Fr(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(N)]
             assert ev(sub, z, w) == ev(terms, [-x for x in z],
                                        [x + y for x, y in zip(z, w)])
-        assert _substitute(sub, False) == terms
+        assert _substitute(sub) == terms
 
 
 def test_central_terms_become_cocycles():
