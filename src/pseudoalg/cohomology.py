@@ -380,7 +380,8 @@ def solve_central_extensions(P, dmax=4, complete=False):
                     for K, v in (h * HElt.monomial(alg, I, 1)).c.items():
                         _bump_row(rows, ("rel", r, q, K), ((g, q), I), v)
 
-    basis = nullspace(chain(rows.values(), _central_jacobi_rows(P, monos)), unknowns)
+    basis = nullspace(filter(None, chain(rows.values(), _central_jacobi_rows(P, monos))),
+                      unknowns)
 
     # counit shifts by the functionals that vanish on every relation
     zero = mi_zero(alg.dim)

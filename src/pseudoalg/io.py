@@ -118,18 +118,19 @@ def pseudo_from_dict(data):
 
 
 def pseudo_to_dict(P):
+    name = P.module.gen_name
     rows = []
     for gi in P.module.gens:
         for gj in P.module.gens:
             q = P.gen_bracket(gi, gj)
             if q.c:
-                rows.append({"left": gi, "right": gj,
+                rows.append({"left": name(gi), "right": name(gj),
                              "value": render_bracket_entry(q)})
     return {
         "algebra": lie_algebra_to_dict(P.alg),
         "kind": P.kind,
         "name": P.name,
-        "generators": list(P.module.gens),
+        "generators": [name(g) for g in P.module.gens],
         "brackets": rows,
     }
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals, and the sparse core of the package.
 
 Everything here works with sparse vectors: dictionaries mapping an
-arbitrary hashable column key to a nonzero rational.  Systems stay small
-(a few hundred unknowns), so sparse Gaussian elimination with exact
-arithmetic is entirely adequate.
+arbitrary hashable column key to a nonzero rational.  The largest systems,
+the central windows of sd:abelian4, have 1,260 unknowns and 36,960 rows at
+degree 3 and 2,520 unknowns at degree 4; exact sparse elimination serves.
 
 Every element type of the package (enveloping-algebra elements, tensors,
 module and quotient elements, truncated functionals, forms) is such a
@@ -18,6 +18,7 @@ arithmetic is several times cheaper), and quotients go through `div`.
 elements instead of rationals.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 
 
@@ -133,11 +134,18 @@ class SparseEliminator:
     Rows are fed one at a time; each is reduced against the pivots seen so
     far and, if anything survives, normalized (divided by its pivot entry)
     and stored under its pivot column.  `reduce` alone gives
-    span-membership tests.
+    span-membership tests.  `_holders[c]` lists every pivot column whose
+    stored row held c at some point, so it covers the rows holding c now.
     """
 
     def __init__(self):
         self.pivots = {}  # pivot column -> normalized row
+        self._holders = defaultdict(set)  # column -> pivot columns
+
+    def _store(self, pcol, row):
+        self.pivots[pcol] = row
+        for c in row:
+            self._holders[c].add(pcol)
 
     def reduce(self, row):
         """Eliminate every pivot column from the row before choosing its own.
@@ -166,11 +174,13 @@ class SparseEliminator:
         if not red:
             return False
         p = red[col]
-        self.pivots[col] = {c: div(v, p) for c, v in red.items()}
-        # keep stored rows mutually reduced
-        for pcol, prow in list(self.pivots.items()):
-            if pcol != col and col in prow:
-                self.pivots[pcol] = vec_add(prow, self.pivots[col], -prow[col])
+        new = {c: div(v, p) for c, v in red.items()}
+        # keep stored rows mutually reduced: only rows that held col can hold it
+        for pcol in self._holders.pop(col, ()):
+            prow = self.pivots[pcol]
+            if col in prow:
+                self._store(pcol, vec_add(prow, new, -prow[col]))
+        self._store(col, new)
         return True
 
     @property

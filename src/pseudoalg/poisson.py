@@ -249,6 +249,8 @@ def catalog_special(r, N, chi=None):
     if not 2 <= r <= N:
         raise ValueError("needs 2 <= r <= N")
     chi = (0,) * r if chi is None else tuple(map(exact, chi))
+    if len(chi) != r:
+        raise ValueError("chi needs %d entries, got %d" % (r, len(chi)))
     from .constructions import GeneratedSubalgebra
     alg = abelian(N)
     chi_full = chi + (0,) * (N - r)

@@ -231,6 +231,14 @@ def test_poisson_catalog_error_names_missing_parameter(capsys):
     assert "parameter g" in capsys.readouterr().err
 
 
+def test_poisson_catalog_chi_counts_the_directions(capsys):
+    # the S family takes one chi entry per direction r, not per coordinate N
+    argv = ["poisson", "catalog", "--family", "S", "--r", "2", "--N", "3"]
+    assert run_cli(*argv, "--chi", "1,0,0") == (2, "")
+    assert "chi needs 2 entries, got 3" in capsys.readouterr().err
+    assert run_cli(*argv, "--chi", "0,0")[0] == 0
+
+
 def _readme_commands():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]

@@ -12,7 +12,8 @@ from pseudoalg.cohomology import (sd_central_suite, solve_central_extensions,
 from pseudoalg.constructions import (Rank1Datum, make_current, make_rank1, make_sd,
                                      make_wd, named_rank1_datum, wd_element)
 from pseudoalg.liealg import Form, GeometricDatum, validate_geometric_datum
-from pseudoalg.linalg import div, exact, nullspace, solve
+from pseudoalg.linalg import (SparseEliminator, div, exact, invert_matrix, nullspace,
+                              quotient_representatives, solve, span_dim, vec_add)
 from pseudoalg.pbw import HElt, antipode_basis, mi_splits, mul_basis, multiindices_up_to
 from pseudoalg.poisson import PoissonBracketSpec, pseudo_to_poisson
 from pseudoalg.pseudo import PseudoStructure
@@ -176,3 +177,109 @@ def test_solve_matches_back_substitution_reference(rng):
         inconsistent += want is None
         assert got == want and (got is None or list(got) == list(want)), rows
     assert 50 < inconsistent < 350
+
+
+class _ScanningEliminator:
+    """`SparseEliminator` before its column index: after each new pivot,
+    `add` scans every stored row for the pivot column."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    reduce = SparseEliminator.reduce
+    _pick = SparseEliminator._pick
+    rank = SparseEliminator.rank
+
+    def add(self, row):
+        red, col = self.reduce(row)
+        if not red:
+            return False
+        p = red[col]
+        self.pivots[col] = {c: div(v, p) for c, v in red.items()}
+        for pcol, prow in list(self.pivots.items()):
+            if pcol != col and col in prow:
+                self.pivots[pcol] = vec_add(prow, self.pivots[col], -prow[col])
+        return True
+
+
+def _ordered(pivots):
+    # keys, values and value types, both orders included
+    return repr([(k, list(row.items())) for k, row in pivots.items()])
+
+
+def _assert_same_stream(rows):
+    """Feed rows to both eliminators; equal answers and pivots after every add."""
+    elim, ref = SparseEliminator(), _ScanningEliminator()
+    for row in rows:
+        got = elim.add(row)
+        assert got == ref.add(row), row
+        if got:
+            assert _ordered(elim.pivots) == _ordered(ref.pivots), row
+
+
+def _with_reference(monkeypatch, fn, *args):
+    """fn(*args) from the indexed eliminator and from the scanning one."""
+    import pseudoalg.linalg as linalg
+
+    def run():
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            return exc.args
+    got = run()
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "SparseEliminator", _ScanningEliminator)
+        want = run()
+    return got, want
+
+
+def _random_value(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-3, 3)
+    return Fr(rng.randint(-4, 4), rng.randint(1, 4))
+
+
+def test_indexed_eliminator_matches_scanning_reference(rng, monkeypatch):
+    keys = [0, 1, 2, 3, 4, 5, "a", "b", "c", (0, 1), (1, 0), (2, 2), Fr(1, 2)]
+    accepted = 0
+    for _ in range(500):
+        cols = rng.sample(keys, rng.randint(1, len(keys)))
+        rows = [{c: _random_value(rng)
+                 for c in rng.sample(cols + ["__rhs__"], rng.randint(1, min(5, len(cols) + 1)))}
+                for _ in range(rng.randint(1, 2 * len(cols)))]
+        _assert_same_stream(rows)
+        accepted += span_dim(rows)
+        for fn, args in ((nullspace, (rows, cols + ["__rhs__"])), (solve, (rows,)),
+                         (span_dim, (rows,)), (quotient_representatives, (rows, rows[::2]))):
+            got, want = _with_reference(monkeypatch, fn, *args)
+            assert repr(got) == repr(want), (fn.__name__, rows)
+        n = rng.randint(1, 6)
+        mat = [[_random_value(rng) for _ in range(n)] for _ in range(n)]
+        got, want = _with_reference(monkeypatch, invert_matrix, mat)
+        assert repr(got) == repr(want), mat
+    assert accepted > 2000
+
+
+@pytest.mark.parametrize("struct,dmax", [("sd:abelian3", 3), ("rank1:sl2", 6)])
+def test_indexed_eliminator_matches_scanning_reference_on_central_rows(
+        struct, dmax, monkeypatch):
+    from pseudoalg import cohomology
+    systems = []
+
+    def recording(rows, columns):
+        rows, columns = list(rows), list(columns)
+        systems.append((rows, columns))
+        return nullspace(rows, columns)
+
+    with monkeypatch.context() as m:
+        m.setattr(cohomology, "nullspace", recording)
+        if struct.startswith("rank1"):
+            P = make_rank1(named_rank1_datum("sl2"), run_axioms=False)
+            solve_central_extensions_rank1(P, dmax)
+        else:
+            sd_central_suite(liealg.abelian(3), dmax)
+    assert max(len(rows) for rows, _ in systems) > 1000
+    for rows, columns in systems:
+        _assert_same_stream(rows)
+        got, want = _with_reference(monkeypatch, nullspace, rows, columns)
+        assert repr(got) == repr(want)

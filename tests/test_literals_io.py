@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from pseudoalg import liealg
+from pseudoalg.cli import build_structure
 from pseudoalg.constructions import make_wd
 from pseudoalg.io import (lie_algebra_from_dict, lie_algebra_to_dict,
                           parse_bracket_entry, pseudo_from_dict, pseudo_to_dict,
@@ -88,21 +89,21 @@ def test_bracket_entry_round_trip():
 
 
 def test_pseudo_spec_round_trip():
-    P, _ = make_wd(liealg.solvable2())
-    data = json.loads(json.dumps(pseudo_to_dict(P)))
-    # generator keys flatten to names through JSON; rebuild over named gens
-    data["generators"] = [P.module.gen_name(g) for g in P.module.gens]
-    for row in data["brackets"]:
-        row["left"] = P.module.gen_name(row["left"])
-        row["right"] = P.module.gen_name(row["right"])
-    P2 = pseudo_from_dict(data)
-    assert verify_axioms(P2).ok
-    for gi, ni in zip(P.module.gens, P2.module.gens):
-        for gj, nj in zip(P.module.gens, P2.module.gens):
-            a = P.gen_bracket(gi, gj)
-            b = P2.gen_bracket(ni, nj)
-            assert {(k, L): v for (k, g, L), v in a.c.items()} == \
-                {(k, L): v for (k, g, L), v in b.c.items()}
+    # the spec names every generator, so it loads back as written
+    for spec in ("wd:solv2", "wd:sl2", "cur:sl2"):
+        P = build_structure(spec)[1]
+        P = P[0] if spec.startswith("wd:") else P
+        data = json.loads(json.dumps(pseudo_to_dict(P)))
+        P2 = pseudo_from_dict(data)
+        assert pseudo_to_dict(P2) == data, spec
+        assert verify_axioms(P2).ok, spec
+        name = P.module.gen_name
+        assert P2.module.gens == [name(g) for g in P.module.gens], spec
+        for gi in P.module.gens:
+            for gj in P.module.gens:
+                a = P.gen_bracket(gi, gj)
+                b = P2.gen_bracket(name(gi), name(gj))
+                assert {(k, name(g), L): v for (k, g, L), v in a.c.items()} == b.c, spec
 
 
 def test_quotient_dump_round_trip():
