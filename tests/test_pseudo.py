@@ -10,10 +10,10 @@ from pseudoalg.constructions import (make_current, make_gc,
                                      make_rank1_from_alpha, make_wd,
                                      named_rank1_datum)
 from pseudoalg.pbw import HElt, TensorElt, multiindices_up_to
-from pseudoalg.pseudo import (Report, jacobi_residual, skew_residual, triple_compose,
-                              verify_axioms, verify_homomorphism, verify_module,
-                              x_bracket)
-from pseudoalg.tensor import MElt, QElt
+from pseudoalg.pseudo import (PseudoStructure, Report, jacobi_residual, skew_residual,
+                              triple_compose, verify_axioms, verify_homomorphism,
+                              verify_module, x_bracket)
+from pseudoalg.tensor import FreeModule, MElt, QElt
 
 
 def test_current_bracket_constant():
@@ -90,6 +90,38 @@ def test_primitive_alpha_passes():
         - TensorElt.pure([HElt.one(alg), HElt.gen(alg, 0)])
     P = make_rank1_from_alpha(alg, t)
     assert verify_axioms(P).ok
+
+
+def test_nonassociative_table_witnesses_are_pinned():
+    # x x = (d (x) 1) (x)_H y and x y = (1 (x) (1/2 + d)) (x)_H x: the
+    # triples that start with x fail, those that start with y pass
+    alg = liealg.abelian(1)
+    mod = FreeModule(alg, ["x", "y"], label="nonassoc")
+    one, d = HElt.one(alg), HElt.gen(alg, 0)
+    half_plus_d = HElt(alg, {(0,): Fr(1, 2), (1,): 1})
+    table = {("x", "x"): QElt.from_tensor_and_module(TensorElt.pure([d, one]),
+                                                     mod.element("y")),
+             ("x", "y"): QElt.from_tensor_and_module(TensorElt.pure([one, half_plus_d]),
+                                                     mod.element("x"))}
+    P = PseudoStructure(mod, "assoc", table=table, name="nonassoc")
+    failing = {
+        "x,x,x": "1/2*(d^(0) # d^(1) # d^(0)) @ x + (d^(0) # d^(1) # d^(0)) @ d^(1) x"
+                 " - (d^(1) # d^(1) # d^(0)) @ x",
+        "x,x,y": "1/2*(d^(1) # d^(0) # d^(0)) @ y + (d^(1) # d^(0) # d^(0)) @ d^(1) y"
+                 " - (d^(1) # d^(1) # d^(0)) @ y - 2*(d^(2) # d^(0) # d^(0)) @ y",
+        "x,y,x": "-1/2*(d^(0) # d^(1) # d^(0)) @ y - 2*(d^(0) # d^(2) # d^(0)) @ y"
+                 " - 1/2*(d^(1) # d^(0) # d^(0)) @ y - (d^(1) # d^(1) # d^(0)) @ y",
+        "x,y,y": "-1/4*(d^(0) # d^(0) # d^(0)) @ x"
+                 " - 1/2*(d^(0) # d^(0) # d^(0)) @ d^(1) x"
+                 " - (d^(0) # d^(1) # d^(0)) @ d^(1) x + 2*(d^(0) # d^(2) # d^(0)) @ x"
+                 " + 1/2*(d^(1) # d^(0) # d^(0)) @ x + (d^(1) # d^(1) # d^(0)) @ x",
+    }
+    checks = [{"name": "associativity[%s]" % t, "passed": False, "witness": w}
+              for t, w in failing.items()]
+    checks += [{"name": "associativity[y,%s,%s]" % (u, v), "passed": True, "witness": None}
+               for u in "xy" for v in "xy"]
+    assert verify_axioms(P).as_dict() == {"title": "axioms:nonassoc", "ok": False,
+                                          "checks": checks}
 
 
 def test_bilinear_extension_consistency(rng):
