@@ -12,9 +12,8 @@ from .liealg import (Form, GeometricDatum, LieAlgebra, algebra_by_name,
                      validate_lie_algebra)
 from .pbw import HElt, TensorElt, fourier
 from .tensor import FreeModule, MElt, QElt
-from .pseudo import (ModuleStructure, PseudoStructure, Report, triple_compose,
-                     verify_axioms, verify_homomorphism, verify_module,
-                     x_bracket)
+from .pseudo import (ModuleStructure, PseudoStructure, Report, verify_axioms,
+                     verify_homomorphism, verify_module, x_bracket)
 from .constructions import (GeneratedSubalgebra, Rank1Datum, check_ybe,
                             divergence, embed_rank1_in_wd, make_cend,
                             make_current, make_gc, make_module_rank1,

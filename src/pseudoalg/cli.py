@@ -210,12 +210,13 @@ def cmd_annihilate(args):
     from .pbw import multiindices_up_to
     basis_depth = max(0, D - 2)
     mis = multiindices_up_to(alg.dim, min(3, basis_depth))
+    gens = {(I, a): AnnihilationElement.generator(P.module, I, a, D)
+            for I in mis for a in range(alg.dim)}
     for I in mis:
         for J in mis:
             for a in range(alg.dim):
                 for b in range(alg.dim):
-                    u = AnnihilationElement.generator(P.module, I, a, D)
-                    v = AnnihilationElement.generator(P.module, J, b, D)
+                    u, v = gens[(I, a)], gens[(J, b)]
                     try:
                         br = annihilation_bracket(P, u, v)
                         vf = vector_field_bracket(alg, u, v)

@@ -131,11 +131,9 @@ def extension_cocycle_residual(P, Mact, Nact, gamma, a, b, n):
     en = Nact.module.element(n)
     lhs = compose_left(P.bracket(ea, eb), gamma_ab, en, Mact.module)
     r1 = compose_right(ea, gamma_ab(eb, en), Mact.act, Mact.module)
-    r2 = compose_right(eb, Nact.act(ea, en), lambda _, y: gamma_ab(eb, y),
-                       Mact.module).permuted([1, 0, 2])
-    r3 = compose_right(ea, gamma_ab(ea, en), lambda _, y: Mact.act(eb, y),
-                       Mact.module).permuted([1, 0, 2])
-    r4 = compose_right(ea, Nact.act(eb, en), lambda _, y: gamma_ab(ea, y), Mact.module)
+    r2 = compose_right(eb, Nact.act(ea, en), gamma_ab, Mact.module).permuted([1, 0, 2])
+    r3 = compose_right(eb, gamma_ab(ea, en), Mact.act, Mact.module).permuted([1, 0, 2])
+    r4 = compose_right(ea, Nact.act(eb, en), gamma_ab, Mact.module)
     return (lhs - r1 + r2 + r3 - r4).canonicalize()
 
 

@@ -118,6 +118,11 @@ def pseudo_from_dict(data):
 
 
 def pseudo_to_dict(P):
+    """The spec of a structure on free generators; the format has no field
+    for module relations, so a structure that has some is refused."""
+    if P.relations:
+        raise ValueError("%s is presented with %d module relation(s), which a "
+                         "pseudoalgebra spec cannot hold" % (P.name, len(P.relations)))
     name = P.module.gen_name
     rows = []
     for gi in P.module.gens:

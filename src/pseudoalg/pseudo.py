@@ -10,6 +10,7 @@ identities and homomorphisms by exact comparison of canonical forms.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .pbw import HElt, mi_splits, mi_weight, mul_basis, mul_slots
 from .tensor import MElt, QElt
@@ -201,45 +202,24 @@ def _compose(inner, outer, out_module, pos):
     inner key multiplies the two legs, which fill slots pos and pos + 1.
     """
     alg = inner.module.alg
-    out = QElt(out_module, 3) if out_module is not None else None
+    out = QElt(out_module, 3)
     for key, m in inner.module_parts():
-        q2 = outer(m)
-        if out is None:
-            out = QElt(q2.module, 3)
-        for (pk, g, L), v in q2.c.items():
+        for (pk, g, L), v in outer(m).c.items():
             head, tail = pk[:pos], pk[pos + 1:]
             for split in mi_splits(pk[pos], 2):
                 for K, c in mul_slots(alg, key, split, mul_basis):
                     out._bump(head + K + tail, g, L, v * c)
-    if out is None:
-        raise ValueError("composition of an empty inner result needs out_module")
     return out.canonicalize()
 
 
-def compose_left(inner, op, c, out_module=None):
+def compose_left(inner, op, c, out_module):
     """((a op1 b) op2 c) in H^{(x) 3}: `inner` is the arity-2 result of op1."""
     return _compose(inner, lambda m: op(m, c), out_module, 0)
 
 
-def compose_right(a, inner, op, out_module=None):
+def compose_right(a, inner, op, out_module):
     """(a op2 (b op1 c)) in H^{(x) 3}: `inner` is the arity-2 result of op1."""
     return _compose(inner, lambda d: op(a, d), out_module, 1)
-
-
-def triple_compose(P, a, b, c, shape):
-    """One of the three Jacobi/associativity compositions, canonicalized.
-
-    shape "left":   [[a b] c]
-    shape "right":  [a [b c]]
-    shape "middle": slots 1,2 swapped in [b [a c]]
-    """
-    if shape == "left":
-        return compose_left(P.bracket(a, b), P.bracket, c, P.module)
-    if shape == "right":
-        return compose_right(a, P.bracket(b, c), P.bracket, P.module)
-    if shape == "middle":
-        return compose_right(b, P.bracket(a, c), P.bracket, P.module).permuted([1, 0, 2])
-    raise ValueError("shape must be left, right or middle")
 
 
 def skew_residual(P, a, b):
@@ -247,30 +227,35 @@ def skew_residual(P, a, b):
     return (P.bracket(b, a) + P.bracket(a, b).permuted([1, 0])).canonicalize()
 
 
-def jacobi_residual(P, a, b, c):
-    r = triple_compose(P, a, b, c, "right")
-    m = triple_compose(P, a, b, c, "middle")
-    l = triple_compose(P, a, b, c, "left")
-    return (r - m - l).canonicalize()
-
-
-def assoc_residual(P, a, b, c):
-    return (triple_compose(P, a, b, c, "right")
-            - triple_compose(P, a, b, c, "left")).canonicalize()
-
-
-def module_residual(P, M, a, b, m):
-    """Defect of the module identity matching the structure kind.
+def _action_residual(P, act, out_module, lie, a, b, m):
+    """Defect of the identity that makes `act` an action of P on out_module.
 
     Lie:    a (b m) - sigma_12 (b (a m)) - [a b] m
     assoc:  a (b m) - (a b) m
+
+    With act = P.bracket on P.module this is the Jacobi identity or
+    associativity of P itself: a structure is a module over itself.  The
+    middle term is the right composition of (b, a, m), slots 1 and 2 swapped.
     """
-    right = compose_right(a, M.act(b, m), M.act, M.module)
-    left = compose_left(P.bracket(a, b), M.act, m, M.module)
-    if P.kind == "assoc":
+    right = compose_right(a, act(b, m), act, out_module)
+    left = compose_left(P.bracket(a, b), act, m, out_module)
+    if not lie:
         return (right - left).canonicalize()
-    middle = compose_right(b, M.act(a, m), M.act, M.module).permuted([1, 0, 2])
+    middle = compose_right(b, act(a, m), act, out_module).permuted([1, 0, 2])
     return (right - middle - left).canonicalize()
+
+
+def jacobi_residual(P, a, b, c):
+    return _action_residual(P, P.bracket, P.module, True, a, b, c)
+
+
+def assoc_residual(P, a, b, c):
+    return _action_residual(P, P.bracket, P.module, False, a, b, c)
+
+
+def module_residual(P, M, a, b, m):
+    """Defect of the module identity matching the structure kind."""
+    return _action_residual(P, M.act, M.module, P.kind == "lie", a, b, m)
 
 
 def verify_axioms(P, report=None, gens=None):
@@ -294,24 +279,15 @@ def verify_axioms_elements(P, elements, report=None):
     rep = report or Report("axioms:%s" % P.name)
     names = list(elements)
     if P.kind == "lie":
-        for x in names:
-            for y in names:
-                res = skew_residual(P, elements[x], elements[y])
-                rep.record("skew-commutativity[%s,%s]" % (x, y), not res,
-                           None if not res else res)
-        for x in names:
-            for y in names:
-                for z in names:
-                    res = jacobi_residual(P, elements[x], elements[y], elements[z])
-                    rep.record("jacobi[%s,%s,%s]" % (x, y, z), not res,
-                               None if not res else res)
+        for x, y in product(names, repeat=2):
+            res = skew_residual(P, elements[x], elements[y])
+            rep.record("skew-commutativity[%s,%s]" % (x, y), not res, res or None)
+        check, residual = "jacobi", jacobi_residual
     else:
-        for x in names:
-            for y in names:
-                for z in names:
-                    res = assoc_residual(P, elements[x], elements[y], elements[z])
-                    rep.record("associativity[%s,%s,%s]" % (x, y, z), not res,
-                               None if not res else res)
+        check, residual = "associativity", assoc_residual
+    for x, y, z in product(names, repeat=3):
+        res = residual(P, elements[x], elements[y], elements[z])
+        rep.record("%s[%s,%s,%s]" % (check, x, y, z), not res, res or None)
     return rep
 
 
@@ -319,13 +295,9 @@ def verify_module(P, M, report=None, lgens=None, mgens=None):
     rep = report or Report("module:%s" % (M.name or P.name))
     lgens = list(lgens if lgens is not None else P.verify_gens)
     mgens = list(mgens if mgens is not None else M.module.gens)
-    for x in lgens:
-        for y in lgens:
-            for m in mgens:
-                res = module_residual(P, M, P.element(x), P.element(y),
-                                      M.module.element(m))
-                rep.record("module-identity[%s,%s;%s]" % (x, y, m), not res,
-                           None if not res else res)
+    for x, y, m in product(lgens, lgens, mgens):
+        res = module_residual(P, M, P.element(x), P.element(y), M.module.element(m))
+        rep.record("module-identity[%s,%s;%s]" % (x, y, m), not res, res or None)
     return rep
 
 

@@ -37,3 +37,10 @@ def random_melt(module, deg, rng, terms=2):
     for _ in range(terms):
         m._bump(rng.choice(mis), rng.choice(module.gens), Fraction(rng.randint(-2, 2)))
     return m
+
+
+def adjoint_module(P):
+    """P acting on itself by its bracket."""
+    from pseudoalg.pseudo import ModuleStructure
+    return ModuleStructure(P, P.module, action_fn=lambda a, m: P.gen_bracket(a, m),
+                           name="adjoint")

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_melt
+from conftest import adjoint_module, random_melt
 from pseudoalg import liealg
 from pseudoalg.cohomology import (Cochain, _bump_row, differential,
                                   extension_cocycle_residual,
@@ -17,7 +17,8 @@ from pseudoalg.constructions import (Rank1Datum, make_current, make_module_rank1
 from pseudoalg.linalg import SparseEliminator, bump, nullspace
 from pseudoalg.pbw import (HElt, TensorElt, antipode_basis, mi_splits, mul_basis,
                            multiindices_up_to)
-from pseudoalg.pseudo import ModuleStructure, verify_axioms, verify_homomorphism
+from pseudoalg.pseudo import (compose_left, compose_right, extend_bilinear, verify_axioms,
+                              verify_homomorphism)
 from pseudoalg.tensor import MElt, QElt
 
 
@@ -27,11 +28,6 @@ def w_type_dim1():
 
 
 # -- complexes -----------------------------------------------------------------
-
-def adjoint_module(P):
-    return ModuleStructure(P, P.module, action_fn=lambda a, m: P.gen_bracket(a, m),
-                           name="adjoint")
-
 
 def test_d_of_zero_cochain_matches_contraction():
     # over the vector fields acting on the enveloping algebra the counit
@@ -92,6 +88,55 @@ def test_split_extension_cocycle(rng):
         for b in P.module.gens:
             for n in V.module.gens:
                 assert not extension_cocycle_residual(P, MH, V, gamma, a, b, n)
+
+
+def reference_extension_cocycle_residual(P, Mact, Nact, gamma, a, b, n):
+    """The residual as first written: three of its right compositions act
+    through lambdas that ignore their first argument and close over the
+    acting element instead."""
+    def gamma_ab(x_elt, y_elt):
+        return extend_bilinear(lambda gx, gy: gamma.get((gx, gy)),
+                               x_elt, y_elt, Mact.module)
+
+    ea, eb = P.element(a), P.element(b)
+    en = Nact.module.element(n)
+    lhs = compose_left(P.bracket(ea, eb), gamma_ab, en, Mact.module)
+    r1 = compose_right(ea, gamma_ab(eb, en), Mact.act, Mact.module)
+    r2 = compose_right(eb, Nact.act(ea, en), lambda _, y: gamma_ab(eb, y),
+                       Mact.module).permuted([1, 0, 2])
+    r3 = compose_right(ea, gamma_ab(ea, en), lambda _, y: Mact.act(eb, y),
+                       Mact.module).permuted([1, 0, 2])
+    r4 = compose_right(ea, Nact.act(eb, en), lambda _, y: gamma_ab(ea, y), Mact.module)
+    return (lhs - r1 + r2 + r3 - r4).canonicalize()
+
+
+def test_extension_cocycle_residual_matches_reference(rng):
+    # random gamma is no cocycle, so the residuals are nonzero and every
+    # term of the condition is exercised
+    alg = liealg.solvable2()
+    P, MH = make_wd(alg)
+    _, V = make_module_rank1(alg, Fr(1, 2), (Fr(1), Fr(0)))
+    zero = (0, 0)
+    nonzero = 0
+    for _ in range(3):
+        gamma = {}
+        for a in P.module.gens:
+            for n in V.module.gens:
+                q = QElt(MH.module, 2)
+                for _ in range(2):
+                    q._bump((rng.choice(multiindices_up_to(2, 1)), zero),
+                            rng.choice(MH.module.gens),
+                            rng.choice(multiindices_up_to(2, 1)),
+                            Fr(rng.randint(-3, 3), rng.randint(1, 2)))
+                gamma[(a, n)] = q.canonicalize()
+        for a in P.module.gens:
+            for b in P.module.gens:
+                for n in V.module.gens:
+                    got = extension_cocycle_residual(P, MH, V, gamma, a, b, n)
+                    assert got == reference_extension_cocycle_residual(P, MH, V, gamma,
+                                                                       a, b, n)
+                    nonzero += bool(got)
+    assert nonzero
 
 
 # -- rank-one central extensions -------------------------------------------------

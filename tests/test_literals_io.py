@@ -6,7 +6,7 @@ import pytest
 
 from pseudoalg import liealg
 from pseudoalg.cli import build_structure
-from pseudoalg.constructions import make_wd
+from pseudoalg.constructions import make_sd, make_wd
 from pseudoalg.io import (lie_algebra_from_dict, lie_algebra_to_dict,
                           parse_bracket_entry, pseudo_from_dict, pseudo_to_dict,
                           render_bracket_entry)
@@ -104,6 +104,14 @@ def test_pseudo_spec_round_trip():
                 a = P.gen_bracket(gi, gj)
                 b = P2.gen_bracket(name(gi), name(gj))
                 assert {(k, name(g), L): v for (k, g, L), v in a.c.items()} == b.c, spec
+
+
+def test_pseudo_spec_refuses_relations():
+    # a spec has no relations field; writing one would reload as the free structure
+    P = make_sd(liealg.abelian(3)).pair_structure()
+    assert len(P.relations) == 1
+    with pytest.raises(ValueError, match=r"with 1 module relation\(s\)"):
+        pseudo_to_dict(P)
 
 
 def test_quotient_dump_round_trip():

@@ -2,7 +2,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from conftest import random_melt
+from conftest import adjoint_module, random_melt
 from pseudoalg import liealg
 from pseudoalg.annihilation import PrecisionError, TruncatedSeries
 from pseudoalg.constructions import (make_current, make_gc,
@@ -10,8 +10,9 @@ from pseudoalg.constructions import (make_current, make_gc,
                                      make_rank1_from_alpha, make_wd,
                                      named_rank1_datum)
 from pseudoalg.pbw import HElt, TensorElt, multiindices_up_to
-from pseudoalg.pseudo import (PseudoStructure, Report, jacobi_residual, skew_residual,
-                              triple_compose, verify_axioms, verify_homomorphism,
+from pseudoalg.pseudo import (PseudoStructure, Report, assoc_residual, compose_left,
+                              compose_right, jacobi_residual, module_residual,
+                              skew_residual, verify_axioms, verify_homomorphism,
                               verify_module, x_bracket)
 from pseudoalg.tensor import FreeModule, MElt, QElt
 
@@ -54,12 +55,14 @@ def test_foreign_elements_rejected():
         P1.bracket(P1.element(0), P2.element(0))
 
 
-def test_triple_compose_zero_bracket():
+def test_zero_bracket_residuals_vanish():
     alg = liealg.abelian(1)
     P = make_rank1_from_alpha(alg, TensorElt(alg, 2), name="abelian-rank1")
     e = P.element("e")
-    for shape in ("left", "right", "middle"):
-        assert not triple_compose(P, e, e, e, shape)
+    assert not compose_left(P.bracket(e, e), P.bracket, e, P.module)
+    assert not compose_right(e, P.bracket(e, e), P.bracket, P.module)
+    assert not jacobi_residual(P, e, e, e)
+    assert not assoc_residual(P, e, e, e)
 
 
 def test_triple_compose_matches_jacobi_for_cur_sl2():
@@ -133,6 +136,19 @@ def test_bilinear_extension_consistency(rng):
         c = random_melt(P.module, 2, rng)
         assert not skew_residual(P, a, b)
         assert not jacobi_residual(P, a, b, c)
+
+
+@pytest.mark.parametrize("name", ["cur:sl2", "wd:solv2"])
+def test_jacobi_is_the_adjoint_module_identity(name, rng):
+    # the adjoint action makes a structure a module over itself
+    if name == "cur:sl2":
+        P = make_current(liealg.abelian(1), liealg.sl2())
+    else:
+        P, _ = make_wd(liealg.solvable2())
+    adj = adjoint_module(P)
+    for _ in range(8):
+        a, b, c = (random_melt(P.module, 2, rng) for _ in range(3))
+        assert jacobi_residual(P, a, b, c) == module_residual(P, adj, a, b, c)
 
 
 def test_module_identity_for_h(catalog_algebra):
