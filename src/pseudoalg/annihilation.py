@@ -26,8 +26,12 @@ class PrecisionError(ValueError):
     """Requested depth exceeds what the inputs can guarantee."""
 
 
-def _truncated_sum(x, y, weight):
-    """x + y known to the smaller cutoff; weight(key) is a term's weight."""
+def _truncated_sum(x, y, weight, same):
+    """x + y known to the smaller cutoff; weight(key) is a term's weight.
+
+    `same` tells whether y lives where x does, cutoffs aside."""
+    if not same:
+        raise ValueError("%s sum across different spaces" % type(x).__name__)
     cut = min(x.cutoff, y.cutoff)
     c = {}
     for k, v in chain(x.c.items(), y.c.items()):
@@ -93,7 +97,8 @@ class TruncatedSeries(SparseCombination):
                                {I: v for I, v in self.c.items() if mi_weight(I) <= cutoff})
 
     def __add__(self, other):
-        return _truncated_sum(self, other, mi_weight)
+        return _truncated_sum(self, other, mi_weight,
+                              isinstance(other, TruncatedSeries) and other.alg is self.alg)
 
     def __mul__(self, other):
         """Product of functionals: t_J t_K = t_{J+K}; depth is the minimum."""
@@ -187,7 +192,9 @@ class AnnihilationElement(SparseCombination):
         return self.module.same_as(other.module) and self.cutoff == other.cutoff
 
     def __add__(self, other):
-        return _truncated_sum(self, other, lambda key: mi_weight(key[0]))
+        return _truncated_sum(self, other, lambda key: mi_weight(key[0]),
+                              isinstance(other, AnnihilationElement)
+                              and self.module.same_as(other.module))
 
     def truncate(self, cutoff):
         if cutoff > self.cutoff:

@@ -16,10 +16,22 @@ points pass their inputs through `exact`, which keeps an integral value an
 arithmetic is several times cheaper), and quotients go through `div`.
 `bump` stores what it is given.  Pseudoforms hold enveloping-algebra
 elements instead of rationals.
+
+Bilinear products multiply scaled integers (content and primitive part:
+x = X / D with X integral).  `cleared` gives an operand's values times
+the lcm D of their denominators, all `int`; the kernel multiplies and
+accumulates those with `bump`, and `divided` calls `div` once per output
+coefficient by the product of the operands' D.  D is one positive
+constant per output, so every partial sum vanishes at exactly the step
+it vanished unscaled: `bump` drops and re-inserts the same keys, and the
+result has the same values in the same key order.  Table entries (PBW
+products, brackets) are not cleared; where one is a `Fraction` the term
+is too, and `div` stays exact on it.
 """
 
 from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 
 
 def exact(v):
@@ -37,6 +49,27 @@ def div(a, b):
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return exact(Fraction(a) / b)
+
+
+def cleared(c):
+    """(D, items): c's values over their least common denominator D.
+
+    `items` are the pairs (k, D v), all `int`; D is 1, and `items` is
+    `c.items()` itself, when every value already is an `int`.
+    """
+    dens = [v.denominator for v in c.values() if type(v) is not int]
+    if not dens:
+        return 1, c.items()
+    D = lcm(*dens)
+    return D, [(k, v * D if type(v) is int else v.numerator * (D // v.denominator))
+               for k, v in c.items()]
+
+
+def divided(d, D):
+    """The map {k: d[k] / D}, exact through `div`; d itself when D is 1."""
+    if D == 1:
+        return d
+    return {k: div(v, D) for k, v in d.items()}
 
 
 def bump(d, key, v):
@@ -58,7 +91,9 @@ class SparseCombination:
 
     A subclass names in `_space` the attributes that fix where its
     elements live (algebra, arity, module, cutoff); sums, negatives and
-    multiples share them.  It may refine `_bump` with an admission rule.
+    multiples share them, and a sum of two elements of different spaces
+    raises ValueError.  It may refine `_same_space` and refine `_bump`
+    with an admission rule.
     """
 
     __slots__ = ()
@@ -82,6 +117,8 @@ class SparseCombination:
         return bool(self.c)
 
     def __add__(self, other):
+        if not (isinstance(other, type(self)) and self._same_space(other)):
+            raise ValueError("%s sum across different spaces" % type(self).__name__)
         c = dict(self.c)
         for k, v in other.c.items():
             bump(c, k, v)

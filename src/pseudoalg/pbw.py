@@ -24,13 +24,21 @@ Coefficients follow the `linalg` invariant: `int` or `Fraction`, never
 float.  Over an abelian algebra every product and antipode coefficient is
 an integer (a product of binomials, a sign); otherwise each step divides
 exactly with `div`, so an integral coefficient stays an `int`.
+
+The element kernels (`HElt` product and antipode, `TensorElt` product,
+`fourier`) clear their operands' denominators once with `cleared`,
+multiply integers against the table entries above, and divide once per
+output coefficient with `divided`; the cached tables stay as they are.
+Since the scale is one positive constant per output, the coefficient
+maps keep the values and the key order of the unscaled loops (see
+`linalg`).
 """
 
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 
-from .linalg import SparseCombination, bump, div, exact
+from .linalg import SparseCombination, bump, cleared, div, divided, exact
 
 
 # -- multi-index helpers ----------------------------------------------------
@@ -46,6 +54,22 @@ def mi_unit(n, i):
 
 def mi_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
+
+
+def checked_mi(I, n):
+    """I as a tuple; ValueError unless it has length n."""
+    I = tuple(I)
+    if len(I) != n:
+        raise ValueError("multi-index %r has length %d, expected %d" % (I, len(I), n))
+    return I
+
+
+def checked_slots(key, n, dim):
+    """A tensor key as a tuple of n multi-indices of length dim, or ValueError."""
+    key = tuple(key)
+    if len(key) != n:
+        raise ValueError("tensor key %r has %d slots, expected %d" % (key, len(key), n))
+    return tuple(checked_mi(I, dim) for I in key)
 
 
 def mi_weight(a):
@@ -213,9 +237,12 @@ class HElt(SparseCombination):
         self.alg = alg
         self.c = {}
         for I, v in (coeffs or {}).items():
+            I = tuple(I)
+            if len(I) != alg.dim:  # inline test: monomials are built in hot loops
+                checked_mi(I, alg.dim)
             v = exact(v)
             if v:
-                self.c[tuple(I)] = v
+                self.c[I] = v
 
     @classmethod
     def zero(cls, alg):
@@ -242,21 +269,24 @@ class HElt(SparseCombination):
         if isinstance(other, HElt):
             if other.alg is not self.alg:
                 raise ValueError("elements over different algebras")
+            Da, A = cleared(self.c)
+            Db, B = cleared(other.c)
             out = {}
-            for I, a in self.c.items():
-                for J, b in other.c.items():
+            for I, a in A:
+                for J, b in B:
                     ab = a * b
                     for K, c in mul_basis(self.alg, I, J).items():
                         bump(out, K, ab * c)
-            return self._with(out)
+            return self._with(divided(out, Da * Db))
         return self.scale(other)
 
     def antipode(self):
+        D, items = cleared(self.c)
         out = {}
-        for I, v in self.c.items():
+        for I, v in items:
             for K, c in antipode_basis(self.alg, I).items():
                 bump(out, K, v * c)
-        return self._with(out)
+        return self._with(divided(out, D))
 
     def counit(self):
         return self.c.get(mi_zero(self.alg.dim), 0)
@@ -293,9 +323,10 @@ class TensorElt(SparseCombination):
         self.n = n
         self.c = {}
         for key, v in (coeffs or {}).items():
+            key = checked_slots(key, n, alg.dim)
             v = exact(v)
             if v:
-                self.c[tuple(tuple(I) for I in key)] = v
+                self.c[key] = v
 
     @classmethod
     def zero(cls, alg, n):
@@ -307,8 +338,12 @@ class TensorElt(SparseCombination):
 
     @classmethod
     def pure(cls, factors):
-        """Tensor product of HElt factors."""
+        """Tensor product of HElt factors, at least one, over one algebra."""
+        if not factors:
+            raise ValueError("a pure tensor needs at least 1 factor, got 0")
         alg = factors[0].alg
+        if any(f.alg is not alg for f in factors):
+            raise ValueError("factors over different algebras")
         t = cls(alg, len(factors))
         keys = [list(f.c.items()) for f in factors]
         for combo in iproduct(*keys):
@@ -325,13 +360,15 @@ class TensorElt(SparseCombination):
             return self.scale(other)
         if other.n != self.n or other.alg is not self.alg:
             raise ValueError("arity or algebra mismatch")
+        Da, A = cleared(self.c)
+        Db, B = cleared(other.c)
         out = {}
-        for ka, va in self.c.items():
-            for kb, vb in other.c.items():
+        for ka, va in A:
+            for kb, vb in B:
                 vab = va * vb
                 for key, c in mul_slots(self.alg, ka, kb, mul_basis):
                     bump(out, key, vab * c)
-        return self._with(out)
+        return self._with(divided(out, Da * Db))
 
     def permuted(self, perm):
         """Pull slots through a permutation: new slot i holds old slot perm[i]."""
@@ -363,13 +400,14 @@ def fourier(t, slots=(0, 1), inverse=False):
     if i == j or not (0 <= i < t.n) or not (0 <= j < t.n):
         raise ValueError("slots must be two distinct positions")
     alg = t.alg
+    D, items = cleared(t.c)
     out = {}
     mul = mul_basis if inverse else mul_antipode
-    for key, v in t.c.items():
+    for key, v in items:
         for J, K in mi_splits(key[j], 2):
             for newI, c in mul(alg, key[i], J).items():
                 nk = list(key)
                 nk[i] = newI
                 nk[j] = K
                 bump(out, tuple(nk), v * c)
-    return t._with(out)
+    return t._with(divided(out, D))

@@ -11,7 +11,9 @@ identities and homomorphisms by exact comparison of canonical forms.
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
+from .linalg import cleared, divided
 from .pbw import HElt, mi_splits, mi_weight, mul_basis, mul_slots
 from .tensor import MElt, QElt
 
@@ -93,8 +95,10 @@ def extend_bilinear(lookup, a, b, out_module):
     """
     out = QElt(out_module, 2)
     alg = out_module.alg
-    for (Ia, ga), ca in a.c.items():
-        for (Ib, gb), cb in b.c.items():
+    Da, A = cleared(a.c)
+    Db, B = cleared(b.c)
+    for (Ia, ga), ca in A:
+        for (Ib, gb), cb in B:
             base = lookup(ga, gb)
             if not base:
                 continue
@@ -102,6 +106,7 @@ def extend_bilinear(lookup, a, b, out_module):
             for (key, g, L), v in base.c.items():
                 for K, c in mul_slots(alg, (Ia, Ib), key, mul_basis):
                     out._bump(K, g, L, cab * v * c)
+    out.c = divided(out.c, Da * Db)
     return out
 
 
@@ -200,16 +205,24 @@ def _compose(inner, outer, out_module, pos):
     outer(m) applies the second operation to one module part m of the
     arity-2 `inner`; slot `pos` of each of its terms splits in two, and the
     inner key multiplies the two legs, which fill slots pos and pos + 1.
+    Every outer(m) is cleared to the common denominator D of all of them.
     """
     alg = inner.module.alg
+    parts = [(key, cleared(outer(m).c)) for key, m in inner.module_parts()]
+    D = lcm(*(Dp for _, (Dp, _) in parts))
     out = QElt(out_module, 3)
-    for key, m in inner.module_parts():
-        for (pk, g, L), v in outer(m).c.items():
+    for key, (Dp, items) in parts:
+        s = D // Dp
+        for (pk, g, L), v in items:
+            v *= s
             head, tail = pk[:pos], pk[pos + 1:]
             for split in mi_splits(pk[pos], 2):
                 for K, c in mul_slots(alg, key, split, mul_basis):
                     out._bump(head + K + tail, g, L, v * c)
-    return out.canonicalize()
+    # canonicalize is linear, so it runs on the scaled sum and D goes last
+    out = out.canonicalize()
+    out.c = divided(out.c, D)
+    return out
 
 
 def compose_left(inner, op, c, out_module):

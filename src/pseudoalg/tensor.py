@@ -21,8 +21,9 @@ center used by central extensions); `_bump` then drops every term that
 is not constant on it.
 """
 
-from .linalg import SparseCombination, bump, exact
-from .pbw import HElt, mi_splits, mi_zero, mul_antipode, mul_basis, mul_slots
+from .linalg import SparseCombination, bump, cleared, divided, exact
+from .pbw import (HElt, checked_mi, checked_slots, mi_splits, mi_zero, mul_antipode,
+                  mul_basis, mul_slots)
 
 
 class FreeModule:
@@ -81,7 +82,7 @@ class MElt(SparseCombination):
         self.module = module
         self.c = {}
         for (I, g), v in (coeffs or {}).items():
-            self._bump(tuple(I), g, exact(v))
+            self._bump(checked_mi(I, module.alg.dim), g, exact(v))
 
     def _bump(self, I, g, v):
         if not v:
@@ -101,15 +102,18 @@ class MElt(SparseCombination):
 
     def h_mul(self, h):
         """Left action of h in U(d)."""
+        Ds, S = cleared(self.c)
+        Dh, H = cleared(h.c)
         out = MElt(self.module)
-        for (I, g), v in self.c.items():
-            for J, cj in h.c.items():
+        for (I, g), v in S:
+            for J, cj in H:
                 if self.module.is_counit(g):
                     if not any(J) and not any(I):
                         out._bump(I, g, v * cj)
                     continue
                 for K, ck in mul_basis(self.module.alg, J, I).items():
                     out._bump(K, g, v * cj * ck)
+        out.c = divided(out.c, Ds * Dh)
         return out
 
     def __repr__(self):
@@ -129,8 +133,9 @@ class QElt(SparseCombination):
         self.n = n
         self.c = {}
         self.canonical = canonical
+        dim = module.alg.dim
         for (key, g, L), v in (coeffs or {}).items():
-            self._bump(tuple(tuple(I) for I in key), g, tuple(L), exact(v))
+            self._bump(checked_slots(key, n, dim), g, checked_mi(L, dim), exact(v))
 
     def _bump(self, key, g, L, v):
         if not v:
@@ -138,6 +143,10 @@ class QElt(SparseCombination):
         if self.module.is_counit(g) and any(L):
             return
         bump(self.c, (key, g, L), v)
+
+    def _same_space(self, other):
+        # the canonical flag rides along but does not fix the space
+        return self.n == other.n and self.module.same_as(other.module)
 
     @classmethod
     def zero(cls, module, n):
@@ -162,11 +171,14 @@ class QElt(SparseCombination):
         if t.n != self.n:
             raise ValueError("arity mismatch")
         alg = self.module.alg
+        Ds, S = cleared(self.c)
+        Dt, T = cleared(t.c)
         out = QElt(self.module, self.n)
-        for (key, g, L), v in self.c.items():
-            for tkey, tv in t.c.items():
+        for (key, g, L), v in S:
+            for tkey, tv in T:
                 for nk, c in mul_slots(alg, tkey, key, mul_basis):
                     out._bump(nk, g, L, v * tv * c)
+        out.c = divided(out.c, Ds * Dt)
         return out
 
     def permuted(self, perm):
@@ -189,8 +201,9 @@ class QElt(SparseCombination):
             return self
         alg = self.module.alg
         one = (mi_zero(alg.dim),)
+        D, items = cleared(self.c)
         out = QElt(self.module, self.n)
-        for (key, g, L), v in self.c.items():
+        for (key, g, L), v in items:
             last = key[-1]
             if not any(last):
                 out._bump(key, g, L, v)
@@ -204,6 +217,7 @@ class QElt(SparseCombination):
                     w *= v
                     for Lp, cl in modmap.items():
                         out._bump(nk, g, Lp, w * cl)
+        out.c = divided(out.c, D)
         out.canonical = True
         return out
 
@@ -256,9 +270,10 @@ class QElt(SparseCombination):
     def from_dict(cls, module, data):
         from .literals import parse_fraction
         q = cls(module, int(data["arity"]))
+        dim = module.alg.dim
         for t in data["terms"]:
-            q._bump(tuple(tuple(I) for I in t["slots"]),
-                    module.gen_by_name(t["gen"]), tuple(t["m"]),
+            q._bump(checked_slots(t["slots"], q.n, dim),
+                    module.gen_by_name(t["gen"]), checked_mi(t["m"], dim),
                     parse_fraction(t["coeff"]))
         q.canonical = bool(data.get("canonical"))
         return q

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import adjoint_module, random_melt
 from pseudoalg import liealg
-from pseudoalg.cohomology import (Cochain, _bump_row, differential,
+from pseudoalg.cohomology import (Cochain, _bump_row, _central_jacobi_rows,
+                                  _central_relation_rows, _degree_window, differential,
                                   extension_cocycle_residual,
                                   hat_central_extension, is_zero_cochain,
                                   sd_central_suite, solve_central_extensions,
@@ -519,3 +520,18 @@ def test_central_solve_matches_reference(name, dmax):
         sol = solve_central_extensions(P, dmax)
         ref = reference_generic_solve(_pool_structure(name), dmax)
     assert (sol.unknowns, sol.basis, sol.trivial) == ref
+
+
+@pytest.mark.parametrize("chi, dmax, count", [(None, 2, 57), (None, 3, 102),
+                                              ((1, 2, 0), 2, 60)])
+def test_relation_rows_lie_in_the_jacobi_span(chi, dmax, count):
+    # the docstring of solve_central_extensions rests on this: the Jacobi
+    # rows alone span every relation row, so those rows change no dimension
+    P = make_sd(liealg.abelian(3), chi).pair_structure()
+    monos = _degree_window(P.alg, dmax)
+    elim = SparseEliminator()
+    for row in _central_jacobi_rows(P, monos):
+        elim.add(row)
+    relation_rows = [r for r in _central_relation_rows(P, monos) if r]
+    assert len(relation_rows) == count
+    assert all(elim.contains(r) for r in relation_rows)

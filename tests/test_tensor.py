@@ -1,5 +1,7 @@
 from fractions import Fraction as Fr
 
+import pytest
+
 from conftest import random_helt
 from pseudoalg import liealg
 from pseudoalg.pbw import HElt, TensorElt, mi_zero
@@ -152,3 +154,94 @@ def test_counit_generator_action():
     q = QElt(M, 2, {(((0,), (1,)), "z", (0,)): 1})
     got = q.canonicalize()
     assert got.c == {(((1,), (0,)), "z", (0,)): Fr(-1)}
+
+
+# -- sums stay in one space; constructors check their multi-indices -----------
+
+def _spaces():
+    """Per element type, a builder of two elements of different spaces."""
+    from pseudoalg.annihilation import AnnihilationElement, TruncatedSeries
+    from pseudoalg.forms import PForm
+    from pseudoalg.liealg import Form
+    sl2, solv2, heis3 = (liealg.algebra_by_name(n) for n in ("sl2", "solv2", "heis3"))
+    m3, m3b = FreeModule(sl2, ["e"]), FreeModule(sl2, ["e", "f"])
+    return [
+        pytest.param(lambda: (HElt.gen(sl2, 0), HElt.gen(solv2, 0)), id="HElt-algebra"),
+        pytest.param(lambda: (HElt.gen(sl2, 0), HElt.gen(heis3, 0)), id="HElt-same-dim"),
+        pytest.param(lambda: (TensorElt.one(sl2, 2), TensorElt.one(sl2, 3)), id="TensorElt-arity"),
+        pytest.param(lambda: (TensorElt.one(sl2, 2), TensorElt.one(heis3, 2)),
+                     id="TensorElt-algebra"),
+        pytest.param(lambda: (m3.element("e"), m3b.element("e")), id="MElt-module"),
+        pytest.param(lambda: (QElt(m3, 2, {((mi_zero(3),) * 2, "e", mi_zero(3)): 1}),
+                              QElt(m3, 3, {((mi_zero(3),) * 3, "e", mi_zero(3)): 1})),
+                     id="QElt-arity"),
+        pytest.param(lambda: (QElt(m3, 2, {((mi_zero(3),) * 2, "e", mi_zero(3)): 1}),
+                              QElt(m3b, 2, {((mi_zero(3),) * 2, "e", mi_zero(3)): 1})),
+                     id="QElt-module"),
+        pytest.param(lambda: (TruncatedSeries(sl2, 2, {(1, 0, 0): 1}),
+                              TruncatedSeries(heis3, 3, {(1, 0, 0): 1})),
+                     id="TruncatedSeries-algebra"),
+        pytest.param(lambda: (AnnihilationElement(m3, 2, {((1, 0, 0), "e"): 1}),
+                              AnnihilationElement(m3b, 2, {((1, 0, 0), "e"): 1})),
+                     id="AnnihilationElement-module"),
+        pytest.param(lambda: (Form(sl2, 1, {(0,): 1}), Form(sl2, 2, {(0, 1): 1})), id="Form-degree"),
+        pytest.param(lambda: (PForm.basis(sl2, (0,)), PForm.basis(heis3, (0,))), id="PForm-algebra"),
+        pytest.param(lambda: (HElt.gen(sl2, 0), TensorElt.one(sl2, 1)), id="HElt-TensorElt"),
+    ]
+
+
+@pytest.mark.parametrize("spaces", _spaces())
+def test_sum_across_spaces_raises(spaces):
+    x, y = spaces()
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(ValueError, match="sum across different spaces"):
+            a + b
+        with pytest.raises(ValueError, match="sum across different spaces"):
+            a - b
+
+
+def test_truncated_sums_across_cutoffs_stay_legal():
+    from pseudoalg.annihilation import AnnihilationElement, TruncatedSeries
+    alg = liealg.algebra_by_name("sl2")
+    s = TruncatedSeries(alg, 2, {(1, 0, 0): 1}) + TruncatedSeries(alg, 3, {(0, 3, 0): 1})
+    assert s.cutoff == 2 and s.c == {(1, 0, 0): 1}
+    mod = FreeModule(alg, ["e"])
+    a = AnnihilationElement(mod, 1, {((1, 0, 0), "e"): 1})
+    a = a + AnnihilationElement(FreeModule(alg, ["e"]), 3, {((0, 1, 0), "e"): 1})
+    assert a.cutoff == 1 and len(a.c) == 2
+
+
+def test_canonical_plus_raw_quotient_sum_is_legal():
+    alg = liealg.algebra_by_name("sl2")
+    mod = FreeModule(alg, ["e"])
+    raw = QElt(mod, 2, {(((0, 0, 0), (1, 0, 0)), "e", (0, 0, 0)): Fr(1, 2)})
+    canon = raw.canonicalize()
+    total = canon + raw
+    assert not total.canonical
+    assert total == raw.scale(2)
+    assert (raw - canon).canonicalize().c == {}
+
+
+def test_constructors_refuse_multi_indices_of_the_wrong_length():
+    alg = liealg.algebra_by_name("sl2")
+    mod = FreeModule(alg, ["e"])
+    z = mi_zero(3)
+    cases = [
+        (lambda: HElt(alg, {(1, 0): 1}), "length 2, expected 3"),
+        (lambda: HElt.monomial(alg, (1, 0, 0, 0)), "length 4, expected 3"),
+        (lambda: TensorElt(alg, 2, {(z,): 1}), "1 slots, expected 2"),
+        (lambda: TensorElt(alg, 2, {(z, (1, 0)): 1}), "length 2, expected 3"),
+        (lambda: TensorElt.pure([]), "at least 1 factor"),
+        (lambda: TensorElt.pure([HElt.gen(alg, 0), HElt.gen(liealg.algebra_by_name("solv2"), 0)]),
+         "different algebras"),
+        (lambda: MElt(mod, {((1, 0), "e"): 1}), "length 2, expected 3"),
+        (lambda: QElt(mod, 2, {((z, z, z), "e", z): 1}), "3 slots, expected 2"),
+        (lambda: QElt(mod, 2, {((z, (0, 1)), "e", z): 1}), "length 2, expected 3"),
+        (lambda: QElt(mod, 2, {((z, z), "e", (0,)): 1}), "length 1, expected 3"),
+        (lambda: QElt.from_dict(mod, {"arity": 2, "terms": [
+            {"slots": [[1, 0], [0, 0, 0]], "gen": "e", "m": [0, 0, 0], "coeff": "1/2"}]}),
+         "length 2, expected 3"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=message.replace("(", r"\(")):
+            build()
