@@ -56,11 +56,11 @@ def mi_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def checked_mi(I, n):
-    """I as a tuple; ValueError unless it has length n."""
+def checked_mi(I, n, what="multi-index"):
+    """I as a tuple; ValueError naming it `what` unless it has length n."""
     I = tuple(I)
     if len(I) != n:
-        raise ValueError("multi-index %r has length %d, expected %d" % (I, len(I), n))
+        raise ValueError("%s %r has length %d, expected %d" % (what, I, len(I), n))
     return I
 
 

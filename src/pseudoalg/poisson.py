@@ -17,7 +17,7 @@ Constant kernel terms ride along as a central-extension candidate.
 
 from .liealg import abelian
 from .linalg import bump, div, exact
-from .pbw import HElt, mi_add, mi_factorial, mi_splits, mi_unit, mi_weight, mi_zero
+from .pbw import HElt, checked_mi, mi_add, mi_factorial, mi_splits, mi_unit, mi_weight, mi_zero
 from .pseudo import PseudoStructure
 from .tensor import FreeModule, QElt
 
@@ -32,6 +32,8 @@ class PoissonBracketSpec:
         self.Q = {}
         self.central = {}
         self.names = list(names) if names else ["u%d" % (i + 1) for i in range(r)]
+        if len(self.names) != r:
+            raise ValueError("names lists %d fields, expected r = %d" % (len(self.names), r))
         for (i, j, k), terms in (Q or {}).items():
             for (A, B), c in terms.items():
                 self.add_term(i, j, k, A, B, c)
@@ -39,21 +41,35 @@ class PoissonBracketSpec:
             for A, c in terms.items():
                 self.add_central(i, j, A, c)
 
+    def _check_fields(self, *indices):
+        """Refuse a 0-based field index outside the r fields, naming it 1-based."""
+        for field, i in zip("ijk", indices):
+            if i not in range(self.r):
+                raise ValueError("%s = %r is not a field in 1..%d" % (field, i + 1, self.r))
+
+    def _exponent(self, field, lam):
+        """lam as a multi-index of N nonnegative integers, or ValueError naming the field."""
+        if not isinstance(lam, (list, tuple)) or any(type(a) is not int or a < 0 for a in lam):
+            raise ValueError("%s = %r is not a list of nonnegative integers" % (field, lam))
+        return checked_mi(lam, self.N, what=field)
+
     def add_term(self, i, j, k, lam, der, coeff):
+        self._check_fields(i, j, k)
+        key = (self._exponent("lambda", lam), self._exponent("partial", der))
         coeff = exact(coeff)
         if not coeff:
             return
-        key = (tuple(lam), tuple(der))
         tbl = self.Q.setdefault((i, j, k), {})
         bump(tbl, key, coeff)
         if not tbl:
             del self.Q[(i, j, k)]
 
     def add_central(self, i, j, lam, coeff):
+        self._check_fields(i, j)
+        key = self._exponent("lambda", lam)
         coeff = exact(coeff)
         if not coeff:
             return
-        key = tuple(lam)
         tbl = self.central.setdefault((i, j), {})
         bump(tbl, key, coeff)
         if not tbl:
@@ -83,21 +99,29 @@ class PoissonBracketSpec:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError("a Poisson spec is a JSON object, not %s" % type(data).__name__)
         spec = cls(int(data["r"]), int(data["N"]), names=data.get("names"))
         for row in data.get("Q", []):
+            i, j, k = (_field_index(row, f) for f in "ijk")
             for t in row["terms"]:
-                spec.add_term(row["i"] - 1, row["j"] - 1, row["k"] - 1,
-                              tuple(t["lambda"]), tuple(t["partial"]),
-                              _parse_coeff(t["coeff"]))
+                spec.add_term(i, j, k, t["lambda"], t["partial"], _parse_coeff(t["coeff"]))
         for row in data.get("central", []):
+            i, j = (_field_index(row, f) for f in "ij")
             for t in row["terms"]:
-                spec.add_central(row["i"] - 1, row["j"] - 1, tuple(t["lambda"]),
-                                 _parse_coeff(t["coeff"]))
+                spec.add_central(i, j, t["lambda"], _parse_coeff(t["coeff"]))
         return spec
 
     def __repr__(self):
         return "PoissonBracketSpec(r=%d, N=%d, %d nonzero tables)" % (
             self.r, self.N, len(self.Q))
+
+
+def _field_index(row, field):
+    """The 1-based field index row[field] of a spec file, 0-based."""
+    if type(row[field]) is not int:
+        raise ValueError("%s = %r is not an integer" % (field, row[field]))
+    return row[field] - 1
 
 
 def _parse_coeff(text):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import shlex
@@ -255,3 +256,138 @@ def test_readme_commands_are_golden_cases():
     assert len(commands) == 14
     for argv in commands:
         assert argv in pinned, argv
+
+
+# -- the family dispatch, cell by cell ---------------------------------------------
+
+ALPHA = "d^(1)#d^(0) - d^(0)#d^(1)"
+
+# (subcommand x family) cells that no golden case covers, each with the exit
+# code and the sha256 of its stdout as the per-family dispatch first printed
+# them; argv runs in JSON unless it names its own --format
+DISPATCH = [
+    (["verify", "--structure", "gc:2"], 0,
+     "de5e8ea492df90b669fa3ec46bb4fbd6261bdee45d74f02643bf530728f0b2e2"),
+    (["verify", "--structure", "cend:1"], 0,
+     "330286a8ca59ce47d398a5af823b53063aca5fddbb8c09a48087f3c199612911"),
+    (["verify", "--structure", "wd:sl2"], 0,
+     "85d22d8a63e7807077b5759cadbced71eb82d831af4196decda6941ab9ed83ce"),
+    (["verify", "--structure", "h-type:solv2"], 0,
+     "ad79fe038fdd0239736dbd914d0c7bc15e545f9fab0ec1156448dfa24497552a"),
+    (["verify", "--structure", "k-type:sl2"], 0,
+     "85c6aa07febcc3b1f482c1a22b706156f1e6cca2ab3caa4a23ac19ef8783696f"),
+    (["verify", "--structure", "sd:abelian3:1,0,0"], 0,
+     "a0b5ffa47c56dbc03ebd21783d75a7f7886696ac400746ccc368e276dee1d9c1"),
+    (["bracket", "--structure", "sd:abelian3",
+      "--left", "(1) @ w_d1", "--right", "(d^(0,1,0)) @ w_d2"], 0,
+     "d15d66ec83d3d28426e2588a0253f920f60193a58912c3d0c81e51ae5f31f9ab"),
+    (["bracket", "--structure", "h-type:abelian2",
+      "--left", "(1) @ e", "--right", "(d^(1,0)) @ e"], 0,
+     "ee257f603e285a2b2675d337aecf64da830927ce4215b827dd0523eb584ff040"),
+    (["bracket", "--structure", "cur:sl2", "--left", "(1) @ g_e", "--right", "(d^(1)) @ g_f"], 0,
+     "cc50e6c7f80768415d4a365c7939669ddf8a54735153878079ba5a10f3fc89de"),
+    (["bracket", "--structure", "rank1", "--alpha", ALPHA,
+      "--left", "(1) @ e", "--right", "(d^(2)) @ e"], 0,
+     "fcebda29cbbb75827c1841177f3e6e55a677352eb7677bd76f7f7987c77454a4"),
+    (["xbracket", "--structure", "cur:sl2",
+      "--left", "(1) @ g_e", "--right", "(d^(2)) @ g_h", "--x", "t^(1)"], 0,
+     "3651a07b914cdc3fcbacf0a15a3cf8fee003114b85873465eda3c0937c4b006e"),
+    (["xbracket", "--structure", "k-type:heisenberg", "--left", "(1) @ e",
+      "--right", "(d^(1,0,0)) @ e", "--x", "t^(0,1,0)", "--cutoff", "4"], 0,
+     "f37e9c194ba361e677c7c0a90ccd24e3076315af869711ba42c764a15308bf03"),
+    (["cohomology", "central", "--structure", "cur:sl2", "--dmax", "3"], 0,
+     "e0672ad9675d4549d8b1549ef4cb35ce3790efea39136e2c330a725d70a6195a"),
+    (["cohomology", "central", "--structure", "wd:solv2", "--dmax", "3"], 0,
+     "a4b89d0fd83ed5e1547e3e7d28baeb4582369cbee17c387213c90144499aaf57"),
+    # the closed rank-one form and the generic solver agree on one variable
+    (["cohomology", "central", "--structure", "wd:abelian1", "--dmax", "3"], 0,
+     "c15e50f651ebc398df3d216b43b1808b015a0db9368afff376ad4ca51f18c8f2"),
+    (["cohomology", "central", "--structure", "rank1", "--alpha", ALPHA, "--dmax", "3"], 0,
+     "c15e50f651ebc398df3d216b43b1808b015a0db9368afff376ad4ca51f18c8f2"),
+    (["cohomology", "central", "--structure", "k-type:sl2", "--dmax", "3"], 0,
+     "d3a1e49285edc523ef5599df61c40500eb804d93b06fa23f874c1dd42182b7ca"),
+    (["--format", "text", "verify", "--structure", "cend:1"], 0,
+     "a2f0ed29a52c12e76a79c9d21db010e405a0606033c8bdce1c392ea16f715256"),
+    (["--format", "text", "bracket", "--structure", "cur:sl2",
+      "--left", "(1) @ g_e", "--right", "(d^(1)) @ g_f"], 0,
+     "12f1004428fdc2f4b58e1197d91bb3ce35d541d0903c536864a4ad019bb7a381"),
+    (["--format", "text", "cohomology", "central", "--structure", "cur:sl2", "--dmax", "3"], 0,
+     "023bc6450a004fe0fdb4655f91a6477d4000c59e8bc9169e15c1d04bc6e36c4b"),
+]
+
+
+def _cell_id(argv):
+    command = argv[2] if argv[0] == "--format" else argv[0]
+    fmt = argv[:2] if command != argv[0] else []
+    return " ".join([command, argv[argv.index("--structure") + 1]] + fmt)
+
+
+@pytest.mark.parametrize("argv, code, sha", DISPATCH, ids=[_cell_id(a) for a, _, _ in DISPATCH])
+def test_family_dispatch_matrix(argv, code, sha):
+    if argv[0] != "--format":
+        argv = ["--format", "json"] + argv
+    got, out = run_cli(*argv)
+    assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, sha)
+
+
+@pytest.mark.parametrize("argv", [["--structure", "sd:abelian3"],
+                                  ["--structure", "rank1", "--alpha", ALPHA]])
+def test_annihilate_refuses_other_families(argv, capsys):
+    assert run_cli("annihilate", *argv) == (2, "")
+    assert capsys.readouterr().err == "annihilate expects a wd:<algebra> structure\n"
+
+
+def test_catalog_out_to_a_directory_is_usage_error(tmp_path, capsys):
+    # an OSError other than a missing file is an input error too
+    argv = ["poisson", "catalog", "--family", "W", "--r", "1", "--N", "1", "--out", str(tmp_path)]
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def _w11():
+    return {"r": 1, "N": 1, "names": ["u1"], "central": [],
+            "Q": [{"i": 1, "j": 1, "k": 1,
+                   "terms": [{"lambda": [0], "partial": [1], "coeff": "1"},
+                             {"lambda": [1], "partial": [0], "coeff": "2"}]}]}
+
+
+def _spec_with(change):
+    data = _w11()
+    change(data)
+    return data
+
+
+def _set_term(field, value):
+    return lambda d: d["Q"][0]["terms"][0].__setitem__(field, value)
+
+
+MALFORMED_SPECS = {
+    "top-level list": ([_w11()], "JSON object"),
+    "lambda not a list": (_spec_with(_set_term("lambda", 5)), "lambda = 5"),
+    # zipped against the one variable, [0, 0] once read as [0]
+    "lambda too long": (_spec_with(_set_term("lambda", [0, 0])), "lambda (0, 0) has length 2"),
+    "negative partial": (_spec_with(_set_term("partial", [-1])), "partial = [-1]"),
+    "field index beyond r": (_spec_with(lambda d: d["Q"][0].__setitem__("i", 3)),
+                             "i = 3 is not a field in 1..1"),
+    "names shorter than r": (_spec_with(lambda d: d.update(r=2, names=["u1"])),
+                             "names lists 1 fields, expected r = 2"),
+}
+
+
+@pytest.mark.parametrize("action", ["verify", "export"])
+@pytest.mark.parametrize("case", MALFORMED_SPECS)
+def test_malformed_poisson_spec_is_usage_error(case, action, tmp_path, capsys):
+    data, message = MALFORMED_SPECS[case]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli("poisson", action, "--file", str(path)) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err, err
+
+
+def test_well_formed_poisson_spec_still_loads(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_w11()), encoding="utf-8")
+    code, out = run_cli("--format", "json", "poisson", "export", "--file", str(path))
+    assert code == 0 and json.loads(out) == _w11()
+    assert run_cli("poisson", "verify", "--file", str(path))[0] == 0

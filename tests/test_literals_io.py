@@ -92,7 +92,6 @@ def test_pseudo_spec_round_trip():
     # the spec names every generator, so it loads back as written
     for spec in ("wd:solv2", "wd:sl2", "cur:sl2"):
         P = build_structure(spec)[1]
-        P = P[0] if spec.startswith("wd:") else P
         data = json.loads(json.dumps(pseudo_to_dict(P)))
         P2 = pseudo_from_dict(data)
         assert pseudo_to_dict(P2) == data, spec

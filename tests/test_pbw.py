@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as Fr
 from math import factorial
 
@@ -320,13 +321,31 @@ def test_deep_probe_closed_form(name, k):
     assert _exact(got)
 
 
-def test_weight_1000_peel_runs_in_a_loop():
-    """h e = e (h + 2): d^(0,0,k) d^(1,0,0) = sum_j 2^(k-j) / (k-j)! d^(1,0,j)."""
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_peel_runs_in_a_loop():
+    """h e = e (h + 2): d^(0,0,k) d^(1,0,0) = sum_j 2^(k-j) / (k-j)! d^(1,0,j).
+
+    The recursion limit is cut to a fixed margin above the current stack,
+    and the weight k exceeds that margin, so a peel that recursed once per
+    step would raise RecursionError.
+    """
     alg = liealg.algebra_by_name("sl2")
-    k = 1000
-    assert mul_basis(alg, (0, 0, k), (1, 0, 0)) == {
-        (1, 0, j): Fr(2 ** (k - j), factorial(k - j)) for j in range(k + 1)}
-    assert antipode_basis(alg, (k, 0, 0)) == {(k, 0, 0): 1}
+    k, margin = 200, 100
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + margin)
+    try:
+        got = mul_basis(alg, (0, 0, k), (1, 0, 0))
+        antipode = antipode_basis(alg, (k, 0, 0))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == {(1, 0, j): Fr(2 ** (k - j), factorial(k - j)) for j in range(k + 1)}
+    assert antipode == {(k, 0, 0): 1}
 
 
 def test_public_names_called_once_per_product(monkeypatch):
