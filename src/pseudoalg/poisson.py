@@ -101,20 +101,36 @@ class PoissonBracketSpec:
     def from_dict(cls, data):
         if not isinstance(data, dict):
             raise ValueError("a Poisson spec is a JSON object, not %s" % type(data).__name__)
-        spec = cls(int(data["r"]), int(data["N"]), names=data.get("names"))
-        for row in data.get("Q", []):
+        spec = cls(_positive(data, "r"), _positive(data, "N"), names=data.get("names"))
+        for row in _objects(data.get("Q", []), "Q"):
             i, j, k = (_field_index(row, f) for f in "ijk")
-            for t in row["terms"]:
+            for t in _objects(row["terms"], "terms"):
                 spec.add_term(i, j, k, t["lambda"], t["partial"], _parse_coeff(t["coeff"]))
-        for row in data.get("central", []):
+        for row in _objects(data.get("central", []), "central"):
             i, j = (_field_index(row, f) for f in "ij")
-            for t in row["terms"]:
+            for t in _objects(row["terms"], "terms"):
                 spec.add_central(i, j, t["lambda"], _parse_coeff(t["coeff"]))
         return spec
 
     def __repr__(self):
         return "PoissonBracketSpec(r=%d, N=%d, %d nonzero tables)" % (
             self.r, self.N, len(self.Q))
+
+
+def _positive(data, field):
+    """data[field] of a spec file as a positive integer: r = 0 fields, or
+    N = 0 variables, leaves the Jacobi suite nothing to check."""
+    n = data[field]
+    if type(n) is not int or n < 1:
+        raise ValueError("%s = %r is not a positive integer" % (field, n))
+    return n
+
+
+def _objects(rows, field):
+    """The rows of a spec file's list field, each a JSON object."""
+    if type(rows) is not list or not all(type(row) is dict for row in rows):
+        raise ValueError("%s = %r is not a list of objects" % (field, rows))
+    return rows
 
 
 def _field_index(row, field):

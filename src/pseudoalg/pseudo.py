@@ -4,7 +4,13 @@ A PseudoStructure keeps, for every ordered pair of module generators, the
 canonical form of their bracket (last tensor slot trivial, so the stored
 data is the H (x) L coefficient table).  Brackets of general elements
 extend the table bilinearly; triple compositions realize both association
-orders in H^{(x) 3} (x)_H L, and the verification routines check
+orders in H^{(x) 3} (x)_H L.  The left one is the paper's rule on
+generators, which H-bilinearity of the second operation allows:
+
+    (sum_i (f_i (x) g_i) (x)_H e_i) * c
+        = sum_i (f_i (x) g_i (x) 1) (Delta (x) id)(e_i * c),
+
+so it computes e_g * c once per generator g.  The verification routines check
 skew-commutativity, the Jacobi identity (or associativity), module
 identities and homomorphisms by exact comparison of canonical forms.
 """
@@ -13,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .linalg import cleared, divided
+from .linalg import bump, cleared, divided
 from .pbw import HElt, mi_splits, mi_weight, mul_basis, mul_slots
 from .tensor import MElt, QElt
 
@@ -199,40 +205,74 @@ class ModuleStructure:
 
 # -- composition in the third tensor power ----------------------------------
 
-def _compose(inner, outer, out_module, pos):
-    """Shared body of the compositions in H^{(x) 3}.
+def compose_left(inner, op, c, out_module):
+    """((a op1 b) op2 c) in H^{(x) 3}: `inner` is the arity-2 result of op1.
 
-    outer(m) applies the second operation to one module part m of the
-    arity-2 `inner`; slot `pos` of each of its terms splits in two, and the
-    inner key multiplies the two legs, which fill slots pos and pos + 1.
-    Every outer(m) is cleared to the common denominator D of all of them.
+    `op` must be H-bilinear, op(h e_g, c) = (h (x) 1) op(e_g, c), as every
+    `extend_bilinear` extension is (`PseudoStructure.bracket`,
+    `ModuleStructure.act`, `Cochain.value2`).  The composition is then the
+    paper's rule on generators:
+
+        (sum_i (f_i (x) g_i) (x)_H h_i e_i) op c
+            = sum_g (X_g (x) 1) (Delta (x) id)(e_g op c),
+
+    with X_g = sum of (f_i (x) g_i) Delta(h_i) over the terms on e_g, so op
+    runs once per generator of `inner`.
     """
     alg = inner.module.alg
-    parts = [(key, cleared(outer(m).c)) for key, m in inner.module_parts()]
+    Din, items = cleared(inner.c)
+    X = {}
+    for (key, g, L), v in items:
+        Xg = X.setdefault(g, {})
+        for split in mi_splits(L, 2):
+            for K, w in mul_slots(alg, key, split, mul_basis):
+                bump(Xg, K, v * w)
+    parts = [(Xg, cleared(op(inner.module.element(g), c).c)) for g, Xg in X.items() if Xg]
+    D = lcm(*(Dp for _, (Dp, _) in parts))
+    out = QElt(out_module, 3)
+    for Xg, (Dp, items) in parts:
+        s = D // Dp
+        for (pk, g, L), v in items:
+            v *= s
+            tail = pk[1:]
+            for split in mi_splits(pk[0], 2):
+                for xk, xv in Xg.items():
+                    xv *= v
+                    for K, w in mul_slots(alg, xk, split, mul_basis):
+                        out._bump(K + tail, g, L, xv * w)
+    # canonicalize is linear, so it runs on the scaled sum and D Din goes last
+    out = out.canonicalize()
+    out.c = divided(out.c, D * Din)
+    return out
+
+
+def compose_right(a, inner, op, out_module):
+    """(a op2 (b op1 c)) in H^{(x) 3}: `inner` is the arity-2 result of op1.
+
+    op(a, m) runs on each module part m of `inner`; slot 1 of each of its
+    terms splits in two, and the inner key multiplies the two legs, which
+    fill slots 1 and 2.  Every op(a, m) is cleared to the common
+    denominator D of all of them.
+    """
+    alg = inner.module.alg
+    parts = [(key, cleared(op(a, m).c)) for key, m in inner.module_parts()]
     D = lcm(*(Dp for _, (Dp, _) in parts))
     out = QElt(out_module, 3)
     for key, (Dp, items) in parts:
         s = D // Dp
         for (pk, g, L), v in items:
             v *= s
-            head, tail = pk[:pos], pk[pos + 1:]
-            for split in mi_splits(pk[pos], 2):
-                for K, c in mul_slots(alg, key, split, mul_basis):
-                    out._bump(head + K + tail, g, L, v * c)
+            if not any(pk[1]):
+                # d^(K) 1 = d^(K): the one split (0, 0) gives the key itself
+                out._bump(pk[:1] + key, g, L, v)
+                continue
+            for split in mi_splits(pk[1], 2):
+                for K, w in mul_slots(alg, key, split, mul_basis):
+                    out._bump(pk[:1] + K, g, L, v * w)
     # canonicalize is linear, so it runs on the scaled sum and D goes last
     out = out.canonicalize()
     out.c = divided(out.c, D)
     return out
-
-
-def compose_left(inner, op, c, out_module):
-    """((a op1 b) op2 c) in H^{(x) 3}: `inner` is the arity-2 result of op1."""
-    return _compose(inner, lambda m: op(m, c), out_module, 0)
-
-
-def compose_right(a, inner, op, out_module):
-    """(a op2 (b op1 c)) in H^{(x) 3}: `inner` is the arity-2 result of op1."""
-    return _compose(inner, lambda d: op(a, d), out_module, 1)
 
 
 def skew_residual(P, a, b):

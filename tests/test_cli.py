@@ -371,6 +371,15 @@ MALFORMED_SPECS = {
                              "i = 3 is not a field in 1..1"),
     "names shorter than r": (_spec_with(lambda d: d.update(r=2, names=["u1"])),
                              "names lists 1 fields, expected r = 2"),
+    # int([1]) raised a TypeError traceback
+    "r not an integer": (_spec_with(lambda d: d.update(r=[1])), "r = [1] is not a positive integer"),
+    # row["i"] on an int raised a TypeError traceback
+    "Q row not an object": (_spec_with(lambda d: d.update(Q=[5])), "Q = [5] is not a list of objects"),
+    "term not an object": (_spec_with(lambda d: d["Q"][0].update(terms=[[0]])),
+                           "terms = [[0]] is not a list of objects"),
+    # no fields, so the Jacobi suite passed with 0/0 checks
+    "no fields": (_spec_with(lambda d: d.update(r=0, names=[], Q=[])),
+                  "r = 0 is not a positive integer"),
 }
 
 

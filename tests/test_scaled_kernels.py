@@ -5,7 +5,9 @@ denominators with `linalg.cleared`, multiplies integers, and divides once
 per output coefficient with `linalg.divided`.  Each reference below is the
 loop the kernel ran before, multiplying the stored values directly.  The
 new coefficient map must equal the reference in values and in key order:
-`list(new.items()) == list(old.items())`.
+`list(new.items()) == list(old.items())`.  `compose_left` is the exception:
+it runs its operation once per generator by H-bilinearity, which the
+properties at the end check, so it matches the old per-part loop as a map.
 
 Coefficients are mixed `int` and `Fraction`, with explicit zeros in the
 input maps; the algebras include sl2, solv2 and heis3, whose PBW tables
@@ -13,12 +15,16 @@ hold `Fraction` entries, and abelian3.
 """
 
 from fractions import Fraction as Fr
+from itertools import product
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import adjoint_module
 from pseudoalg import liealg
+from pseudoalg.cohomology import Cochain
 from pseudoalg.constructions import make_current, make_wd
+from pseudoalg.forms import wd_action_on_forms
 from pseudoalg.linalg import bump as linalg_bump
 from pseudoalg.linalg import cleared, divided
 from pseudoalg.pbw import (HElt, TensorElt, antipode_basis, fourier, mi_splits, mi_zero,
@@ -30,6 +36,7 @@ NAMES = ("abelian3", "solv2", "heis3", "sl2")
 ALGEBRAS = {name: liealg.algebra_by_name(name) for name in NAMES}
 STRUCTURES = {name: make_wd(ALGEBRAS[name])[0] for name in NAMES}
 STRUCTURES["cur:sl2"] = make_current(ALGEBRAS["abelian3"], liealg.sl2())
+FORMS = {name: wd_action_on_forms(STRUCTURES[name], 1) for name in NAMES}
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 DROPS = [0]
@@ -143,7 +150,8 @@ def reference_h_mul(m, h):
 
 
 def reference_compose(inner, outer, out_module, pos):
-    """The old `_compose` body, up to its closing canonicalize."""
+    """The old composition body, up to its closing canonicalize: `outer`
+    runs on every module part of `inner` and slot `pos` of its terms splits."""
     out = QElt(out_module, 3)
     for key, m in inner.module_parts():
         for (pk, g, L), v in outer(m).c.items():
@@ -170,6 +178,7 @@ def _admit_m(m, I, g, v):
 
 COEFFS = st.one_of(st.integers(-3, 3),
                    st.builds(Fr, st.integers(-5, 5), st.sampled_from((1, 2, 3, 4, 6))))
+NONZERO = COEFFS.filter(bool)
 
 
 def coefficient_map(keys, max_size=4):
@@ -193,6 +202,15 @@ def tensors(draw, alg, n, deg=2):
 def melts(draw, module, deg=2):
     keys = [(I, g) for I in multiindices_up_to(module.alg.dim, deg) for g in module.gens]
     return MElt(module, draw(coefficient_map(keys, 3)))
+
+
+@st.composite
+def multi_term_melts(draw, module):
+    """Two or three terms of degree <= 1, the first with a non-integral coefficient."""
+    keys = [(I, g) for I in multiindices_up_to(module.alg.dim, 1) for g in module.gens]
+    c = draw(st.dictionaries(st.sampled_from(keys), NONZERO, min_size=2, max_size=3))
+    c[next(iter(c))] = Fr(2 * draw(st.integers(-2, 2)) + 1, draw(st.sampled_from((2, 4, 6))))
+    return MElt(module, c)
 
 
 @st.composite
@@ -284,8 +302,27 @@ def module_inputs(draw):
 @st.composite
 def compose_inputs(draw):
     P = draw(STRUCTURE)
-    a, b, c = (draw(melts(P.module, 1)) for _ in range(3))
+    a, b, c = (draw(multi_term_melts(P.module)) for _ in range(3))
     return P, a, b, c
+
+
+@st.composite
+def operations(draw):
+    """(P, op, M): an H-bilinear op from P.module x M to arity 2 over M.
+
+    The three kinds `compose_left` is called with: a bracket, the wd
+    action on one-forms, and a drawn degree-2 cochain (whose `value2`
+    returns uncanonicalized forms).
+    """
+    kind = draw(st.sampled_from(("bracket", "forms", "cochain")))
+    if kind == "forms":
+        M = FORMS[draw(st.sampled_from(NAMES))]
+        return M.pseudo, M.act, M.module
+    P = draw(STRUCTURE)
+    if kind == "bracket":
+        return P, P.bracket, P.module
+    values = {pair: draw(qelts(P.module, 2, 1)) for pair in product(P.module.gens, repeat=2)}
+    return P, Cochain(2, P, adjoint_module(P), values).value2, P.module
 
 
 def cancelling_pair():
@@ -349,12 +386,43 @@ def test_h_mul_matches_reference(inputs):
 def test_compose_matches_reference(inputs):
     P, a, b, c = inputs
     inner = P.bracket(a, b)
-    assert_same(compose_left(inner, P.bracket, c, P.module).c,
-                reference_canonicalize(reference_compose(
-                    inner, lambda m: P.bracket(m, c), P.module, 0)))
+    # one op call per generator adds the terms up in another order
+    assert (compose_left(inner, P.bracket, c, P.module).c
+            == reference_canonicalize(reference_compose(
+                inner, lambda m: P.bracket(m, c), P.module, 0)))
     assert_same(compose_right(c, inner, P.bracket, P.module).c,
                 reference_canonicalize(reference_compose(
                     inner, lambda m: P.bracket(c, m), P.module, 1)))
+
+
+@SETTINGS
+@given(operations(), st.data())
+def test_operations_are_left_h_linear(operation, data):
+    """op(d^(L) e_g, c) = (d^(L) (x) 1) op(e_g, c), the rule `compose_left` runs on."""
+    P, op, M = operation
+    alg = P.alg
+    g = data.draw(st.sampled_from(P.module.gens))
+    L = data.draw(st.sampled_from(multiindices_up_to(alg.dim, 2)))
+    c = data.draw(melts(M, 1))
+    shifted = op(MElt(P.module, {(L, g): 1}), c)
+    moved = op(P.element(g), c).tensor_mul_left(
+        TensorElt.pure([HElt.monomial(alg, L), HElt.one(alg)]))
+    assert shifted.canonicalize().c == moved.canonicalize().c
+
+
+@settings(SETTINGS, max_examples=20)
+@given(operations(), st.data())
+def test_compositions_match_reference_for_every_operation(operation, data):
+    P, op, M = operation
+    a, b = (data.draw(multi_term_melts(P.module)) for _ in range(2))
+    c = data.draw(multi_term_melts(M))
+    inner = P.bracket(a, b)
+    assert (compose_left(inner, op, c, M).c
+            == reference_canonicalize(reference_compose(inner, lambda m: op(m, c), M, 0)))
+    # a cochain's uncanonicalized values reach compose_right's split slot
+    inner = op(b, c)
+    assert_same(compose_right(a, inner, op, M).c,
+                reference_canonicalize(reference_compose(inner, lambda m: op(a, m), M, 1)))
 
 
 def test_cancelled_key_returns_in_the_reference_place():
