@@ -101,14 +101,15 @@ class PoissonBracketSpec:
     def from_dict(cls, data):
         if not isinstance(data, dict):
             raise ValueError("a Poisson spec is a JSON object, not %s" % type(data).__name__)
-        spec = cls(_positive(data, "r"), _positive(data, "N"), names=data.get("names"))
-        for row in _objects(data.get("Q", []), "Q"):
+        spec = cls(_positive(data, "r"), _positive(data, "N"),
+                   names=_list_of(data.get("names", []), "names", str))
+        for row in _list_of(data.get("Q", []), "Q"):
             i, j, k = (_field_index(row, f) for f in "ijk")
-            for t in _objects(row["terms"], "terms"):
+            for t in _list_of(row["terms"], "terms"):
                 spec.add_term(i, j, k, t["lambda"], t["partial"], _parse_coeff(t["coeff"]))
-        for row in _objects(data.get("central", []), "central"):
+        for row in _list_of(data.get("central", []), "central"):
             i, j = (_field_index(row, f) for f in "ij")
-            for t in _objects(row["terms"], "terms"):
+            for t in _list_of(row["terms"], "terms"):
                 spec.add_central(i, j, t["lambda"], _parse_coeff(t["coeff"]))
         return spec
 
@@ -126,10 +127,11 @@ def _positive(data, field):
     return n
 
 
-def _objects(rows, field):
-    """The rows of a spec file's list field, each a JSON object."""
-    if type(rows) is not list or not all(type(row) is dict for row in rows):
-        raise ValueError("%s = %r is not a list of objects" % (field, rows))
+def _list_of(rows, field, kind=dict):
+    """A spec file's list field, each entry a JSON object (or string, kind str)."""
+    if type(rows) is not list or not all(type(row) is kind for row in rows):
+        raise ValueError("%s = %r is not a list of %s"
+                         % (field, rows, "objects" if kind is dict else "strings"))
     return rows
 
 

@@ -377,6 +377,10 @@ MALFORMED_SPECS = {
     "Q row not an object": (_spec_with(lambda d: d.update(Q=[5])), "Q = [5] is not a list of objects"),
     "term not an object": (_spec_with(lambda d: d["Q"][0].update(terms=[[0]])),
                            "terms = [[0]] is not a list of objects"),
+    # list(5) raised a TypeError traceback; "u" passed as the list ["u"]
+    "names not a list": (_spec_with(lambda d: d.update(names=5)), "names = 5 is not a list of strings"),
+    "names a string": (_spec_with(lambda d: d.update(names="u")),
+                       "names = 'u' is not a list of strings"),
     # no fields, so the Jacobi suite passed with 0/0 checks
     "no fields": (_spec_with(lambda d: d.update(r=0, names=[], Q=[])),
                   "r = 0 is not a positive integer"),
