@@ -524,7 +524,7 @@ def make_cend(alg, n, max_gen_degree=1):
         out = QElt(mod, 2)
         if q != r:
             return out
-        for J1, J2 in ((sp[0], sp[1]) for sp in mi_splits(J, 2)):
+        for J1, J2 in mi_splits(J, 2):
             for Kp, ck in mul_basis(alg, K, J2).items():
                 out._bump((zero, J1), (Kp, p, s), zero, ck)
         return out
@@ -589,7 +589,7 @@ def apply_anti_involution(C, elt, gamma=None):
     out = MElt.zero(C.module)
     for (I, (J, p, q)), v in elt.c.items():
         for Js, cs in antipode_basis(alg, J).items():
-            for J1, J2 in ((sp[0], sp[1]) for sp in mi_splits(Js, 2)):
+            for J1, J2 in mi_splits(Js, 2):
                 for Ip, ci in mul_basis(alg, I, J1).items():
                     for (pp, qq), cg in gamma(p, q).items():
                         out._bump(Ip, (J2, pp, qq), v * cs * ci * cg)
@@ -678,10 +678,10 @@ def rank1_module_check(datum, beta):
         out = TensorElt(alg, 3)
         for (A, B), v in t.c.items():
             if into_first:
-                for B1, B2 in ((s[0], s[1]) for s in mi_splits(B, 2)):
+                for B1, B2 in mi_splits(B, 2):
                     out._bump((A, B1, B2), v)
             else:
-                for A1, A2 in ((s[0], s[1]) for s in mi_splits(A, 2)):
+                for A1, A2 in mi_splits(A, 2):
                     out._bump((A1, A2, B), v)
         return out
 

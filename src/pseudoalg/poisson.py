@@ -156,7 +156,7 @@ def _substitute(terms):
     out = {}
     for (A, B), c in terms.items():
         sign = (-1) ** mi_weight(A)
-        for B1, B2 in ((s[0], s[1]) for s in mi_splits(B, 2)):
+        for B1, B2 in mi_splits(B, 2):
             # binomial from expanding (a + b)^B in commuting variables
             mult = mi_factorial(B) // (mi_factorial(B1) * mi_factorial(B2))
             bump(out, (mi_add(A, B1), B2), sign * c * mult)
@@ -211,7 +211,7 @@ def pseudo_to_poisson(P, names=None):
             # materialize the plain-generator form (h (x) 1) split(d^L)
             terms = {}
             for (key, g, L), v in q.c.items():
-                for L1, L2 in ((s[0], s[1]) for s in mi_splits(L, 2)):
+                for L1, L2 in mi_splits(L, 2):
                     M = mi_add(key[0], L1)
                     bump(terms, (M, L2, index[g]), v * _divided_product_coeff(key[0], L1))
             for (M, K, k), c in terms.items():

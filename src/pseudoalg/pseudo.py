@@ -4,15 +4,17 @@ A PseudoStructure keeps, for every ordered pair of module generators, the
 canonical form of their bracket (last tensor slot trivial, so the stored
 data is the H (x) L coefficient table).  Brackets of general elements
 extend the table bilinearly; triple compositions realize both association
-orders in H^{(x) 3} (x)_H L.  The left one is the paper's rule on
-generators, which H-bilinearity of the second operation allows:
+orders in H^{(x) 3} (x)_H L by one rule, the paper's rule on generators,
+which H-bilinearity of the second operation allows:
 
     (sum_i (f_i (x) g_i) (x)_H e_i) * c
         = sum_i (f_i (x) g_i (x) 1) (Delta (x) id)(e_i * c),
+    a * (sum_i (f_i (x) g_i) (x)_H e_i)
+        = sum_i (1 (x) f_i (x) g_i) (id (x) Delta)(a * e_i),
 
-so it computes e_g * c once per generator g.  The verification routines check
-skew-commutativity, the Jacobi identity (or associativity), module
-identities and homomorphisms by exact comparison of canonical forms.
+so either order runs its second operation once per generator.  The
+verification routines check skew-commutativity, the Jacobi identity (or
+associativity), module identities and homomorphisms on canonical forms.
 """
 
 from fractions import Fraction
@@ -205,19 +207,17 @@ class ModuleStructure:
 
 # -- composition in the third tensor power ----------------------------------
 
-def compose_left(inner, op, c, out_module):
-    """((a op1 b) op2 c) in H^{(x) 3}: `inner` is the arity-2 result of op1.
+def _compose(inner, value, pos, out_module):
+    """Triple composition in H^{(x) 3}: `inner` is the arity-2 result of the
+    first operation, value(e) the second one with e in place of `inner`,
+    and `pos` the slot of value(e) that `inner` expands (0 left, 1 right).
 
-    `op` must be H-bilinear, op(h e_g, c) = (h (x) 1) op(e_g, c), as every
-    `extend_bilinear` extension is (`PseudoStructure.bracket`,
-    `ModuleStructure.act`, `Cochain.value2`).  The composition is then the
-    paper's rule on generators:
-
-        (sum_i (f_i (x) g_i) (x)_H h_i e_i) op c
-            = sum_g (X_g (x) 1) (Delta (x) id)(e_g op c),
-
-    with X_g = sum of (f_i (x) g_i) Delta(h_i) over the terms on e_g, so op
-    runs once per generator of `inner`.
+    value must be H-linear there, as every `extend_bilinear` extension
+    (`PseudoStructure.bracket`, `ModuleStructure.act`, `Cochain.value2`) is
+    in both arguments, so the paper's rule on generators applies: with
+    X_g = sum of (f_i (x) g_i) Delta(h_i) over the terms
+    (f_i (x) g_i) (x)_H h_i e_g of `inner`, slot `pos` of value(e_g) splits
+    by Delta and X_g multiplies its two legs, one value call per generator.
     """
     alg = inner.module.alg
     Din, items = cleared(inner.c)
@@ -227,52 +227,33 @@ def compose_left(inner, op, c, out_module):
         for split in mi_splits(L, 2):
             for K, w in mul_slots(alg, key, split, mul_basis):
                 bump(Xg, K, v * w)
-    parts = [(Xg, cleared(op(inner.module.element(g), c).c)) for g, Xg in X.items() if Xg]
+    parts = [(Xg, cleared(value(inner.module.element(g)).c)) for g, Xg in X.items() if Xg]
     D = lcm(*(Dp for _, (Dp, _) in parts))
     out = QElt(out_module, 3)
     for Xg, (Dp, items) in parts:
         s = D // Dp
         for (pk, g, L), v in items:
             v *= s
-            tail = pk[1:]
-            for split in mi_splits(pk[0], 2):
+            head, tail = pk[:pos], pk[pos + 1:]
+            for split in mi_splits(pk[pos], 2):
                 for xk, xv in Xg.items():
                     xv *= v
                     for K, w in mul_slots(alg, xk, split, mul_basis):
-                        out._bump(K + tail, g, L, xv * w)
+                        out._bump(head + K + tail, g, L, xv * w)
     # canonicalize is linear, so it runs on the scaled sum and D Din goes last
     out = out.canonicalize()
     out.c = divided(out.c, D * Din)
     return out
 
 
-def compose_right(a, inner, op, out_module):
-    """(a op2 (b op1 c)) in H^{(x) 3}: `inner` is the arity-2 result of op1.
+def compose_left(inner, op, c, out_module):
+    """((a op1 b) op2 c), where `inner` is a op1 b; see `_compose`."""
+    return _compose(inner, lambda e: op(e, c), 0, out_module)
 
-    op(a, m) runs on each module part m of `inner`; slot 1 of each of its
-    terms splits in two, and the inner key multiplies the two legs, which
-    fill slots 1 and 2.  Every op(a, m) is cleared to the common
-    denominator D of all of them.
-    """
-    alg = inner.module.alg
-    parts = [(key, cleared(op(a, m).c)) for key, m in inner.module_parts()]
-    D = lcm(*(Dp for _, (Dp, _) in parts))
-    out = QElt(out_module, 3)
-    for key, (Dp, items) in parts:
-        s = D // Dp
-        for (pk, g, L), v in items:
-            v *= s
-            if not any(pk[1]):
-                # d^(K) 1 = d^(K): the one split (0, 0) gives the key itself
-                out._bump(pk[:1] + key, g, L, v)
-                continue
-            for split in mi_splits(pk[1], 2):
-                for K, w in mul_slots(alg, key, split, mul_basis):
-                    out._bump(pk[:1] + K, g, L, v * w)
-    # canonicalize is linear, so it runs on the scaled sum and D goes last
-    out = out.canonicalize()
-    out.c = divided(out.c, D)
-    return out
+
+def compose_right(a, inner, op, out_module):
+    """(a op2 (b op1 c)), where `inner` is b op1 c; see `_compose`."""
+    return _compose(inner, lambda e: op(a, e), 1, out_module)
 
 
 def skew_residual(P, a, b):

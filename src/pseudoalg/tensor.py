@@ -247,13 +247,6 @@ class QElt(SparseCombination):
                 out._bump(key, gp, Lp, v * w)
         return out
 
-    def module_parts(self):
-        """Expose each term as (tensor key, MElt); used by composition code."""
-        for (key, g, L), v in self.c.items():
-            m = MElt(self.module)
-            m._bump(L, g, v)
-            yield key, m
-
     def as_dict(self):
         """Bit-exact dump for regression fixtures."""
         return {

@@ -44,3 +44,13 @@ def adjoint_module(P):
     from pseudoalg.pseudo import ModuleStructure
     return ModuleStructure(P, P.module, action_fn=lambda a, m: P.gen_bracket(a, m),
                            name="adjoint")
+
+
+def module_parts(q):
+    """Each term of a QElt as (tensor key, MElt): the per-part loop that the
+    composition references run the second operation on."""
+    from pseudoalg.tensor import MElt
+    for (key, g, L), v in q.c.items():
+        m = MElt(q.module)
+        m._bump(L, g, v)
+        yield key, m

@@ -5,9 +5,10 @@ denominators with `linalg.cleared`, multiplies integers, and divides once
 per output coefficient with `linalg.divided`.  Each reference below is the
 loop the kernel ran before, multiplying the stored values directly.  The
 new coefficient map must equal the reference in values and in key order:
-`list(new.items()) == list(old.items())`.  `compose_left` is the exception:
-it runs its operation once per generator by H-bilinearity, which the
-properties at the end check, so it matches the old per-part loop as a map.
+`list(new.items()) == list(old.items())`.  `compose_left` and
+`compose_right` are the exception: they run their second operation once
+per generator by H-bilinearity, which the properties at the end check, so
+they match the old per-part loop as maps.
 
 Coefficients are mixed `int` and `Fraction`, with explicit zeros in the
 input maps; the algebras include sl2, solv2 and heis3, whose PBW tables
@@ -17,10 +18,10 @@ hold `Fraction` entries, and abelian3.
 from fractions import Fraction as Fr
 from itertools import product
 
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import adjoint_module
+from conftest import adjoint_module, module_parts
 from pseudoalg import liealg
 from pseudoalg.cohomology import Cochain
 from pseudoalg.constructions import make_current, make_wd
@@ -38,6 +39,9 @@ STRUCTURES = {name: make_wd(ALGEBRAS[name])[0] for name in NAMES}
 STRUCTURES["cur:sl2"] = make_current(ALGEBRAS["abelian3"], liealg.sl2())
 FORMS = {name: wd_action_on_forms(STRUCTURES[name], 1) for name in NAMES}
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+# the composition properties draw bracket and cochain tables, so shrinking a
+# failure among them takes minutes; they report the first failing example
+NO_SHRINK = settings(SETTINGS, phases=set(Phase) - {Phase.shrink, Phase.explain})
 
 DROPS = [0]
 
@@ -153,7 +157,7 @@ def reference_compose(inner, outer, out_module, pos):
     """The old composition body, up to its closing canonicalize: `outer`
     runs on every module part of `inner` and slot `pos` of its terms splits."""
     out = QElt(out_module, 3)
-    for key, m in inner.module_parts():
+    for key, m in module_parts(inner):
         for (pk, g, L), v in outer(m).c.items():
             head, tail = pk[:pos], pk[pos + 1:]
             for split in mi_splits(pk[pos], 2):
@@ -310,9 +314,9 @@ def compose_inputs(draw):
 def operations(draw):
     """(P, op, M): an H-bilinear op from P.module x M to arity 2 over M.
 
-    The three kinds `compose_left` is called with: a bracket, the wd
-    action on one-forms, and a drawn degree-2 cochain (whose `value2`
-    returns uncanonicalized forms).
+    The three kinds `compose_left` and `compose_right` are called with: a
+    bracket, the wd action on one-forms, and a drawn degree-2 cochain
+    (whose `value2` returns uncanonicalized forms).
     """
     kind = draw(st.sampled_from(("bracket", "forms", "cochain")))
     if kind == "forms":
@@ -381,7 +385,7 @@ def test_h_mul_matches_reference(inputs):
     assert_same(m.h_mul(h).c, reference_h_mul(m, h))
 
 
-@settings(SETTINGS, max_examples=15)
+@settings(NO_SHRINK, max_examples=15)
 @given(compose_inputs())
 def test_compose_matches_reference(inputs):
     P, a, b, c = inputs
@@ -390,12 +394,12 @@ def test_compose_matches_reference(inputs):
     assert (compose_left(inner, P.bracket, c, P.module).c
             == reference_canonicalize(reference_compose(
                 inner, lambda m: P.bracket(m, c), P.module, 0)))
-    assert_same(compose_right(c, inner, P.bracket, P.module).c,
-                reference_canonicalize(reference_compose(
-                    inner, lambda m: P.bracket(c, m), P.module, 1)))
+    assert (compose_right(c, inner, P.bracket, P.module).c
+            == reference_canonicalize(reference_compose(
+                inner, lambda m: P.bracket(c, m), P.module, 1)))
 
 
-@SETTINGS
+@NO_SHRINK
 @given(operations(), st.data())
 def test_operations_are_left_h_linear(operation, data):
     """op(d^(L) e_g, c) = (d^(L) (x) 1) op(e_g, c), the rule `compose_left` runs on."""
@@ -410,7 +414,22 @@ def test_operations_are_left_h_linear(operation, data):
     assert shifted.canonicalize().c == moved.canonicalize().c
 
 
-@settings(SETTINGS, max_examples=20)
+@NO_SHRINK
+@given(operations(), st.data())
+def test_operations_are_right_h_linear(operation, data):
+    """op(a, d^(L) e_g) = (1 (x) d^(L)) op(a, e_g), the rule `compose_right` runs on."""
+    P, op, M = operation
+    alg = P.alg
+    g = data.draw(st.sampled_from(M.gens))
+    L = data.draw(st.sampled_from(multiindices_up_to(alg.dim, 2)))
+    a = data.draw(melts(P.module, 1))
+    shifted = op(a, MElt(M, {(L, g): 1}))
+    moved = op(a, M.element(g)).tensor_mul_left(
+        TensorElt.pure([HElt.one(alg), HElt.monomial(alg, L)]))
+    assert shifted.canonicalize().c == moved.canonicalize().c
+
+
+@settings(NO_SHRINK, max_examples=20)
 @given(operations(), st.data())
 def test_compositions_match_reference_for_every_operation(operation, data):
     P, op, M = operation
@@ -421,8 +440,8 @@ def test_compositions_match_reference_for_every_operation(operation, data):
             == reference_canonicalize(reference_compose(inner, lambda m: op(m, c), M, 0)))
     # a cochain's uncanonicalized values reach compose_right's split slot
     inner = op(b, c)
-    assert_same(compose_right(a, inner, op, M).c,
-                reference_canonicalize(reference_compose(inner, lambda m: op(a, m), M, 1)))
+    assert (compose_right(a, inner, op, M).c
+            == reference_canonicalize(reference_compose(inner, lambda m: op(a, m), M, 1)))
 
 
 def test_cancelled_key_returns_in_the_reference_place():

@@ -12,6 +12,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from conftest import module_parts
 from pseudoalg import liealg
 from pseudoalg.constructions import make_wd
 from pseudoalg.linalg import bump
@@ -90,7 +91,7 @@ def reference_canonicalize(q):
 def reference_compose_left(inner, op, c, out_module):
     alg = inner.module.alg
     out = QElt(out_module, 3)
-    for key, m in inner.module_parts():
+    for key, m in module_parts(inner):
         for (pk, g, L), v in op(m, c).c.items():
             for P1, P2 in ((s[0], s[1]) for s in mi_splits(pk[0], 2)):
                 for K1, c1 in mul_basis(alg, key[0], P1).items():
@@ -102,7 +103,7 @@ def reference_compose_left(inner, op, c, out_module):
 def reference_compose_right(a, inner, op, out_module):
     alg = inner.module.alg
     out = QElt(out_module, 3)
-    for key, d in inner.module_parts():
+    for key, d in module_parts(inner):
         for (pk, g, L), v in op(a, d).c.items():
             for Q1, Q2 in ((s[0], s[1]) for s in mi_splits(pk[1], 2)):
                 for K1, c1 in mul_basis(alg, key[0], Q1).items():
