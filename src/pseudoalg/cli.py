@@ -130,6 +130,8 @@ def _structure(args):
 
 
 def emit(report, fmt, seed):
+    if not report.checks:
+        raise ValueError("%s checks nothing" % (report.title or "report"))
     data = report.as_dict()
     data["seed"] = seed
     if fmt == "json":

@@ -6,6 +6,7 @@ basis vector of the underlying Lie algebra; an element sum h_a (x) d_a is
 the module element with coefficient h_a on generator a.
 """
 
+import re
 from itertools import combinations
 
 from .liealg import validate_geometric_datum
@@ -417,10 +418,7 @@ def check_ybe(datum):
 
 def make_rank1(datum, run_axioms=True, name=None):
     """Free rank-one structure with [e e] = alpha (x)_H e."""
-    alg = datum.alg
-    mod = FreeModule(alg, ["e"], label=name or "rank1:%s" % alg.name)
-    q = QElt.from_tensor_and_module(datum.alpha(), mod.element("e"))
-    P = PseudoStructure(mod, "lie", table={("e", "e"): q}, name=mod.label)
+    P = make_rank1_from_alpha(datum.alg, datum.alpha(), name or "rank1:%s" % datum.alg.name)
     P.datum = datum
     if run_axioms:
         P.axiom_report = verify_axioms(P)
@@ -495,7 +493,16 @@ def cend_module(alg, n, label):
         J, p, q = key
         return "c[%s;%d,%d]" % (",".join(map(str, J)), p, q)
 
-    mod.gen_name = name  # generator set is infinite; names computed on demand
+    def by_name(text):
+        # the inverse of name: J over the directions of alg, and p, q < n
+        m = re.fullmatch(r"c\[(\d+(?:,\d+)*);(\d+),(\d+)\]", text)
+        key = m and (tuple(map(int, m[1].split(","))), int(m[2]), int(m[3]))
+        if not key or len(key[0]) != alg.dim or max(key[1:]) >= n or name(key) != text:
+            raise KeyError("no generator named %r" % text)
+        return key
+
+    # generator set is infinite; names computed and read back on demand
+    mod.gen_name, mod.gen_by_name = name, by_name
     mod.is_counit = lambda g: False
     return mod
 

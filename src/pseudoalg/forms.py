@@ -166,7 +166,7 @@ def form_differential(alg, w):
     """H-linear differential; on degree 0, (dw)(a) = -w a."""
     n = w.degree
     if n >= alg.dim:
-        return PForm(alg, min(n + 1, alg.dim)) if n < alg.dim else PForm(alg, alg.dim)
+        return PForm(alg, alg.dim)
     out = PForm(alg, n + 1)
     if n == 0:
         base = w.value(())

@@ -297,23 +297,12 @@ def catalog_special(r, N, chi=None):
     alg = abelian(N)
     chi_full = chi + (0,) * (N - r)
     S = GeneratedSubalgebra(alg, chi_full, directions=list(range(r)))
-    E = S.pair_structure()
-    pairs = S.pairs
-    names = ["u%d%d" % (a + 1, b + 1) for (a, b) in pairs]
-    index = {p: n for n, p in enumerate(pairs)}
-    pair_mod = FreeModule(alg, list(range(len(pairs))),
-                          names={n: names[n] for n in range(len(pairs))},
-                          label="S(%d,%d)" % (r, N))
-    table = {}
-    for P1 in pairs:
-        for P2 in pairs:
-            # pair fields map to the negated generators, so flip the signs
-            out = QElt(pair_mod, 2)
-            for (key, g, L), v in E.gen_bracket(P1, P2).c.items():
-                out._bump(key, index[g], L, -v)
-            table[(index[P1], index[P2])] = out
-    P = PseudoStructure(pair_mod, "lie", table=table, name="S(%d,%d)" % (r, N))
-    return pseudo_to_poisson(P, names=names)
+    spec = pseudo_to_poisson(S.pair_structure(), ["u%d%d" % (a + 1, b + 1) for a, b in S.pairs])
+    # pair fields map to the negated generators, so flip the signs
+    for terms in spec.Q.values():
+        for key in terms:
+            terms[key] = -terms[key]
+    return spec
 
 
 def catalog_semidirect(r, N, g):

@@ -1,9 +1,9 @@
 """Pseudoalgebra structures on free modules and their defining identities.
 
-A PseudoStructure keeps, for every ordered pair of module generators, the
-canonical form of their bracket (last tensor slot trivial, so the stored
-data is the H (x) L coefficient table).  Brackets of general elements
-extend the table bilinearly; triple compositions realize both association
+A ModuleStructure keeps the canonical form of the action on every pair of
+generators (last tensor slot trivial, so the data is an H (x) M table) and
+extends it bilinearly; a PseudoStructure is the module over itself, one
+generator table with M = L.  Triple compositions realize both association
 orders in H^{(x) 3} (x)_H L by one rule, the paper's rule on generators,
 which H-bilinearity of the second operation allows:
 
@@ -118,54 +118,60 @@ def extend_bilinear(lookup, a, b, out_module):
     return out
 
 
-def _table_value(table, fn, key, module):
-    """Entry of a bracket or action table, filled on demand from fn."""
-    q = table.get(key)
-    if q is None:
-        if fn is None:
-            return QElt.zero(module, 2)
-        q = table[key] = fn(*key).canonicalize()
-    return q
+class ModuleStructure:
+    """Action of the pseudoalgebra `pseudo` on a free module: `table` maps
+    generator pairs to canonical arity-2 QElt values, `action_fn` (if given)
+    fills missing entries on demand, and `act` extends it H-bilinearly."""
+
+    def __init__(self, pseudo, module, table=None, action_fn=None, name=""):
+        self.pseudo = pseudo
+        self.module = module
+        self.alg = module.alg
+        self.name = name
+        self._table = {pair: q.canonicalize() for pair, q in (table or {}).items()}
+        self._action_fn = action_fn
+
+    def gen_action(self, g_l, g_m):
+        q = self._table.get((g_l, g_m))
+        if q is None:
+            if self._action_fn is None:
+                return QElt.zero(self.module, 2)
+            q = self._table[(g_l, g_m)] = self._action_fn(g_l, g_m).canonicalize()
+        return q
+
+    def act(self, a, m):
+        """Pseudoproduct of two module elements, canonicalized."""
+        if not a.module.same_as(self.pseudo.module) or not m.module.same_as(self.module):
+            raise ValueError("foreign elements")
+        return extend_bilinear(self.gen_action, a, m, self.module).canonicalize()
 
 
-class PseudoStructure:
+class PseudoStructure(ModuleStructure):
     """Bracket data on a free module; kind is "lie" or "assoc".
 
-    `table` maps ordered generator pairs to canonical arity-2 QElt values.
-    Large or lazily indexed structures may instead supply `bracket_fn`,
-    called on demand for generator pairs, plus `verify_gens`, the finite
-    generator list the axiom checks run over.  A structure presented on
-    generators that are not free lists its module relations in
-    `relations`, each a vanishing combination {generator: HElt}.
+    The structure is a module over itself (`pseudo` is self): `gen_bracket`
+    and `bracket` are `gen_action` and `act`, and `bracket_fn` fills the
+    table on demand.  `verify_gens` is the finite generator list the axiom
+    checks run over.  A structure presented on generators that are not free
+    lists its module relations in `relations`, each a vanishing combination
+    {generator: HElt}.
     """
 
     def __init__(self, module, kind="lie", table=None, bracket_fn=None,
                  verify_gens=None, relations=(), name=""):
         if kind not in ("lie", "assoc"):
             raise ValueError("kind must be 'lie' or 'assoc'")
-        self.module = module
-        self.alg = module.alg
+        super().__init__(self, module, table, bracket_fn, name or module.label)
         self.kind = kind
-        self.name = name or module.label
-        self._table = {}
-        self._bracket_fn = bracket_fn
         self.verify_gens = list(verify_gens if verify_gens is not None else module.gens)
         self.relations = list(relations)
         self._coefficient_degree = None
-        for pair, q in (table or {}).items():
-            self._table[pair] = q.canonicalize()
 
-    def gen_bracket(self, gi, gj):
-        return _table_value(self._table, self._bracket_fn, (gi, gj), self.module)
+    gen_bracket = ModuleStructure.gen_action
+    bracket = ModuleStructure.act
 
     def element(self, g):
         return self.module.element(g)
-
-    def bracket(self, a, b):
-        """Pseudoproduct of two module elements, canonicalized."""
-        if not a.module.same_as(self.module) or not b.module.same_as(self.module):
-            raise ValueError("foreign elements")
-        return extend_bilinear(self.gen_bracket, a, b, self.module).canonicalize()
 
     def max_coefficient_degree(self):
         """Worst filtration degree one bracket of `verify_gens` moves onto
@@ -181,28 +187,6 @@ class PseudoStructure:
     def __repr__(self):
         return "PseudoStructure(%s, kind=%s, rank=%d)" % (
             self.name, self.kind, self.module.rank)
-
-
-class ModuleStructure:
-    """Action of a PseudoStructure on a free module, stored like a bracket table."""
-
-    def __init__(self, pseudo, module, table=None, action_fn=None, name=""):
-        self.pseudo = pseudo
-        self.module = module
-        self.alg = module.alg
-        self.name = name
-        self._table = {}
-        self._action_fn = action_fn
-        for pair, q in (table or {}).items():
-            self._table[pair] = q.canonicalize()
-
-    def gen_action(self, g_l, g_m):
-        return _table_value(self._table, self._action_fn, (g_l, g_m), self.module)
-
-    def act(self, a, m):
-        if not a.module.same_as(self.pseudo.module) or not m.module.same_as(self.module):
-            raise ValueError("foreign elements")
-        return extend_bilinear(self.gen_action, a, m, self.module).canonicalize()
 
 
 # -- composition in the third tensor power ----------------------------------

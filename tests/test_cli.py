@@ -202,12 +202,15 @@ def test_readme_commands_golden_json(case, tmp_path, monkeypatch):
 # -- inputs that once ended in a traceback or an empty pass ----------------------
 
 BAD_INPUTS = [
-    # the lazily indexed pseudolinear modules have no generator names to look up
+    # the lazily indexed pseudolinear modules read back only names c[J;p,q]
+    # with one entry of J per direction and p, q below the rank
     ["bracket", "--structure", "cend:1", "--left", "(1) @ x", "--right", "(1) @ x"],
     ["bracket", "--structure", "gc:1", "--left", "(1) @ x", "--right", "(1) @ x"],
     # rank below one: no generators, so the axiom suite checked nothing
     ["verify", "--structure", "gc:0"],
     ["verify", "--structure", "gc:-1"],
+    # S(d) on one direction has no pair generators, so its suite checked nothing
+    ["verify", "--structure", "sd:abelian1"],
     # no listed generators, so the solver reported dimension 0 over nothing
     ["cohomology", "central", "--structure", "gc:1", "--dmax", "1"],
     # chi with 2 entries over a 3-dimensional algebra
@@ -223,6 +226,11 @@ def test_bad_structure_input_is_usage_error(argv, capsys):
     code, out = run_cli(*argv)
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_empty_report_names_its_title(capsys):
+    assert run_cli("verify", "--structure", "sd:abelian1") == (2, "")
+    assert capsys.readouterr().err == "input error: sd:abelian1 checks nothing\n"
 
 
 def test_poisson_catalog_error_names_missing_parameter(capsys):
@@ -330,6 +338,13 @@ DISPATCH = [
      "82f9596e7266a6348f70961176a3fc4ffde76fa041e81683827e81438faac3f2"),
     (["poisson", "catalog", "--family", "S", "--r", "3", "--N", "4", "--chi", "1/2,1,-1"], 0,
      "155ee63c3fe18d8d99a6f1911b256fd45d5c5b31172d10a70fff1265a48744c0"),
+    # operands named as the pseudolinear modules print their generators
+    (["bracket", "--structure", "cend:2",
+      "--left", "(1) @ c[1;0,1]", "--right", "(d^(1)) @ c[0;1,0]"], 0,
+     "9b893474400b4bea5cf661abb52e5679fb42f0a6c44eb72231ea8bc24a9ee412"),
+    (["bracket", "--structure", "gc:1",
+      "--left", "(1) @ c[1;0,0]", "--right", "(1) @ c[0;0,0]"], 0,
+     "f879606a5fe267cba8e5d04b58cff9cdc288596b9311e03d2712bfbee6cc9ebf"),
 ]
 
 

@@ -389,6 +389,17 @@ def test_cend_product_formula():
                                   ((z, z), ((0,), 0, 0), (1,)): Fr(1)}
 
 
+def test_cend_generator_names_read_back():
+    C = make_cend(liealg.abelian(2), 2, max_gen_degree=2)
+    for g in C.verify_gens:
+        assert C.module.gen_by_name(C.module.gen_name(g)) == g
+    # one entry of J per direction, p and q below the rank, no padded digits
+    for name in ["c[0;0,0]", "c[0,0,0;0,0]", "c[0,0;2,0]", "c[0,0;0,2]", "c[0,01;0,0]",
+                 "c[0,0;0,0", "e_12"]:
+        with pytest.raises(KeyError):
+            C.module.gen_by_name(name)
+
+
 def test_cend_assoc_and_gc_jacobi_rank2():
     alg = liealg.abelian(2)
     C, G = make_gc(alg, 2)
