@@ -377,6 +377,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
+        # str(KeyError(msg)) is repr(msg): print the message itself
+        if isinstance(exc, KeyError) and exc.args:
+            exc = exc.args[0]
         print("input error: %s" % exc, file=sys.stderr)
         return 2
 

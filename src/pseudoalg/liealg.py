@@ -39,12 +39,19 @@ class LieAlgebra:
         self.table = tbl
         self._trace_ad = None
         self._killing = None
+        # pbw tables in divided powers d^(I), one entry per request:
+        # mul_basis per (I, J), antipode_basis per I, mul_antipode per (I, J)
         self._mul_cache = {}
-        self._mul_antipode_cache = {}  # pbw.mul_antipode per (I, J)
-        # pbw._gen_mul per (generator, multi-index): at most dim entries for
-        # each divided monomial a product or antipode reaches
-        self._straight_cache = {}
         self._antipode_cache = {}
+        self._mul_antipode_cache = {}
+        # pbw straightening in monomials x^I = I! d^(I), integral when the
+        # structure constants are: x_g x^K per (g, K), at most dim entries
+        # for each monomial reached; and the products x^I x^J and reversed
+        # words of I that a peel passed through but nobody requested (a
+        # requested one is held once, in the divided table above)
+        self._straight_cache = {}
+        self._monomial_mul_cache = {}
+        self._reversed_cache = {}
         self._adjoint_cache = {}
 
     def bracket(self, i, j):

@@ -90,7 +90,8 @@ def render_tensor(t, symbol="d"):
 
 
 def _split_terms(text, after=""):
-    """Split on top-level + and - (keeping signs), respecting parentheses.
+    """Split on top-level + and - (keeping signs), respecting parentheses
+    and the brackets of generator names such as c[-1;0,0].
 
     A sign starts a new term only once the current term holds `after`.
     """
@@ -98,9 +99,9 @@ def _split_terms(text, after=""):
     depth = 0
     cur = ""
     for ch in text:
-        if ch == "(":
+        if ch in "([":
             depth += 1
-        elif ch == ")":
+        elif ch in ")]":
             depth -= 1
         if ch in "+-" and depth == 0 and after in cur and cur.strip():
             terms.append(cur)

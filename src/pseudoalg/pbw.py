@@ -7,13 +7,20 @@ coproduct integer-free:
 
     coproduct(d^(I)) = sum over J + K = I of d^(J) (x) d^(K)
 
-Multiplication rests on one step, `_gen_mul`: the left product d_g d^(K)
-of a generator and a divided monomial, straightened with
-d_g d_h = d_h d_g + [d_g, d_h] and memoized per (g, K) on the owning
-algebra.  `mul_basis` and `antipode_basis` peel one generator at a time
-onto it in a loop (`_peel`) that caches every partial product, and
-`_gen_mul` walks its own chain in a loop too.  Filtration degree of
-d^(I) is |I|.
+Straightening works in the monomial basis x^I = x_1^{i_1} ... x_N^{i_N}
+= I! d^(I), where every step is integral when the structure constants
+are.  It rests on one step, `_gen_mul`: the left product x_g x^K of a
+generator and a monomial, straightened with x_g x_h = x_h x_g + [x_g, x_h]
+and memoized per (g, K) on the owning algebra.  `mul_basis` and
+`antipode_basis` peel one generator at a time onto it in a loop (`_peel`)
+that caches every partial product, and `_gen_mul` walks its own chain in
+a loop too.  A requested table entry converts to divided powers once, one
+exact division per entry:
+
+    d^(I) d^(J) = sum c_M M! / (I! J!) d^(M)   for x^I x^J = sum c_M x^M
+    S(d^(I))    = sum c_M M! / I! d^(M)        for S(x^I) = sum c_M x^M
+
+Filtration degree of d^(I) is |I|.
 
 Tensor powers H^{(x) n} use two kernels: `mul_slots`, the slot-by-slot
 product of two tensor keys, and `mul_antipode`, the factor d^(I) S(d^(J))
@@ -22,8 +29,8 @@ the algebra beside the product cache.
 
 Coefficients follow the `linalg` invariant: `int` or `Fraction`, never
 float.  Over an abelian algebra every product and antipode coefficient is
-an integer (a product of binomials, a sign); otherwise each step divides
-exactly with `div`, so an integral coefficient stays an `int`.
+an integer (a product of binomials, a sign); otherwise the conversion
+divides exactly with `div`, so an integral coefficient stays an `int`.
 
 The element kernels (`HElt` product and antipode, `TensorElt` product,
 `fourier`) clear their operands' denominators once with `cleared`,
@@ -120,82 +127,110 @@ def _mi_step(K, i, d):
 
 
 def _gen_mul(alg, g, K):
-    """Left product d_g d^(K) of a generator and a divided monomial.
+    """Left product x_g x^K of a generator and a monomial, in monomials.
 
     With h the smallest generator in K: for g <= h the product is ordered,
-    (k_g + 1) d^(K + e_g).  Otherwise d^(K) = d_h d^(K - e_h) / k_h, and
-    d_g d_h = d_h d_g + [d_g, d_h] leaves products of lower weight.
-    Walks the chain K -> K - e_h inward to the first cached or ordered
-    entry, then outward, memoizing each (g, K) on the algebra.
+    x^(K + e_g).  Otherwise x^K = x_h x^(K - e_h), and
+    x_g x_h = x_h x_g + [x_g, x_h] leaves products of lower weight, with
+    no division.  Walks the chain K -> K - e_h inward to the first cached
+    or ordered entry, then outward, memoizing each (g, K) on the algebra.
     """
     cache = alg._straight_cache
     chain = []
     while (res := cache.get((g, K))) is None:
         h = next((i for i, k in enumerate(K) if k), g)
         if g <= h:
-            res = cache[g, K] = {_mi_step(K, g, 1): K[g] + 1}
+            res = cache[g, K] = {_mi_step(K, g, 1): 1}
             break
         chain.append((K, h))
         K = _mi_step(K, h, -1)
     for K, h in reversed(chain):
-        acc = _gen_times(alg, h, res, {})
+        res = _gen_times(alg, h, res, {})
         for m, b in alg.bracket(g, h).items():
-            _gen_times(alg, m, {_mi_step(K, h, -1): b}, acc)
-        res = cache[g, K] = {L: div(c, K[h]) for L, c in acc.items()}
+            _gen_times(alg, m, {_mi_step(K, h, -1): b}, res)
+        cache[g, K] = res
     return res
 
 
 def _gen_times(alg, g, comb, acc):
-    """acc += d_g times the combination {multi-index: coefficient}."""
+    """acc += x_g times the combination {multi-index: coefficient}."""
     for L, c in comb.items():
         for M, cm in _gen_mul(alg, g, L).items():
             bump(acc, M, c * cm)
     return acc
 
 
-def _peel(alg, cache, key, I, base, pick, sign):
-    """d^(I) times `base` on the left, by d^(I) = d_h d^(I - e_h) / i_h.
+def _peel(alg, table, partial, key, I, base, pick, norm):
+    """The divided-power table entry at key(I), straightened in monomials.
 
-    h = pick(generators in I).  Walks that chain inward to the first entry
-    cached under key(I'), then outward, dividing each step by sign * i'_h
-    and caching every entry on the way.
+    Computes x^I times `base` on the left, sum c_M x^M, and stores it in
+    `table` as sum c_M M! / norm(I) d^(M) (x^M = M! d^(M)), one exact
+    division per entry.  Peels h = pick(generators in I'), by
+    x^I' = x_h x^(I' - e_h), from I' = I inward to the first product
+    cached in either form: in monomials in `partial`, or in `table`,
+    multiplied back by norm(I') / M!.  Then walks outward, caching each
+    step in `partial`.  Every product is held in one form only, so I
+    itself leaves `partial` for `table`.
     """
+    top, n = key(I), norm(I)
     chain = []
-    while (hit := cache.get(key(I))) is None and any(I):
-        h = pick(i for i, k in enumerate(I) if k)
-        chain.append((I, h))
+    while any(I):
+        k = key(I)
+        if (res := partial.get(k)) is not None:
+            break
+        if (hit := table.get(k)) is not None:
+            m = norm(I)
+            res = {M: div(c * m, mi_factorial(M)) for M, c in hit.items()}
+            break
+        h = pick(i for i, x in enumerate(I) if x)
+        chain.append((k, h))
         I = _mi_step(I, h, -1)
-    res = cache[key(I)] = base if hit is None else hit
-    for K, h in reversed(chain):
-        acc = _gen_times(alg, h, res, {})
-        res = cache[key(K)] = {L: div(c, sign * K[h]) for L, c in acc.items()}
-    return res
+    else:
+        res = base
+    for k, h in reversed(chain):
+        res = partial[k] = _gen_times(alg, h, res, {})
+    partial.pop(top, None)
+    hit = table[top] = {M: div(c * mi_factorial(M), n) for M, c in res.items()}
+    return hit
 
 
 def mul_basis(alg, I, J):
     """Product d^(I) d^(J) expanded in divided-power monomials.
 
-    Peels the first generator h of I: d^(I) = d_h d^(I - e_h) / i_h.
+    Straightens x^I x^J = sum c_M x^M in monomials x^I = I! d^(I),
+    peeling the first generator h of I (x^I = x_h x^(I - e_h)), then
+    converts once: d^(I) d^(J) = sum c_M M! / (I! J!) d^(M).
     """
     hit = alg._mul_cache.get((I, J))
-    if hit is None and alg.is_abelian:
-        K = mi_add(I, J)
-        hit = alg._mul_cache[I, J] = {
-            K: mi_factorial(K) // (mi_factorial(I) * mi_factorial(J))}
-    return hit or _peel(alg, alg._mul_cache, lambda K: (K, J), I,
-                        {J: 1}, min, 1)
+    if hit is None:
+        if alg.is_abelian:
+            K = mi_add(I, J)
+            hit = alg._mul_cache[I, J] = {
+                K: mi_factorial(K) // (mi_factorial(I) * mi_factorial(J))}
+        else:
+            nj = mi_factorial(J)
+            hit = _peel(alg, alg._mul_cache, alg._monomial_mul_cache,
+                        lambda K: (K, J), I, {J: 1}, min,
+                        lambda K: mi_factorial(K) * nj)
+    return hit
 
 
 def antipode_basis(alg, I):
-    """Antipode of d^(I), peeling the last generator h of I:
+    """Antipode of d^(I) expanded in divided-power monomials.
 
-        S(d^(I)) = -d_h S(d^(I - e_h)) / i_h.
+    S(x^I) = (-1)^|I| R(I), with R(I) the product of I's generators in
+    reversed order; R(I) = x_h R(I - e_h) peels the last generator h of I.
+    Converts once: S(d^(I)) = (-1)^|I| sum c_M M! / I! d^(M).
     """
     hit = alg._antipode_cache.get(I)
-    if hit is None and alg.is_abelian:
-        hit = alg._antipode_cache[I] = {I: (-1) ** mi_weight(I)}
-    return hit or _peel(alg, alg._antipode_cache, lambda K: K, I,
-                        {mi_zero(len(I)): 1}, max, -1)
+    if hit is None:
+        if alg.is_abelian:
+            hit = alg._antipode_cache[I] = {I: (-1) ** mi_weight(I)}
+        else:
+            hit = _peel(alg, alg._antipode_cache, alg._reversed_cache,
+                        lambda K: K, I, {mi_zero(len(I)): 1}, max,
+                        lambda K: (-1) ** mi_weight(K) * mi_factorial(K))
+    return hit
 
 
 def mul_antipode(alg, I, J):

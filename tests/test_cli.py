@@ -233,6 +233,15 @@ def test_empty_report_names_its_title(capsys):
     assert capsys.readouterr().err == "input error: sd:abelian1 checks nothing\n"
 
 
+@pytest.mark.parametrize("name", ["c[0;0,1]", "c[-1;0,0]"])
+def test_unknown_generator_error_names_it_once(name, capsys):
+    """A KeyError prints its message, not its repr, and a sign inside a
+    generator's brackets does not split the term."""
+    assert run_cli("bracket", "--structure", "cend:1", "--left", "(1) @ " + name,
+                   "--right", "(1) @ c[0;0,0]") == (2, "")
+    assert capsys.readouterr().err == "input error: no generator named '%s'\n" % name
+
+
 def test_poisson_catalog_error_names_missing_parameter(capsys):
     assert run_cli("poisson", "catalog", "--family", "W", "--r", "1")[0] == 2
     assert "parameter N" in capsys.readouterr().err

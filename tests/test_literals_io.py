@@ -51,6 +51,17 @@ def test_parse_module_element():
     assert parse_module_element(P.module, text) == m
 
 
+def test_sign_inside_generator_brackets_does_not_split():
+    """A + or - inside [...] belongs to the generator name."""
+    _, P, _, _ = build_structure("cend:1", None, None)
+    m = parse_module_element(P.module, "(1) @ c[0;0,0] - (d^(1)) @ c[0;0,0]")
+    g = P.module.gen_by_name("c[0;0,0]")
+    assert m.c == {((0,), g): 1, ((1,), g): -1}
+    with pytest.raises(KeyError) as info:
+        parse_module_element(P.module, "(1) @ c[-1;0,0]")
+    assert info.value.args == ("no generator named 'c[-1;0,0]'",)
+
+
 def test_bad_literals_rejected():
     alg = liealg.abelian(2)
     with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ from fractions import Fraction as Fr
 from math import factorial
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_helt
 from pseudoalg import liealg
@@ -295,6 +297,140 @@ def test_generator_step_matches_word_rewriter(name):
             assert _exact(got), (I, J)
 
 
+# -- reference: the divided-power loop the monomial straightening replaced ------
+
+def _mi_step(K, i, d):
+    return K[:i] + (K[i] + d,) + K[i + 1:]
+
+
+def _divided_gen_mul(alg, g, K, caches):
+    """d_g d^(K) in divided powers: d^(K) = d_h d^(K - e_h) / k_h for h the
+    smallest generator in K, one exact division per step."""
+    cache = caches.setdefault("straight", {})
+    chain = []
+    while (res := cache.get((g, K))) is None:
+        h = next((i for i, k in enumerate(K) if k), g)
+        if g <= h:
+            res = cache[g, K] = {_mi_step(K, g, 1): K[g] + 1}
+            break
+        chain.append((K, h))
+        K = _mi_step(K, h, -1)
+    for K, h in reversed(chain):
+        acc = _divided_gen_times(alg, h, res, {}, caches)
+        for m, b in alg.bracket(g, h).items():
+            _divided_gen_times(alg, m, {_mi_step(K, h, -1): b}, acc, caches)
+        res = cache[g, K] = {L: div(c, K[h]) for L, c in acc.items()}
+    return res
+
+
+def _divided_gen_times(alg, g, comb, acc, caches):
+    for L, c in comb.items():
+        for M, cm in _divided_gen_mul(alg, g, L, caches).items():
+            bump(acc, M, c * cm)
+    return acc
+
+
+def _divided_peel(alg, cache, key, I, base, pick, sign, caches):
+    """d^(I) times `base` on the left, by d^(I) = d_h d^(I - e_h) / i_h with
+    h = pick(generators in I), dividing each step by sign * i_h."""
+    chain = []
+    while (hit := cache.get(key(I))) is None and any(I):
+        h = pick(i for i, k in enumerate(I) if k)
+        chain.append((I, h))
+        I = _mi_step(I, h, -1)
+    res = cache[key(I)] = base if hit is None else hit
+    for K, h in reversed(chain):
+        acc = _divided_gen_times(alg, h, res, {}, caches)
+        res = cache[key(K)] = {L: div(c, sign * K[h]) for L, c in acc.items()}
+    return res
+
+
+def divided_mul_basis(alg, I, J, caches):
+    return _divided_peel(alg, caches.setdefault("mul", {}), lambda K: (K, J), I,
+                         {J: 1}, min, 1, caches)
+
+
+def divided_antipode_basis(alg, I, caches):
+    return _divided_peel(alg, caches.setdefault("antipode", {}), lambda K: K, I,
+                         {mi_zero(len(I)): 1}, max, -1, caches)
+
+
+def half_solv2():
+    """[a, b] = b / 2: solv2 with a halved."""
+    return liealg.LieAlgebra("half-solv2", ["a", "b"], {(0, 1): {1: Fr(1, 2)}})
+
+
+def half_sl2():
+    """sl2 on (e/2, f, h): [e', f] = h / 2, [h, e'] = 2e', [h, f] = -2f."""
+    return liealg.LieAlgebra("half-sl2", ["e'", "f", "h"],
+                             {(0, 1): {2: Fr(1, 2)}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+
+
+ORACLE_ALGEBRAS = {"sl2": liealg.sl2, "solv2": liealg.solvable2,
+                   "heis3": liealg.heisenberg3, "half-solv2": half_solv2,
+                   "half-sl2": half_sl2}
+
+
+def _typed(table):
+    return [(K, type(v), v) for K, v in table.items()]
+
+
+@st.composite
+def table_requests(draw):
+    """An algebra name and a run of products d^(I) d^(J) on a few right
+    factors J, with the antipode of each left factor I, so that later peels
+    pass through earlier requests."""
+    name = draw(st.sampled_from(sorted(ORACLE_ALGEBRAS)))
+    dim = ORACLE_ALGEBRAS[name]().dim
+    mi = st.tuples(*[st.integers(0, 3)] * dim)
+    rights = draw(st.lists(mi, min_size=1, max_size=2))
+    lefts = draw(st.lists(st.tuples(mi, st.sampled_from(rights)), min_size=1, max_size=6))
+    return name, lefts
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          phases=set(Phase) - {Phase.shrink, Phase.explain})
+@given(table_requests())
+def test_monomial_straightening_matches_divided_oracle(requests):
+    """mul_basis and antipode_basis equal the divided-power loop in values,
+    key order and int/Fraction type, on a fresh algebra per example."""
+    name, lefts = requests
+    alg, caches = ORACLE_ALGEBRAS[name](), {}
+    for I, J in lefts:
+        assert _typed(mul_basis(alg, I, J)) == _typed(divided_mul_basis(alg, I, J, caches))
+        assert _typed(antipode_basis(alg, I)) == _typed(divided_antipode_basis(alg, I, caches))
+
+
+def test_requested_products_are_held_once():
+    """A product a later peel passes through is read back from the divided
+    table; the monomial caches never hold a requested key."""
+    alg, caches = liealg.sl2(), {}
+    J = (1, 2, 0)
+    for I in [(0, 0, 1), (0, 0, 3), (0, 1, 3), (2, 1, 3), (0, 0, 2)]:
+        assert _typed(mul_basis(alg, I, J)) == _typed(divided_mul_basis(alg, I, J, caches))
+        assert _typed(antipode_basis(alg, I)) == _typed(divided_antipode_basis(alg, I, caches))
+    assert alg._monomial_mul_cache and alg._reversed_cache
+    assert not alg._monomial_mul_cache.keys() & alg._mul_cache.keys()
+    assert not alg._reversed_cache.keys() & alg._antipode_cache.keys()
+
+
+@pytest.mark.parametrize("name", ["sl2", "solv2", "heis3"])
+def test_monomial_caches_hold_integers(name):
+    """Over integral structure constants, straightening never leaves the
+    integers: every cached monomial-basis coefficient is an int."""
+    alg = liealg.algebra_by_name(name)
+    rng = __import__("random").Random(7)
+    for _ in range(8):
+        a, b = random_helt(alg, 4, rng), random_helt(alg, 4, rng)
+        (a * b).antipode()
+        b.antipode() * a
+    antipode_basis(alg, (5,) * alg.dim)
+    caches = (alg._straight_cache, alg._monomial_mul_cache, alg._reversed_cache)
+    assert all(caches)
+    assert all(type(v) is int for cache in caches for table in cache.values()
+               for v in table.values())
+
+
 # -- deep probes against closed forms -------------------------------------------
 
 def probe_closed_form(name, k):
@@ -312,7 +448,8 @@ def probe_closed_form(name, k):
 
 
 @pytest.mark.parametrize("name,k", [("sl2", 18), ("sl2", 33), ("sl2", 37),
-                                    ("sl2", 100), ("solv2", 22), ("solv2", 35)])
+                                    ("sl2", 100), ("solv2", 22), ("solv2", 35),
+                                    ("solv2", 60)])
 def test_deep_probe_closed_form(name, k):
     alg = liealg.algebra_by_name(name)
     zeros = (0,) * (alg.dim - 1)
