@@ -1,0 +1,4 @@
+from pseudoalg.cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

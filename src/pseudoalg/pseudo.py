@@ -12,7 +12,12 @@ which H-bilinearity of the second operation allows:
     a * (sum_i (f_i (x) g_i) (x)_H e_i)
         = sum_i (1 (x) f_i (x) g_i) (id (x) Delta)(a * e_i),
 
-so either order runs its second operation once per generator.  The
+so either order runs its second operation once per generator.  Both orders
+come out canonical as built, with no closing canonicalize: on the left the
+canonical value's trivial slot 1 becomes slot 2, and on the right the
+module coefficient d^(L) of an inner term moves into the value at arity 2,
+a * (d^(L) e_g) = (1 (x) d^(L)) (a * e_g), canonicalized once per distinct
+(g, L), whose terms (p (x) 1) (x)_H m give p (x) f (x) 1 (x)_H m.  The
 verification routines check skew-commutativity, the Jacobi identity (or
 associativity), module identities and homomorphisms on canonical forms.
 """
@@ -198,35 +203,66 @@ def _compose(inner, value, pos, out_module):
 
     value must be H-linear there, as every `extend_bilinear` extension
     (`PseudoStructure.bracket`, `ModuleStructure.act`, `Cochain.value2`) is
-    in both arguments, so the paper's rule on generators applies: with
-    X_g = sum of (f_i (x) g_i) Delta(h_i) over the terms
-    (f_i (x) g_i) (x)_H h_i e_g of `inner`, slot `pos` of value(e_g) splits
-    by Delta and X_g multiplies its two legs, one value call per generator.
+    in both arguments, so the paper's rule on generators applies, with one
+    value call per generator.  `inner` and each value(e_g) are canonicalized
+    on entry (free for `bracket` and `act` results), so every inner term is
+    (f (x) 1) (x)_H d^(L) e_g and every value term (p (x) 1) (x)_H m.
+
+    Left (pos 0): X_g = sum of (f (x) 1) Delta(d^(L)) over the terms on g;
+    slot 0 of value(e_g) splits by Delta and X_g multiplies its two legs.
+    Right (pos 1): d^(L) moves into the value at arity 2,
+    a * (d^(L) e_g) = canonicalize((1 (x) d^(L)) value(e_g)), once per
+    distinct (g, L); each of its terms (p (x) 1) (x)_H m' and each f of
+    F_{g,L} = sum of v f give p (x) f (x) 1 (x)_H m'.  Either way slot 2 of
+    every output term is d^(0): the result is canonical as built.
     """
     alg = inner.module.alg
-    Din, items = cleared(inner.c)
+    Din, items = cleared(inner.canonicalize().c)
     X = {}
     for (key, g, L), v in items:
+        if pos:
+            # key is (f, 1): gather F_{g,L} = sum of v f
+            bump(X.setdefault(g, {}).setdefault(L, {}), key[0], v)
+            continue
         Xg = X.setdefault(g, {})
         for split in mi_splits(L, 2):
             for K, w in mul_slots(alg, key, split, mul_basis):
                 bump(Xg, K, v * w)
-    parts = [(Xg, cleared(value(inner.module.element(g)).c)) for g, Xg in X.items() if Xg]
+    parts = []
+    for g, Xg in X.items():
+        if not Xg:
+            continue
+        val = value(inner.module.element(g)).canonicalize()
+        if not pos:
+            parts.append((Xg, cleared(val.c)))
+            continue
+        for L, F in Xg.items():
+            moved = val
+            if any(L):
+                # a * (d^(L) e_g) = (1 (x) d^(L)) val, whose slot 1 is d^(0)
+                moved = QElt(val.module, 2)
+                moved.c = {((pk[0], L), gm, Lm): v for (pk, gm, Lm), v in val.c.items()}
+                moved = moved.canonicalize()
+            parts.append((F, cleared(moved.c)))
     D = lcm(*(Dp for _, (Dp, _) in parts))
-    out = QElt(out_module, 3)
+    # every (g, L) below comes from a canonical value, which already obeys
+    # the counit rule, and no product vanishes: plain `bump` suffices
+    acc = {}
     for Xg, (Dp, items) in parts:
         s = D // Dp
         for (pk, g, L), v in items:
             v *= s
-            head, tail = pk[:pos], pk[pos + 1:]
-            for split in mi_splits(pk[pos], 2):
+            if pos:
+                for f, fv in Xg.items():
+                    bump(acc, ((pk[0], f, pk[1]), g, L), v * fv)
+                continue
+            for split in mi_splits(pk[0], 2):
                 for xk, xv in Xg.items():
                     xv *= v
                     for K, w in mul_slots(alg, xk, split, mul_basis):
-                        out._bump(head + K + tail, g, L, xv * w)
-    # canonicalize is linear, so it runs on the scaled sum and D Din goes last
-    out = out.canonicalize()
-    out.c = divided(out.c, D * Din)
+                        bump(acc, (K + pk[1:], g, L), xv * w)
+    out = QElt(out_module, 3, canonical=True)
+    out.c = divided(acc, D * Din)
     return out
 
 

@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -35,6 +38,18 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _ = run_cli("verify", "--structure", "rank1")  # missing --alpha
     assert code == 2
+
+
+@pytest.mark.parametrize("structure, code", [("cur:sl2", 0), ("nosuch:x", 2)])
+def test_python_m_runs_the_cli_from_a_checkout(structure, code):
+    """`python -m pseudoalg` from the source tree, without installing."""
+    argv = ["verify", "--structure", structure]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "pseudoalg", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == run_cli(*argv)
+    assert run.returncode == code
 
 
 def test_cohomology_dim1_example():

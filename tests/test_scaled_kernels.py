@@ -7,8 +7,9 @@ loop the kernel ran before, multiplying the stored values directly.  The
 new coefficient map must equal the reference in values and in key order:
 `list(new.items()) == list(old.items())`.  `compose_left` and
 `compose_right` are the exception: they run their second operation once
-per generator by H-bilinearity, which the properties at the end check, so
-they match the old per-part loop as maps.
+per generator by H-bilinearity and build their canonical form directly,
+which the properties at the end check, so they match the old per-part loop
+as maps.
 
 Coefficients are mixed `int` and `Fraction`, with explicit zeros in the
 input maps; the algebras include sl2, solv2 and heis3, whose PBW tables
@@ -442,6 +443,53 @@ def test_compositions_match_reference_for_every_operation(operation, data):
     inner = op(b, c)
     assert (compose_right(a, inner, op, M).c
             == reference_canonicalize(reference_compose(inner, lambda m: op(a, m), M, 1)))
+
+
+@settings(NO_SHRINK, max_examples=20)
+@given(operations(), st.data())
+def test_compositions_are_canonical_as_built(operation, data):
+    """Both orders build their canonical form directly: the flag is set, every
+    last slot is d^(0), and canonicalizing an unflagged copy changes nothing."""
+    P, op, M = operation
+    a, b = (data.draw(multi_term_melts(P.module)) for _ in range(2))
+    c = data.draw(multi_term_melts(M))
+    one = mi_zero(P.alg.dim)
+    # op(b, c) is uncanonicalized when op is a cochain's value2
+    for out in (compose_left(P.bracket(a, b), op, c, M), compose_right(a, op(b, c), op, M)):
+        assert out.canonical
+        assert all(key[2] == one for key, _, _ in out.c)
+        assert QElt(M, 3, out.c).canonicalize().c == out.c
+
+
+def counted(op):
+    """op, and the list of the argument pairs it was called with."""
+    calls = []
+
+    def wrapped(x, y):
+        calls.append((x, y))
+        return op(x, y)
+    return wrapped, calls
+
+
+def generator_of(e):
+    (I, g), = e.c
+    assert not any(I) and e.c[I, g] == 1
+    return g
+
+
+@settings(NO_SHRINK, max_examples=15)
+@given(compose_inputs())
+def test_compositions_call_op_once_per_generator(inputs):
+    """One op call per distinct generator of `inner`, not one per (g, L)."""
+    P, a, b, c = inputs
+    inner = P.bracket(a, b)
+    gens = sorted({g for _, g, _ in inner.c})
+    op, calls = counted(P.bracket)
+    compose_left(inner, op, c, P.module)
+    assert sorted(generator_of(x) for x, _ in calls) == gens
+    op, calls = counted(P.bracket)
+    compose_right(c, inner, op, P.module)
+    assert sorted(generator_of(y) for _, y in calls) == gens
 
 
 def test_cancelled_key_returns_in_the_reference_place():
