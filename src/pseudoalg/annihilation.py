@@ -214,10 +214,11 @@ class AnnihilationElement(SparseCombination):
 def annihilation_bracket(P, u, v):
     """Bracket on functionals (x)_H L induced by the structure table:
 
-        (x (x)_H a)(y (x)_H b) = sum (x f_i)(y g_i) (x)_H e_i.
+        (x (x)_H a)(y (x)_H b) = sum (x f_i)(y g_i) (x)_H e_i,
 
-    The output cutoff is min(depth u, depth v) minus the table's depth
-    cost; a negative guarantee raises PrecisionError naming the need.
+    where the canonical table `gen_bracket` has g_i = 1.  The output cutoff
+    is min(depth u, depth v) minus the table's depth cost; a negative
+    guarantee raises PrecisionError naming the need.
     """
     alg = P.alg
     cost = P.max_coefficient_degree()
@@ -233,8 +234,7 @@ def annihilation_bracket(P, u, v):
             q = P.gen_bracket(gu, gv)
             for (key, g, L), coeff in q.c.items():
                 xf = xs.act(HElt.monomial(alg, key[0], 1), "right") if any(key[0]) else xs
-                yg = ys.act(HElt.monomial(alg, key[1], 1), "right") if any(key[1]) else ys
-                prod = xf * yg
+                prod = xf * ys
                 if any(L):
                     prod = prod.act(HElt.monomial(alg, L, 1), "right")
                 for I, s in prod.c.items():

@@ -8,6 +8,7 @@ the module element with coefficient h_a on generator a.
 
 import re
 from itertools import combinations
+from math import comb
 
 from .liealg import validate_geometric_datum
 from .linalg import bump, div, exact, invert_matrix, sparse_sum
@@ -507,6 +508,13 @@ def cend_module(alg, n, label):
     return mod
 
 
+# Largest number of generators d^(J) E_pq, |J| <= max_gen_degree, that
+# `make_cend` lists, C(dim + max_gen_degree, dim) n^2, counted before the
+# list is made; gc:4, the largest size tests and benchmark build, has 32.
+# It bounds the build only: a verify run checks (generators)^3 triples.
+CEND_MAX_GENERATORS = 4096
+
+
 def make_cend(alg, n, max_gen_degree=1):
     """Associative structure of pseudolinear maps of a free rank-n module.
 
@@ -522,6 +530,11 @@ def make_cend(alg, n, max_gen_degree=1):
     """
     if n < 1:
         raise ValueError("pseudolinear maps need rank n >= 1, got %d" % n)
+    count = comb(alg.dim + max_gen_degree, alg.dim) * n * n
+    if count > CEND_MAX_GENERATORS:
+        raise ValueError("rank %d over %s needs %d generators of degree <= %d, over the "
+                         "budget of %d" % (n, alg.name, count, max_gen_degree,
+                                           CEND_MAX_GENERATORS))
     mod = cend_module(alg, n, "cend%d:%s" % (n, alg.name))
     zero = mi_zero(alg.dim)
 

@@ -17,16 +17,8 @@ arithmetic is several times cheaper), and quotients go through `div`.
 `bump` stores what it is given.  Pseudoforms hold enveloping-algebra
 elements instead of rationals.
 
-Bilinear products multiply scaled integers (content and primitive part:
-x = X / D with X integral).  `cleared` gives an operand's values times
-the lcm D of their denominators, all `int`; the kernel multiplies and
-accumulates those with `bump`, and `divided` calls `div` once per output
-coefficient by the product of the operands' D.  D is one positive
-constant per output, so every partial sum vanishes at exactly the step
-it vanished unscaled: `bump` drops and re-inserts the same keys, and the
-result has the same values in the same key order.  Table entries (PBW
-products, brackets) are not cleared; where one is a `Fraction` the term
-is too, and `div` stays exact on it.
+Products of elements multiply scaled integers in `scaled_product` and
+`scaled_map`; `QElt.canonicalize` and `pseudo._compose` clear by hand.
 """
 
 from collections import defaultdict
@@ -70,6 +62,39 @@ def divided(d, D):
     if D == 1:
         return d
     return {k: div(v, D) for k, v in d.items()}
+
+
+def scaled_product(a, b, terms):
+    """Sum of a[ka] b[kb] c [k] over the terms (k, c) of terms(ka, kb), the
+    keys of `a` in the outer loop and those of `b` in the inner one.
+
+    `cleared` scales each operand to integers by the lcm D of its
+    denominators, and `divided` calls `div` once per output coefficient.  D
+    is one positive constant per output, so every partial sum vanishes at
+    exactly the step it vanished unscaled: the result has the values and
+    the key order of the unscaled loop.  Term values (PBW products,
+    brackets) are not cleared; a `Fraction` one stays exact.
+    """
+    Da, A = cleared(a)
+    Db, B = cleared(b)
+    out = {}
+    for ka, va in A:
+        for kb, vb in B:
+            vab = va * vb
+            for k, c in terms(ka, kb):
+                bump(out, k, vab * c)
+    return divided(out, Da * Db)
+
+
+def scaled_map(a, terms):
+    """The linear extension sum of a[ka] c [k] over the terms (k, c) of
+    terms(ka), scaled like `scaled_product`."""
+    D, A = cleared(a)
+    out = {}
+    for ka, va in A:
+        for k, c in terms(ka):
+            bump(out, k, va * c)
+    return divided(out, D)
 
 
 def bump(d, key, v):

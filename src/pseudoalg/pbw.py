@@ -33,19 +33,15 @@ an integer (a product of binomials, a sign); otherwise the conversion
 divides exactly with `div`, so an integral coefficient stays an `int`.
 
 The element kernels (`HElt` product and antipode, `TensorElt` product,
-`fourier`) clear their operands' denominators once with `cleared`,
-multiply integers against the table entries above, and divide once per
-output coefficient with `divided`; the cached tables stay as they are.
-Since the scale is one positive constant per output, the coefficient
-maps keep the values and the key order of the unscaled loops (see
-`linalg`).
+`fourier`) are term rules on the tables above, run by
+`linalg.scaled_product` and `linalg.scaled_map`.
 """
 
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 
-from .linalg import SparseCombination, bump, cleared, div, divided, exact
+from .linalg import SparseCombination, bump, div, exact, scaled_map, scaled_product
 
 
 # -- multi-index helpers ----------------------------------------------------
@@ -304,24 +300,14 @@ class HElt(SparseCombination):
         if isinstance(other, HElt):
             if other.alg is not self.alg:
                 raise ValueError("elements over different algebras")
-            Da, A = cleared(self.c)
-            Db, B = cleared(other.c)
-            out = {}
-            for I, a in A:
-                for J, b in B:
-                    ab = a * b
-                    for K, c in mul_basis(self.alg, I, J).items():
-                        bump(out, K, ab * c)
-            return self._with(divided(out, Da * Db))
+            alg = self.alg
+            return self._with(scaled_product(
+                self.c, other.c, lambda I, J: mul_basis(alg, I, J).items()))
         return self.scale(other)
 
     def antipode(self):
-        D, items = cleared(self.c)
-        out = {}
-        for I, v in items:
-            for K, c in antipode_basis(self.alg, I).items():
-                bump(out, K, v * c)
-        return self._with(divided(out, D))
+        alg = self.alg
+        return self._with(scaled_map(self.c, lambda I: antipode_basis(alg, I).items()))
 
     def counit(self):
         return self.c.get(mi_zero(self.alg.dim), 0)
@@ -395,15 +381,9 @@ class TensorElt(SparseCombination):
             return self.scale(other)
         if other.n != self.n or other.alg is not self.alg:
             raise ValueError("arity or algebra mismatch")
-        Da, A = cleared(self.c)
-        Db, B = cleared(other.c)
-        out = {}
-        for ka, va in A:
-            for kb, vb in B:
-                vab = va * vb
-                for key, c in mul_slots(self.alg, ka, kb, mul_basis):
-                    bump(out, key, vab * c)
-        return self._with(divided(out, Da * Db))
+        alg = self.alg
+        return self._with(scaled_product(
+            self.c, other.c, lambda ka, kb: mul_slots(alg, ka, kb, mul_basis)))
 
     def permuted(self, perm):
         """Pull slots through a permutation: new slot i holds old slot perm[i]."""
@@ -435,14 +415,13 @@ def fourier(t, slots=(0, 1), inverse=False):
     if i == j or not (0 <= i < t.n) or not (0 <= j < t.n):
         raise ValueError("slots must be two distinct positions")
     alg = t.alg
-    D, items = cleared(t.c)
-    out = {}
     mul = mul_basis if inverse else mul_antipode
-    for key, v in items:
+
+    def terms(key):
         for J, K in mi_splits(key[j], 2):
             for newI, c in mul(alg, key[i], J).items():
                 nk = list(key)
                 nk[i] = newI
                 nk[j] = K
-                bump(out, tuple(nk), v * c)
-    return t._with(divided(out, D))
+                yield tuple(nk), c
+    return t._with(scaled_map(t.c, terms))

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .linalg import bump, cleared, divided
+from .linalg import bump, cleared, divided, scaled_product
 from .pbw import HElt, mi_splits, mi_weight, mul_basis, mul_slots
 from .tensor import MElt, QElt
 
@@ -106,20 +106,18 @@ def extend_bilinear(lookup, a, b, out_module):
     d^(Ia) e_ga, d^(Ib) e_gb is d^(Ia) (x) d^(Ib) times it.  The result is
     returned uncanonicalized.
     """
-    out = QElt(out_module, 2)
     alg = out_module.alg
-    Da, A = cleared(a.c)
-    Db, B = cleared(b.c)
-    for (Ia, ga), ca in A:
-        for (Ib, gb), cb in B:
-            base = lookup(ga, gb)
-            if not base:
-                continue
-            cab = ca * cb
-            for (key, g, L), v in base.c.items():
-                for K, c in mul_slots(alg, (Ia, Ib), key, mul_basis):
-                    out._bump(K, g, L, cab * v * c)
-    out.c = divided(out.c, Da * Db)
+
+    def terms(ka, kb):
+        (Ia, ga), (Ib, gb) = ka, kb
+        base = lookup(ga, gb)
+        if not base:
+            return ()
+        # (g, L) comes from a QElt, whose map already obeys the counit rule
+        return [((K, g, L), v * c) for (key, g, L), v in base.c.items()
+                for K, c in mul_slots(alg, (Ia, Ib), key, mul_basis)]
+    out = QElt(out_module, 2)
+    out.c = scaled_product(a.c, b.c, terms)
     return out
 
 

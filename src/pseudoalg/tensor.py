@@ -21,7 +21,7 @@ center used by central extensions); `_bump` then drops every term that
 is not constant on it.
 """
 
-from .linalg import SparseCombination, bump, cleared, divided, exact
+from .linalg import SparseCombination, bump, cleared, divided, exact, scaled_product
 from .pbw import (HElt, checked_mi, checked_slots, mi_splits, mi_zero, mul_antipode,
                   mul_basis, mul_slots)
 
@@ -102,19 +102,15 @@ class MElt(SparseCombination):
 
     def h_mul(self, h):
         """Left action of h in U(d)."""
-        Ds, S = cleared(self.c)
-        Dh, H = cleared(h.c)
-        out = MElt(self.module)
-        for (I, g), v in S:
-            for J, cj in H:
-                if self.module.is_counit(g):
-                    if not any(J) and not any(I):
-                        out._bump(I, g, v * cj)
-                    continue
-                for K, ck in mul_basis(self.module.alg, J, I).items():
-                    out._bump(K, g, v * cj * ck)
-        out.c = divided(out.c, Ds * Dh)
-        return out
+        alg = self.module.alg
+
+        def terms(Ig, J):
+            I, g = Ig
+            if self.module.is_counit(g):
+                # h e = counit(h) e: only the constant component survives
+                return () if any(J) or any(I) else ((Ig, 1),)
+            return [((K, g), c) for K, c in mul_basis(alg, J, I).items()]
+        return self._with(scaled_product(self.c, h.c, terms))
 
     def __repr__(self):
         from .literals import render_module_element
@@ -171,14 +167,13 @@ class QElt(SparseCombination):
         if t.n != self.n:
             raise ValueError("arity mismatch")
         alg = self.module.alg
-        Ds, S = cleared(self.c)
-        Dt, T = cleared(t.c)
+
+        def terms(kq, tkey):
+            # (g, L) is kept, and the map of self already obeys the counit rule
+            key, g, L = kq
+            return [((nk, g, L), c) for nk, c in mul_slots(alg, tkey, key, mul_basis)]
         out = QElt(self.module, self.n)
-        for (key, g, L), v in S:
-            for tkey, tv in T:
-                for nk, c in mul_slots(alg, tkey, key, mul_basis):
-                    out._bump(nk, g, L, v * tv * c)
-        out.c = divided(out.c, Ds * Dt)
+        out.c = scaled_product(self.c, t.c, terms)
         return out
 
     def permuted(self, perm):

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from pseudoalg.cli import main
+from pseudoalg.cli import build_structure, main
+from pseudoalg.constructions import CEND_MAX_GENERATORS
 
 
 def run_cli(*argv):
@@ -157,6 +158,21 @@ def test_annihilate_cutoff_over_budget_is_usage_error(capsys):
     # the budget of 2000 monomials admits cutoff 61 in two variables (1953)
     assert run_cli("annihilate", "--structure", "wd:abelian2", "--cutoff", "62")[0] == 2
     assert run_cli("annihilate", "--structure", "wd:abelian2", "--cutoff", "61")[0] == 0
+
+
+@pytest.mark.parametrize("spec, count", [("gc:99999", 19_999_600_002),
+                                         ("cend:100000", 20_000_000_000)])
+def test_oversized_pseudolinear_structure_is_refused_before_building(spec, count, capsys):
+    """C(dim + 1, dim) n^2 generators are counted before the list is made, so
+    every subcommand refuses these sizes at once instead of allocating them."""
+    with pytest.raises(ValueError, match="needs %d generators of degree <= 1, over the "
+                       "budget of %d" % (count, CEND_MAX_GENERATORS)):
+        build_structure(spec)
+    for argv in (["verify", "--structure", spec],
+                 ["bracket", "--structure", spec, "--left", "(1) @ c[0;0,0]",
+                  "--right", "(1) @ c[0;0,0]"]):
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err.startswith("input error: rank ")
 
 
 def test_annihilate_negative_cutoff_is_usage_error(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_helt, random_melt
 from pseudoalg import liealg
-from pseudoalg.constructions import (Rank1Datum,
+from pseudoalg.constructions import (CEND_MAX_GENERATORS, Rank1Datum,
                                      apply_anti_involution, cend_action_on_v,
                                      cend_element_from_pairs, check_ybe,
                                      divergence, divergence2,
@@ -387,6 +387,18 @@ def test_cend_product_formula():
     assert q.canonicalize().c == {((z, z), ((1,), 0, 0), z): Fr(1),
                                   (((1,), z), ((0,), 0, 0), z): Fr(-1),
                                   ((z, z), ((0,), 0, 0), (1,)): Fr(1)}
+
+
+def test_cend_generator_budget_bounds_the_build():
+    # C(1 + 1, 1) n^2 generators over one direction: 4,050 at n = 45, 4,232 at 46
+    assert CEND_MAX_GENERATORS == 4096
+    assert len(make_cend(liealg.abelian(1), 45).verify_gens) == 4050
+    for build in (make_cend, make_gc):
+        with pytest.raises(ValueError, match="needs 4232 generators of degree <= 1"):
+            build(liealg.abelian(1), 46)
+    # C(2 + 3, 2) = 10 multi-indices of degree <= 3 in two directions
+    with pytest.raises(ValueError, match="rank 21 over abelian2 needs 4410 generators"):
+        make_cend(liealg.abelian(2), 21, max_gen_degree=3)
 
 
 def test_cend_generator_names_read_back():

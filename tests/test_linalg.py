@@ -5,6 +5,8 @@ from fractions import Fraction as Fr
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pseudoalg import liealg
 from pseudoalg.cohomology import (sd_central_suite, solve_central_extensions,
@@ -12,8 +14,9 @@ from pseudoalg.cohomology import (sd_central_suite, solve_central_extensions,
 from pseudoalg.constructions import (Rank1Datum, make_current, make_rank1, make_sd,
                                      make_wd, named_rank1_datum, wd_element)
 from pseudoalg.liealg import Form, GeometricDatum, validate_geometric_datum
-from pseudoalg.linalg import (SparseEliminator, div, exact, invert_matrix, nullspace,
-                              quotient_representatives, solve, span_dim, vec_add)
+from pseudoalg.linalg import (SparseEliminator, bump, div, exact, invert_matrix, nullspace,
+                              quotient_representatives, scaled_map, scaled_product, solve,
+                              span_dim, vec_add)
 from pseudoalg.pbw import HElt, antipode_basis, mi_splits, mul_basis, multiindices_up_to
 from pseudoalg.poisson import PoissonBracketSpec, pseudo_to_poisson
 from pseudoalg.pseudo import PseudoStructure
@@ -39,6 +42,80 @@ def test_div_is_exact():
         assert got == want and type(got) is type(want), (a, b)
     with pytest.raises(ZeroDivisionError):
         div(1, 0)
+
+
+# -- the scaled product kernel against the unscaled loop -------------------------
+
+def unscaled_product(a, b, terms):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            for k, c in terms(ka, kb):
+                bump(out, k, va * vb * c)
+    return out
+
+
+def unscaled_map(a, terms):
+    out = {}
+    for ka, va in a.items():
+        for k, c in terms(ka):
+            bump(out, k, va * c)
+    return out
+
+
+# exact values, as the package stores them: integral ones are ints
+VALUES = st.one_of(st.integers(-3, 3),
+                   st.builds(Fr, st.integers(-4, 4), st.sampled_from((2, 3, 4, 6))).map(exact))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(a, b, table): two coefficient maps and a product table on their keys,
+    with few output keys.  `a` often holds a negated copy ("-", k) of one of
+    its terms, whose table rows are those of k, so that partial sums return
+    to zero and later terms bring the key back."""
+    a = draw(st.dictionaries(st.integers(0, 2), VALUES, min_size=1, max_size=3))
+    b = draw(st.dictionaries(st.integers(0, 2), VALUES, min_size=1, max_size=3))
+    rows = st.lists(st.tuples(st.sampled_from("xyz"), VALUES), max_size=3)
+    table = {(ka, kb): draw(rows) for ka in range(3) for kb in range(3)}
+    if draw(st.booleans()):
+        items = list(a.items())
+        k, v = items[draw(st.integers(0, len(items) - 1))]
+        items.insert(draw(st.integers(0, len(items))), (("-", k), -v))
+        a = dict(items)
+    return a, b, table
+
+
+def _cancelling_inputs():
+    """x and y are bumped by 1/2 * 2 * (1, 5), dropped by the negated copy,
+    and brought back by 1/3 * 2 * (1, 3/2): y first now, then x = 1."""
+    return ({0: Fr(1, 2), ("-", 0): Fr(-1, 2), 1: Fr(1, 3)}, {0: 2},
+            {**{(ka, kb): [] for ka in range(3) for kb in range(3)},
+             (0, 0): [("x", 1), ("y", 5)], (1, 0): [("y", 1), ("x", Fr(3, 2))]})
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(kernel_inputs())
+@example(_cancelling_inputs())
+def test_scaled_kernels_match_the_unscaled_loop(inputs):
+    """Same values in the same key order, and integral values as ints wherever
+    an operand held a Fraction or every table value used is an int."""
+    a, b, table = inputs
+
+    def terms(ka, kb):
+        return table[ka[1] if isinstance(ka, tuple) else ka, kb]
+
+    def row(ka):
+        return terms(ka, 0)
+    cases = [(scaled_product(a, b, terms), unscaled_product(a, b, terms),
+              [*a.values(), *b.values()], [terms(ka, kb) for ka in a for kb in b]),
+             (scaled_map(a, row), unscaled_map(a, row), list(a.values()), map(row, a))]
+    for new, old, factors, rows in cases:
+        assert new == old
+        assert list(new.items()) == list(old.items())
+        if (any(type(v) is Fr for v in factors)
+                or all(type(c) is int for r in rows for _, c in r)):
+            assert all(type(v) is int for v in new.values() if v.denominator == 1), new
 
 
 def test_nullspace_drops_explicit_zero_entries():

@@ -1,9 +1,13 @@
 """The scaled-integer product kernels against the loops they replaced.
 
-Every bilinear kernel of `pbw`, `tensor` and `pseudo` clears its operands'
-denominators with `linalg.cleared`, multiplies integers, and divides once
-per output coefficient with `linalg.divided`.  Each reference below is the
-loop the kernel ran before, multiplying the stored values directly.  The
+Seven product kernels of `pbw`, `tensor` and `pseudo` (the `HElt` product
+and antipode, the `TensorElt` product, `fourier`, `MElt.h_mul`,
+`QElt.tensor_mul_left` and `extend_bilinear`) are term rules run by
+`linalg.scaled_product` or `linalg.scaled_map`, which clear the operands'
+denominators, multiply integers, and divide once per output coefficient.
+`QElt.canonicalize` and `pseudo._compose` clear by hand with
+`linalg.cleared` and divide with `linalg.divided`.  Each reference below is
+the loop the kernel ran before, multiplying the stored values directly.  The
 new coefficient map must equal the reference in values and in key order:
 `list(new.items()) == list(old.items())`.  `compose_left` and
 `compose_right` are the exception: they run their second operation once
