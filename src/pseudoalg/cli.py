@@ -51,6 +51,13 @@ from .tensor import QElt
 # 5 s at cutoff 6 (210 monomials) as at 12.
 ANNIHILATE_MAX_MONOMIALS = 2000
 
+# Largest number of generator triples (len(verify_gens) ** 3) that `verify`
+# checks on `gc:<n>` and `cend:<n>`: one Jacobi or associativity residual
+# each, about 5 s for the 32,768 of gc:4.  The build budget of
+# `constructions.CEND_MAX_GENERATORS` admits gc:45, whose suite would never
+# end; this one admits gc:4 over one direction and gc:3 over sl2.
+VERIFY_MAX_TRIPLES = 50_000
+
 
 def _parse_chi(text):
     """Comma-separated rationals, as in sd:abelian3:1,0,0 or --chi 1,0."""
@@ -117,8 +124,18 @@ def build_structure(spec, alpha=None, algebra=None):
             return solve_central_extensions_rank1(P, dmax=dmax)
     elif family in ("gc", "cend"):
         nstr, _, dname = rest.partition("@")
+        # the rank as it prints: ASCII digits, no sign, space, _ or leading zero
+        if not (nstr.isascii() and nstr.isdigit() and nstr == str(int(nstr))):
+            raise ValueError("rank %r of %s is not a plain decimal numeral" % (nstr, spec))
         C, G = make_gc(algebra_by_name(dname or "abelian1"), int(nstr))
         P = C if family == "cend" else G
+
+        def verify():
+            triples = len(P.verify_gens) ** 3
+            if triples > VERIFY_MAX_TRIPLES:
+                raise ValueError("%s has %d generator triples to verify, over the budget "
+                                 "of %d" % (spec, triples, VERIFY_MAX_TRIPLES))
+            return verify_axioms(P)
     else:
         raise ValueError("unknown structure %r" % spec)
     return (family, P, verify or (lambda: verify_axioms(P)),

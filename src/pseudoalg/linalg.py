@@ -18,7 +18,16 @@ arithmetic is several times cheaper), and quotients go through `div`.
 elements instead of rationals.
 
 Products of elements multiply scaled integers in `scaled_product` and
-`scaled_map`; `QElt.canonicalize` and `pseudo._compose` clear by hand.
+`scaled_map`; `QElt.canonicalize` and `pseudo._compose` clear by hand, and
+so does the arity-2 `TensorElt` product, which builds the rank-one rows
+alpha . Delta(beta) of the central solvers in its own two-slot loop: one
+term-rule call and one `mul_slots` list per operand key pair cost more
+there than the products themselves.
+
+`SparseEliminator` keeps its stored rows mutually reduced: each holds its
+own pivot column, with coefficient 1, and no other.  Subtracting one from
+an input row therefore leaves the row's other pivot entries as they were,
+so `reduce` clears every pivot column in one pass, one subtraction each.
 """
 
 from collections import defaultdict
@@ -198,6 +207,11 @@ class SparseEliminator:
     and stored under its pivot column.  `reduce` alone gives
     span-membership tests.  `_holders[c]` lists every pivot column whose
     stored row held c at some point, so it covers the rows holding c now.
+
+    Invariant: the stored rows are mutually reduced, so a stored row holds
+    its own pivot column, with coefficient 1, and no other pivot column.
+    `add` keeps it by subtracting the new row from every row holding its
+    pivot; `reduce` relies on it to clear each pivot column in one pass.
     """
 
     def __init__(self):
@@ -213,15 +227,29 @@ class SparseEliminator:
         """Eliminate every pivot column from the row before choosing its own.
 
         Zero entries of the input are dropped, so none can become a pivot.
+        By the invariant each pivot column the input holds is cleared by
+        one subtraction of its stored row, scaled by the input's own
+        coefficient, and no pass needs a rescan.  The subtractions run in
+        place under the `bump` rule: a key that cancels is deleted, and a
+        later term puts it back at the end, so the result has the values
+        and the key order of repeated `vec_add` until no pivot is left.
         """
+        pivots = self.pivots
         row = {c: v for c, v in row.items() if v}
-        while True:
-            hit = [c for c in row if c in self.pivots]
-            if not hit:
-                break
-            for col in hit:
-                if col in row:
-                    row = vec_add(row, self.pivots[col], -row[col])
+        for col, a in [(c, v) for c, v in row.items() if c in pivots]:
+            m = -a
+            for k, v in pivots[col].items():
+                v = m * v
+                s = row.get(k)
+                if s is None:
+                    if v:
+                        row[k] = v
+                else:
+                    s = s + v
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
         if not row:
             return row, None
         return row, self._pick(row)

@@ -34,14 +34,20 @@ divides exactly with `div`, so an integral coefficient stays an `int`.
 
 The element kernels (`HElt` product and antipode, `TensorElt` product,
 `fourier`) are term rules on the tables above, run by
-`linalg.scaled_product` and `linalg.scaled_map`.
+`linalg.scaled_product` and `linalg.scaled_map`.  The one exception is the
+`TensorElt` product at arity 2, the rank-one rows alpha . Delta(beta) of
+the central solvers: a term-rule call and a `mul_slots` list per operand
+key pair cost more than the products there, so it runs `scaled_product`
+over `mul_slots` as its own two-slot loop, with the same values, key
+order and value types.  Arities 1 and 3 keep the general route.
 """
 
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 
-from .linalg import SparseCombination, bump, div, exact, scaled_map, scaled_product
+from .linalg import (SparseCombination, bump, cleared, div, divided, exact, scaled_map,
+                     scaled_product)
 
 
 # -- multi-index helpers ----------------------------------------------------
@@ -382,8 +388,34 @@ class TensorElt(SparseCombination):
         if other.n != self.n or other.alg is not self.alg:
             raise ValueError("arity or algebra mismatch")
         alg = self.alg
-        return self._with(scaled_product(
-            self.c, other.c, lambda ka, kb: mul_slots(alg, ka, kb, mul_basis)))
+        if self.n != 2:
+            return self._with(scaled_product(
+                self.c, other.c, lambda ka, kb: mul_slots(alg, ka, kb, mul_basis)))
+        # `scaled_product` over `mul_slots`, with the term rule and the bump inlined
+        Da, A = cleared(self.c)
+        Db, B = cleared(other.c)
+        out = {}
+        for (a1, a2), va in A:
+            for (b1, b2), vb in B:
+                vab = va * vb
+                t1 = mul_basis(alg, a1, b1).items()
+                t2 = mul_basis(alg, a2, b2).items()
+                for K1, c1 in t1:
+                    v1 = vab * c1
+                    for K2, c2 in t2:
+                        k = (K1, K2)
+                        v = v1 * c2
+                        s = out.get(k)
+                        if s is None:
+                            if v:
+                                out[k] = v
+                        else:
+                            s = s + v
+                            if s:
+                                out[k] = s
+                            else:
+                                del out[k]
+        return self._with(divided(out, Da * Db))
 
     def permuted(self, perm):
         """Pull slots through a permutation: new slot i holds old slot perm[i]."""

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from pseudoalg.cli import build_structure, main
+from pseudoalg.cli import VERIFY_MAX_TRIPLES, build_structure, main
 from pseudoalg.constructions import CEND_MAX_GENERATORS
+from pseudoalg.pseudo import PseudoStructure
 
 
 def run_cli(*argv):
@@ -175,6 +176,40 @@ def test_oversized_pseudolinear_structure_is_refused_before_building(spec, count
         assert capsys.readouterr().err.startswith("input error: rank ")
 
 
+def _pseudolinear_specs():
+    """The gc/cend references of the golden cases, the README and DISPATCH."""
+    argvs = ([c["argv"] for c in GOLDEN_CASES] + _readme_commands()
+             + [argv for argv, _, _ in DISPATCH])
+    specs = {argv[argv.index("--structure") + 1] for argv in argvs if "--structure" in argv}
+    return sorted(s for s in specs if s.startswith(("gc:", "cend:")))
+
+
+def test_verify_budget_admits_the_pinned_structures():
+    specs = _pseudolinear_specs()
+    assert {"gc:2", "gc:3", "cend:2", "cend:3"} <= set(specs)
+    # and the ones the benchmark and the text name: gc:4 is the largest rank
+    # over one direction, gc:3@sl2 (46,656 triples) over sl2
+    for spec in specs + ["gc:4", "cend:4", "gc:2@sl2", "gc:3@sl2"]:
+        assert len(build_structure(spec)[1].verify_gens) ** 3 <= VERIFY_MAX_TRIPLES, spec
+
+
+@pytest.mark.parametrize("spec, count", [("gc:10", 8_000_000), ("cend:5", 125_000),
+                                         ("gc:4@sl2", 262_144)])
+def test_verify_budget_refuses_before_any_bracket(spec, count, monkeypatch, capsys):
+    """The triples are counted before the suite runs: with gen_bracket
+    failing, an admitted structure fails and these are refused as before."""
+    def evaluated(*args):
+        raise AssertionError("a bracket was evaluated")
+    monkeypatch.setattr(PseudoStructure, "gen_bracket", evaluated)
+    with pytest.raises(AssertionError):
+        build_structure("gc:1")[2]()
+    with pytest.raises(ValueError, match="%s has %d generator triples to verify, over the "
+                       "budget of %d" % (spec, count, VERIFY_MAX_TRIPLES)):
+        build_structure(spec)[2]()
+    assert run_cli("verify", "--structure", spec) == (2, "")
+    assert capsys.readouterr().err.startswith("input error: %s has %d" % (spec, count))
+
+
 def test_annihilate_negative_cutoff_is_usage_error(capsys):
     code, out = run_cli("annihilate", "--structure", "wd:abelian2", "--cutoff", "-1")
     assert code == 2 and out == ""
@@ -239,7 +274,16 @@ BAD_INPUTS = [
     ["bracket", "--structure", "gc:1", "--left", "(1) @ x", "--right", "(1) @ x"],
     # rank below one: no generators, so the axiom suite checked nothing
     ["verify", "--structure", "gc:0"],
+    # a rank is ASCII digits with no sign, space, underscore or leading zero,
+    # so that no spelling of a rank builds a structure named otherwise
     ["verify", "--structure", "gc:-1"],
+    ["verify", "--structure", "gc:1_0"],
+    ["verify", "--structure", "gc: 2 "],
+    ["verify", "--structure", "gc:+2"],
+    ["verify", "--structure", "gc:02"],
+    ["verify", "--structure", "cend:1_1"],
+    # over the verify budget of generator triples
+    ["verify", "--structure", "gc:10"],
     # S(d) on one direction has no pair generators, so its suite checked nothing
     ["verify", "--structure", "sd:abelian1"],
     # no listed generators, so the solver reported dimension 0 over nothing
@@ -373,6 +417,14 @@ DISPATCH = [
      "5e0d49b0665bc0488aee1371dfb4a1a768aecdaa9505b7265ed8880682c4666f"),
     (["cohomology", "central", "--structure", "sd:abelian3", "--dmax", "3"], 0,
      "7c1d724fe8e5f49c468a983ed508ecdfb15e28ed5b04a0e68b12ae093f29ec89"),
+    # larger windows, pinned before a rework of the eliminator and of the
+    # tensor product kernel so that both keep their bytes
+    (["cohomology", "central", "--structure", "k-type:sl2", "--dmax", "8"], 0,
+     "d1769e40493d64c692fe163966755833b34f1195a5e239095f05eca051884345"),
+    (["cohomology", "central", "--structure", "h-type:solv2", "--dmax", "8"], 0,
+     "9675deaeebb2c629c41949ce3c46fa5d133ec5e0777d9fa9cbd631ee7a80fba5"),
+    (["cohomology", "central", "--structure", "sd:abelian4", "--dmax", "3"], 0,
+     "26fa00002c9db2c59772bb16610b4a6e8534484c67d44516d146b378849ce49a"),
     # the S catalog reads its tables off the pair structure of S(d)
     (["poisson", "catalog", "--family", "S", "--r", "3", "--N", "3"], 0,
      "82f9596e7266a6348f70961176a3fc4ffde76fa041e81683827e81438faac3f2"),
@@ -393,6 +445,9 @@ def _cell_id(argv):
         return " ".join(argv)
     command = argv[2] if argv[0] == "--format" else argv[0]
     fmt = argv[:2] if command != argv[0] else []
+    # the dmax-3 windows keep their short ids; a larger window names its dmax
+    if "--dmax" in argv and argv[argv.index("--dmax") + 1] != "3":
+        fmt = argv[argv.index("--dmax"):][:2] + fmt
     return " ".join([command, argv[argv.index("--structure") + 1]] + fmt)
 
 

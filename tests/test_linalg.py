@@ -257,13 +257,26 @@ def test_solve_matches_back_substitution_reference(rng):
 
 
 class _ScanningEliminator:
-    """`SparseEliminator` before its column index: after each new pivot,
-    `add` scans every stored row for the pivot column."""
+    """`SparseEliminator` before its column index and its one-pass reduce:
+    after each new pivot, `add` scans every stored row for the pivot column,
+    and `reduce` subtracts with `vec_add` until no pivot column is left."""
 
     def __init__(self):
         self.pivots = {}
 
-    reduce = SparseEliminator.reduce
+    def reduce(self, row):
+        row = {c: v for c, v in row.items() if v}
+        while True:
+            hit = [c for c in row if c in self.pivots]
+            if not hit:
+                break
+            for col in hit:
+                if col in row:
+                    row = vec_add(row, self.pivots[col], -row[col])
+        if not row:
+            return row, None
+        return row, self._pick(row)
+
     _pick = SparseEliminator._pick
     rank = SparseEliminator.rank
 
@@ -285,13 +298,29 @@ def _ordered(pivots):
 
 
 def _assert_same_stream(rows):
-    """Feed rows to both eliminators; equal answers and pivots after every add."""
+    """Feed rows to both eliminators: equal reduced rows before every add,
+    equal answers and pivots after it, and stored rows mutually reduced."""
     elim, ref = SparseEliminator(), _ScanningEliminator()
     for row in rows:
+        assert repr(elim.reduce(row)) == repr(ref.reduce(row)), row
         got = elim.add(row)
         assert got == ref.add(row), row
         if got:
             assert _ordered(elim.pivots) == _ordered(ref.pivots), row
+            for pcol, prow in elim.pivots.items():
+                assert prow[pcol] == 1
+                assert not any(c in elim.pivots for c in prow if c != pcol), (pcol, prow)
+
+
+def test_reduced_entry_that_cancels_and_returns_moves_to_the_end():
+    """Pivot 0 cancels the input's x and pivot 1 brings it back, behind y."""
+    stream = [{0: 1, "x": 1}, {1: 1, "x": 1}, {"x": 1, 0: 1, "y": 1, 1: 1}, {"y": 1, "x": 2}]
+    elim = SparseEliminator()
+    for row in stream[:2]:
+        elim.add(row)
+    red, col = elim.reduce(stream[2])
+    assert list(red.items()) == [("y", 1), ("x", -1)] and col == "x"
+    _assert_same_stream(stream)
 
 
 def _with_reference(monkeypatch, fn, *args):
@@ -337,7 +366,7 @@ def test_indexed_eliminator_matches_scanning_reference(rng, monkeypatch):
     assert accepted > 2000
 
 
-@pytest.mark.parametrize("struct,dmax", [("sd:abelian3", 3), ("rank1:sl2", 6)])
+@pytest.mark.parametrize("struct,dmax", [("sd:abelian3", 3), ("rank1:sl2", 6), ("rank1:sl2", 8)])
 def test_indexed_eliminator_matches_scanning_reference_on_central_rows(
         struct, dmax, monkeypatch):
     from pseudoalg import cohomology

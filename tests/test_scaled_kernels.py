@@ -5,8 +5,10 @@ and antipode, the `TensorElt` product, `fourier`, `MElt.h_mul`,
 `QElt.tensor_mul_left` and `extend_bilinear`) are term rules run by
 `linalg.scaled_product` or `linalg.scaled_map`, which clear the operands'
 denominators, multiply integers, and divide once per output coefficient.
-`QElt.canonicalize` and `pseudo._compose` clear by hand with
-`linalg.cleared` and divide with `linalg.divided`.  Each reference below is
+`QElt.canonicalize`, `pseudo._compose` and the arity-2 `TensorElt`
+product clear by hand with `linalg.cleared` and divide with
+`linalg.divided`; the last is also checked against `scaled_product`
+itself, value types included.  Each reference below is
 the loop the kernel ran before, multiplying the stored values directly.  The
 new coefficient map must equal the reference in values and in key order:
 `list(new.items()) == list(old.items())`.  `compose_left` and
@@ -32,7 +34,7 @@ from pseudoalg.cohomology import Cochain
 from pseudoalg.constructions import make_current, make_wd
 from pseudoalg.forms import wd_action_on_forms
 from pseudoalg.linalg import bump as linalg_bump
-from pseudoalg.linalg import cleared, divided
+from pseudoalg.linalg import cleared, divided, scaled_product
 from pseudoalg.pbw import (HElt, TensorElt, antipode_basis, fourier, mi_splits, mi_zero,
                            mul_antipode, mul_basis, mul_slots, multiindices_up_to)
 from pseudoalg.pseudo import compose_left, compose_right, extend_bilinear
@@ -258,9 +260,9 @@ def helt_pairs(draw):
 
 
 @st.composite
-def tensor_pairs(draw):
+def tensor_pairs(draw, n=None):
     alg = draw(ALG)
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3)) if n is None else n
     return sum_and_difference(draw, draw(tensors(alg, n)), draw(tensors(alg, n)))
 
 
@@ -357,6 +359,16 @@ def test_helt_product_and_antipode_match_reference(pair):
 def test_tensor_product_matches_reference(pair):
     s, t = pair
     assert_same((s * t).c, reference_tensor_mul(s, t))
+
+
+@SETTINGS
+@given(tensor_pairs(n=2))
+def test_two_slot_product_matches_the_general_kernel(pair):
+    """The arity-2 loop of `TensorElt.__mul__` against `scaled_product` over
+    `mul_slots`, the route of every other arity: values, key order and types."""
+    s, t = pair
+    general = scaled_product(s.c, t.c, lambda ka, kb: mul_slots(s.alg, ka, kb, mul_basis))
+    assert repr(list((s * t).c.items())) == repr(list(general.items()))
 
 
 @SETTINGS
