@@ -58,6 +58,15 @@ ANNIHILATE_MAX_MONOMIALS = 2000
 # end; this one admits gc:4 over one direction and gc:3 over sl2.
 VERIFY_MAX_TRIPLES = 50_000
 
+# Largest number of unknowns, |gens|^2 * C(dmax + dim, dim), that
+# `cohomology central` solves for: one cocycle coefficient per ordered
+# generator pair and window monomial, counted before any row is built.
+# It admits wd:sl2 at dmax 10 (2,574 unknowns, about 4 s) and sd:abelian4
+# at dmax 4 (2,520, about 1.5 s), the widest known windows; wd:sl2 at
+# dmax 12 (4,095) takes about 12 s, and at dmax 40 (111,069) it ran past
+# 20 s without end in sight.
+CENTRAL_MAX_UNKNOWNS = 3_000
+
 
 def _parse_chi(text):
     """Comma-separated rationals, as in sd:abelian3:1,0,0 or --chi 1,0."""
@@ -70,10 +79,11 @@ def build_structure(spec, alpha=None, algebra=None):
     Returns (family, P, verify, central): the family is the head of the
     reference (or "rank1"); P is the structure that bracket, xbracket and
     annihilate act on; verify() builds the family's report; central(dmax)
-    runs the family's central-extension solver.
+    runs the family's central-extension solver once the window's unknowns
+    are counted under `CENTRAL_MAX_UNKNOWNS`.
     """
     family, _, rest = spec.partition(":")
-    verify = central = None
+    verify = central = ngens = None
     if spec == "rank1":
         alg = algebra_by_name(algebra or "abelian1")
         if alpha is None:
@@ -98,6 +108,7 @@ def build_structure(spec, alpha=None, algebra=None):
         dname, _, chis = rest.partition(":")
         S = make_sd(algebra_by_name(dname), _parse_chi(chis) if chis else None)
         P = S.ambient
+        ngens = len(S.pairs)  # the central solve runs over the pair generators
 
         def verify():
             rep = Report("sd:%s" % S.alg.name)
@@ -138,8 +149,17 @@ def build_structure(spec, alpha=None, algebra=None):
             return verify_axioms(P)
     else:
         raise ValueError("unknown structure %r" % spec)
-    return (family, P, verify or (lambda: verify_axioms(P)),
-            central or (lambda dmax: solve_central_extensions(P, dmax=dmax)))
+    solve = central or (lambda dmax: solve_central_extensions(P, dmax=dmax))
+    ngens = len(P.module.gens) if ngens is None else ngens
+
+    def budgeted_central(dmax):
+        # a negative dmax is left to the solver, which names it
+        unknowns = ngens ** 2 * math.comb(dmax + P.alg.dim, P.alg.dim) if dmax >= 0 else 0
+        if unknowns > CENTRAL_MAX_UNKNOWNS:
+            raise ValueError("%s at dmax %d has %d unknowns to solve, over the budget "
+                             "of %d" % (spec, dmax, unknowns, CENTRAL_MAX_UNKNOWNS))
+        return solve(dmax)
+    return family, P, verify or (lambda: verify_axioms(P)), budgeted_central
 
 
 def _structure(args):

@@ -52,6 +52,9 @@ class LieAlgebra:
         self._straight_cache = {}
         self._monomial_mul_cache = {}
         self._reversed_cache = {}
+        # I! per multi-index I that a pbw conversion or peel norm used,
+        # computed once per algebra
+        self._factorial_cache = {}
         self._adjoint_cache = {}
 
     def bracket(self, i, j):

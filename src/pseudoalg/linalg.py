@@ -191,14 +191,6 @@ def sparse_sum(terms):
     return {k: v for k, v in out.items() if v}
 
 
-def vec_add(u, v, cv=1):
-    """u + cv*v for sparse vectors, dropping zeros."""
-    out = dict(u)
-    for k, c in v.items():
-        bump(out, k, cv * c)
-    return out
-
-
 class SparseEliminator:
     """Incremental row reduction of sparse rational vectors.
 
@@ -232,7 +224,8 @@ class SparseEliminator:
         coefficient, and no pass needs a rescan.  The subtractions run in
         place under the `bump` rule: a key that cancels is deleted, and a
         later term puts it back at the end, so the result has the values
-        and the key order of repeated `vec_add` until no pivot is left.
+        and the key order of adding scaled copies of stored rows, one copy
+        at a time, until no pivot is left.
         """
         pivots = self.pivots
         row = {c: v for c, v in row.items() if v}
@@ -265,11 +258,26 @@ class SparseEliminator:
             return False
         p = red[col]
         new = {c: div(v, p) for c, v in red.items()}
-        # keep stored rows mutually reduced: only rows that held col can hold it
+        # keep stored rows mutually reduced: only rows that held col can hold
+        # it; each gets a new map, prow - prow[col] new, by the `bump` rule
         for pcol in self._holders.pop(col, ()):
             prow = self.pivots[pcol]
             if col in prow:
-                self._store(pcol, vec_add(prow, new, -prow[col]))
+                m = -prow[col]
+                out = dict(prow)
+                for k, v in new.items():
+                    v = m * v
+                    s = out.get(k)
+                    if s is None:
+                        if v:
+                            out[k] = v
+                    else:
+                        s = s + v
+                        if s:
+                            out[k] = s
+                        else:
+                            del out[k]
+                self._store(pcol, out)
         self._store(col, new)
         return True
 

@@ -14,11 +14,17 @@ generator and a monomial, straightened with x_g x_h = x_h x_g + [x_g, x_h]
 and memoized per (g, K) on the owning algebra.  `mul_basis` and
 `antipode_basis` peel one generator at a time onto it in a loop (`_peel`)
 that caches every partial product, and `_gen_mul` walks its own chain in
-a loop too.  A requested table entry converts to divided powers once, one
-exact division per entry:
+a loop too.  Both find the generator to peel by an index loop over the
+multi-index, and `_gen_times` reads the (g, K) memo and bumps inline, so
+a cache miss pays for straightening and little else.  A requested table
+entry converts to divided powers once, one exact division per entry:
 
     d^(I) d^(J) = sum c_M M! / (I! J!) d^(M)   for x^I x^J = sum c_M x^M
     S(d^(I))    = sum c_M M! / I! d^(M)        for S(x^I) = sum c_M x^M
+
+`_rescale` makes that conversion and the step back from a requested entry
+that a later peel reaches, dividing ints by `divmod` and taking each M!
+from a memo per multi-index on the algebra.
 
 Filtration degree of d^(I) is |I|.
 
@@ -42,6 +48,7 @@ over `mul_slots` as its own two-slot loop, with the same values, key
 order and value types.  Arities 1 and 3 keep the general route.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
@@ -136,12 +143,15 @@ def _gen_mul(alg, g, K):
     x_g x_h = x_h x_g + [x_g, x_h] leaves products of lower weight, with
     no division.  Walks the chain K -> K - e_h inward to the first cached
     or ordered entry, then outward, memoizing each (g, K) on the algebra.
+    An index loop finds h, reading K no further than index g.
     """
     cache = alg._straight_cache
     chain = []
     while (res := cache.get((g, K))) is None:
-        h = next((i for i, k in enumerate(K) if k), g)
-        if g <= h:
+        h = 0
+        while h < g and not K[h]:
+            h += 1
+        if h == g:
             res = cache[g, K] = {_mi_step(K, g, 1): 1}
             break
         chain.append((K, h))
@@ -155,44 +165,112 @@ def _gen_mul(alg, g, K):
 
 
 def _gen_times(alg, g, comb, acc):
-    """acc += x_g times the combination {multi-index: coefficient}."""
+    """acc += x_g times the combination {multi-index: coefficient}.
+
+    Reads the (g, L) memo itself, calls `_gen_mul` only on a miss, and
+    accumulates by the `bump` rule inline.
+    """
+    cache = alg._straight_cache
     for L, c in comb.items():
-        for M, cm in _gen_mul(alg, g, L).items():
-            bump(acc, M, c * cm)
+        hit = cache.get((g, L))
+        if hit is None:
+            hit = _gen_mul(alg, g, L)
+        for M, cm in hit.items():
+            v = c * cm
+            s = acc.get(M)
+            if s is None:
+                if v:
+                    acc[M] = v
+            else:
+                s = s + v
+                if s:
+                    acc[M] = s
+                else:
+                    del acc[M]
     return acc
 
 
-def _peel(alg, table, partial, key, I, base, pick, norm):
-    """The divided-power table entry at key(I), straightened in monomials.
+def _factorial(alg, K):
+    """K!, memoized per multi-index on the algebra."""
+    f = alg._factorial_cache.get(K)
+    if f is None:
+        f = alg._factorial_cache[K] = mi_factorial(K)
+    return f
 
-    Computes x^I times `base` on the left, sum c_M x^M, and stores it in
-    `table` as sum c_M M! / norm(I) d^(M) (x^M = M! d^(M)), one exact
-    division per entry.  Peels h = pick(generators in I'), by
+
+def _norm(alg, K, J):
+    """K! J! for the product x^K x^J; (-1)^|K| K! for the reversed word of K
+    (J None)."""
+    f = _factorial(alg, K)
+    if J is None:
+        return -f if sum(K) & 1 else f
+    return f * _factorial(alg, J)
+
+
+def _rescale(alg, comb, n, to_divided):
+    """comb with each c [M] moved between the bases x^M = M! d^(M): to
+    c M! / n [d^(M)] when `to_divided`, else to c n / M! [x^M].
+
+    M! comes from the algebra's memo.  An int numerator divides by
+    `divmod`, building a Fraction only when there is a remainder; a
+    Fraction one goes through `div`.  Either way the value is `div`'s.
+    """
+    facts = alg._factorial_cache
+    out = {}
+    for M, c in comb.items():
+        f = facts.get(M) or _factorial(alg, M)  # M! is never 0
+        if to_divided:
+            a, b = c * f, n
+        else:
+            a, b = c * n, f
+        if type(a) is int:
+            q, r = divmod(a, b)
+            out[M] = Fraction(a, b) if r else q
+        else:
+            out[M] = div(a, b)
+    return out
+
+
+def _peel(alg, table, partial, I, J, last):
+    """The divided-power table entry of d^(I) d^(J), or of S(d^(I)) when J
+    is None, straightened in monomials.
+
+    Computes x^I times the base x^J (1 for the antipode) on the left,
+    sum c_M x^M, and stores it in `table` as sum c_M M! / n(I) d^(M)
+    (x^M = M! d^(M)), with n from `_norm`.  Peels h, the first generator
+    in I' (the last one when `last` is set), found by an index loop, by
     x^I' = x_h x^(I' - e_h), from I' = I inward to the first product
     cached in either form: in monomials in `partial`, or in `table`,
-    multiplied back by norm(I') / M!.  Then walks outward, caching each
-    step in `partial`.  Every product is held in one form only, so I
-    itself leaves `partial` for `table`.
+    multiplied back by n(I') / M!.  Then walks outward, caching each step
+    in `partial`.  Both conversions are `_rescale`.  Every product is held
+    in one form only, so I itself leaves `partial` for `table`.
     """
-    top, n = key(I), norm(I)
-    chain = []
-    while any(I):
-        k = key(I)
-        if (res := partial.get(k)) is not None:
+    top = key = I if J is None else (I, J)
+    K, w, chain = I, sum(I), []
+    while w:
+        if (res := partial.get(key)) is not None:
             break
-        if (hit := table.get(k)) is not None:
-            m = norm(I)
-            res = {M: div(c * m, mi_factorial(M)) for M, c in hit.items()}
+        if (hit := table.get(key)) is not None:
+            res = _rescale(alg, hit, _norm(alg, K, J), False)
             break
-        h = pick(i for i, x in enumerate(I) if x)
-        chain.append((k, h))
-        I = _mi_step(I, h, -1)
+        if last:
+            h = len(K) - 1
+            while not K[h]:
+                h -= 1
+        else:
+            h = 0
+            while not K[h]:
+                h += 1
+        chain.append((key, h))
+        K = _mi_step(K, h, -1)
+        key = K if J is None else (K, J)
+        w -= 1
     else:
-        res = base
-    for k, h in reversed(chain):
-        res = partial[k] = _gen_times(alg, h, res, {})
+        res = {(0,) * len(I): 1} if J is None else {J: 1}
+    for key, h in reversed(chain):
+        res = partial[key] = _gen_times(alg, h, res, {})
     partial.pop(top, None)
-    hit = table[top] = {M: div(c * mi_factorial(M), n) for M, c in res.items()}
+    hit = table[top] = _rescale(alg, res, _norm(alg, I, J), True)
     return hit
 
 
@@ -208,12 +286,9 @@ def mul_basis(alg, I, J):
         if alg.is_abelian:
             K = mi_add(I, J)
             hit = alg._mul_cache[I, J] = {
-                K: mi_factorial(K) // (mi_factorial(I) * mi_factorial(J))}
+                K: _factorial(alg, K) // (_factorial(alg, I) * _factorial(alg, J))}
         else:
-            nj = mi_factorial(J)
-            hit = _peel(alg, alg._mul_cache, alg._monomial_mul_cache,
-                        lambda K: (K, J), I, {J: 1}, min,
-                        lambda K: mi_factorial(K) * nj)
+            hit = _peel(alg, alg._mul_cache, alg._monomial_mul_cache, I, J, False)
     return hit
 
 
@@ -229,9 +304,7 @@ def antipode_basis(alg, I):
         if alg.is_abelian:
             hit = alg._antipode_cache[I] = {I: (-1) ** mi_weight(I)}
         else:
-            hit = _peel(alg, alg._antipode_cache, alg._reversed_cache,
-                        lambda K: K, I, {mi_zero(len(I)): 1}, max,
-                        lambda K: (-1) ** mi_weight(K) * mi_factorial(K))
+            hit = _peel(alg, alg._antipode_cache, alg._reversed_cache, I, None, True)
     return hit
 
 

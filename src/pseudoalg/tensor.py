@@ -162,20 +162,6 @@ class QElt(SparseCombination):
         out.canonical = self.canonical and other.canonical
         return out
 
-    def tensor_mul_left(self, t):
-        """Multiply the tensor slots from the left by t in H^{(x) n}."""
-        if t.n != self.n:
-            raise ValueError("arity mismatch")
-        alg = self.module.alg
-
-        def terms(kq, tkey):
-            # (g, L) is kept, and the map of self already obeys the counit rule
-            key, g, L = kq
-            return [((nk, g, L), c) for nk, c in mul_slots(alg, tkey, key, mul_basis)]
-        out = QElt(self.module, self.n)
-        out.c = scaled_product(self.c, t.c, terms)
-        return out
-
     def permuted(self, perm):
         """Permute tensor slots: new slot i holds old slot perm[i].
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from pseudoalg.cli import VERIFY_MAX_TRIPLES, build_structure, main
+from pseudoalg import cli
+from pseudoalg.cli import (CENTRAL_MAX_UNKNOWNS, VERIFY_MAX_TRIPLES, build_structure,
+                          main)
 from pseudoalg.constructions import CEND_MAX_GENERATORS
 from pseudoalg.pseudo import PseudoStructure
 
@@ -92,6 +95,15 @@ def test_xbracket_precision_exit():
                       "--left", "(1) @ w_d1", "--right", "(1) @ w_d1",
                       "--x", "t^(0)", "--cutoff", "0")
     assert code == 2
+
+
+def test_xbracket_cutoff_needs_no_budget():
+    """x_bracket's work does not grow with the cutoff: the README command
+    prints the same bytes at cutoff 10^9 as at 6."""
+    argv = ["xbracket", "--structure", "wd:abelian1", "--left", "(1) @ w_d1",
+            "--right", "(1) @ w_d1", "--x", "t^(1)", "--cutoff"]
+    assert run_cli(*argv, "1000000000") == run_cli(*argv, "6")
+    assert run_cli(*argv, "6")[0] == 0
 
 
 def test_annihilate_cross_oracle():
@@ -210,6 +222,73 @@ def test_verify_budget_refuses_before_any_bracket(spec, count, monkeypatch, caps
     assert capsys.readouterr().err.startswith("input error: %s has %d" % (spec, count))
 
 
+class Solved(Exception):
+    """Raised by a patched central solver in place of solving."""
+
+
+def _patch_central_solvers(monkeypatch):
+    def solved(*args, **kwargs):
+        raise Solved
+    for name in ("solve_central_extensions", "solve_central_extensions_rank1",
+                 "sd_central_suite"):
+        monkeypatch.setattr(cli, name, solved)
+
+
+def _option(argv, name, default=None):
+    return argv[argv.index(name) + 1] if name in argv else default
+
+
+def _central_windows():
+    """(spec, alpha, dmax) of every `cohomology central` run of the golden
+    cases, the README, DISPATCH and the central benchmark workload."""
+    argvs = ([c["argv"] for c in GOLDEN_CASES] + _readme_commands()
+             + [argv for argv, code, _ in DISPATCH if code == 0])
+    windows = {(_option(argv, "--structure"), _option(argv, "--alpha"),
+                int(_option(argv, "--dmax", 4)))
+               for argv in argvs if "central" in argv}
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    # a benchmark rank-one datum is the k-type structure of the same name,
+    # and rank1:w1 the vector fields in one variable
+    for _, name, dmax in gen.CENTRAL_SHAPES:
+        family, _, rest = name.partition(":")
+        if family == "rank1":
+            name = "wd:dim1" if rest == "w1" else "k-type:" + rest
+        windows.add((name, None, dmax))
+    return sorted(windows, key=repr)
+
+
+def test_central_budget_admits_the_pinned_windows(monkeypatch):
+    """Every known window reaches the solver, the widest included: wd:sl2
+    at dmax 10 (2,574 unknowns) and sd:abelian4 at dmax 4 (2,520)."""
+    _patch_central_solvers(monkeypatch)
+    windows = _central_windows()
+    assert ("sd:abelian4", None, 3) in windows and ("k-type:sl2", None, 8) in windows
+    for spec, alpha, dmax in windows + [("wd:sl2", None, 10), ("sd:abelian4", None, 4)]:
+        with pytest.raises(Solved):
+            build_structure(spec, alpha)[3](dmax)
+
+
+@pytest.mark.parametrize("spec, dmax, count", [("wd:sl2", 40, 111_069), ("wd:sl2", 11, 3_276),
+                                               ("sd:abelian4", 5, 4_536),
+                                               ("k-type:sl2", 25, 3_276),
+                                               ("wd:dim1", 3_000, 3_001)])
+def test_central_budget_refuses_before_any_solve(spec, dmax, count, monkeypatch, capsys):
+    """|gens|^2 C(dmax + dim, dim) unknowns are counted before the solver
+    runs: with every solver patched to raise, these are refused as input
+    errors naming the count and the budget."""
+    _patch_central_solvers(monkeypatch)
+    with pytest.raises(ValueError, match="%s at dmax %d has %d unknowns to solve, over the "
+                       "budget of %d" % (spec, dmax, count, CENTRAL_MAX_UNKNOWNS)):
+        build_structure(spec)[3](dmax)
+    argv = ["cohomology", "central", "--structure", spec, "--dmax", str(dmax)]
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err.startswith("input error: %s at dmax %d has %d unknowns"
+                                              % (spec, dmax, count))
+
+
 def test_annihilate_negative_cutoff_is_usage_error(capsys):
     code, out = run_cli("annihilate", "--structure", "wd:abelian2", "--cutoff", "-1")
     assert code == 2 and out == ""
@@ -284,6 +363,8 @@ BAD_INPUTS = [
     ["verify", "--structure", "cend:1_1"],
     # over the verify budget of generator triples
     ["verify", "--structure", "gc:10"],
+    # over the budget of central unknowns
+    ["cohomology", "central", "--structure", "wd:sl2", "--dmax", "40"],
     # S(d) on one direction has no pair generators, so its suite checked nothing
     ["verify", "--structure", "sd:abelian1"],
     # no listed generators, so the solver reported dimension 0 over nothing

@@ -201,7 +201,8 @@ def test_generic_solver_agrees_with_rank1():
 
 def test_solution_space_closed_under_combinations():
     sol = solve_central_extensions_rank1(w_type_dim1(), dmax=4)
-    from pseudoalg.linalg import SparseEliminator, vec_add
+    from pseudoalg.linalg import SparseEliminator
+    from test_linalg import vec_add
     elim = SparseEliminator()
     for v in sol.basis:
         elim.add(v)

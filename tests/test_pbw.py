@@ -431,6 +431,41 @@ def test_monomial_caches_hold_integers(name):
                for v in table.values())
 
 
+@st.composite
+def hopf_triples(draw):
+    """An algebra name and three elements of weight <= 3 on it, as term maps
+    with mixed int and Fraction coefficients."""
+    name = draw(st.sampled_from(sorted(ORACLE_ALGEBRAS)))
+    mis = multiindices_up_to(ORACLE_ALGEBRAS[name]().dim, 3)
+    coeff = st.one_of(st.integers(-3, 3).filter(bool),
+                      st.builds(Fr, st.integers(-5, 5).filter(bool), st.integers(2, 4)))
+    terms = st.dictionaries(st.sampled_from(mis), coeff, min_size=1, max_size=3)
+    return name, draw(terms), draw(terms), draw(terms)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          phases=set(Phase) - {Phase.shrink, Phase.explain})
+@given(hopf_triples())
+def test_hopf_axioms_on_fresh_algebras(triple):
+    """(xy)z = x(yz), S(xy) = S(y)S(x), Delta(xy) = Delta(x)Delta(y),
+    S^2 = id and the Fourier round trip, on a fresh algebra per example, so
+    every table entry is a miss; every table the example filled stores no
+    zero coefficient."""
+    name, *maps = triple
+    alg = ORACLE_ALGEBRAS[name]()
+    x, y, z = (HElt(alg, m) for m in maps)
+    xy = x * y
+    assert xy * z == x * (y * z)
+    assert xy.antipode() == y.antipode() * x.antipode()
+    assert xy.coproduct() == x.coproduct() * y.coproduct()
+    assert x.antipode().antipode() == x
+    t = TensorElt.pure([x, z])
+    assert fourier(fourier(t), inverse=True) == t
+    caches = (alg._mul_cache, alg._antipode_cache, alg._mul_antipode_cache,
+              alg._straight_cache, alg._monomial_mul_cache, alg._reversed_cache)
+    assert all(v for cache in caches for table in cache.values() for v in table.values())
+
+
 # -- deep probes against closed forms -------------------------------------------
 
 def probe_closed_form(name, k):

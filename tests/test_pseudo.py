@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from conftest import adjoint_module, random_melt
+from test_scaled_kernels import tensor_mul_left
 from pseudoalg import liealg
 from pseudoalg.annihilation import PrecisionError, TruncatedSeries
 from pseudoalg.constructions import (make_current, make_gc,
@@ -43,8 +44,8 @@ def test_bilinearity_left_shift():
     e = P.element(0)
     de = MElt(P.module, {((1,), 0): 1})
     lhs = P.bracket(de, e)
-    rhs = P.bracket(e, e).tensor_mul_left(
-        TensorElt.pure([HElt.gen(alg, 0), HElt.one(alg)])).canonicalize()
+    rhs = tensor_mul_left(P.bracket(e, e),
+                          TensorElt.pure([HElt.gen(alg, 0), HElt.one(alg)])).canonicalize()
     assert lhs == rhs
 
 

@@ -1,10 +1,11 @@
 """The scaled-integer product kernels against the loops they replaced.
 
-Seven product kernels of `pbw`, `tensor` and `pseudo` (the `HElt` product
-and antipode, the `TensorElt` product, `fourier`, `MElt.h_mul`,
-`QElt.tensor_mul_left` and `extend_bilinear`) are term rules run by
-`linalg.scaled_product` or `linalg.scaled_map`, which clear the operands'
-denominators, multiply integers, and divide once per output coefficient.
+Six product kernels of `pbw`, `tensor` and `pseudo` (the `HElt` product
+and antipode, the `TensorElt` product, `fourier`, `MElt.h_mul` and
+`extend_bilinear`) are term rules run by `linalg.scaled_product` or
+`linalg.scaled_map`, which clear the operands' denominators, multiply
+integers, and divide once per output coefficient.  So is the test helper
+`tensor_mul_left`, which the H-linearity properties multiply with.
 `QElt.canonicalize`, `pseudo._compose` and the arity-2 `TensorElt`
 product clear by hand with `linalg.cleared` and divide with
 `linalg.divided`; the last is also checked against `scaled_product`
@@ -136,6 +137,23 @@ def reference_canonicalize(q):
                 for Lp, cl in modmap.items():
                     _admit(out, nk, g, Lp, w * cl)
     return out.c
+
+
+def tensor_mul_left(q, t):
+    """Multiply the tensor slots of q from the left by t in H^{(x) n}: the
+    `scaled_product` term rule that `QElt.tensor_mul_left` ran until the
+    compositions stopped using it."""
+    if t.n != q.n:
+        raise ValueError("arity mismatch")
+    alg = q.module.alg
+
+    def terms(kq, tkey):
+        # (g, L) is kept, and the map of q already obeys the counit rule
+        key, g, L = kq
+        return [((nk, g, L), c) for nk, c in mul_slots(alg, tkey, key, mul_basis)]
+    out = QElt(q.module, q.n)
+    out.c = scaled_product(q.c, t.c, terms)
+    return out
 
 
 def reference_tensor_mul_left(q, t):
@@ -392,7 +410,7 @@ def test_extend_bilinear_matches_reference(inputs):
 def test_canonicalize_and_tensor_mul_left_match_reference(inputs):
     q, t = inputs
     assert_same(q.canonicalize().c, reference_canonicalize(q))
-    assert_same(q.tensor_mul_left(t).c, reference_tensor_mul_left(q, t))
+    assert_same(tensor_mul_left(q, t).c, reference_tensor_mul_left(q, t))
 
 
 @SETTINGS
@@ -426,8 +444,8 @@ def test_operations_are_left_h_linear(operation, data):
     L = data.draw(st.sampled_from(multiindices_up_to(alg.dim, 2)))
     c = data.draw(melts(M, 1))
     shifted = op(MElt(P.module, {(L, g): 1}), c)
-    moved = op(P.element(g), c).tensor_mul_left(
-        TensorElt.pure([HElt.monomial(alg, L), HElt.one(alg)]))
+    moved = tensor_mul_left(op(P.element(g), c),
+                            TensorElt.pure([HElt.monomial(alg, L), HElt.one(alg)]))
     assert shifted.canonicalize().c == moved.canonicalize().c
 
 
@@ -441,8 +459,8 @@ def test_operations_are_right_h_linear(operation, data):
     L = data.draw(st.sampled_from(multiindices_up_to(alg.dim, 2)))
     a = data.draw(melts(P.module, 1))
     shifted = op(a, MElt(M, {(L, g): 1}))
-    moved = op(a, M.element(g)).tensor_mul_left(
-        TensorElt.pure([HElt.one(alg), HElt.monomial(alg, L)]))
+    moved = tensor_mul_left(op(a, M.element(g)),
+                            TensorElt.pure([HElt.one(alg), HElt.monomial(alg, L)]))
     assert shifted.canonicalize().c == moved.canonicalize().c
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from conftest import random_helt
+from test_scaled_kernels import tensor_mul_left
 from pseudoalg import liealg
 from pseudoalg.pbw import HElt, TensorElt, mi_zero
 from pseudoalg.tensor import FreeModule, MElt, QElt
@@ -61,7 +62,7 @@ def test_moving_coefficients_through_the_quotient(catalog_algebra, rng):
         base = QElt(M, 2)
         for (I, J), v in TensorElt.pure([f, g]).c.items():
             base._bump((I, J), "m", z, v)
-        lhs = base.tensor_mul_left(TensorElt.pure([HElt.one(alg), HElt.one(alg)]))
+        lhs = tensor_mul_left(base, TensorElt.pure([HElt.one(alg), HElt.one(alg)]))
         # multiply slots by the split of h from the right: commutative only in
         # the quotient, so compare classes, building through raw insertion
         moved = QElt(M, 2)
