@@ -13,12 +13,21 @@ action is correct for noncommutative algebras as well and costs one table
 lookup per pair of terms.
 Series and annihilation elements are the sparse combinations of
 `linalg`; a sum keeps the smaller cutoff and drops what lies beyond it.
+
+Checks run at the entry points only.  The TruncatedSeries and
+AnnihilationElement constructors check each multi-index's length and
+weight and store exact nonzero values; `truncate`, `act` and `pair`
+refuse a depth they cannot guarantee, and each bracket refuses inputs too
+shallow for its depth cost, all with PrecisionError.  Behind them the
+product `_product` and the action `_acted` work on coefficient maps known
+valid, and `_series` wraps their results without a second pass.
 """
 
 from itertools import chain
+from operator import add
 
 from .linalg import SparseCombination, bump, exact
-from .pbw import (HElt, antipode_basis, mi_add, mi_weight, mi_zero, mul_basis,
+from .pbw import (HElt, antipode_basis, checked_mi, mi_weight, mi_zero, mul_basis,
                   multiindices_up_to)
 
 
@@ -61,6 +70,76 @@ def _adjoint(alg, J, side, cut):
     return table
 
 
+def _product(x, y, cut):
+    """Coefficients of the product of the series with coefficient maps x
+    and y, up to weight cut.  A pair of terms is skipped unless its weights
+    fit, so no key beyond cut is built; values are ints when integral."""
+    right = [(J, b, sum(J)) for J, b in y.items()]
+    out = {}
+    for I, a in x.items():
+        room = cut - sum(I)
+        if room < 0:
+            continue
+        for J, b, w in right:
+            if w <= room:
+                bump(out, tuple(map(add, I, J)), a * b)
+    for K, v in out.items():
+        if type(v) is not int and v.denominator == 1:
+            out[K] = v.numerator  # an int when integral, as `exact` gives
+    return out
+
+
+def _acted(alg, x, h, side, cut):
+    """Coefficients of the action on the series with coefficient map x by
+    the element with monomial map h = {L: u}, to depth cut.
+
+    Each term u d^(L) of h and each term a d^(J) of the cached S(d^(L))
+    add u a v c at t_I for every term v t_K of x and every entry (I, c) of
+    the transposed table of d^(J) at K.
+    """
+    out = {}
+    cache = alg._adjoint_cache
+    for L, u in h.items():
+        for J, a in antipode_basis(alg, L).items():
+            table = cache.get((J, side, cut))
+            if table is None:
+                table = _adjoint(alg, J, side, cut)
+            ua = u * a
+            for K, v in x.items():
+                row = table.get(K)
+                if row is None:
+                    continue
+                av = ua * v
+                for I, c in row:
+                    bump(out, I, av * c)
+    return out
+
+
+def _acted_depth(cutoff, deg):
+    """Depth left after acting by degree deg on a series known to cutoff."""
+    if deg > cutoff:
+        raise PrecisionError("action by degree %d exceeds depth %d" % (deg, cutoff))
+    return cutoff - deg
+
+
+def _right(alg, depth, x, F):
+    """(depth, coefficients) of x d^(F), for x known to depth."""
+    if not any(F):
+        return depth, x
+    depth = _acted_depth(depth, sum(F))
+    return depth, _acted(alg, x, {F: 1}, "right", depth)
+
+
+def _series(alg, cutoff, c):
+    """TruncatedSeries on a coefficient map already known valid: exact
+    nonzero values on multi-indices of weight <= cutoff.  Checks nothing."""
+    out = object.__new__(TruncatedSeries)
+    out.alg = alg
+    out.cutoff = cutoff
+    out.c = c
+    return out
+
+
 class TruncatedSeries(SparseCombination):
     """Functional known modulo everything of weight > cutoff."""
 
@@ -74,7 +153,7 @@ class TruncatedSeries(SparseCombination):
         self.cutoff = cutoff
         self.c = {}
         for I, v in (coeffs or {}).items():
-            I = tuple(I)
+            I = checked_mi(I, alg.dim)
             v = exact(v)
             if mi_weight(I) > cutoff:
                 raise ValueError("index beyond cutoff")
@@ -93,8 +172,12 @@ class TruncatedSeries(SparseCombination):
         if cutoff > self.cutoff:
             raise PrecisionError("cannot deepen a series (have %d, want %d)"
                                  % (self.cutoff, cutoff))
-        return TruncatedSeries(self.alg, cutoff,
-                               {I: v for I, v in self.c.items() if mi_weight(I) <= cutoff})
+        if cutoff < 0:
+            raise PrecisionError("cutoff must be nonnegative")
+        # `act` keeps integral Fractions as its products give them; a
+        # truncation returns them as ints
+        return _series(self.alg, cutoff,
+                       {I: exact(v) for I, v in self.c.items() if sum(I) <= cutoff})
 
     def __add__(self, other):
         return _truncated_sum(self, other, mi_weight,
@@ -105,13 +188,7 @@ class TruncatedSeries(SparseCombination):
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         cut = min(self.cutoff, other.cutoff)
-        out = {}
-        for I, a in self.c.items():
-            for J, b in other.c.items():
-                K = mi_add(I, J)
-                if mi_weight(K) <= cut:
-                    bump(out, K, a * b)
-        return TruncatedSeries(self.alg, cut, out)
+        return _series(self.alg, cut, _product(self.c, other.c, cut))
 
     def pair(self, h):
         """<x, h> for h in U(d); needs cutoff >= degree of h."""
@@ -124,29 +201,12 @@ class TruncatedSeries(SparseCombination):
     def act(self, h, side="left"):
         """Left action <h x, f> = <x, S(h) f>; right <x h, f> = <x, f S(h)>.
 
-        The output is exact to depth cutoff - deg(h).  Each term u d^(L)
-        of h and each term a d^(J) of the cached S(d^(L)) add u a v c at
-        t_I for every term v t_K of the series and every entry (I, c) of
-        the transposed table of d^(J) at K.
+        The output is exact to depth cutoff - deg(h).
         """
-        deg = h.degree()
-        if deg is None:
+        if not h.c:
             return TruncatedSeries.zero(self.alg, self.cutoff)
-        newcut = self.cutoff - deg
-        if newcut < 0:
-            raise PrecisionError("action by degree %d exceeds depth %d" % (deg, self.cutoff))
-        out = {}
-        for L, u in h.c.items():
-            for J, a in antipode_basis(self.alg, L).items():
-                table = _adjoint(self.alg, J, side, newcut)
-                ua = u * a
-                for K, v in self.c.items():
-                    av = ua * v
-                    for I, c in table.get(K, ()):
-                        bump(out, I, av * c)
-        res = self._with(out)
-        res.cutoff = newcut
-        return res
+        cut = _acted_depth(self.cutoff, max(map(sum, h.c)))
+        return _series(self.alg, cut, _acted(self.alg, self.c, h.c, side, cut))
 
     def __repr__(self):
         if not self.c:
@@ -170,7 +230,7 @@ class AnnihilationElement(SparseCombination):
         self.cutoff = cutoff
         self.c = {}
         for (I, g), v in (coeffs or {}).items():
-            I = tuple(I)
+            I = checked_mi(I, module.alg.dim)
             if mi_weight(I) > cutoff:
                 raise ValueError("index beyond cutoff")
             v = exact(v)
@@ -182,11 +242,9 @@ class AnnihilationElement(SparseCombination):
         return cls(module, cutoff, {(tuple(I), g): 1})
 
     def series_parts(self):
-        by_gen = {}
-        for (I, g), v in self.c.items():
-            by_gen.setdefault(g, {})[I] = v
-        return {g: TruncatedSeries(self.module.alg, self.cutoff, d)
-                for g, d in by_gen.items()}
+        """{g: series of the coefficients on g}, one per generator present."""
+        alg = self.module.alg
+        return {g: _series(alg, self.cutoff, c) for g, c in _parts(self).items()}
 
     def _same_space(self, other):
         return self.module.same_as(other.module) and self.cutoff == other.cutoff
@@ -200,7 +258,7 @@ class AnnihilationElement(SparseCombination):
         if cutoff > self.cutoff:
             raise PrecisionError("cannot deepen")
         out = AnnihilationElement(self.module, cutoff)
-        out.c = {(I, g): v for (I, g), v in self.c.items() if mi_weight(I) <= cutoff}
+        out.c = {(I, g): v for (I, g), v in self.c.items() if sum(I) <= cutoff}
         return out
 
     def __repr__(self):
@@ -211,6 +269,16 @@ class AnnihilationElement(SparseCombination):
                           for g, s in sorted(parts.items(), key=lambda kv: str(kv[0])))
 
 
+def _parts(w):
+    """{g: coefficient map on g} of an annihilation element, zeros dropped."""
+    by_gen = {}
+    for (I, g), v in w.c.items():
+        part = by_gen.setdefault(g, {})
+        if v:
+            part[I] = exact(v)
+    return by_gen
+
+
 def annihilation_bracket(P, u, v):
     """Bracket on functionals (x)_H L induced by the structure table:
 
@@ -219,6 +287,10 @@ def annihilation_bracket(P, u, v):
     where the canonical table `gen_bracket` has g_i = 1.  The output cutoff
     is min(depth u, depth v) minus the table's depth cost; a negative
     guarantee raises PrecisionError naming the need.
+
+    Within one call each right action x d^(F) of a generator's series is
+    built once, and so is each product (x d^(F)) y that several table
+    terms share.
     """
     alg = P.alg
     cost = P.max_coefficient_degree()
@@ -227,18 +299,22 @@ def annihilation_bracket(P, u, v):
         raise PrecisionError(
             "bracket costs depth %d; inputs must have cutoff >= %d" % (cost, cost))
     out = AnnihilationElement(P.module, cut)
-    uparts = u.series_parts()
-    vparts = v.series_parts()
-    for gu, xs in uparts.items():
-        for gv, ys in vparts.items():
-            q = P.gen_bracket(gu, gv)
-            for (key, g, L), coeff in q.c.items():
-                xf = xs.act(HElt.monomial(alg, key[0], 1), "right") if any(key[0]) else xs
-                prod = xf * ys
-                if any(L):
-                    prod = prod.act(HElt.monomial(alg, L, 1), "right")
-                for I, s in prod.c.items():
-                    if mi_weight(I) <= cut:
+    vparts = _parts(v)
+    for gu, x in _parts(u).items():
+        moved = {}  # F -> x d^(F), with its depth
+        for gv, y in vparts.items():
+            products = {}  # F -> (x d^(F)) y, with its depth
+            for (key, g, L), coeff in P.gen_bracket(gu, gv).c.items():
+                F = key[0]
+                prod = products.get(F)
+                if prod is None:
+                    xf = moved.get(F)
+                    if xf is None:
+                        xf = moved[F] = _right(alg, u.cutoff, x, F)
+                    depth = min(xf[0], v.cutoff)
+                    prod = products[F] = depth, _product(xf[1], y, depth)
+                for I, s in _right(alg, prod[0], prod[1], L)[1].items():
+                    if sum(I) <= cut:
                         bump(out.c, (I, g), coeff * s)
     return out
 
@@ -249,30 +325,30 @@ def vector_field_bracket(alg, u, v):
         [x (x) a, y (x) b] = xy (x) [a,b] - x(y.a) (x) b + (x.b)y (x) a
 
     with the dot the right action.  Used to cross-check the annihilation
-    bracket of the vector-field structure.
+    bracket of the vector-field structure.  It splits and acts through the
+    public `series_parts` and `act`, not through the bracket's memo.
     """
     cut = min(u.cutoff, v.cutoff) - 1
     if cut < 0:
         raise PrecisionError("vector-field bracket needs cutoff >= 1")
     out = AnnihilationElement(u.module, cut)
-
-    def add(I, g, val):
-        if mi_weight(I) <= cut:
-            bump(out.c, (I, g), val)
-
     uparts = u.series_parts()
     vparts = v.series_parts()
+    dirs = {a: HElt.gen(alg, a) for a in {*uparts, *vparts}}
     for a, xs in uparts.items():
         for b, ys in vparts.items():
-            for k, ck in alg.bracket(a, b).items():
-                for I, s in (xs * ys).c.items():
-                    add(I, k, ck * s)
-            ya = ys.act(HElt.gen(alg, a), "right")
-            for I, s in (xs.truncate(min(xs.cutoff, ya.cutoff)) * ya).c.items():
-                add(I, b, -s)
-            xb = xs.act(HElt.gen(alg, b), "right")
-            for I, s in (xb * ys.truncate(min(ys.cutoff, xb.cutoff))).c.items():
-                add(I, a, s)
+            br = alg.bracket(a, b)
+            if br:
+                xy = _product(xs.c, ys.c, cut)
+                for k, ck in br.items():
+                    for I, s in xy.items():
+                        bump(out.c, (I, k), ck * s)
+            ya = ys.act(dirs[a], "right")
+            for I, s in _product(xs.c, ya.c, cut).items():
+                bump(out.c, (I, b), -s)
+            xb = xs.act(dirs[b], "right")
+            for I, s in _product(xb.c, ys.c, cut).items():
+                bump(out.c, (I, a), s)
     return out
 
 

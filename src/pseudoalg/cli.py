@@ -43,12 +43,14 @@ from .tensor import QElt
 # `annihilate` takes on; the README command (wd:abelian2 at cutoff 6)
 # needs 28.  The run builds and caches one transposed product table over
 # them per monomial it acts by, so this count bounds the table work and
-# the memory (at the budget, sl2 at cutoff 20 and abelian4 at 12 take
-# about 50 MB), and beyond it a run is refused as an input error instead
-# of running for minutes or without end.  It does not bound the run time,
-# which is set by the dim^2 * C(min(3, cutoff - 2) + dim, dim)^2 bracket
-# pairs checked: those stop growing at cutoff 5, so abelian4 takes about
-# 5 s at cutoff 6 (210 monomials) as at 12.
+# the memory (at the budget, sl2 at cutoff 20 and abelian4 at 12 peak at
+# about 24 and 28 MB), and beyond it a run is refused as an input error
+# instead of running for minutes or without end.  It does not bound the
+# run time, which is set by the dim^2 * C(min(3, cutoff - 2) + dim, dim)^2
+# bracket pairs checked: those stop growing at cutoff 5, so abelian4
+# checks 19,600 pairs in about 1 s at cutoff 6 (210 monomials) as at 12,
+# and sl2 3,600 pairs in about 2 s at cutoff 20 (in process, one core of
+# a shared 2-vCPU VM).
 ANNIHILATE_MAX_MONOMIALS = 2000
 
 # Largest number of generator triples (len(verify_gens) ** 3) that `verify`
@@ -238,10 +240,10 @@ def cmd_annihilate(args):
     rep = Report("annihilation:%s@D=%d" % (alg.name, D))
     basis_depth = max(0, D - 2)
     mis = multiindices_up_to(alg.dim, min(3, basis_depth))
-    gens = {(I, a): AnnihilationElement.generator(P.module, I, a, D)
+    gens = {(I, a): (AnnihilationElement.generator(P.module, I, a, D), "t%s w%d" % (I, a))
             for I in mis for a in range(alg.dim)}
     for I, J, a, b in product(mis, mis, range(alg.dim), range(alg.dim)):
-        u, v = gens[(I, a)], gens[(J, b)]
+        (u, uname), (v, vname) = gens[(I, a)], gens[(J, b)]
         try:
             br = annihilation_bracket(P, u, v)
             vf = vector_field_bracket(alg, u, v)
@@ -250,7 +252,7 @@ def cmd_annihilate(args):
             return 2
         cut = min(br.cutoff, vf.cutoff)
         ok = br.truncate(cut).c == vf.truncate(cut).c
-        rep.record("cross-oracle[t%s w%d, t%s w%d]" % (I, a, J, b), ok, None if ok else (br, vf))
+        rep.record("cross-oracle[%s, %s]" % (uname, vname), ok, None if ok else (br, vf))
     return emit(rep, args.format, args.seed)
 
 

@@ -1,12 +1,26 @@
+"""Truncated functionals and annihilation brackets.
+
+The kernels of `annihilation` build their results directly and leave every
+check to the public entry points.  The properties at the end hold them to
+references: `act` to the dense pairing `_dense_act`, the series product
+and both brackets to the loops they replaced (kept below), in values, key
+order and int/Fraction type, and the annihilation bracket to the
+vector-field oracle.  Their inputs mix int and Fraction values, explicit
+zeros and integral Fractions such as the ones `act` keeps.
+"""
+
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoalg import liealg
 from pseudoalg.annihilation import (AnnihilationElement, PrecisionError,
                                     TruncatedSeries, annihilation_bracket,
                                     counit_functional, vector_field_bracket)
 from pseudoalg.constructions import make_current, make_wd
+from pseudoalg.linalg import bump
 from pseudoalg.pbw import HElt, mi_weight, mi_zero, multiindices_up_to
 from pseudoalg.pseudo import x_bracket
 
@@ -284,3 +298,233 @@ def test_counit_functional_pairs_with_constants():
     x0 = counit_functional(alg, 4)
     assert x0.pair(HElt.one(alg)) == 1
     assert x0.pair(HElt.gen(alg, 1)) == 0
+
+
+# -- entry checks and refusals --------------------------------------------------
+
+def test_constructors_check_multi_index_length():
+    # unchecked, a key of the wrong length is stored and then acts as zero
+    alg = liealg.abelian(2)
+    P, _ = make_wd(alg)
+    with pytest.raises(ValueError, match=r"\(1,\) has length 1, expected 2"):
+        TruncatedSeries(alg, 3, {(1,): 1})
+    with pytest.raises(ValueError, match=r"\(0, 0, 0\) has length 3, expected 2"):
+        AnnihilationElement(P.module, 3, {((0, 0, 0), 0): 1})
+    with pytest.raises(ValueError, match="length 1, expected 2"):
+        AnnihilationElement.generator(P.module, (1,), 0, 3)
+
+
+def test_truncate_and_act_refuse_what_they_cannot_guarantee():
+    alg = liealg.abelian(2)
+    P, _ = make_wd(alg)
+    x = TruncatedSeries(alg, 3, {(1, 0): 1, (0, 3): Fr(1, 2)})
+    with pytest.raises(PrecisionError, match="nonnegative"):
+        x.truncate(-1)
+    with pytest.raises(PrecisionError, match="cannot deepen a series"):
+        x.truncate(4)
+    with pytest.raises(PrecisionError, match="cannot deepen"):
+        AnnihilationElement.generator(P.module, (0, 0), 0, 3).truncate(4)
+    for side in ("left", "right"):
+        with pytest.raises(PrecisionError, match="action by degree 4 exceeds depth 3"):
+            x.act(HElt(alg, {(2, 2): 1, (0, 0): 5}), side)
+    assert x.truncate(3) == x and x.truncate(0).c == {}
+
+
+# -- references ---------------------------------------------------------------
+
+def _terms(x):
+    """Cutoff and stored (key, type, value) list: equal values, key order and types."""
+    return x.cutoff, [(k, type(v), v) for k, v in x.c.items()]
+
+
+def _assert_valid(x, weight=mi_weight):
+    """No stored zero and no key beyond the cutoff."""
+    assert all(x.c.values()), x.c
+    assert all(weight(k) <= x.cutoff for k in x.c), (x.cutoff, x.c)
+
+
+def _element_weight(key):
+    return mi_weight(key[0])
+
+
+def _loop_product(x, y):
+    """The series product as it ran before the pruned kernel: every pair of
+    terms, a weight test on each sum, and the checked constructor."""
+    cut = min(x.cutoff, y.cutoff)
+    out = {}
+    for I, a in x.c.items():
+        for J, b in y.c.items():
+            K = tuple(i + j for i, j in zip(I, J))
+            if mi_weight(K) <= cut:
+                bump(out, K, a * b)
+    return TruncatedSeries(x.alg, cut, out)
+
+
+def _loop_parts(w):
+    """`series_parts` as it ran before: one checked series per generator."""
+    by_gen = {}
+    for (I, g), v in w.c.items():
+        by_gen.setdefault(g, {})[I] = v
+    return {g: TruncatedSeries(w.module.alg, w.cutoff, d) for g, d in by_gen.items()}
+
+
+def _loop_bracket(P, u, v):
+    """`annihilation_bracket` as it ran before the memo: an action by an
+    HElt monomial and a product for every table term."""
+    alg = P.alg
+    cut = min(u.cutoff, v.cutoff) - P.max_coefficient_degree()
+    out = AnnihilationElement(P.module, cut)
+    for gu, xs in _loop_parts(u).items():
+        for gv, ys in _loop_parts(v).items():
+            for (key, g, L), coeff in P.gen_bracket(gu, gv).c.items():
+                xf = xs.act(HElt.monomial(alg, key[0], 1), "right") if any(key[0]) else xs
+                prod = _loop_product(xf, ys)
+                if any(L):
+                    prod = prod.act(HElt.monomial(alg, L, 1), "right")
+                for I, s in prod.c.items():
+                    if mi_weight(I) <= cut:
+                        bump(out.c, (I, g), coeff * s)
+    return out
+
+
+def _loop_vector_field(alg, u, v):
+    """`vector_field_bracket` as it ran before: products of full series,
+    each first truncated to the other factor's cutoff, filtered after."""
+    cut = min(u.cutoff, v.cutoff) - 1
+    out = AnnihilationElement(u.module, cut)
+
+    def add(I, g, val):
+        if mi_weight(I) <= cut:
+            bump(out.c, (I, g), val)
+
+    for a, xs in _loop_parts(u).items():
+        for b, ys in _loop_parts(v).items():
+            for k, ck in alg.bracket(a, b).items():
+                for I, s in _loop_product(xs, ys).c.items():
+                    add(I, k, ck * s)
+            ya = ys.act(HElt.gen(alg, a), "right")
+            for I, s in _loop_product(xs.truncate(min(xs.cutoff, ya.cutoff)), ya).c.items():
+                add(I, b, -s)
+            xb = xs.act(HElt.gen(alg, b), "right")
+            for I, s in _loop_product(xb, ys.truncate(min(ys.cutoff, xb.cutoff))).c.items():
+                add(I, a, s)
+    return out
+
+
+# -- properties ---------------------------------------------------------------
+
+SETTINGS = settings(derandomize=True, max_examples=80, deadline=None, database=None)
+# explicit zeros of both types and integral Fractions such as Fraction(4, 2)
+COEFFS = st.one_of(st.integers(-3, 3),
+                   st.builds(Fr, st.integers(-5, 5), st.sampled_from((1, 2, 3))))
+ALGEBRAS = {name: liealg.algebra_by_name(name) for name in CATALOG}
+# the algebras of the annihilate benchmark workload
+WD = {name: make_wd(ALGEBRAS[name])[0] for name in ("abelian2", "abelian3", "solv2",
+                                                    "heis3", "sl2")}
+
+
+@st.composite
+def helts(draw, alg, deg):
+    mis = multiindices_up_to(alg.dim, deg)
+    return HElt(alg, draw(st.dictionaries(st.sampled_from(mis), COEFFS, max_size=3)))
+
+
+@st.composite
+def series(draw, alg, cutoff):
+    """A series, or the action on one by a degree-0 or degree-1 element,
+    whose values may be integral Fractions as the action leaves them."""
+    mis = multiindices_up_to(alg.dim, cutoff + 1)
+    c = draw(st.dictionaries(st.sampled_from(mis), COEFFS, max_size=5))
+    if draw(st.booleans()):
+        x = TruncatedSeries(alg, cutoff + 1, c)
+        return x.act(draw(helts(alg, 1)) + HElt.gen(alg, 0), draw(st.sampled_from(("left", "right"))))
+    return TruncatedSeries(alg, cutoff, {I: v for I, v in c.items() if mi_weight(I) <= cutoff})
+
+
+@st.composite
+def elements(draw, P, cutoff):
+    """An annihilation element; half of them carry a coefficient map stored
+    as is, with zeros and integral Fractions, as bracket results and direct
+    writes leave it."""
+    mis = multiindices_up_to(P.alg.dim, cutoff)
+    keys = st.tuples(st.sampled_from(mis), st.sampled_from(P.module.gens))
+    c = draw(st.dictionaries(keys, COEFFS, max_size=3))
+    if draw(st.booleans()):
+        w = AnnihilationElement(P.module, cutoff)
+        w.c = c
+        return w
+    return AnnihilationElement(P.module, cutoff, c)
+
+
+@st.composite
+def act_cases(draw):
+    alg = ALGEBRAS[draw(st.sampled_from(CATALOG))]
+    cutoff = draw(st.integers(0, 6))
+    return (draw(series(alg, cutoff)), draw(helts(alg, draw(st.integers(0, cutoff + 1)))),
+            draw(st.sampled_from(("left", "right"))))
+
+
+@SETTINGS
+@given(act_cases())
+def test_act_matches_dense_reference_property(case):
+    x, h, side = case
+    try:
+        want = _dense_act(x, h, side)
+    except PrecisionError:
+        with pytest.raises(PrecisionError):
+            x.act(h, side)
+        return
+    got = x.act(h, side)
+    assert got == want
+    assert got.cutoff == x.cutoff - (h.degree() or 0)
+    _assert_valid(got)
+
+
+@st.composite
+def product_cases(draw):
+    alg = ALGEBRAS[draw(st.sampled_from(CATALOG))]
+    return (draw(series(alg, draw(st.integers(0, 6)))),
+            draw(series(alg, draw(st.integers(0, 6)))), draw(st.integers(0, 6)))
+
+
+@SETTINGS
+@given(product_cases())
+def test_series_product_and_truncate_match_the_loops(case):
+    x, y, depth = case
+    got = x * y
+    assert _terms(got) == _terms(_loop_product(x, y))
+    _assert_valid(got)
+    if depth <= x.cutoff:
+        cut = x.truncate(depth)
+        assert _terms(cut) == _terms(TruncatedSeries(
+            x.alg, depth, {I: v for I, v in x.c.items() if mi_weight(I) <= depth}))
+        _assert_valid(cut)
+
+
+@st.composite
+def bracket_cases(draw):
+    P = WD[draw(st.sampled_from(sorted(WD)))]
+    return (P, draw(elements(P, draw(st.integers(3, 6)))),
+            draw(elements(P, draw(st.integers(3, 6)))))
+
+
+@SETTINGS
+@given(bracket_cases())
+def test_brackets_match_the_loops(case):
+    P, u, v = case
+    br = annihilation_bracket(P, u, v)
+    vf = vector_field_bracket(P.alg, u, v)
+    assert _terms(br) == _terms(_loop_bracket(P, u, v))
+    assert _terms(vf) == _terms(_loop_vector_field(P.alg, u, v))
+    for w in (br, vf, br.truncate(0)):
+        _assert_valid(w, _element_weight)
+
+
+@SETTINGS
+@given(bracket_cases())
+def test_annihilation_bracket_matches_vector_field_oracle(case):
+    P, u, v = case
+    br = annihilation_bracket(P, u, v)
+    vf = vector_field_bracket(P.alg, u, v)
+    cut = min(br.cutoff, vf.cutoff)
+    assert br.truncate(cut) == vf.truncate(cut)
