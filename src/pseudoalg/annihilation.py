@@ -26,7 +26,7 @@ valid, and `_series` wraps their results without a second pass.
 from itertools import chain
 from operator import add
 
-from .linalg import SparseCombination, bump, exact
+from .linalg import SparseCombination, bump, bump_all, exact
 from .pbw import (HElt, antipode_basis, checked_mi, mi_weight, mi_zero, mul_basis,
                   multiindices_up_to)
 
@@ -109,9 +109,7 @@ def _acted(alg, x, h, side, cut):
                 row = table.get(K)
                 if row is None:
                     continue
-                av = ua * v
-                for I, c in row:
-                    bump(out, I, av * c)
+                bump_all(out, ua * v, row)
     return out
 
 

@@ -146,12 +146,6 @@ def _degree_window(alg, dmax):
     return multiindices_up_to(alg.dim, dmax)
 
 
-def _bump_row(rows, eqkey, unknown, v):
-    """Add v times an unknown to the equation eqkey of a sparse system."""
-    if v:
-        bump(rows.setdefault(eqkey, {}), unknown, v)
-
-
 def trivial_cocycle_table(P, phi):
     """Cocycle of the split extension twisted by the H-linear functional phi.
 
@@ -277,12 +271,12 @@ def solve_central_extensions_rank1(P, dmax=4):
         beta = HElt.monomial(alg, I, 1)
         u = ((gen, gen), I)
         for K, v in (beta + beta.antipode()).c.items():
-            _bump_row(rows, ("skew", K), u, v)
+            bump(rows.setdefault(("skew", K), {}), u, v)
         lhs = alpha * beta.coproduct(2)
         lhs = lhs - (TensorElt.pure([beta, one]) + TensorElt.pure([one, beta])) * alpha
         lhs = lhs - TensorElt.pure([beta, three_sx]) + TensorElt.pure([three_sx, beta])
         for key, v in lhs.c.items():
-            _bump_row(rows, ("jac", key), u, v)
+            bump(rows.setdefault(("jac", key), {}), u, v)
 
     basis = nullspace(rows.values(), unknowns)
     trivial = []
@@ -330,15 +324,15 @@ def _central_jacobi_rows(P, monos):
         for (key, g, L), v in P.gen_bracket(b, c).c.items():
             for I in monos:
                 for K, cv in mul_antipode(alg, I, L).items():
-                    _bump_row(rows, (K, key[0]), ((a, g), I), v * cv)
+                    bump(rows.setdefault((K, key[0]), {}), ((a, g), I), v * cv)
         for (key, g, L), v in P.gen_bracket(a, c).c.items():
             for I in monos:
                 for K, cv in mul_antipode(alg, I, L).items():
-                    _bump_row(rows, (key[0], K), ((b, g), I), -v * cv)
+                    bump(rows.setdefault((key[0], K), {}), ((b, g), I), -v * cv)
         for (key, g, L), v in P.gen_bracket(a, b).c.items():
             for I in monos:
                 for tkey, cs in split_against(key[0], L, I).items():
-                    _bump_row(rows, tkey, ((g, c), I), -v * cs)
+                    bump(rows.setdefault(tkey, {}), ((g, c), I), -v * cs)
         yield from rows.values()
 
 
@@ -352,7 +346,7 @@ def _central_relation_rows(P, monos):
             for I in monos:
                 for g, h in rel.items():
                     for K, v in (h * HElt.monomial(alg, I, 1)).c.items():
-                        _bump_row(rows, ("rel", r, q, K), ((g, q), I), v)
+                        bump(rows.setdefault(("rel", r, q, K), {}), ((g, q), I), v)
     return rows.values()
 
 
@@ -389,9 +383,9 @@ def solve_central_extensions(P, dmax=4, complete=False):
     for p in gens:
         for q in gens:
             for I in monos:
-                _bump_row(rows, ("skew", p, q, I), ((q, p), I), 1)
+                bump(rows.setdefault(("skew", p, q, I), {}), ((q, p), I), 1)
                 for K, v in antipode_basis(alg, I).items():
-                    _bump_row(rows, ("skew", p, q, K), ((p, q), I), v)
+                    bump(rows.setdefault(("skew", p, q, K), {}), ((p, q), I), v)
 
     basis = nullspace(filter(None, chain(rows.values(), _central_relation_rows(P, monos),
                                          _central_jacobi_rows(P, monos))),

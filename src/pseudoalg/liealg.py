@@ -8,7 +8,7 @@ families; validation of that data lives here as well.
 
 from itertools import combinations
 
-from .linalg import SparseCombination, bump, div, exact, invert_matrix, nullspace
+from .linalg import SparseCombination, bump, bump_all, div, exact, invert_matrix, nullspace
 from .pseudo import Report
 
 
@@ -70,8 +70,7 @@ class LieAlgebra:
         out = {}
         for i, ci in u.items():
             for j, cj in v.items():
-                for k, c in self.bracket(i, j).items():
-                    bump(out, k, ci * cj * c)
+                bump_all(out, ci * cj, self.bracket(i, j).items())
         return out
 
     @property
@@ -93,8 +92,7 @@ class LieAlgebra:
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                 inner = self.bracket(b, c)
                 for m, cm in inner.items():
-                    for p, cp in self.bracket(a, m).items():
-                        bump(acc, p, cm * cp)
+                    bump_all(acc, cm, self.bracket(a, m).items())
             if acc:
                 fails.append(((i, j, k), acc))
         return fails

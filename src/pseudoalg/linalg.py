@@ -17,6 +17,12 @@ arithmetic is several times cheaper), and quotients go through `div`.
 `bump` stores what it is given.  Pseudoforms hold enveloping-algebra
 elements instead of rationals.
 
+The accumulation rule is `bump`: d[k] += v, a key whose sum vanishes is
+deleted, and a later term puts it back at the end.  It fixes the values,
+the key order and the value types of every result.  `bump_all` applies it
+to a scaled run of terms in one call; the product kernels, the eliminator,
+PBW straightening and the Lie bracket loops accumulate through it.
+
 Products of elements multiply scaled integers in `scaled_product` and
 `scaled_map`; `QElt.canonicalize` and `pseudo._compose` clear by hand, and
 so does the arity-2 `TensorElt` product, which builds the rank-one rows
@@ -89,9 +95,7 @@ def scaled_product(a, b, terms):
     out = {}
     for ka, va in A:
         for kb, vb in B:
-            vab = va * vb
-            for k, c in terms(ka, kb):
-                bump(out, k, vab * c)
+            bump_all(out, va * vb, terms(ka, kb))
     return divided(out, Da * Db)
 
 
@@ -101,8 +105,7 @@ def scaled_map(a, terms):
     D, A = cleared(a)
     out = {}
     for ka, va in A:
-        for k, c in terms(ka):
-            bump(out, k, va * c)
+        bump_all(out, va, terms(ka))
     return divided(out, D)
 
 
@@ -118,6 +121,26 @@ def bump(d, key, v):
             d[key] = s
         else:
             del d[key]
+
+
+def bump_all(d, m, terms):
+    """d[k] += m c for each term (k, c), by the `bump` rule.
+
+    The same as `bump(d, k, m * c)` term by term, in values, key order and
+    value types, with no call per term.
+    """
+    for k, c in terms:
+        v = m * c
+        s = d.get(k)
+        if s is None:
+            if v:
+                d[k] = v
+        else:
+            s = s + v
+            if s:
+                d[k] = s
+            else:
+                del d[k]
 
 
 class SparseCombination:
@@ -222,27 +245,14 @@ class SparseEliminator:
         By the invariant each pivot column the input holds is cleared by
         one subtraction of its stored row, scaled by the input's own
         coefficient, and no pass needs a rescan.  The subtractions run in
-        place under the `bump` rule: a key that cancels is deleted, and a
-        later term puts it back at the end, so the result has the values
-        and the key order of adding scaled copies of stored rows, one copy
-        at a time, until no pivot is left.
+        place through `bump_all`, so the result has the values and the key
+        order of adding scaled copies of stored rows, one copy at a time,
+        until no pivot is left.
         """
         pivots = self.pivots
         row = {c: v for c, v in row.items() if v}
         for col, a in [(c, v) for c, v in row.items() if c in pivots]:
-            m = -a
-            for k, v in pivots[col].items():
-                v = m * v
-                s = row.get(k)
-                if s is None:
-                    if v:
-                        row[k] = v
-                else:
-                    s = s + v
-                    if s:
-                        row[k] = s
-                    else:
-                        del row[k]
+            bump_all(row, -a, pivots[col].items())
         if not row:
             return row, None
         return row, self._pick(row)
@@ -259,24 +269,12 @@ class SparseEliminator:
         p = red[col]
         new = {c: div(v, p) for c, v in red.items()}
         # keep stored rows mutually reduced: only rows that held col can hold
-        # it; each gets a new map, prow - prow[col] new, by the `bump` rule
+        # it; each gets a new map, prow - prow[col] new
         for pcol in self._holders.pop(col, ()):
             prow = self.pivots[pcol]
             if col in prow:
-                m = -prow[col]
                 out = dict(prow)
-                for k, v in new.items():
-                    v = m * v
-                    s = out.get(k)
-                    if s is None:
-                        if v:
-                            out[k] = v
-                    else:
-                        s = s + v
-                        if s:
-                            out[k] = s
-                        else:
-                            del out[k]
+                bump_all(out, -prow[col], new.items())
                 self._store(pcol, out)
         self._store(col, new)
         return True

@@ -15,9 +15,10 @@ and memoized per (g, K) on the owning algebra.  `mul_basis` and
 `antipode_basis` peel one generator at a time onto it in a loop (`_peel`)
 that caches every partial product, and `_gen_mul` walks its own chain in
 a loop too.  Both find the generator to peel by an index loop over the
-multi-index, and `_gen_times` reads the (g, K) memo and bumps inline, so
-a cache miss pays for straightening and little else.  A requested table
-entry converts to divided powers once, one exact division per entry:
+multi-index, and `_gen_times` reads the (g, K) memo and accumulates
+through `linalg.bump_all`, so a cache miss pays for straightening and
+little else.  A requested table entry converts to divided powers once,
+one exact division per entry:
 
     d^(I) d^(J) = sum c_M M! / (I! J!) d^(M)   for x^I x^J = sum c_M x^M
     S(d^(I))    = sum c_M M! / I! d^(M)        for S(x^I) = sum c_M x^M
@@ -53,8 +54,8 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 
-from .linalg import (SparseCombination, bump, cleared, div, divided, exact, scaled_map,
-                     scaled_product)
+from .linalg import (SparseCombination, bump, bump_all, cleared, div, divided, exact,
+                     scaled_map, scaled_product)
 
 
 # -- multi-index helpers ----------------------------------------------------
@@ -168,25 +169,14 @@ def _gen_times(alg, g, comb, acc):
     """acc += x_g times the combination {multi-index: coefficient}.
 
     Reads the (g, L) memo itself, calls `_gen_mul` only on a miss, and
-    accumulates by the `bump` rule inline.
+    accumulates through `bump_all`.
     """
     cache = alg._straight_cache
     for L, c in comb.items():
         hit = cache.get((g, L))
         if hit is None:
             hit = _gen_mul(alg, g, L)
-        for M, cm in hit.items():
-            v = c * cm
-            s = acc.get(M)
-            if s is None:
-                if v:
-                    acc[M] = v
-            else:
-                s = s + v
-                if s:
-                    acc[M] = s
-                else:
-                    del acc[M]
+        bump_all(acc, c, hit.items())
     return acc
 
 
@@ -314,8 +304,7 @@ def mul_antipode(alg, I, J):
     if hit is None:
         hit = {}
         for K, c in antipode_basis(alg, J).items():
-            for L, cl in mul_basis(alg, I, K).items():
-                bump(hit, L, c * cl)
+            bump_all(hit, c, mul_basis(alg, I, K).items())
         alg._mul_antipode_cache[I, J] = hit
     return hit
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .linalg import bump, cleared, divided, scaled_product
+from .linalg import bump, bump_all, cleared, divided, scaled_product
 from .pbw import HElt, mi_splits, mi_weight, mul_basis, mul_slots
 from .tensor import MElt, QElt
 
@@ -224,8 +224,7 @@ def _compose(inner, value, pos, out_module):
             continue
         Xg = X.setdefault(g, {})
         for split in mi_splits(L, 2):
-            for K, w in mul_slots(alg, key, split, mul_basis):
-                bump(Xg, K, v * w)
+            bump_all(Xg, v, mul_slots(alg, key, split, mul_basis))
     parts = []
     for g, Xg in X.items():
         if not Xg:

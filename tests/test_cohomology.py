@@ -6,7 +6,7 @@ import pytest
 
 from conftest import adjoint_module, random_melt
 from pseudoalg import liealg
-from pseudoalg.cohomology import (Cochain, _bump_row, _central_jacobi_rows,
+from pseudoalg.cohomology import (Cochain, _central_jacobi_rows,
                                   _central_relation_rows, _degree_window, differential,
                                   extension_cocycle_residual,
                                   hat_central_extension, is_zero_cochain,
@@ -371,6 +371,12 @@ def _central_rows_for_unit(P, p0, q0, I0):
                                 for F1, cf in mul_basis(alg, key[0], K1).items():
                                     bump(out, (trip, (F1, K2)), -v * cv * cf)
     return out
+
+
+def _bump_row(rows, eqkey, unknown, v):
+    """Add v times an unknown to the equation eqkey of a sparse system."""
+    if v:
+        bump(rows.setdefault(eqkey, {}), unknown, v)
 
 
 def _skew_link_rows(rows, pairs, monos, alg):

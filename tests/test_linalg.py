@@ -14,9 +14,9 @@ from pseudoalg.cohomology import (sd_central_suite, solve_central_extensions,
 from pseudoalg.constructions import (Rank1Datum, make_current, make_rank1, make_sd,
                                      make_wd, named_rank1_datum, wd_element)
 from pseudoalg.liealg import Form, GeometricDatum, validate_geometric_datum
-from pseudoalg.linalg import (SparseEliminator, bump, div, exact, invert_matrix, nullspace,
-                              quotient_representatives, scaled_map, scaled_product, solve,
-                              span_dim)
+from pseudoalg.linalg import (SparseEliminator, bump, bump_all, div, exact, invert_matrix,
+                              nullspace, quotient_representatives, scaled_map, scaled_product,
+                              solve, span_dim)
 from pseudoalg.pbw import HElt, antipode_basis, mi_splits, mul_basis, multiindices_up_to
 from pseudoalg.poisson import PoissonBracketSpec, pseudo_to_poisson
 from pseudoalg.pseudo import PseudoStructure
@@ -42,6 +42,53 @@ def test_div_is_exact():
         assert got == want and type(got) is type(want), (a, b)
     with pytest.raises(ZeroDivisionError):
         div(1, 0)
+
+
+# -- the accumulation kernel against the one-term rule ----------------------------
+
+# raw values as terms carry them: explicit zeros, ints, and Fractions that may
+# be integral (Fraction(2, 1) stays a Fraction through both rules)
+RAW_VALUES = st.one_of(st.integers(-3, 3), st.builds(Fr, st.integers(-4, 4), st.integers(1, 4)))
+BUMP_KEYS = st.sampled_from(["x", "y", "z", 0, (0, 1)])
+
+
+@st.composite
+def bump_all_inputs(draw):
+    """(d, m, terms): a stored map (no zeros), a scale, which may be 0, and a
+    run of terms over few keys, so keys repeat.  Often a term cancels a key's
+    running sum (a stored key, or a pair c, -c on a new one) and a later term
+    brings the key back."""
+    d = draw(st.dictionaries(BUMP_KEYS, RAW_VALUES.filter(bool), max_size=3))
+    m = draw(RAW_VALUES)
+    terms = draw(st.lists(st.tuples(BUMP_KEYS, RAW_VALUES), max_size=6))
+    if m and draw(st.booleans()):
+        i = draw(st.integers(0, len(terms)))
+        k = draw(BUMP_KEYS)
+        s = d.get(k, 0) + sum(m * c for kk, c in terms[:i] if kk == k)
+        c = draw(RAW_VALUES.filter(bool))
+        cancel = [(k, div(-s, m))] if s else [(k, c), (k, -c)]
+        terms[i:i] = cancel
+        j = draw(st.integers(i + len(cancel), len(terms)))
+        terms.insert(j, (k, draw(RAW_VALUES.filter(bool))))
+    return d, m, terms
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(bump_all_inputs())
+@example(({"x": 1, "y": Fr(1, 2)}, 2, [("x", Fr(-1, 2)), ("z", 0), ("x", 3), ("y", 1)]))
+@example(({"x": 1}, 0, [("x", Fr(3, 2)), ("y", 5)]))
+def test_bump_all_is_the_one_term_loop(inputs):
+    """`bump_all(d, m, terms)` is `bump(d, k, m * c)` term by term: the same
+    values, the same key order (a cancelled key comes back at the end) and
+    the same int/Fraction types, from a one-shot iterator of terms."""
+    d, m, terms = inputs
+    want = dict(d)
+    for k, c in terms:
+        bump(want, k, m * c)
+    got = dict(d)
+    bump_all(got, m, iter(terms))
+    assert list(got.items()) == list(want.items())
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
 
 # -- the scaled product kernel against the unscaled loop -------------------------
@@ -257,9 +304,9 @@ def test_solve_matches_back_substitution_reference(rng):
 
 
 def vec_add(u, v, cv=1):
-    """u + cv*v for sparse vectors, dropping zeros: the copy-and-bump that
-    `SparseEliminator.add` runs inline on each stored row holding a new
-    pivot column."""
+    """u + cv*v for sparse vectors, dropping zeros, one `bump` per term: the
+    copy and `bump_all` that `SparseEliminator.add` runs on each stored row
+    holding a new pivot column."""
     out = dict(u)
     for k, c in v.items():
         bump(out, k, cv * c)
@@ -374,6 +421,39 @@ def test_indexed_eliminator_matches_scanning_reference(rng, monkeypatch):
         got, want = _with_reference(monkeypatch, invert_matrix, mat)
         assert repr(got) == repr(want), mat
     assert accepted > 2000
+
+
+# column keys of mixed types; "__rhs__" is the marker `_colkey` ranks last
+STREAM_KEYS = [0, 1, 2, 3, "a", "b", (0, 1), (1, 0), Fr(1, 2)]
+
+
+@st.composite
+def row_streams(draw):
+    """(cols, rows, mat): a stream of sparse rows over a few drawn columns and
+    the right-hand-side marker, with explicit zeros and mixed int/Fraction
+    values, and a small square matrix for `invert_matrix`."""
+    cols = draw(st.lists(st.sampled_from(STREAM_KEYS), min_size=1, max_size=6, unique=True))
+    row = st.dictionaries(st.sampled_from(cols + ["__rhs__"]), RAW_VALUES,
+                          min_size=1, max_size=5)
+    rows = draw(st.lists(row, min_size=1, max_size=2 * len(cols)))
+    n = draw(st.integers(1, 4))
+    mat = draw(st.lists(st.lists(RAW_VALUES, min_size=n, max_size=n), min_size=n, max_size=n))
+    return cols, rows, mat
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(row_streams())
+def test_indexed_eliminator_matches_scanning_reference_on_drawn_streams(stream):
+    """The stream check and the five entry points of the seeded test above,
+    over drawn row streams; `pytest.MonkeyPatch` swaps the eliminator per
+    example."""
+    cols, rows, mat = stream
+    _assert_same_stream(rows)
+    for fn, args in ((nullspace, (rows, cols + ["__rhs__"])), (solve, (rows,)),
+                     (span_dim, (rows,)), (quotient_representatives, (rows, rows[::2])),
+                     (invert_matrix, (mat,))):
+        got, want = _with_reference(pytest.MonkeyPatch, fn, *args)
+        assert repr(got) == repr(want), (fn.__name__, args)
 
 
 @pytest.mark.parametrize("struct,dmax", [("sd:abelian3", 3), ("rank1:sl2", 6), ("rank1:sl2", 8)])
