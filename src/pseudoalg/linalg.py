@@ -34,6 +34,9 @@ there than the products themselves.
 own pivot column, with coefficient 1, and no other.  Subtracting one from
 an input row therefore leaves the row's other pivot entries as they were,
 so `reduce` clears every pivot column in one pass, one subtraction each.
+A stored row `{col: 1}` (an unknown forced to zero, most of the pivots of
+a central window) needs no subtraction: `reduce` drops its column while it
+drops the zero entries, which is all the subtraction would do.
 """
 
 from collections import defaultdict
@@ -227,30 +230,42 @@ class SparseEliminator:
     its own pivot column, with coefficient 1, and no other pivot column.
     `add` keeps it by subtracting the new row from every row holding its
     pivot; `reduce` relies on it to clear each pivot column in one pass.
+
+    `_zeros` is the set of pivot columns whose stored row is the unit row
+    `{col: 1}`.  A unit row stays a unit row: `add` rewrites only the rows
+    that hold its new pivot column, and a unit row holds only its own,
+    which is a pivot already.  `_store` therefore adds to `_zeros` and
+    never removes from it, for new rows and rewritten ones alike.
     """
 
     def __init__(self):
         self.pivots = {}  # pivot column -> normalized row
         self._holders = defaultdict(set)  # column -> pivot columns
+        self._zeros = set()  # pivot columns whose row is {col: 1}
 
     def _store(self, pcol, row):
         self.pivots[pcol] = row
+        if len(row) == 1:
+            self._zeros.add(pcol)
         for c in row:
             self._holders[c].add(pcol)
 
     def reduce(self, row):
         """Eliminate every pivot column from the row before choosing its own.
 
-        Zero entries of the input are dropped, so none can become a pivot.
-        By the invariant each pivot column the input holds is cleared by
-        one subtraction of its stored row, scaled by the input's own
-        coefficient, and no pass needs a rescan.  The subtractions run in
-        place through `bump_all`, so the result has the values and the key
-        order of adding scaled copies of stored rows, one copy at a time,
-        until no pivot is left.
+        Zero entries of the input are dropped, so none can become a pivot,
+        and so are the columns in `_zeros`: subtracting a unit row only
+        deletes its column, deleting a key moves no other, and no stored
+        row holds another pivot column, so no later subtraction brings it
+        back.  By the invariant each other pivot column the input holds is
+        cleared by one subtraction of its stored row, scaled by the input's
+        own coefficient, and no pass needs a rescan.  The subtractions run
+        in place through `bump_all`, so the result has the values and the
+        key order of adding scaled copies of stored rows, one copy at a
+        time, until no pivot is left.
         """
-        pivots = self.pivots
-        row = {c: v for c, v in row.items() if v}
+        pivots, zeros = self.pivots, self._zeros
+        row = {c: v for c, v in row.items() if v and c not in zeros}
         for col, a in [(c, v) for c, v in row.items() if c in pivots]:
             bump_all(row, -a, pivots[col].items())
         if not row:

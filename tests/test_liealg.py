@@ -2,6 +2,8 @@ from fractions import Fraction as Fr
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pseudoalg import liealg
 from pseudoalg.constructions import Rank1Datum, check_ybe
@@ -302,6 +304,55 @@ def test_eliminator_matches_dense_references():
         assert (want is None) == bool(kernel)
         functional = nullspace([_sparse(M[0])], range(n))
         assert _same_span(functional, [_sparse(v) for v in _dense_functional_kernel(M[0])])
+
+
+# raw entries as callers pass them: explicit zeros of both types, ints, and
+# Fractions that may be integral
+DENSE_VALUES = st.one_of(st.sampled_from((0, Fr(0))), st.integers(-3, 3),
+                         st.builds(Fr, st.integers(-4, 4), st.integers(1, 4)))
+
+
+@st.composite
+def unit_heavy_squares(draw):
+    """A square matrix, at most 6 x 6, in which at least half the rows have a
+    single nonzero entry, as the rows of a central window mostly do; every
+    other entry of such a row is an explicit zero."""
+    n = draw(st.integers(1, 6))
+    units = draw(st.integers((n + 1) // 2, n))
+    M = [draw(st.lists(DENSE_VALUES, min_size=n, max_size=n)) for _ in range(n - units)]
+    for _ in range(units):
+        row = [draw(st.sampled_from((0, Fr(0)))) for _ in range(n)]
+        row[draw(st.integers(0, n - 1))] = draw(DENSE_VALUES.filter(bool))
+        M.append(row)
+    return draw(st.permutations(M))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(unit_heavy_squares())
+@example([[0, 2, 0], [1, 1, Fr(1, 2)], [0, Fr(0), Fr(3, 1)]])
+@example([[1, 1], [0, 1]])  # the second row rewrites the first to a unit row
+def test_eliminator_matches_dense_references_on_unit_heavy_squares(M):
+    """`invert_matrix` is the dense Gauss-Jordan inverse, in Fractions, or
+    both raise on a singular matrix.  The columns 0..n-1 (n < 10) sort by
+    `_colkey` as by value, so both eliminations end in the reduced echelon
+    form with leftmost pivots: `nullspace` of the rows, explicit zeros
+    included, is the dense kernel basis entry by entry, and so is the
+    kernel of the first row alone."""
+    from pseudoalg.linalg import invert_matrix, nullspace
+    n = len(M)
+    try:
+        want = _dense_invert_matrix(M)
+    except ValueError:
+        with pytest.raises(ValueError):
+            invert_matrix(M)
+    else:
+        got = invert_matrix(M)
+        assert got == want and all(type(x) is Fr for row in got for x in row)
+    kernel = nullspace([dict(enumerate(row)) for row in M], range(n))
+    assert kernel == [_sparse(v) for v in _dense_matrix_kernel(M)]
+    assert all(type(x) in (int, Fr) for v in kernel for x in v.values())
+    first = nullspace([dict(enumerate(M[0]))], range(n))
+    assert first == [_sparse(v) for v in _dense_functional_kernel([Fr(x) for x in M[0]])]
 
 
 def test_sort_with_sign_matches_permutation_sign():

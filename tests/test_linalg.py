@@ -356,7 +356,8 @@ def _ordered(pivots):
 
 def _assert_same_stream(rows):
     """Feed rows to both eliminators: equal reduced rows before every add,
-    equal answers and pivots after it, and stored rows mutually reduced."""
+    equal answers and pivots after it, stored rows mutually reduced, and
+    `_zeros` naming exactly the pivots whose stored row is a unit row."""
     elim, ref = SparseEliminator(), _ScanningEliminator()
     for row in rows:
         assert repr(elim.reduce(row)) == repr(ref.reduce(row)), row
@@ -367,6 +368,7 @@ def _assert_same_stream(rows):
             for pcol, prow in elim.pivots.items():
                 assert prow[pcol] == 1
                 assert not any(c in elim.pivots for c in prow if c != pcol), (pcol, prow)
+            assert elim._zeros == {p for p, r in elim.pivots.items() if len(r) == 1}, row
 
 
 def test_reduced_entry_that_cancels_and_returns_moves_to_the_end():
@@ -378,6 +380,24 @@ def test_reduced_entry_that_cancels_and_returns_moves_to_the_end():
     red, col = elim.reduce(stream[2])
     assert list(red.items()) == [("y", 1), ("x", -1)] and col == "x"
     _assert_same_stream(stream)
+
+
+def test_unit_row_made_by_a_rewrite_is_dropped_before_the_subtractions():
+    """Adding {y: 1} rewrites x's row {x: 1, y: 1} to the unit row {x: 1}.
+    A row listing x before the pivot p, whose stored row brings in q, loses
+    x without a subtraction and gets q from p's: the scanning eliminator,
+    which subtracts both, gives the same values in the same order."""
+    stream = [{"x": 1, "y": 1}, {"y": 1}, {"p": 1, "q": Fr(1, 2)}]
+    elim, ref = SparseEliminator(), _ScanningEliminator()
+    for row in stream:
+        elim.add(row)
+        ref.add(row)
+    assert elim.pivots["x"] == {"x": 1} and elim._zeros == {"x", "y"}
+    row = {"x": 2, "r": Fr(1, 3), "p": 3, "y": 0}
+    red = elim.reduce(row)
+    assert list(red[0].items()) == [("r", Fr(1, 3)), ("q", Fr(-3, 2))] and red[1] == "q"
+    assert repr(red) == repr(ref.reduce(row))
+    _assert_same_stream(stream + [row])
 
 
 def _with_reference(monkeypatch, fn, *args):
