@@ -63,9 +63,9 @@ VERIFY_MAX_TRIPLES = 50_000
 # Largest number of unknowns, |gens|^2 * C(dmax + dim, dim), that
 # `cohomology central` solves for: one cocycle coefficient per ordered
 # generator pair and window monomial, counted before any row is built.
-# It admits wd:sl2 at dmax 10 (2,574 unknowns, about 4 s) and sd:abelian4
-# at dmax 4 (2,520, about 1.5 s), the widest known windows; wd:sl2 at
-# dmax 12 (4,095) takes about 12 s, and at dmax 40 (111,069) it ran past
+# It admits wd:sl2 at dmax 10 (2,574 unknowns, about 2 s) and sd:abelian4
+# at dmax 4 (2,520, about 0.3 s), the widest known windows; wd:sl2 at
+# dmax 12 (4,095) takes about 7 s, and at dmax 40 (111,069) it ran past
 # 20 s without end in sight.
 CENTRAL_MAX_UNKNOWNS = 3_000
 

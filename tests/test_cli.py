@@ -154,11 +154,21 @@ def test_sd_cohomology_rejects_nonzero_chi(capsys):
 
 
 @pytest.mark.parametrize("dmax", ["0", "1"])
-def test_sd_cohomology_window_below_shift_degree_is_usage_error(dmax, capsys):
-    # the counit shifts of S(d) have degree 2 and would leave the window
+def test_sd_cohomology_window_below_shift_degree_is_usage_error(dmax, monkeypatch, capsys):
+    # the counit shifts of S(d) have degree 2 and would leave the window;
+    # they are found before any row, and the message names the structure,
+    # the shift degree and dmax
+    from pseudoalg.linalg import SparseEliminator
+    added = []
+    add = SparseEliminator.add
+    monkeypatch.setattr(SparseEliminator, "add",
+                        lambda self, row: added.append(row) or add(self, row))
     code, out = run_cli("cohomology", "central", "--structure", "sd:abelian3", "--dmax", dmax)
-    assert code == 2 and out == ""
-    assert "degree window" in capsys.readouterr().err
+    assert code == 2 and out == "" and added == []
+    err = capsys.readouterr().err
+    assert "degree window" in err
+    assert err == ("input error: sd:abelian3 has a counit shift of degree 2, which leaves "
+                   "the degree window of dmax %s\n" % dmax)
 
 
 def test_annihilate_cutoff_over_budget_is_usage_error(capsys):

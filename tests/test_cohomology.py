@@ -1,6 +1,6 @@
 from fractions import Fraction as Fr
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations, combinations_with_replacement
 
 import pytest
 
@@ -15,9 +15,10 @@ from pseudoalg.cohomology import (Cochain, _central_jacobi_rows,
                                   trivial_cocycle_table, verify_cur_cocycle)
 from pseudoalg.constructions import (Rank1Datum, make_current, make_module_rank1,
                                      make_rank1, make_sd, make_wd, named_rank1_datum)
-from pseudoalg.linalg import SparseEliminator, bump, nullspace
-from pseudoalg.pbw import (HElt, TensorElt, antipode_basis, mi_splits, mul_basis,
-                           multiindices_up_to)
+from pseudoalg.linalg import (SparseEliminator, bump, nullspace, quotient_representatives,
+                              span_dim)
+from pseudoalg.pbw import (HElt, TensorElt, antipode_basis, mi_splits, mul_antipode,
+                           mul_basis, multiindices_up_to)
 from pseudoalg.pseudo import (compose_left, compose_right, extend_bilinear, verify_axioms,
                               verify_homomorphism)
 from pseudoalg.tensor import MElt, QElt
@@ -311,22 +312,49 @@ def test_sd_shifts_respect_the_relations():
                                HElt.zero(S.alg))
 
 
+def eliminated_systems(monkeypatch):
+    """Record every row each `SparseEliminator` is given; the returned list
+    collects (rows, columns) for each eliminator whose `kernel` is read, in
+    the order of the reads."""
+    added, systems = {}, []
+    add, kernel = SparseEliminator.add, SparseEliminator.kernel
+
+    def recording_add(self, row):
+        added.setdefault(self, []).append(row)
+        return add(self, row)
+
+    def recording_kernel(self, columns):
+        columns = list(columns)
+        systems.append((added.get(self, []), columns))
+        return kernel(self, columns)
+
+    monkeypatch.setattr(SparseEliminator, "add", recording_add)
+    monkeypatch.setattr(SparseEliminator, "kernel", recording_kernel)
+    return systems
+
+
 def test_no_empty_row_reaches_the_eliminator(monkeypatch):
-    # the skew-link and Jacobi sources cancel 8,674 of their rows to zero
-    # on this window; the solver drops them before the eliminator
-    from pseudoalg import cohomology
-    calls = []
-
-    def recording(rows, columns):
-        rows, columns = list(rows), list(columns)
-        calls.append((rows, columns))
-        return nullspace(rows, columns)
-
-    monkeypatch.setattr(cohomology, "nullspace", recording)
+    # the skew-link and Jacobi sources cancel some rows to zero, and the
+    # forced-zero skip empties more; the solver drops them before the
+    # eliminator
+    systems = eliminated_systems(monkeypatch)
     sol = sd_central_suite(liealg.abelian(4), dmax=3)
-    [rows] = [rows for rows, columns in calls if columns == sol.unknowns]
+    [rows] = [rows for rows, columns in systems if columns == sol.unknowns]
     assert len(sol.unknowns) == 1260 and rows
     assert all(rows)
+
+
+def test_forced_zero_skip_feeds_under_a_quarter_of_the_rows(monkeypatch):
+    # without the skip, 28,286 nonempty rows reach the solver's eliminator
+    # on this window (28,314 `add` calls in the whole solve); building none
+    # for forced-zero unknowns leaves far fewer
+    P = make_sd(liealg.abelian(4)).pair_structure()
+    unskipped = unskipped_central_rows(P, _degree_window(P.alg, 3))
+    assert len(unskipped) == 28286
+    systems = eliminated_systems(monkeypatch)
+    sol = sd_central_suite(liealg.abelian(4), dmax=3)
+    [rows] = [rows for rows, columns in systems if columns == sol.unknowns]
+    assert 4 * len(rows) < len(unskipped)
 
 
 def test_sd_suite_rejects_low_dimension():
@@ -537,8 +565,126 @@ def test_relation_rows_lie_in_the_jacobi_span(chi, dmax, count):
     P = make_sd(liealg.abelian(3), chi).pair_structure()
     monos = _degree_window(P.alg, dmax)
     elim = SparseEliminator()
-    for row in _central_jacobi_rows(P, monos):
+    for row in _central_jacobi_rows(P, monos, set()):
         elim.add(row)
     relation_rows = [r for r in _central_relation_rows(P, monos) if r]
     assert len(relation_rows) == count
     assert all(elim.contains(r) for r in relation_rows)
+
+
+# -- the unskipped row builders, kept as references -------------------------------
+#
+# Before the solvers read the unknowns their eliminator had forced to zero,
+# the generic solver built every Jacobi expansion and the rank-one solver
+# built alpha . Delta(beta) - ... for every window monomial; both handed all
+# rows to `nullspace`.
+
+def unskipped_jacobi_rows(P, monos):
+    """The central Jacobi rows, one generator triple at a time, with every
+    (bracket term, monomial) expansion built."""
+    alg = P.alg
+    splits = {}
+
+    def split_against(F, L, I):
+        out = splits.get((F, L, I))
+        if out is None:
+            out = splits[(F, L, I)] = {}
+            for K, cv in mul_basis(alg, L, I).items():
+                for K1, K2 in mi_splits(K, 2):
+                    for F1, cf in mul_basis(alg, F, K1).items():
+                        bump(out, (F1, K2), cv * cf)
+        return out
+
+    for a, b, c in combinations_with_replacement(P.module.gens, 3):
+        rows = {}
+        for (key, g, L), v in P.gen_bracket(b, c).c.items():
+            for I in monos:
+                for K, cv in mul_antipode(alg, I, L).items():
+                    bump(rows.setdefault((K, key[0]), {}), ((a, g), I), v * cv)
+        for (key, g, L), v in P.gen_bracket(a, c).c.items():
+            for I in monos:
+                for K, cv in mul_antipode(alg, I, L).items():
+                    bump(rows.setdefault((key[0], K), {}), ((b, g), I), -v * cv)
+        for (key, g, L), v in P.gen_bracket(a, b).c.items():
+            for I in monos:
+                for tkey, cs in split_against(key[0], L, I).items():
+                    bump(rows.setdefault(tkey, {}), ((g, c), I), -v * cs)
+        yield from rows.values()
+
+
+def unskipped_central_rows(P, monos):
+    """The generic solver's nonempty rows in the order it fed them: skew link,
+    relations, then every Jacobi expansion."""
+    alg = P.alg
+    gens = P.module.gens
+    rows = {}
+    for p in gens:
+        for q in gens:
+            for I in monos:
+                bump(rows.setdefault(("skew", p, q, I), {}), ((q, p), I), 1)
+                for K, v in antipode_basis(alg, I).items():
+                    bump(rows.setdefault(("skew", p, q, K), {}), ((p, q), I), v)
+    return list(filter(None, chain(rows.values(), _central_relation_rows(P, monos),
+                                   unskipped_jacobi_rows(P, monos))))
+
+
+def unskipped_rank1_rows(P, monos):
+    """The rank-one solver's rows with both conditions built per monomial."""
+    datum = P.datum
+    alg = P.alg
+    gen = P.module.gens[0]
+    alpha = datum.alpha()
+    three_sx = HElt.from_vector(alg, {i: 3 * datum.s[i] for i in range(alg.dim)}) \
+        - HElt.from_vector(alg, datum.x_element())
+    one = HElt.one(alg)
+    rows = {}
+    for I in monos:
+        beta = HElt.monomial(alg, I, 1)
+        u = ((gen, gen), I)
+        for K, v in (beta + beta.antipode()).c.items():
+            bump(rows.setdefault(("skew", K), {}), u, v)
+        lhs = alpha * beta.coproduct(2)
+        lhs = lhs - (TensorElt.pure([beta, one]) + TensorElt.pure([one, beta])) * alpha
+        lhs = lhs - TensorElt.pure([beta, three_sx]) + TensorElt.pure([three_sx, beta])
+        for key, v in lhs.c.items():
+            bump(rows.setdefault(("jac", key), {}), u, v)
+    return list(rows.values())
+
+
+def _oracle_solve(name, dmax):
+    """(solution, unskipped basis) of a window, the solution from the solver
+    and the basis from the unskipped rows."""
+    if name.startswith("sd:"):
+        sol = sd_central_suite(liealg.algebra_by_name(name[3:]), dmax)
+        P = make_sd(liealg.algebra_by_name(name[3:])).pair_structure()
+    else:
+        P = _pool_structure(name)
+        solver = (solve_central_extensions_rank1 if name.startswith("rank1:")
+                  else solve_central_extensions)
+        sol = solver(P, dmax)
+    monos = _degree_window(P.alg, dmax)
+    rows = (unskipped_rank1_rows if name.startswith("rank1:") else unskipped_central_rows)(
+        P, monos)
+    return sol, nullspace(rows, sol.unknowns)
+
+
+ORACLE_WINDOWS = ([("sd:abelian3", 3), ("sd:abelian3", 4), ("sd:abelian4", 3)]
+                  + [("wd:%s" % n, d) for n in ("heis3", "abelian3", "solv2", "sl2")
+                     for d in (3, 4, 5)]
+                  + [("cur:sl2", d) for d in (3, 4, 5, 6)]
+                  + [("rank1:%s" % n, d)
+                     for n in ("w1", "abelian2", "heisenberg", "solv2", "sl2")
+                     for d in (3, 4, 6, 8)])
+
+
+@pytest.mark.parametrize("name,dmax", ORACLE_WINDOWS,
+                         ids=["%s@%d" % w for w in ORACLE_WINDOWS])
+def test_forced_zero_skip_matches_unskipped_rows(name, dmax):
+    # the same basis and representatives, keys, values, value types and
+    # order included, as every row built and handed to `nullspace`
+    sol, basis = _oracle_solve(name, dmax)
+    assert repr(sol.basis) == repr(basis)
+    reps = quotient_representatives(basis, sol.trivial)
+    assert repr(sol.representatives) == repr(reps)
+    assert (sol.dim_cocycles, sol.dim_trivial, sol.dim) == \
+        (span_dim(basis), span_dim(sol.trivial), len(reps))

@@ -336,6 +336,7 @@ class _ScanningEliminator:
 
     _pick = SparseEliminator._pick
     rank = SparseEliminator.rank
+    kernel = SparseEliminator.kernel
 
     def add(self, row):
         red, col = self.reduce(row)
@@ -479,21 +480,22 @@ def test_indexed_eliminator_matches_scanning_reference_on_drawn_streams(stream):
 @pytest.mark.parametrize("struct,dmax", [("sd:abelian3", 3), ("rank1:sl2", 6), ("rank1:sl2", 8)])
 def test_indexed_eliminator_matches_scanning_reference_on_central_rows(
         struct, dmax, monkeypatch):
-    from pseudoalg import cohomology
-    systems = []
-
-    def recording(rows, columns):
-        rows, columns = list(rows), list(columns)
-        systems.append((rows, columns))
-        return nullspace(rows, columns)
-
+    # both streams: the rows each solver's eliminator is fed, forced-zero
+    # unknowns skipped, and every row built, as the row sources give them
+    # with nothing known to be zero
+    from pseudoalg.cohomology import _degree_window
+    from test_cohomology import eliminated_systems, unskipped_central_rows, unskipped_rank1_rows
     with monkeypatch.context() as m:
-        m.setattr(cohomology, "nullspace", recording)
+        systems = eliminated_systems(m)
         if struct.startswith("rank1"):
             P = make_rank1(named_rank1_datum("sl2"), run_axioms=False)
-            solve_central_extensions_rank1(P, dmax)
+            sol = solve_central_extensions_rank1(P, dmax)
+            unskipped = unskipped_rank1_rows(P, _degree_window(P.alg, dmax))
         else:
-            sd_central_suite(liealg.abelian(3), dmax)
+            sol = sd_central_suite(liealg.abelian(3), dmax)
+            P = make_sd(liealg.abelian(3)).pair_structure()
+            unskipped = unskipped_central_rows(P, _degree_window(P.alg, dmax))
+    systems.append((unskipped, sol.unknowns))
     assert max(len(rows) for rows, _ in systems) > 1000
     for rows, columns in systems:
         _assert_same_stream(rows)
