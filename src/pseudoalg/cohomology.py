@@ -12,7 +12,8 @@ of the Jacobi identity on generator triples.
 from itertools import chain, combinations_with_replacement
 
 from .constructions import make_sd
-from .linalg import SparseEliminator, bump, nullspace, quotient_representatives, span_dim
+from .linalg import (RHS_KEY, SparseEliminator, bump, nullspace, quotient_representatives,
+                     solve, span_dim)
 from .pbw import (HElt, TensorElt, antipode_basis, mi_splits, mi_weight,
                   mi_zero, mul_antipode, mul_basis, multiindices_up_to)
 from .pseudo import (PseudoStructure, Report, compose_left, compose_right,
@@ -209,7 +210,7 @@ class CentralExtensionSolution:
         self.basis = basis
         self.trivial = trivial
         self.representatives = quotient_representatives(basis, trivial)
-        self.dim_cocycles = span_dim(basis)
+        self.dim_cocycles = len(basis)  # each vector owns its free column
         self.dim_trivial = span_dim(trivial)
         self.dim = len(self.representatives)
         self.complete = complete
@@ -234,6 +235,19 @@ class CentralExtensionSolution:
         }
 
 
+def _skew_rows(alg, gens, monos):
+    """Rows of the skew link beta(q, p) = -S(beta(p, q)) on every ordered
+    generator pair, one per pair and window monomial; some are empty."""
+    rows = {}
+    for p in gens:
+        for q in gens:
+            for I in monos:
+                bump(rows.setdefault((p, q, I), {}), ((q, p), I), 1)
+                for K, v in antipode_basis(alg, I).items():
+                    bump(rows.setdefault((p, q, K), {}), ((p, q), I), v)
+    return rows.values()
+
+
 # -- rank-one solver ----------------------------------------------------------
 
 def solve_central_extensions_rank1(P, dmax=4):
@@ -252,11 +266,8 @@ def solve_central_extensions_rank1(P, dmax=4):
 
     Every skew row is fed first.  They force most unknowns to zero, and
     the second condition is built only for the monomials whose unknown is
-    still free.  This changes only the order of the rows, so the solution
-    space stays the same, and its reduced row echelon form under
-    `linalg._colkey` is unique: `kernel` returns the same vectors by value.
-    `tests/test_cohomology.py` also pins their key order against the rows
-    built for every monomial.
+    still free; `kernel` reads the basis off the reduced row echelon form,
+    which the span alone fixes.
     """
     datum = getattr(P, "datum", None)
     if datum is None or P.module.rank != 1:
@@ -273,13 +284,7 @@ def solve_central_extensions_rank1(P, dmax=4):
     monos = _degree_window(alg, dmax)
     unknowns = [((gen, gen), I) for I in monos]
     elim = SparseEliminator()
-
-    skew = {}
-    for u in unknowns:
-        beta = HElt.monomial(alg, u[1], 1)
-        for K, v in (beta + beta.antipode()).c.items():
-            bump(skew.setdefault(K, {}), u, v)
-    for row in skew.values():
+    for row in filter(None, _skew_rows(alg, [gen], monos)):
         elim.add(row)
 
     jac = {}
@@ -404,18 +409,11 @@ def solve_central_extensions(P, dmax=4, complete=False):
     general argument shows that Jacobi forces it, so the rows stay.
 
     The rows go to one `SparseEliminator` as they are built, and the
-    Jacobi rows leave out every unknown in its `zeros`.  That entry is the
-    first thing `reduce` drops, deleting a key moves no other, and `zeros`
-    only grows, so each row reaches the eliminator reduced exactly as if
-    it had been built in full; a row left empty is one `add` would refuse.
-    A row whose first expansions were skipped can come later among its
-    triple's rows.  That cannot change the reduced row echelon form, which
-    is unique under `linalg._colkey`; on the 136 windows measured it moved
-    at most the order in which unit rows were first stored, which leaves
-    `kernel` as it was (a unit row holds no free column), and the oracle
-    tests pin the bases by repr.  The counit
-    shifts are found before any row, so a window below their degree is
-    refused at once.
+    Jacobi rows leave out every unknown in its `zeros`, whose unit rows it
+    already spans, so the span is that of the rows built in full; `kernel`
+    reads the basis off its reduced row echelon form, which the span alone
+    fixes.  The counit shifts are found before any row, so a window below
+    their degree is refused at once.
     """
     alg = P.alg
     gens = P.module.gens
@@ -439,18 +437,9 @@ def solve_central_extensions(P, dmax=4, complete=False):
         if vec:
             trivial.append(vec)
 
-    rows = {}
-
-    # skew link
-    for p in gens:
-        for q in gens:
-            for I in monos:
-                bump(rows.setdefault(("skew", p, q, I), {}), ((q, p), I), 1)
-                for K, v in antipode_basis(alg, I).items():
-                    bump(rows.setdefault(("skew", p, q, K), {}), ((p, q), I), v)
-
     elim = SparseEliminator()
-    for row in filter(None, chain(rows.values(), _central_relation_rows(P, monos),
+    for row in filter(None, chain(_skew_rows(alg, gens, monos),
+                                  _central_relation_rows(P, monos),
                                   _central_jacobi_rows(P, monos, elim.zeros))):
         elim.add(row)
     basis = elim.kernel(unknowns)
@@ -502,8 +491,6 @@ def verify_cur_cocycle(P_cur, d_element=None, beta_table=None, report=None):
 
     # triviality: the shift by an H-linear functional phi has values
     # phi([v_i, v_j]) in the scalars; match coefficients monomial by monomial
-    from .linalg import solve
-    rhs_key = "__rhs__"
     rows = []
     for i in range(g.dim):
         for j in range(g.dim):
@@ -513,15 +500,15 @@ def verify_cur_cocycle(P_cur, d_element=None, beta_table=None, report=None):
                 row = {} if any(I) else g.bracket(i, j)
                 v = target.c.get(I)
                 if v:
-                    row[rhs_key] = v
+                    row[RHS_KEY] = v
                 if row:
                     rows.append(row)
-    sol = solve(rows, rhs_key)
+    sol = solve(rows)
     matched = sol is not None
     if matched:
         for row in rows:
-            acc = sum(v * sol.get(k, 0) for k, v in row.items() if k != rhs_key)
-            if acc != row.get(rhs_key, 0):
+            acc = sum(v * sol.get(k, 0) for k, v in row.items() if k != RHS_KEY)
+            if acc != row.get(RHS_KEY, 0):
                 matched = False
                 break
     rep.record("trivial" if matched else "nontrivial", True,

@@ -41,7 +41,9 @@ A stored row `{col: 1}` (an unknown forced to zero, most of the pivots of
 a central window) needs no subtraction: `reduce` drops its column while it
 drops the zero entries, which is all the subtraction would do.  `zeros`
 shows that set to the central solvers, which then build no entry for
-those unknowns, and `kernel` reads the solution basis off the stored rows.
+those unknowns.  The stored rows are the reduced row echelon form under
+`_colkey`, and `kernel` reads the basis off them: it depends on the span
+alone, not on the order the rows came in.
 """
 
 from collections import defaultdict
@@ -310,20 +312,24 @@ class SparseEliminator:
         return self._zeros
 
     def kernel(self, columns):
-        """Basis of the solution space of the rows added so far, in the given
-        unknowns: one vector per free column, in the order of `columns`,
-        each the free column with coefficient 1 followed by the pivot
-        unknowns its stored rows determine, in pivot order."""
-        pivots = self.pivots
+        """Basis of the solution space of the rows added so far in the given
+        unknowns, which include every column a row holds: one vector per free
+        column, in the order of `columns`, the free column with coefficient 1
+        and then, also in that order, the pivot unknowns whose stored rows
+        hold it, each value through `exact`.  The stored rows are the unique
+        reduced row echelon form, so keys, order and value types follow from
+        the span alone.  A free column is never popped from `_holders`; an
+        entry there whose row has since lost it is skipped."""
+        pivots, holders = self.pivots, self._holders
+        place = {c: i for i, c in enumerate(columns)}
         basis = []
         for fc in columns:
             if fc in pivots:
                 continue
             sol = {fc: 1}
-            for pcol, prow in pivots.items():
-                coeff = prow.get(fc)
-                if coeff:
-                    sol[pcol] = -coeff
+            for pcol in sorted((p for p in holders.get(fc, ()) if fc in pivots[p]),
+                               key=place.__getitem__):
+                sol[pcol] = exact(-pivots[pcol][fc])
             basis.append(sol)
         return basis
 
@@ -336,10 +342,13 @@ class SparseEliminator:
         return not red
 
 
+RHS_KEY = "__rhs__"  # the constant-term column of the rows of `solve`
+
+
 def _colkey(c):
     # the right-hand-side marker of inhomogeneous systems must never be
     # preferred as a pivot while real unknowns remain
-    return (1 if c == "__rhs__" else 0, repr(type(c)), repr(c))
+    return (1 if c == RHS_KEY else 0, repr(type(c)), repr(c))
 
 
 def nullspace(rows, columns):
@@ -378,10 +387,10 @@ def quotient_representatives(space, subspace):
     return reps
 
 
-def solve(rows, rhs_key="__rhs__"):
+def solve(rows):
     """Solve an inhomogeneous sparse system.
 
-    Each row is a sparse vector augmented with `rhs_key` for the constant
+    Each row is a sparse vector augmented with `RHS_KEY` for the constant
     term (row . x = rhs).  Returns one particular solution as a sparse
     vector, or None if inconsistent.
     """
@@ -389,14 +398,14 @@ def solve(rows, rhs_key="__rhs__"):
     for r in rows:
         elim.add(r)
     # inconsistent iff some reduced row is constant-only
-    if rhs_key in elim.pivots:
+    if RHS_KEY in elim.pivots:
         return None
     # the stored rows are mutually reduced, so no pivot row holds another
     # pivot column: with the free unknowns at zero each pivot unknown is
     # its row's right-hand side
-    return {pcol: prow[rhs_key]
+    return {pcol: exact(prow[RHS_KEY])
             for pcol, prow in sorted(elim.pivots.items(), key=lambda kv: _colkey(kv[0]))
-            if prow.get(rhs_key)}
+            if prow.get(RHS_KEY)}
 
 
 def invert_matrix(mat):

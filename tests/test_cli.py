@@ -447,7 +447,9 @@ ALPHA = "d^(1)#d^(0) - d^(0)#d^(1)"
 
 # (subcommand x family) cells that no golden case covers, each with the exit
 # code and the sha256 of its stdout as the per-family dispatch first printed
-# them; argv runs in JSON unless it names its own --format
+# them; argv runs in JSON unless it names its own --format.  The JSON central
+# windows over several generators were pinned again when `kernel` began to
+# list each vector's pivot unknowns in the order of the unknowns
 DISPATCH = [
     (["verify", "--structure", "gc:2"], 0,
      "de5e8ea492df90b669fa3ec46bb4fbd6261bdee45d74f02643bf530728f0b2e2"),
@@ -481,7 +483,7 @@ DISPATCH = [
     (["cohomology", "central", "--structure", "cur:sl2", "--dmax", "3"], 0,
      "e0672ad9675d4549d8b1549ef4cb35ce3790efea39136e2c330a725d70a6195a"),
     (["cohomology", "central", "--structure", "wd:solv2", "--dmax", "3"], 0,
-     "a4b89d0fd83ed5e1547e3e7d28baeb4582369cbee17c387213c90144499aaf57"),
+     "ac443097969d6d5e20ce72fa8f44b7b4d36ac42dc78440300c1172a4cb83b688"),
     # the closed rank-one form and the generic solver agree on one variable
     (["cohomology", "central", "--structure", "wd:abelian1", "--dmax", "3"], 0,
      "c15e50f651ebc398df3d216b43b1808b015a0db9368afff376ad4ca51f18c8f2"),
@@ -505,9 +507,9 @@ DISPATCH = [
     (["verify", "--structure", "sd:abelian4"], 0,
      "37305161de328c04ab95bd50b5143814762c1b9e77928d06cbb3ed65a787ba3a"),
     (["cohomology", "central", "--structure", "wd:sl2", "--dmax", "3"], 0,
-     "5e0d49b0665bc0488aee1371dfb4a1a768aecdaa9505b7265ed8880682c4666f"),
+     "de3ac310d069c9cb9c69037a22023b7fc8fa5756e8af1f2f0fd3d6d0503ac470"),
     (["cohomology", "central", "--structure", "sd:abelian3", "--dmax", "3"], 0,
-     "7c1d724fe8e5f49c468a983ed508ecdfb15e28ed5b04a0e68b12ae093f29ec89"),
+     "410c32a494b18fa897e75b391010fbd0e2b3897bf07da3f633d6d06fbcdf72df"),
     # larger windows, pinned before a rework of the eliminator and of the
     # tensor product kernel so that both keep their bytes
     (["cohomology", "central", "--structure", "k-type:sl2", "--dmax", "8"], 0,
@@ -515,7 +517,7 @@ DISPATCH = [
     (["cohomology", "central", "--structure", "h-type:solv2", "--dmax", "8"], 0,
      "9675deaeebb2c629c41949ce3c46fa5d133ec5e0777d9fa9cbd631ee7a80fba5"),
     (["cohomology", "central", "--structure", "sd:abelian4", "--dmax", "3"], 0,
-     "26fa00002c9db2c59772bb16610b4a6e8534484c67d44516d146b378849ce49a"),
+     "f177a7b742c32ad8fcddc1965c84bb8d4516f526001c998401db3d5c1bbfdab9"),
     # the S catalog reads its tables off the pair structure of S(d)
     (["poisson", "catalog", "--family", "S", "--r", "3", "--N", "3"], 0,
      "82f9596e7266a6348f70961176a3fc4ffde76fa041e81683827e81438faac3f2"),

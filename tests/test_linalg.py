@@ -1,7 +1,9 @@
 """The exact-value helpers, the eliminator on explicit zeros, and the value
 types the kernel hands back: int or Fraction, never float, never bool."""
 
+import random
 from fractions import Fraction as Fr
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -14,9 +16,9 @@ from pseudoalg.cohomology import (sd_central_suite, solve_central_extensions,
 from pseudoalg.constructions import (Rank1Datum, make_current, make_rank1, make_sd,
                                      make_wd, named_rank1_datum, wd_element)
 from pseudoalg.liealg import Form, GeometricDatum, validate_geometric_datum
-from pseudoalg.linalg import (SparseEliminator, bump, bump_all, div, exact, invert_matrix,
-                              nullspace, quotient_representatives, scaled_map, scaled_product,
-                              solve, span_dim)
+from pseudoalg.linalg import (RHS_KEY, SparseEliminator, bump, bump_all, div, exact,
+                              invert_matrix, nullspace, quotient_representatives, scaled_map,
+                              scaled_product, solve, span_dim)
 from pseudoalg.pbw import HElt, antipode_basis, mi_splits, mul_basis, multiindices_up_to
 from pseudoalg.poisson import PoissonBracketSpec, pseudo_to_poisson
 from pseudoalg.pseudo import PseudoStructure
@@ -183,6 +185,23 @@ def test_nullspace_and_solve_on_mixed_rows_are_exact():
         assert sum(c * sol.get(k, 0) for k, c in row.items() if k != "__rhs__") == row["__rhs__"]
 
 
+def test_solve_reads_the_one_right_hand_side_column():
+    # `solve` once took the name of the constant's column as an option, but
+    # `_colkey` keeps only RHS_KEY out of the pivots: with the constant of
+    # x = 2 under "b", b became a pivot and the system read inconsistent
+    assert solve([{"x": 1, RHS_KEY: 2}]) == {"x": 2}
+    assert solve([{"b": 1, RHS_KEY: 2}, {"x": 1, "b": 1}]) == {"b": 2, "x": -2}
+    assert solve([{RHS_KEY: 1}]) is None
+    with pytest.raises(TypeError):
+        solve([{"x": 1, "b": 2}], rhs_key="b")
+
+
+def test_solve_keeps_integral_values_int():
+    # the rewrite of the first stored row by the second leaves Fraction(-5, 1)
+    rows = [{RHS_KEY: Fr(3, 2), 1: Fr(1, 2), 0: -1}, {RHS_KEY: 2, 1: -1, 0: 1}]
+    assert repr(solve(rows)) == "{0: -5, 1: -7}"
+
+
 def test_pbw_tables_are_exact(catalog_algebra):
     monos = multiindices_up_to(catalog_algebra.dim, 3)
     for I, J in product(monos, repeat=2):
@@ -316,7 +335,8 @@ def vec_add(u, v, cv=1):
 class _ScanningEliminator:
     """`SparseEliminator` before its column index and its one-pass reduce:
     after each new pivot, `add` scans every stored row for the pivot column,
-    and `reduce` subtracts with `vec_add` until no pivot column is left."""
+    and `reduce` subtracts with `vec_add` until no pivot column is left.
+    `kernel` scans every stored row for each free column too."""
 
     def __init__(self):
         self.pivots = {}
@@ -336,7 +356,16 @@ class _ScanningEliminator:
 
     _pick = SparseEliminator._pick
     rank = SparseEliminator.rank
-    kernel = SparseEliminator.kernel
+
+    def kernel(self, columns):
+        columns = list(columns)
+        basis = []
+        for fc in columns:
+            if fc in self.pivots:
+                continue
+            held = {pcol: -prow[fc] for pcol, prow in self.pivots.items() if fc in prow}
+            basis.append({fc: 1, **{c: exact(held[c]) for c in columns if c in held}})
+        return basis
 
     def add(self, row):
         red, col = self.reduce(row)
@@ -501,3 +530,66 @@ def test_indexed_eliminator_matches_scanning_reference_on_central_rows(
         _assert_same_stream(rows)
         got, want = _with_reference(monkeypatch, nullspace, rows, columns)
         assert repr(got) == repr(want)
+
+
+# -- the kernel depends on the row space alone ---------------------------------------
+
+# central windows whose full row streams, every expansion built, are permuted
+PERMUTED_WINDOWS = [("wd:heis3", 4), ("wd:sl2", 5), ("sd:abelian3", 4), ("wd:solv2", 5),
+                    ("sd:abelian3:1,2,0", 3)]
+
+
+@lru_cache(maxsize=None)
+def _recorded_stream(spec, dmax):
+    """(rows, unknowns) of a central window: the generic solver's unknowns and
+    its rows with nothing known to be zero, in the order it builds them."""
+    from pseudoalg.cohomology import _degree_window
+    from test_cohomology import unskipped_central_rows
+    family, _, rest = spec.partition(":")
+    name, _, chi = rest.partition(":")
+    alg = liealg.algebra_by_name(name)
+    if family == "sd":
+        chi = tuple(int(x) for x in chi.split(",")) if chi else None
+        P = make_sd(alg, chi).pair_structure()
+    else:
+        P = make_wd(alg)[0]
+    monos = _degree_window(P.alg, dmax)
+    gens = P.module.gens
+    return (tuple(unskipped_central_rows(P, monos)),
+            [((p, q), I) for p in gens for q in gens for I in monos])
+
+
+def _assert_kernel_ignores_row_order(rows, permuted, columns):
+    """Equal kernels by repr (keys, key order, values, value types) from the
+    stream and from its permutation, with no integral value a Fraction."""
+    want, got = nullspace(rows, columns), nullspace(permuted, columns)
+    assert repr(got) == repr(want)
+    assert not [v for vec in got for v in vec.values()
+                if type(v) is not int and v.denominator == 1], got
+
+
+@pytest.mark.parametrize("window", PERMUTED_WINDOWS, ids=["%s@%d" % w for w in PERMUTED_WINDOWS])
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@example(order="reversed")
+@example(order="shortest first")
+@given(order=st.integers(0, 2 ** 32 - 1))
+def test_kernel_ignores_the_order_of_central_rows(window, order):
+    """Reversed, shortest rows first (a stable sort), or shuffled by a drawn
+    seed, the full row stream of a central window gives the same kernel."""
+    rows, unknowns = _recorded_stream(*window)
+    if order == "reversed":
+        permuted = rows[::-1]
+    elif order == "shortest first":
+        permuted = sorted(rows, key=len)
+    else:
+        permuted = list(rows)
+        random.Random(order).shuffle(permuted)
+    _assert_kernel_ignores_row_order(rows, permuted, unknowns)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(row_streams(), st.data())
+def test_kernel_ignores_the_order_of_drawn_rows(stream, data):
+    cols, rows, _ = stream
+    permuted = data.draw(st.permutations(rows))
+    _assert_kernel_ignores_row_order(rows, permuted, cols + [RHS_KEY])
