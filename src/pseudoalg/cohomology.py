@@ -250,6 +250,71 @@ def _skew_rows(alg, gens, monos):
 
 # -- rank-one solver ----------------------------------------------------------
 
+def _rank1_rows(alg, datum, gen, monos, zeros):
+    """Rows of the second rank-one condition, {tensor key: row}: for each
+    window monomial I whose unknown u = ((gen, gen), I) is not in `zeros`,
+    the coefficients at u of
+
+        alpha Delta(beta) - (beta (x) 1 + 1 (x) beta) alpha
+            - beta (x) t + t (x) beta,    t = 3s - x,  beta = d^(I),
+
+    read straight off the PBW tables, with no element built.  For a term
+    a d^(A1) (x) d^(A2) of alpha, a split (J1, J2) of I gives
+    a d^(A1) d^(J1) (x) d^(A2) d^(J2), whose factors are looked up once per
+    call, since J1 and J2 are parts of many I; the products with beta give
+    d^(I) d^(A1) (x) d^(A2) and d^(A1) (x) d^(I) d^(A2).  The entries of
+    one unknown are summed before they reach their rows, so no row holds a
+    zero, and an integral value is stored as an `int`.
+    `zeros` is read as in `_central_jacobi_rows`; an empty set builds
+    every row.
+    """
+    alpha = list(datum.alpha().c.items())
+    # A -> J -> terms of d^(A) d^(J), for the legs A of alpha
+    tables = {A: {} for key, _ in alpha for A in key}
+    t = (HElt.from_vector(alg, {i: 3 * datum.s[i] for i in range(alg.dim)})
+         - HElt.from_vector(alg, datum.x_element())).c.items()
+    rows = {}
+    for I in monos:
+        u = ((gen, gen), I)
+        if u in zeros:
+            continue
+        lhs = {}
+        get = lhs.get
+        splits = mi_splits(I, 2)
+        for (A1, A2), a in alpha:
+            lt, rt = tables[A1], tables[A2]
+            for J1, J2 in splits:
+                t1 = lt.get(J1)
+                if t1 is None:
+                    t1 = lt[J1] = mul_basis(alg, A1, J1).items()
+                t2 = rt.get(J2)
+                if t2 is None:
+                    t2 = rt[J2] = mul_basis(alg, A2, J2).items()
+                for K1, c1 in t1:
+                    v1 = a * c1
+                    for K2, c2 in t2:  # `bump`, inlined; no term is zero
+                        k = (K1, K2)
+                        s = get(k)
+                        if s is None:
+                            lhs[k] = v1 * c2
+                        elif s := s + v1 * c2:
+                            lhs[k] = s
+                        else:
+                            del lhs[k]
+            for K1, c1 in mul_basis(alg, I, A1).items():
+                bump(lhs, (K1, A2), -a * c1)
+            for K2, c2 in mul_basis(alg, I, A2).items():
+                bump(lhs, (A1, K2), -a * c2)
+        for T, v in t:
+            bump(lhs, (I, T), -v)
+            bump(lhs, (T, I), v)
+        for key, v in lhs.items():
+            if type(v) is not int and v.denominator == 1:
+                v = v.numerator
+            rows.setdefault(key, {})[u] = v
+    return rows
+
+
 def solve_central_extensions_rank1(P, dmax=4):
     """Closed-form conditions for a free rank-one structure.
 
@@ -264,42 +329,26 @@ def solve_central_extensions_rank1(P, dmax=4):
     nonzero every solution has degree one, so any window with dmax >= 1
     is complete; otherwise completeness holds up to the stated degree.
 
-    Every skew row is fed first.  They force most unknowns to zero, and
+    Every skew row is fed first.  They force many unknowns to zero, and
     the second condition is built only for the monomials whose unknown is
-    still free; `kernel` reads the basis off the reduced row echelon form,
-    which the span alone fixes.
+    still free, each entry read straight off the PBW tables
+    (`_rank1_rows`) with no tensor element built; `kernel` reads the basis
+    off the reduced row echelon form, which the span alone fixes.
     """
     datum = getattr(P, "datum", None)
     if datum is None or P.module.rank != 1:
         raise ValueError("rank-one solver needs a structure built from a datum")
     alg = P.alg
     gen = P.module.gens[0]
-    alpha = datum.alpha()
-    xvec = datum.x_element()
-    three_sx = HElt.from_vector(alg, {i: 3 * datum.s[i] for i in range(alg.dim)}) \
-        - HElt.from_vector(alg, xvec)
     two_sx = HElt.from_vector(alg, {i: 2 * datum.s[i] for i in range(alg.dim)}) \
-        - HElt.from_vector(alg, xvec)
+        - HElt.from_vector(alg, datum.x_element())
 
     monos = _degree_window(alg, dmax)
     unknowns = [((gen, gen), I) for I in monos]
     elim = SparseEliminator()
     for row in filter(None, _skew_rows(alg, [gen], monos)):
         elim.add(row)
-
-    jac = {}
-    one = HElt.one(alg)
-    zeros = elim.zeros
-    for u in unknowns:
-        if u in zeros:
-            continue
-        beta = HElt.monomial(alg, u[1], 1)
-        lhs = alpha * beta.coproduct(2)
-        lhs = lhs - (TensorElt.pure([beta, one]) + TensorElt.pure([one, beta])) * alpha
-        lhs = lhs - TensorElt.pure([beta, three_sx]) + TensorElt.pure([three_sx, beta])
-        for key, v in lhs.c.items():
-            bump(jac.setdefault(key, {}), u, v)
-    for row in jac.values():
+    for row in _rank1_rows(alg, datum, gen, monos, elim.zeros).values():
         elim.add(row)
 
     basis = elim.kernel(unknowns)
@@ -376,16 +425,20 @@ def _central_jacobi_rows(P, monos, zeros):
 
 def _central_relation_rows(P, monos):
     """Rows beta(sum h_g e_g, e_q) = sum h_g beta(e_g, e_q) = 0, one per
-    relation of P, generator q and window monomial."""
+    relation of P, generator q and window monomial, as {key: row}.  Each
+    product h_g d^(I) is read term by term off `mul_basis`; a row whose
+    terms cancel is left empty."""
     alg = P.alg
     rows = {}
     for r, rel in enumerate(P.relations):
         for q in P.module.gens:
             for I in monos:
                 for g, h in rel.items():
-                    for K, v in (h * HElt.monomial(alg, I, 1)).c.items():
-                        bump(rows.setdefault(("rel", r, q, K), {}), ((g, q), I), v)
-    return rows.values()
+                    u = ((g, q), I)
+                    for J, w in h.c.items():
+                        for K, v in mul_basis(alg, J, I).items():
+                            bump(rows.setdefault(("rel", r, q, K), {}), u, w * v)
+    return rows
 
 
 def solve_central_extensions(P, dmax=4, complete=False):
@@ -439,7 +492,7 @@ def solve_central_extensions(P, dmax=4, complete=False):
 
     elim = SparseEliminator()
     for row in filter(None, chain(_skew_rows(alg, gens, monos),
-                                  _central_relation_rows(P, monos),
+                                  _central_relation_rows(P, monos).values(),
                                   _central_jacobi_rows(P, monos, elim.zeros))):
         elim.add(row)
     basis = elim.kernel(unknowns)

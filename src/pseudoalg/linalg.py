@@ -28,10 +28,12 @@ PBW straightening and the Lie bracket loops accumulate through it.
 
 Products of elements multiply scaled integers in `scaled_product` and
 `scaled_map`; `QElt.canonicalize` and `pseudo._compose` clear by hand, and
-so does the arity-2 `TensorElt` product, which builds the rank-one rows
-alpha . Delta(beta) of the central solvers in its own two-slot loop: one
+so does the arity-2 `TensorElt` product in its own two-slot loop: one
 term-rule call and one `mul_slots` list per operand key pair cost more
-there than the products themselves.
+there than the products themselves.  It stays for the products
+Delta(x) Delta(y) of the Hopf checks, which read 1.10x slower through the
+general kernel; the central solvers build their rank-one rows without it,
+straight from the PBW tables.
 
 `SparseEliminator` keeps its stored rows mutually reduced: each holds its
 own pivot column, with coefficient 1, and no other.  Subtracting one from
@@ -43,7 +45,8 @@ drops the zero entries, which is all the subtraction would do.  `zeros`
 shows that set to the central solvers, which then build no entry for
 those unknowns.  The stored rows are the reduced row echelon form under
 `_colkey`, and `kernel` reads the basis off them: it depends on the span
-alone, not on the order the rows came in.
+alone, not on the order the rows came in.  A rewrite stores an integral
+value as an `int`, as `div` does for a new row.
 """
 
 from collections import defaultdict
@@ -294,12 +297,17 @@ class SparseEliminator:
         p = red[col]
         new = {c: div(v, p) for c, v in red.items()}
         # keep stored rows mutually reduced: only rows that held col can hold
-        # it; each gets a new map, prow - prow[col] new
+        # it; each gets a new map, prow - prow[col] new, whose integral
+        # values in the columns of new are made ints again
         for pcol in self._holders.pop(col, ()):
             prow = self.pivots[pcol]
             if col in prow:
                 out = dict(prow)
                 bump_all(out, -prow[col], new.items())
+                for c in new:
+                    v = out.get(c)
+                    if v is not None and type(v) is not int and v.denominator == 1:
+                        out[c] = v.numerator
                 self._store(pcol, out)
         self._store(col, new)
         return True

@@ -3,11 +3,14 @@ from functools import partial
 from itertools import chain, combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import adjoint_module, random_melt
 from pseudoalg import liealg
 from pseudoalg.cohomology import (Cochain, _central_jacobi_rows,
-                                  _central_relation_rows, _degree_window, differential,
+                                  _central_relation_rows, _degree_window, _rank1_rows,
+                                  differential,
                                   extension_cocycle_residual,
                                   hat_central_extension, is_zero_cochain,
                                   sd_central_suite, solve_central_extensions,
@@ -567,7 +570,7 @@ def test_relation_rows_lie_in_the_jacobi_span(chi, dmax, count):
     elim = SparseEliminator()
     for row in _central_jacobi_rows(P, monos, set()):
         elim.add(row)
-    relation_rows = [r for r in _central_relation_rows(P, monos) if r]
+    relation_rows = [r for r in _central_relation_rows(P, monos).values() if r]
     assert len(relation_rows) == count
     assert all(elim.contains(r) for r in relation_rows)
 
@@ -624,15 +627,16 @@ def unskipped_central_rows(P, monos):
                 bump(rows.setdefault(("skew", p, q, I), {}), ((q, p), I), 1)
                 for K, v in antipode_basis(alg, I).items():
                     bump(rows.setdefault(("skew", p, q, K), {}), ((p, q), I), v)
-    return list(filter(None, chain(rows.values(), _central_relation_rows(P, monos),
+    return list(filter(None, chain(rows.values(), element_relation_rows(P, monos).values(),
                                    unskipped_jacobi_rows(P, monos))))
 
 
-def unskipped_rank1_rows(P, monos):
-    """The rank-one solver's rows with both conditions built per monomial."""
-    datum = P.datum
-    alg = P.alg
-    gen = P.module.gens[0]
+def element_rank1_rows(datum, gen, monos):
+    """The rows of the second rank-one condition as element arithmetic built
+    them before they were read off the PBW tables, {tensor key: row}: per
+    monomial, alpha . Delta(beta) - (beta (x) 1 + 1 (x) beta) . alpha
+    - beta (x) t + t (x) beta with `TensorElt` products, t = 3s - x."""
+    alg = datum.alg
     alpha = datum.alpha()
     three_sx = HElt.from_vector(alg, {i: 3 * datum.s[i] for i in range(alg.dim)}) \
         - HElt.from_vector(alg, datum.x_element())
@@ -640,15 +644,38 @@ def unskipped_rank1_rows(P, monos):
     rows = {}
     for I in monos:
         beta = HElt.monomial(alg, I, 1)
-        u = ((gen, gen), I)
-        for K, v in (beta + beta.antipode()).c.items():
-            bump(rows.setdefault(("skew", K), {}), u, v)
         lhs = alpha * beta.coproduct(2)
         lhs = lhs - (TensorElt.pure([beta, one]) + TensorElt.pure([one, beta])) * alpha
         lhs = lhs - TensorElt.pure([beta, three_sx]) + TensorElt.pure([three_sx, beta])
         for key, v in lhs.c.items():
-            bump(rows.setdefault(("jac", key), {}), u, v)
-    return list(rows.values())
+            bump(rows.setdefault(key, {}), ((gen, gen), I), v)
+    return rows
+
+
+def element_relation_rows(P, monos):
+    """The relation rows as element arithmetic built them, {key: row}: each
+    product h_g d^(I) an `HElt` product."""
+    alg = P.alg
+    rows = {}
+    for r, rel in enumerate(P.relations):
+        for q in P.module.gens:
+            for I in monos:
+                for g, h in rel.items():
+                    for K, v in (h * HElt.monomial(alg, I, 1)).c.items():
+                        bump(rows.setdefault(("rel", r, q, K), {}), ((g, q), I), v)
+    return rows
+
+
+def unskipped_rank1_rows(P, monos):
+    """The rank-one solver's rows with both conditions built per monomial."""
+    alg = P.alg
+    gen = P.module.gens[0]
+    rows = {}
+    for I in monos:
+        beta = HElt.monomial(alg, I, 1)
+        for K, v in (beta + beta.antipode()).c.items():
+            bump(rows.setdefault(K, {}), ((gen, gen), I), v)
+    return list(chain(rows.values(), element_rank1_rows(P.datum, gen, monos).values()))
 
 
 def _oracle_solve(name, dmax):
@@ -688,3 +715,78 @@ def test_forced_zero_skip_matches_unskipped_rows(name, dmax):
     assert repr(sol.representatives) == repr(reps)
     assert (sol.dim_cocycles, sol.dim_trivial, sol.dim) == \
         (span_dim(basis), span_dim(sol.trivial), len(reps))
+
+
+# -- the rows read off the PBW tables against element arithmetic ----------------------
+
+def _nonempty(rows):
+    return {key: row for key, row in rows.items() if row}
+
+
+def _assert_rank1_rows_match(datum, dmax):
+    """`_rank1_rows` with nothing known to be zero equals the element-arithmetic
+    rows as a {key: row} map, and stores no integral Fraction; with a set of
+    unknowns given as zeros it equals them with those unknowns left out."""
+    monos = _degree_window(datum.alg, dmax)
+    want = element_rank1_rows(datum, "e", monos)
+    got = _rank1_rows(datum.alg, datum, "e", monos, set())
+    assert got == want
+    assert not [v for row in got.values() for v in row.values()
+                if type(v) is not int and v.denominator == 1]
+    zeros = {(("e", "e"), I) for I in monos[::3]}
+    skipped = _rank1_rows(datum.alg, datum, "e", monos, zeros)
+    assert skipped == _nonempty({key: {u: v for u, v in row.items() if u not in zeros}
+                                 for key, row in want.items()})
+
+
+RANK1_DATA = ["w1", "abelian2", "heisenberg", "solv2", "sl2"]
+
+
+@pytest.mark.parametrize("name", RANK1_DATA)
+def test_rank1_rows_match_element_arithmetic(name):
+    datum = w_type_dim1().datum if name == "w1" else named_rank1_datum(name)
+    for dmax in range(3, 9):
+        _assert_rank1_rows_match(datum, dmax)
+
+
+RANK1_ALGEBRAS = {name: liealg.algebra_by_name(name)
+                  for name in ("abelian2", "solv2", "heis3", "sl2")}
+# explicit zeros, ints and Fractions, integral ones such as Fraction(4, 2) included
+RANK1_COEFFS = st.one_of(st.integers(-2, 2),
+                         st.builds(Fr, st.integers(-4, 4), st.sampled_from((1, 2, 3))))
+
+
+@st.composite
+def rank1_data(draw):
+    """A datum with a drawn skew r and s over one of four algebras; the rows
+    are defined for any alpha, so (r, s) need not satisfy the datum's axioms."""
+    alg = RANK1_ALGEBRAS[draw(st.sampled_from(sorted(RANK1_ALGEBRAS)))]
+    n = alg.dim
+    r = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        r[i][j] = draw(RANK1_COEFFS)
+        r[j][i] = -r[i][j]
+    s = [draw(RANK1_COEFFS) for _ in range(n)]
+    return Rank1Datum(alg, r, s), draw(st.integers(0, 4))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(rank1_data())
+def test_rank1_rows_match_element_arithmetic_on_drawn_data(case):
+    _assert_rank1_rows_match(*case)
+
+
+RELATION_WINDOWS = [("sd:abelian3", 3), ("sd:abelian3", 4), ("sd:abelian4", 3),
+                    ("sd:abelian3:1,2,0", 3)]
+
+
+@pytest.mark.parametrize("spec,dmax", RELATION_WINDOWS,
+                         ids=["%s@%d" % w for w in RELATION_WINDOWS])
+def test_relation_rows_match_element_arithmetic(spec, dmax):
+    _, name, chi = (spec.split(":") + [""])[:3]
+    P = make_sd(liealg.algebra_by_name(name),
+                tuple(int(x) for x in chi.split(",")) if chi else None).pair_structure()
+    monos = _degree_window(P.alg, dmax)
+    want = element_relation_rows(P, monos)
+    assert want and all(want.values())
+    assert _nonempty(_central_relation_rows(P, monos)) == want

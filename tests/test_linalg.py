@@ -202,6 +202,27 @@ def test_solve_keeps_integral_values_int():
     assert repr(solve(rows)) == "{0: -5, 1: -7}"
 
 
+def _integral_fractions(elim):
+    """The integral values the stored rows of an eliminator hold as Fractions."""
+    return [(pcol, c, v) for pcol, row in elim.pivots.items() for c, v in row.items()
+            if type(v) is not int and v.denominator == 1]
+
+
+@pytest.mark.parametrize("rows", [[{0: 2, 1: 1, 2: 1}, {1: 1, 2: 3}],
+                                  [{1: 1, 2: 3}, {0: 2, 1: 1, 2: 1}]],
+                         ids=["rewrite", "reduce"])
+def test_stored_rows_keep_integral_values_int(rows):
+    # fed in this order, the rewrite of the first stored row by the second
+    # once left {0: 1, 2: Fraction(-1, 1)}; fed the other way, the reduced
+    # input stores {0: 1, 2: -1}
+    elim = SparseEliminator()
+    for row in rows:
+        elim.add(row)
+    assert repr(elim.pivots) == "{0: {0: 1, 2: -1}, 1: {1: 1, 2: 3}}" or \
+        repr(elim.pivots) == "{1: {1: 1, 2: 3}, 0: {0: 1, 2: -1}}"
+    assert not _integral_fractions(elim)
+
+
 def test_pbw_tables_are_exact(catalog_algebra):
     monos = multiindices_up_to(catalog_algebra.dim, 3)
     for I, J in product(monos, repeat=2):
@@ -336,7 +357,8 @@ class _ScanningEliminator:
     """`SparseEliminator` before its column index and its one-pass reduce:
     after each new pivot, `add` scans every stored row for the pivot column,
     and `reduce` subtracts with `vec_add` until no pivot column is left.
-    `kernel` scans every stored row for each free column too."""
+    `kernel` scans every stored row for each free column too.  A rewritten
+    row is passed through `exact`, so it stores integral values as ints."""
 
     def __init__(self):
         self.pivots = {}
@@ -375,7 +397,8 @@ class _ScanningEliminator:
         self.pivots[col] = {c: div(v, p) for c, v in red.items()}
         for pcol, prow in list(self.pivots.items()):
             if pcol != col and col in prow:
-                self.pivots[pcol] = vec_add(prow, self.pivots[col], -prow[col])
+                self.pivots[pcol] = {c: exact(v) for c, v in
+                                     vec_add(prow, self.pivots[col], -prow[col]).items()}
         return True
 
 
@@ -561,11 +584,19 @@ def _recorded_stream(spec, dmax):
 
 def _assert_kernel_ignores_row_order(rows, permuted, columns):
     """Equal kernels by repr (keys, key order, values, value types) from the
-    stream and from its permutation, with no integral value a Fraction."""
-    want, got = nullspace(rows, columns), nullspace(permuted, columns)
+    stream and from its permutation, with no integral value a Fraction in
+    the kernels or in either eliminator's stored rows."""
+    elims = []
+    for stream in (rows, permuted):
+        elims.append(SparseEliminator())
+        for row in stream:
+            elims[-1].add(row)
+    want, got = (elim.kernel(columns) for elim in elims)
     assert repr(got) == repr(want)
     assert not [v for vec in got for v in vec.values()
                 if type(v) is not int and v.denominator == 1], got
+    for elim in elims:
+        assert not _integral_fractions(elim)
 
 
 @pytest.mark.parametrize("window", PERMUTED_WINDOWS, ids=["%s@%d" % w for w in PERMUTED_WINDOWS])
