@@ -751,7 +751,7 @@ def test_rank1_rows_match_element_arithmetic(name):
 
 RANK1_ALGEBRAS = {name: liealg.algebra_by_name(name)
                   for name in ("abelian2", "solv2", "heis3", "sl2")}
-# explicit zeros, ints and Fractions, integral ones such as Fraction(4, 2) included
+# explicit zeros, ints and Fractions; `Rank1Datum` stores integral ones as ints
 RANK1_COEFFS = st.one_of(st.integers(-2, 2),
                          st.builds(Fr, st.integers(-4, 4), st.sampled_from((1, 2, 3))))
 
