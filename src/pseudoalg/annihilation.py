@@ -20,7 +20,10 @@ weight and store exact nonzero values; `truncate`, `act` and `pair`
 refuse a depth they cannot guarantee, and each bracket refuses inputs too
 shallow for its depth cost, all with PrecisionError.  Behind them the
 product `_product` and the action `_acted` work on coefficient maps known
-valid, and `_series` wraps their results without a second pass.
+valid, and `_series` wraps their results without a second pass.  They
+accumulate through `linalg.bump` and `bump_all`, which store an integral
+value as an `int`, so no result here needs a pass to convert its values;
+`pair` passes its sum through `exact`.
 """
 
 from itertools import chain
@@ -73,7 +76,7 @@ def _adjoint(alg, J, side, cut):
 def _product(x, y, cut):
     """Coefficients of the product of the series with coefficient maps x
     and y, up to weight cut.  A pair of terms is skipped unless its weights
-    fit, so no key beyond cut is built; values are ints when integral."""
+    fit, so no key beyond cut is built."""
     right = [(J, b, sum(J)) for J, b in y.items()]
     out = {}
     for I, a in x.items():
@@ -83,9 +86,6 @@ def _product(x, y, cut):
         for J, b, w in right:
             if w <= room:
                 bump(out, tuple(map(add, I, J)), a * b)
-    for K, v in out.items():
-        if type(v) is not int and v.denominator == 1:
-            out[K] = v.numerator  # an int when integral, as `exact` gives
     return out
 
 
@@ -172,10 +172,8 @@ class TruncatedSeries(SparseCombination):
                                  % (self.cutoff, cutoff))
         if cutoff < 0:
             raise PrecisionError("cutoff must be nonnegative")
-        # `act` keeps integral Fractions as its products give them; a
-        # truncation returns them as ints
         return _series(self.alg, cutoff,
-                       {I: exact(v) for I, v in self.c.items() if sum(I) <= cutoff})
+                       {I: v for I, v in self.c.items() if sum(I) <= cutoff})
 
     def __add__(self, other):
         return _truncated_sum(self, other, mi_weight,
@@ -194,7 +192,7 @@ class TruncatedSeries(SparseCombination):
         if deg is not None and deg > self.cutoff:
             raise PrecisionError("pairing needs depth %d, have %d" % (deg, self.cutoff))
         c = self.c
-        return sum(v * c[I] for I, v in h.c.items() if I in c)
+        return exact(sum(v * c[I] for I, v in h.c.items() if I in c))
 
     def act(self, h, side="left"):
         """Left action <h x, f> = <x, S(h) f>; right <x h, f> = <x, f S(h)>.
@@ -273,7 +271,7 @@ def _parts(w):
     for (I, g), v in w.c.items():
         part = by_gen.setdefault(g, {})
         if v:
-            part[I] = exact(v)
+            part[I] = v
     return by_gen
 
 

@@ -222,9 +222,6 @@ class CentralExtensionSolution:
             tables.setdefault(pair, {})[I] = v
         return {pair: HElt(self.P.alg, d) for pair, d in tables.items()}
 
-    def representative_tables(self):
-        return [self.beta_table_of(v) for v in self.representatives]
-
     def summary(self):
         return {
             "dim_cocycles": self.dim_cocycles,

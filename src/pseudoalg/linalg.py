@@ -13,27 +13,29 @@ module and quotient elements, truncated functionals, forms) is such a
 sparse combination, built on `bump` and `SparseCombination`.  Their one
 invariant: the coefficient map stores no zeros, so an element is zero iff
 its map is empty and equality is map equality.  Coefficients are `int`
-or `Fraction`, never float; equal values compare and hash alike.  Entry
-points pass their inputs through `exact`, which keeps an integral value an
-`int` (the constructions are integral almost everywhere, and int
-arithmetic is several times cheaper), and quotients go through `div`.
-`bump` stores what it is given.  Pseudoforms hold enveloping-algebra
-elements instead of rationals.
+or `Fraction`, never float; equal values compare and hash alike.  A value
+is stored as an `int` when it is integral (the constructions are integral
+almost everywhere, and int arithmetic is several times cheaper): entry
+points pass their inputs through `exact`, quotients go through `div`, and
+`bump` stores an integral `Fraction` sum as its numerator.  Pseudoforms
+hold enveloping-algebra elements instead of rationals, which `bump`
+stores as given.
 
 The accumulation rule is `bump`: d[k] += v, a key whose sum vanishes is
 deleted, and a later term puts it back at the end.  It fixes the values,
 the key order and the value types of every result.  `bump_all` applies it
-to a scaled run of terms in one call; the product kernels, the eliminator,
-PBW straightening and the Lie bracket loops accumulate through it.
+to a scaled run of terms in one call; the product kernels, `scale`, the
+eliminator, PBW straightening and the Lie bracket loops accumulate through
+it, and no result needs a pass of its own to make its values ints.
 
 Products of elements multiply scaled integers in `scaled_product` and
 `scaled_map`; `QElt.canonicalize` and `pseudo._compose` clear by hand, and
-so does the arity-2 `TensorElt` product in its own two-slot loop: one
-term-rule call and one `mul_slots` list per operand key pair cost more
-there than the products themselves.  It stays for the products
-Delta(x) Delta(y) of the Hopf checks, which read 1.10x slower through the
-general kernel; the central solvers build their rank-one rows without it,
-straight from the PBW tables.
+so does the arity-2 `TensorElt` product in its own two-slot loop, which
+inlines `bump` with its int rule: one term-rule call and one `mul_slots`
+list per operand key pair cost more there than the products themselves.
+It stays for the products Delta(x) Delta(y) of the Hopf checks, which
+read 1.10x slower through the general kernel; the central solvers build
+their rank-one rows without it, straight from the PBW tables.
 
 `SparseEliminator` keeps its stored rows mutually reduced: each holds its
 own pivot column, with coefficient 1, and no other.  Subtracting one from
@@ -46,7 +48,8 @@ shows that set to the central solvers, which then build no entry for
 those unknowns.  The stored rows are the reduced row echelon form under
 `_colkey`, and `kernel` reads the basis off them: it depends on the span
 alone, not on the order the rows came in.  A rewrite stores an integral
-value as an `int`, as `div` does for a new row.
+value as an `int` through `bump_all`, as `div` does for a new row, so
+`kernel` and `solve` hand out the stored values as they are.
 """
 
 from collections import defaultdict
@@ -123,17 +126,15 @@ def scaled_map(a, terms):
 
 
 def bump(d, key, v):
-    """d[key] += v, dropping the key when the sum vanishes."""
+    """d[key] += v, dropping the key when the sum vanishes and storing an
+    integral `Fraction` sum as its `int`; other values are stored as given."""
     s = d.get(key)
-    if s is None:
-        if v:
-            d[key] = v
-    else:
-        s = s + v
-        if s:
-            d[key] = s
-        else:
-            del d[key]
+    if s is not None:
+        v = s + v
+    if v:
+        d[key] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+    elif s is not None:
+        del d[key]
 
 
 def bump_all(d, m, terms):
@@ -145,15 +146,12 @@ def bump_all(d, m, terms):
     for k, c in terms:
         v = m * c
         s = d.get(k)
-        if s is None:
-            if v:
-                d[k] = v
-        else:
-            s = s + v
-            if s:
-                d[k] = s
-            else:
-                del d[k]
+        if s is not None:
+            v = s + v
+        if v:
+            d[k] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+        elif s is not None:
+            del d[k]
 
 
 class SparseCombination:
@@ -202,7 +200,10 @@ class SparseCombination:
 
     def scale(self, k):
         k = exact(k)
-        return self._with({key: k * v for key, v in self.c.items()} if k else {})
+        c = {}
+        if k:
+            bump_all(c, k, self.c.items())
+        return self._with(c)
 
     def __rmul__(self, k):
         return self.scale(k)
@@ -297,17 +298,12 @@ class SparseEliminator:
         p = red[col]
         new = {c: div(v, p) for c, v in red.items()}
         # keep stored rows mutually reduced: only rows that held col can hold
-        # it; each gets a new map, prow - prow[col] new, whose integral
-        # values in the columns of new are made ints again
+        # it; each gets a new map, prow - prow[col] new
         for pcol in self._holders.pop(col, ()):
             prow = self.pivots[pcol]
             if col in prow:
                 out = dict(prow)
                 bump_all(out, -prow[col], new.items())
-                for c in new:
-                    v = out.get(c)
-                    if v is not None and type(v) is not int and v.denominator == 1:
-                        out[c] = v.numerator
                 self._store(pcol, out)
         self._store(col, new)
         return True
@@ -324,10 +320,10 @@ class SparseEliminator:
         unknowns, which include every column a row holds: one vector per free
         column, in the order of `columns`, the free column with coefficient 1
         and then, also in that order, the pivot unknowns whose stored rows
-        hold it, each value through `exact`.  The stored rows are the unique
-        reduced row echelon form, so keys, order and value types follow from
-        the span alone.  A free column is never popped from `_holders`; an
-        entry there whose row has since lost it is skipped."""
+        hold it, each value its stored entry negated.  The stored rows are
+        the unique reduced row echelon form, so keys, order and value types
+        follow from the span alone.  A free column is never popped from
+        `_holders`; an entry there whose row has since lost it is skipped."""
         pivots, holders = self.pivots, self._holders
         place = {c: i for i, c in enumerate(columns)}
         basis = []
@@ -337,7 +333,7 @@ class SparseEliminator:
             sol = {fc: 1}
             for pcol in sorted((p for p in holders.get(fc, ()) if fc in pivots[p]),
                                key=place.__getitem__):
-                sol[pcol] = exact(-pivots[pcol][fc])
+                sol[pcol] = -pivots[pcol][fc]
             basis.append(sol)
         return basis
 
@@ -411,7 +407,7 @@ def solve(rows):
     # the stored rows are mutually reduced, so no pivot row holds another
     # pivot column: with the free unknowns at zero each pivot unknown is
     # its row's right-hand side
-    return {pcol: exact(prow[RHS_KEY])
+    return {pcol: prow[RHS_KEY]
             for pcol, prow in sorted(elim.pivots.items(), key=lambda kv: _colkey(kv[0]))
             if prow.get(RHS_KEY)}
 

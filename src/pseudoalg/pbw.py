@@ -45,8 +45,9 @@ The element kernels (`HElt` product and antipode, `TensorElt` product,
 `TensorElt` product at arity 2, which serves the products Delta(x) Delta(y)
 of the Hopf checks: a term-rule call and a `mul_slots` list per operand
 key pair cost more than the products there, so it runs `scaled_product`
-over `mul_slots` as its own two-slot loop, with the same values, key
-order and value types.  Routed through the general kernel instead, the
+over `mul_slots` as its own two-slot loop, with `bump` inlined and its
+store keeping the int rule of `linalg.bump`: the same values, key order
+and value types.  Routed through the general kernel instead, the
 hopf benchmark read 1.10x slower.  The central solvers no longer go
 through it: they read their rank-one rows straight off `mul_basis`.
 Arities 1 and 3 keep the general route.
@@ -456,7 +457,8 @@ class TensorElt(SparseCombination):
         if self.n != 2:
             return self._with(scaled_product(
                 self.c, other.c, lambda ka, kb: mul_slots(alg, ka, kb, mul_basis)))
-        # `scaled_product` over `mul_slots`, with the term rule and the bump inlined
+        # `scaled_product` over `mul_slots`, with the term rule and `bump`, its
+        # int rule included, inlined
         Da, A = cleared(self.c)
         Db, B = cleared(other.c)
         out = {}
@@ -471,15 +473,13 @@ class TensorElt(SparseCombination):
                         k = (K1, K2)
                         v = v1 * c2
                         s = out.get(k)
-                        if s is None:
-                            if v:
-                                out[k] = v
-                        else:
-                            s = s + v
-                            if s:
-                                out[k] = s
-                            else:
-                                del out[k]
+                        if s is not None:
+                            v = s + v
+                        if v:
+                            out[k] = (v.numerator if type(v) is Fraction
+                                      and v.denominator == 1 else v)
+                        elif s is not None:
+                            del out[k]
         return self._with(divided(out, Da * Db))
 
     def permuted(self, perm):

@@ -303,7 +303,7 @@ def test_criterion_10_central_extensions():
     P = make_rank1(Rank1Datum(liealg.abelian(1), [[0]], (1,)), run_axioms=False)
     sol = solve_central_extensions_rank1(P, dmax=4)
     assert sol.dim == 1
-    rep = sol.representative_tables()[0][("e", "e")]
+    rep = sol.beta_table_of(sol.representatives[0])[("e", "e")]
     assert set(rep.c) == {(3,)}
     # contact type over the Heisenberg algebra: the contraction is c and
     # everything is a shift

@@ -6,7 +6,7 @@ references: `act` to the dense pairing `_dense_act`, the series product
 and both brackets to the loops they replaced (kept below), in values, key
 order and int/Fraction type, and the annihilation bracket to the
 vector-field oracle.  Their inputs mix int and Fraction values, explicit
-zeros and integral Fractions such as the ones `act` keeps.
+zeros and integral Fractions written straight into a coefficient map.
 """
 
 from fractions import Fraction as Fr
@@ -432,7 +432,7 @@ def helts(draw, alg, deg):
 @st.composite
 def series(draw, alg, cutoff):
     """A series, or the action on one by a degree-0 or degree-1 element,
-    whose values may be integral Fractions as the action leaves them."""
+    whose integral values are ints as the action stores them."""
     mis = multiindices_up_to(alg.dim, cutoff + 1)
     c = draw(st.dictionaries(st.sampled_from(mis), COEFFS, max_size=5))
     if draw(st.booleans()):
@@ -444,8 +444,7 @@ def series(draw, alg, cutoff):
 @st.composite
 def elements(draw, P, cutoff):
     """An annihilation element; half of them carry a coefficient map stored
-    as is, with zeros and integral Fractions, as bracket results and direct
-    writes leave it."""
+    as is, with zeros and integral Fractions, as a direct write leaves it."""
     mis = multiindices_up_to(P.alg.dim, cutoff)
     keys = st.tuples(st.sampled_from(mis), st.sampled_from(P.module.gens))
     c = draw(st.dictionaries(keys, COEFFS, max_size=3))

@@ -150,7 +150,7 @@ def test_w_type_dim1_solution():
     sol = solve_central_extensions_rank1(w_type_dim1(), dmax=4)
     assert sol.dim_cocycles == 2 and sol.dim_trivial == 1 and sol.dim == 1
     assert not sol.complete  # r = 0: honest degree-window flag
-    rep = sol.representative_tables()[0][("e", "e")]
+    rep = sol.beta_table_of(sol.representatives[0])[("e", "e")]
     # the cubic direction survives; its class is the unique extension
     assert set(rep.c) == {(3,)}
 
@@ -218,8 +218,8 @@ def test_solution_space_closed_under_combinations():
 def test_hat_extension_from_representative_passes_axioms():
     P = w_type_dim1()
     sol = solve_central_extensions_rank1(P, dmax=4)
-    for table in sol.representative_tables():
-        hat = hat_central_extension(P, table)
+    for rep in sol.representatives:
+        hat = hat_central_extension(P, sol.beta_table_of(rep))
         assert verify_axioms(hat).ok
 
 

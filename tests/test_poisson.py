@@ -2,6 +2,8 @@ import json
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoalg import liealg
 from pseudoalg.cohomology import hat_central_extension, trivial_cocycle_table
@@ -96,6 +98,33 @@ def test_integral_table_coefficient_is_int():
 def test_round_trips_are_identities(build):
     spec = build()
     P, _ = poisson_to_pseudo(spec)
+    assert pseudo_to_poisson(P, names=spec.names) == spec
+
+
+# explicit zeros of both types and integral Fractions such as Fraction(4, 2)
+COEFFS = st.one_of(st.integers(-3, 3),
+                   st.builds(Fr, st.integers(-5, 5), st.sampled_from((1, 2, 3))))
+
+
+@st.composite
+def specs(draw):
+    """A spec in r fields and N variables, r and N in 1..3, built by
+    `add_term` calls whose terms may repeat a key and cancel."""
+    r, N = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    field = st.integers(0, r - 1)
+    exponent = st.lists(st.integers(0, 2), min_size=N, max_size=N)
+    spec = PoissonBracketSpec(r, N)
+    for _ in range(draw(st.integers(0, 6))):
+        spec.add_term(draw(field), draw(field), draw(field), draw(exponent), draw(exponent),
+                      draw(COEFFS))
+    return spec
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(specs())
+def test_round_trip_of_drawn_specs_is_the_identity(spec):
+    P, beta = poisson_to_pseudo(spec)
+    assert beta is None
     assert pseudo_to_poisson(P, names=spec.names) == spec
 
 
