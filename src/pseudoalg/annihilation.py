@@ -24,12 +24,21 @@ valid, and `_series` wraps their results without a second pass.  They
 accumulate through `linalg.bump` and `bump_all`, which store an integral
 value as an `int`, so no result here needs a pass to convert its values;
 `pair` passes its sum through `exact`.
+
+Both brackets clear their operands to integers once per call: `cleared`
+scales u by the lcm Du of its denominators and v by Dv, the loops run on
+the integer parts, and `divided` divides each output coefficient by
+Du Dv once at the end.  Du Dv is one positive constant per output, so
+every partial sum vanishes at the step it vanished unscaled, and the
+result keeps the values, key order and value types of the unscaled loops
+(the method of `linalg.scaled_product`).  The vector-field oracle still
+acts through the public `act`, on series built over its integer parts.
 """
 
 from itertools import chain
 from operator import add
 
-from .linalg import SparseCombination, bump, bump_all, exact
+from .linalg import SparseCombination, bump, bump_all, cleared, divided, exact
 from .pbw import (HElt, antipode_basis, checked_mi, mi_weight, mi_zero, mul_basis,
                   multiindices_up_to)
 
@@ -240,7 +249,7 @@ class AnnihilationElement(SparseCombination):
     def series_parts(self):
         """{g: series of the coefficients on g}, one per generator present."""
         alg = self.module.alg
-        return {g: _series(alg, self.cutoff, c) for g, c in _parts(self).items()}
+        return {g: _series(alg, self.cutoff, c) for g, c in _parts(self.c.items()).items()}
 
     def _same_space(self, other):
         return self.module.same_as(other.module) and self.cutoff == other.cutoff
@@ -265,10 +274,11 @@ class AnnihilationElement(SparseCombination):
                           for g, s in sorted(parts.items(), key=lambda kv: str(kv[0])))
 
 
-def _parts(w):
-    """{g: coefficient map on g} of an annihilation element, zeros dropped."""
+def _parts(items):
+    """{g: coefficient map on g} of the pairs ((I, g), v) of an annihilation
+    element's coefficients, zeros dropped."""
     by_gen = {}
-    for (I, g), v in w.c.items():
+    for (I, g), v in items:
         part = by_gen.setdefault(g, {})
         if v:
             part[I] = v
@@ -295,8 +305,10 @@ def annihilation_bracket(P, u, v):
         raise PrecisionError(
             "bracket costs depth %d; inputs must have cutoff >= %d" % (cost, cost))
     out = AnnihilationElement(P.module, cut)
-    vparts = _parts(v)
-    for gu, x in _parts(u).items():
+    Du, U = cleared(u.c)
+    Dv, V = cleared(v.c)
+    vparts = _parts(V)
+    for gu, x in _parts(U).items():
         moved = {}  # F -> x d^(F), with its depth
         for gv, y in vparts.items():
             products = {}  # F -> (x d^(F)) y, with its depth
@@ -312,6 +324,7 @@ def annihilation_bracket(P, u, v):
                 for I, s in _right(alg, prod[0], prod[1], L)[1].items():
                     if sum(I) <= cut:
                         bump(out.c, (I, g), coeff * s)
+    out.c = divided(out.c, Du * Dv)
     return out
 
 
@@ -321,15 +334,18 @@ def vector_field_bracket(alg, u, v):
         [x (x) a, y (x) b] = xy (x) [a,b] - x(y.a) (x) b + (x.b)y (x) a
 
     with the dot the right action.  Used to cross-check the annihilation
-    bracket of the vector-field structure.  It splits and acts through the
-    public `series_parts` and `act`, not through the bracket's memo.
+    bracket of the vector-field structure.  It clears u and v to integers
+    as the bracket does, and acts through the public `act` on series over
+    the integer parts, not through the bracket's memo.
     """
     cut = min(u.cutoff, v.cutoff) - 1
     if cut < 0:
         raise PrecisionError("vector-field bracket needs cutoff >= 1")
     out = AnnihilationElement(u.module, cut)
-    uparts = u.series_parts()
-    vparts = v.series_parts()
+    Du, U = cleared(u.c)
+    Dv, V = cleared(v.c)
+    uparts = {g: _series(alg, u.cutoff, c) for g, c in _parts(U).items()}
+    vparts = {g: _series(alg, v.cutoff, c) for g, c in _parts(V).items()}
     dirs = {a: HElt.gen(alg, a) for a in {*uparts, *vparts}}
     for a, xs in uparts.items():
         for b, ys in vparts.items():
@@ -345,6 +361,7 @@ def vector_field_bracket(alg, u, v):
             xb = xs.act(dirs[b], "right")
             for I, s in _product(xb.c, ys.c, cut).items():
                 bump(out.c, (I, a), s)
+    out.c = divided(out.c, Du * Dv)
     return out
 
 

@@ -519,6 +519,33 @@ def test_brackets_match_the_loops(case):
         _assert_valid(w, _element_weight)
 
 
+# (u, v, key of an integral output) over coprime denominators: u carries 1/2
+# and 1/3, v carries 5/6 beside 1/6 or 7/6, and the brackets clear them to
+# integers and divide by 6 * 6 at the end.  No input value is integral, so the integral output
+# is a cancellation the division must store as an `int`
+COPRIME = {
+    "sl2": ({((1, 0, 0), 2): Fr(1, 2), ((0, 0, 0), 0): Fr(1, 3)},
+            {((0, 1, 0), 0): Fr(5, 6), ((0, 1, 1), 0): Fr(1, 6)}, ((0, 1, 2), 2)),
+    "heis3": ({((0, 1, 1), 0): Fr(1, 2), ((0, 2, 0), 2): Fr(1, 3)},
+              {((1, 0, 0), 2): Fr(5, 6), ((0, 0, 0), 1): Fr(7, 6)}, ((0, 1, 1), 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPRIME))
+def test_brackets_over_coprime_denominators_match_the_loops(name):
+    P = WD[name]
+    cu, cv, whole = COPRIME[name]
+    u = AnnihilationElement(P.module, 4, cu)
+    v = AnnihilationElement(P.module, 4, cv)
+    br = annihilation_bracket(P, u, v)
+    vf = vector_field_bracket(P.alg, u, v)
+    assert _terms(br) == _terms(_loop_bracket(P, u, v))
+    assert _terms(vf) == _terms(_loop_vector_field(P.alg, u, v))
+    for w in (br, vf):
+        assert type(w.c[whole]) is int
+        assert any(type(s) is Fr for s in w.c.values())
+
+
 @SETTINGS
 @given(bracket_cases())
 def test_annihilation_bracket_matches_vector_field_oracle(case):

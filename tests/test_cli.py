@@ -530,6 +530,12 @@ DISPATCH = [
     (["bracket", "--structure", "gc:1",
       "--left", "(1) @ c[1;0,0]", "--right", "(1) @ c[0;0,0]"], 0,
      "f879606a5fe267cba8e5d04b58cff9cdc288596b9311e03d2712bfbee6cc9ebf"),
+    # non-abelian annihilate reports, pinned before the brackets began to
+    # clear denominators once per call, so that they keep their bytes
+    (["annihilate", "--structure", "wd:sl2", "--cutoff", "5"], 0,
+     "bd8de8e9d9a67c6a07d10a9c57f9b5d47bbe3bfd3d83db2c2bb8f5a5c2509108"),
+    (["annihilate", "--structure", "wd:heis3", "--cutoff", "5"], 0,
+     "0878f70ae5d94ab4c73483dc80b56c1402447caa87e39adb9089cf3af19b767b"),
 ]
 
 
