@@ -54,10 +54,11 @@ from .tensor import QElt
 ANNIHILATE_MAX_MONOMIALS = 2000
 
 # Largest number of generator triples (len(verify_gens) ** 3) that `verify`
-# checks on `gc:<n>` and `cend:<n>`: one Jacobi or associativity residual
-# each, about 5 s for the 32,768 of gc:4.  The build budget of
-# `constructions.CEND_MAX_GENERATORS` admits gc:45, whose suite would never
-# end; this one admits gc:4 over one direction and gc:3 over sl2.
+# checks on `gc:<n>` and `cend:<n>`, and `poisson verify` on a spec of r
+# fields (r ** 3): one Jacobi or associativity residual each, about 5 s for
+# the 32,768 of gc:4.  The build budget of `constructions.CEND_MAX_GENERATORS`
+# admits gc:45, whose suite would never end; this one admits gc:4 over one
+# direction, gc:3 over sl2 and a spec of 36 fields.
 VERIFY_MAX_TRIPLES = 50_000
 
 # Largest number of unknowns, |gens|^2 * C(dmax + dim, dim), that
@@ -302,6 +303,12 @@ def cmd_poisson(args):
         rep.record("round-trip-identity", back.Q == spec.Q)
         rep.record("central-terms-carried", (beta is not None) == bool(spec.central))
         return emit(rep, args.format, args.seed)
+    # one Jacobi residual per triple of the r fields, counted before the
+    # pseudoalgebra is built
+    triples = spec.r ** 3
+    if triples > VERIFY_MAX_TRIPLES:
+        raise ValueError("%s has %d generator triples to verify (r = %d), over the "
+                         "budget of %d" % (args.file, triples, spec.r, VERIFY_MAX_TRIPLES))
     return emit(verify_poisson_jacobi(spec), args.format, args.seed)
 
 

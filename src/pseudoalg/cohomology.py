@@ -12,8 +12,8 @@ of the Jacobi identity on generator triples.
 from itertools import chain, combinations_with_replacement
 
 from .constructions import make_sd
-from .linalg import (RHS_KEY, SparseEliminator, bump, nullspace, quotient_representatives,
-                     solve, span_dim)
+from .linalg import (RHS_KEY, SparseEliminator, bump, bump_outer, nullspace,
+                     quotient_representatives, solve, span_dim)
 from .pbw import (HElt, TensorElt, antipode_basis, mi_splits, mi_weight,
                   mi_zero, mul_antipode, mul_basis, multiindices_up_to)
 from .pseudo import (PseudoStructure, Report, compose_left, compose_right,
@@ -260,8 +260,8 @@ def _rank1_rows(alg, datum, gen, monos, zeros):
     a d^(A1) d^(J1) (x) d^(A2) d^(J2), whose factors are looked up once per
     call, since J1 and J2 are parts of many I; the products with beta give
     d^(I) d^(A1) (x) d^(A2) and d^(A1) (x) d^(I) d^(A2).  The entries of
-    one unknown are summed before they reach their rows, so no row holds a
-    zero, and an integral value is stored as an `int`.
+    one unknown are summed by `bump` and `bump_outer` before they reach
+    their rows, so no row holds a zero, and an integral value is an `int`.
     `zeros` is read as in `_central_jacobi_rows`; an empty set builds
     every row.
     """
@@ -276,7 +276,6 @@ def _rank1_rows(alg, datum, gen, monos, zeros):
         if u in zeros:
             continue
         lhs = {}
-        get = lhs.get
         splits = mi_splits(I, 2)
         for (A1, A2), a in alpha:
             lt, rt = tables[A1], tables[A2]
@@ -287,17 +286,7 @@ def _rank1_rows(alg, datum, gen, monos, zeros):
                 t2 = rt.get(J2)
                 if t2 is None:
                     t2 = rt[J2] = mul_basis(alg, A2, J2).items()
-                for K1, c1 in t1:
-                    v1 = a * c1
-                    for K2, c2 in t2:  # `bump`, inlined; no term is zero
-                        k = (K1, K2)
-                        s = get(k)
-                        if s is None:
-                            lhs[k] = v1 * c2
-                        elif s := s + v1 * c2:
-                            lhs[k] = s
-                        else:
-                            del lhs[k]
+                bump_outer(lhs, a, t1, t2)
             for K1, c1 in mul_basis(alg, I, A1).items():
                 bump(lhs, (K1, A2), -a * c1)
             for K2, c2 in mul_basis(alg, I, A2).items():
@@ -306,8 +295,6 @@ def _rank1_rows(alg, datum, gen, monos, zeros):
             bump(lhs, (I, T), -v)
             bump(lhs, (T, I), v)
         for key, v in lhs.items():
-            if type(v) is not int and v.denominator == 1:
-                v = v.numerator
             rows.setdefault(key, {})[u] = v
     return rows
 

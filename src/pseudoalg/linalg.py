@@ -24,18 +24,22 @@ stores as given.
 The accumulation rule is `bump`: d[k] += v, a key whose sum vanishes is
 deleted, and a later term puts it back at the end.  It fixes the values,
 the key order and the value types of every result.  `bump_all` applies it
-to a scaled run of terms in one call; the product kernels, `scale`, the
-eliminator, PBW straightening and the Lie bracket loops accumulate through
-it, and no result needs a pass of its own to make its values ints.
+to a scaled run of terms in one call; the product kernels, `scale`,
+`sparse_sum`, the eliminator, PBW straightening and the Lie bracket loops
+accumulate through it, and no result needs a pass of its own to make its
+values ints.  `bump_outer` applies it to the two-slot products
+m c1 c2 [(k1, k2)] of two runs of terms, a coefficient in H (x) H as a
+product of two PBW expansions: the arity-2 `TensorElt` product and the
+rank-one rows of the central solvers accumulate through it.  No module
+but this one writes the rule out.
 
 Products of elements multiply scaled integers in `scaled_product` and
 `scaled_map`; `QElt.canonicalize` and `pseudo._compose` clear by hand, and
-so does the arity-2 `TensorElt` product in its own two-slot loop, which
-inlines `bump` with its int rule: one term-rule call and one `mul_slots`
-list per operand key pair cost more there than the products themselves.
+so does the arity-2 `TensorElt` product, which runs `bump_outer` over the
+two slot products of each operand key pair: one term-rule call and one
+`mul_slots` list per pair cost more there than the products themselves.
 It stays for the products Delta(x) Delta(y) of the Hopf checks, which
-read 1.10x slower through the general kernel; the central solvers build
-their rank-one rows without it, straight from the PBW tables.
+read 1.10x slower through the general kernel.
 
 `SparseEliminator` keeps its stored rows mutually reduced: each holds its
 own pivot column, with coefficient 1, and no other.  Subtracting one from
@@ -154,6 +158,28 @@ def bump_all(d, m, terms):
             del d[k]
 
 
+def bump_outer(d, m, t1, t2):
+    """d[(k1, k2)] += m c1 c2 for each term (k1, c1) of t1 and (k2, c2) of
+    t2, t1 in the outer loop, by the `bump` rule.
+
+    The same as `bump(d, (k1, k2), m * c1 * c2)` term by term, in values,
+    key order and value types, with no call per term.  t2 is read once per
+    term of t1, so it must be re-iterable.
+    """
+    for k1, c1 in t1:
+        v1 = m * c1
+        for k2, c2 in t2:
+            k = (k1, k2)
+            v = v1 * c2
+            s = d.get(k)
+            if s is not None:
+                v = s + v
+            if v:
+                d[k] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+            elif s is not None:
+                del d[k]
+
+
 class SparseCombination:
     """Finite combination sum c_k [k], stored as the coefficient map `c`.
 
@@ -216,16 +242,10 @@ class SparseCombination:
 
 
 def sparse_sum(terms):
-    """Sum of (key, value) terms as a sparse vector.
-
-    Zeros are dropped at the end, so unlike repeated `bump` a key whose
-    partial sum passes through zero keeps the place of its first term.
-    """
+    """Sum of (key, value) terms as a sparse vector, by the `bump` rule."""
     out = {}
-    for k, v in terms:
-        s = out.get(k)
-        out[k] = v if s is None else s + v
-    return {k: v for k, v in out.items() if v}
+    bump_all(out, 1, terms)
+    return out
 
 
 class SparseEliminator:

@@ -24,7 +24,7 @@ one exact division per entry:
     S(d^(I))    = sum c_M M! / I! d^(M)        for S(x^I) = sum c_M x^M
 
 `_rescale` makes that conversion and the step back from a requested entry
-that a later peel reaches, dividing ints by `divmod` and taking each M!
+that a later peel reaches, dividing with `linalg.div` and taking each M!
 from a memo per multi-index on the algebra.
 
 Filtration degree of d^(I) is |I|.
@@ -45,21 +45,20 @@ The element kernels (`HElt` product and antipode, `TensorElt` product,
 `TensorElt` product at arity 2, which serves the products Delta(x) Delta(y)
 of the Hopf checks: a term-rule call and a `mul_slots` list per operand
 key pair cost more than the products there, so it runs `scaled_product`
-over `mul_slots` as its own two-slot loop, with `bump` inlined and its
-store keeping the int rule of `linalg.bump`: the same values, key order
-and value types.  Routed through the general kernel instead, the
-hopf benchmark read 1.10x slower.  The central solvers no longer go
-through it: they read their rank-one rows straight off `mul_basis`.
-Arities 1 and 3 keep the general route.
+over `mul_slots` as its own loop, one `linalg.bump_outer` call over the
+two slot products per operand key pair: the same values, key order and
+value types.  Routed through the general kernel instead, the hopf
+benchmark read 1.10x slower.  The central solvers no longer go through
+it: they read their rank-one rows straight off `mul_basis`.  Arities 1
+and 3 keep the general route.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 
-from .linalg import (SparseCombination, bump, bump_all, cleared, div, divided, exact,
-                     scaled_map, scaled_product)
+from .linalg import (SparseCombination, bump, bump_all, bump_outer, cleared, div, divided,
+                     exact, scaled_map, scaled_product)
 
 
 # -- multi-index helpers ----------------------------------------------------
@@ -205,23 +204,13 @@ def _rescale(alg, comb, n, to_divided):
     """comb with each c [M] moved between the bases x^M = M! d^(M): to
     c M! / n [d^(M)] when `to_divided`, else to c n / M! [x^M].
 
-    M! comes from the algebra's memo.  An int numerator divides by
-    `divmod`, building a Fraction only when there is a remainder; a
-    Fraction one goes through `div`.  Either way the value is `div`'s.
+    M! comes from the algebra's memo, and each quotient is `div`'s.
     """
     facts = alg._factorial_cache
     out = {}
     for M, c in comb.items():
         f = facts.get(M) or _factorial(alg, M)  # M! is never 0
-        if to_divided:
-            a, b = c * f, n
-        else:
-            a, b = c * n, f
-        if type(a) is int:
-            q, r = divmod(a, b)
-            out[M] = Fraction(a, b) if r else q
-        else:
-            out[M] = div(a, b)
+        out[M] = div(c * f, n) if to_divided else div(c * n, f)
     return out
 
 
@@ -457,29 +446,14 @@ class TensorElt(SparseCombination):
         if self.n != 2:
             return self._with(scaled_product(
                 self.c, other.c, lambda ka, kb: mul_slots(alg, ka, kb, mul_basis)))
-        # `scaled_product` over `mul_slots`, with the term rule and `bump`, its
-        # int rule included, inlined
+        # `scaled_product` over `mul_slots`, with the term rule inlined
         Da, A = cleared(self.c)
         Db, B = cleared(other.c)
         out = {}
         for (a1, a2), va in A:
             for (b1, b2), vb in B:
-                vab = va * vb
-                t1 = mul_basis(alg, a1, b1).items()
-                t2 = mul_basis(alg, a2, b2).items()
-                for K1, c1 in t1:
-                    v1 = vab * c1
-                    for K2, c2 in t2:
-                        k = (K1, K2)
-                        v = v1 * c2
-                        s = out.get(k)
-                        if s is not None:
-                            v = s + v
-                        if v:
-                            out[k] = (v.numerator if type(v) is Fraction
-                                      and v.denominator == 1 else v)
-                        elif s is not None:
-                            del out[k]
+                bump_outer(out, va * vb, mul_basis(alg, a1, b1).items(),
+                           mul_basis(alg, a2, b2).items())
         return self._with(divided(out, Da * Db))
 
     def permuted(self, perm):

@@ -626,6 +626,26 @@ def test_malformed_poisson_spec_is_usage_error(case, action, tmp_path, capsys):
     assert err.startswith("input error:") and message in err, err
 
 
+def test_poisson_verify_budget_refuses_before_any_build(tmp_path, monkeypatch, capsys):
+    """r ** 3 Jacobi triples are counted before the pseudoalgebra is built:
+    with the suite patched to raise, a spec of 36 fields (46,656 triples)
+    reaches it, and specs of 37 and 200 fields are refused as input errors
+    naming the count and the budget."""
+    def verified(spec):
+        raise Solved
+    monkeypatch.setattr(cli, "verify_poisson_jacobi", verified)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"r": 36, "N": 1}), encoding="utf-8")
+    with pytest.raises(Solved):
+        main(["poisson", "verify", "--file", str(path)])
+    for r, count in [(37, 50_653), (200, 8_000_000)]:
+        path.write_text(json.dumps({"r": r, "N": 1}), encoding="utf-8")
+        assert run_cli("poisson", "verify", "--file", str(path)) == (2, "")
+        assert capsys.readouterr().err == (
+            "input error: %s has %d generator triples to verify (r = %d), over the "
+            "budget of %d\n" % (path, count, r, VERIFY_MAX_TRIPLES))
+
+
 def test_well_formed_poisson_spec_still_loads(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(_w11()), encoding="utf-8")

@@ -16,9 +16,9 @@ from pseudoalg.cohomology import (sd_central_suite, solve_central_extensions,
 from pseudoalg.constructions import (Rank1Datum, make_current, make_rank1, make_sd,
                                      make_wd, named_rank1_datum, wd_element)
 from pseudoalg.liealg import Form, GeometricDatum, validate_geometric_datum
-from pseudoalg.linalg import (RHS_KEY, SparseEliminator, bump, bump_all, div, exact,
-                              invert_matrix, nullspace, quotient_representatives, scaled_map,
-                              scaled_product, solve, span_dim)
+from pseudoalg.linalg import (RHS_KEY, SparseEliminator, bump, bump_all, bump_outer, div,
+                              exact, invert_matrix, nullspace, quotient_representatives,
+                              scaled_map, scaled_product, solve, span_dim, sparse_sum)
 from pseudoalg.pbw import HElt, antipode_basis, mi_splits, mul_basis, multiindices_up_to
 from pseudoalg.poisson import PoissonBracketSpec, pseudo_to_poisson
 from pseudoalg.pseudo import PseudoStructure
@@ -91,6 +91,53 @@ def test_bump_all_is_the_one_term_loop(inputs):
     bump_all(got, m, iter(terms))
     assert list(got.items()) == list(want.items())
     assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
+SLOT_KEYS = st.sampled_from(["x", "y", 0])
+
+
+@st.composite
+def bump_outer_inputs(draw):
+    """(d, m, t1, t2): a non-empty stored map over pairs of slot keys, a
+    scale, which may be 0, and two short runs of terms.  Often t1 repeats a
+    key with the negated value, which cancels every pair it reached (or
+    brings it back to its stored value), and a later term on that key puts
+    the cancelled pairs back at the end."""
+    d = draw(st.dictionaries(st.tuples(SLOT_KEYS, SLOT_KEYS), RAW_VALUES.filter(bool),
+                             min_size=1, max_size=4))
+    m = draw(RAW_VALUES)
+    t1 = draw(st.lists(st.tuples(SLOT_KEYS, RAW_VALUES), max_size=3))
+    t2 = draw(st.lists(st.tuples(SLOT_KEYS, RAW_VALUES), max_size=3))
+    if t1 and draw(st.booleans()):
+        k, c = t1[draw(st.integers(0, len(t1) - 1))]
+        t1 += [(k, -c), (k, draw(RAW_VALUES.filter(bool)))]
+    return d, m, t1, t2
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(bump_outer_inputs())
+@example(({("x", 0): 2, ("y", 0): 1}, 2, [("x", 1), ("x", Fr(-1, 2))], [(0, -1), (1, 3)]))
+def test_bump_outer_is_the_one_term_loop(inputs):
+    """`bump_outer(d, m, t1, t2)` is `bump(d, (k1, k2), m * c1 * c2)` over t1
+    in the outer loop and t2 in the inner one: the same values, key order
+    and int/Fraction types."""
+    d, m, t1, t2 = inputs
+    want = dict(d)
+    for k1, c1 in t1:
+        for k2, c2 in t2:
+            bump(want, (k1, k2), m * c1 * c2)
+    got = dict(d)
+    bump_outer(got, m, iter(t1), t2)
+    assert list(got.items()) == list(want.items())
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
+def test_sparse_sum_follows_bump():
+    """A key whose partial sum passes through zero comes back at the end, and
+    an integral Fraction sum is stored as its int."""
+    got = sparse_sum([("a", 1), ("b", Fr(1, 2)), ("a", -1), ("b", Fr(3, 2)), ("a", Fr(3, 2))])
+    assert list(got.items()) == [("b", 2), ("a", Fr(3, 2))]
+    assert type(got["b"]) is int
 
 
 # -- the scaled product kernel against the unscaled loop -------------------------

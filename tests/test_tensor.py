@@ -1,11 +1,14 @@
 from fractions import Fraction as Fr
+from itertools import permutations
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_helt
 from test_scaled_kernels import tensor_mul_left
 from pseudoalg import liealg
-from pseudoalg.pbw import HElt, TensorElt, mi_zero
+from pseudoalg.pbw import HElt, TensorElt, mi_zero, multiindices_up_to
 from pseudoalg.tensor import FreeModule, MElt, QElt
 
 
@@ -155,6 +158,55 @@ def test_counit_generator_action():
     q = QElt(M, 2, {(((0,), (1,)), "z", (0,)): 1})
     got = q.canonicalize()
     assert got.c == {(((1,), (0,)), "z", (0,)): Fr(-1)}
+
+
+# -- canonical forms under slot permutations and the H-action ------------------
+
+CANON_ALGEBRAS = {name: liealg.algebra_by_name(name)
+                  for name in ("sl2", "solv2", "heis3", "abelian2")}
+# explicit zeros of both types and integral Fractions such as Fraction(4, 2)
+CANON_COEFFS = st.one_of(st.integers(-3, 3),
+                         st.builds(Fr, st.integers(-6, 6), st.sampled_from((1, 2, 3))))
+
+
+@st.composite
+def canonical_cases(draw):
+    """(q, F, h, m) at arity n over a drawn algebra and a module with a free
+    generator e and a counit one c: a raw quotient element q, a tensor F, an
+    enveloping element h and a module element m, all of degree <= 2 per
+    slot.  m holds a term on c when the draw says so."""
+    alg = CANON_ALGEBRAS[draw(st.sampled_from(sorted(CANON_ALGEBRAS)))]
+    n = draw(st.sampled_from((2, 3)))
+    M = FreeModule(alg, ["e", "c"], counit_gens=["c"], label="test")
+    mis = st.sampled_from(multiindices_up_to(alg.dim, 2))
+    slots = st.tuples(*[mis] * n)
+    gens = st.sampled_from(M.gens)
+    q = QElt(M, n, draw(st.dictionaries(st.tuples(slots, gens, mis), CANON_COEFFS,
+                                        max_size=4)))
+    F = TensorElt(alg, n, draw(st.dictionaries(slots, CANON_COEFFS, max_size=3)))
+    h = HElt(alg, draw(st.dictionaries(mis, CANON_COEFFS, max_size=3)))
+    mc = draw(st.dictionaries(st.tuples(mis, gens), CANON_COEFFS, max_size=3))
+    if draw(st.booleans()):
+        mc[(mi_zero(alg.dim), "c")] = draw(CANON_COEFFS.filter(bool))
+    return q, F, h, MElt(M, mc)
+
+
+# a failure is slow to shrink; the property reports the first failing example
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          phases=set(Phase) - {Phase.shrink, Phase.explain})
+@given(canonical_cases())
+def test_canonical_forms_respect_slot_permutations_and_the_h_action(case):
+    """Canonicalizing commutes with every slot permutation that fixes the last
+    slot, and F Delta^(n)(h) (x)_H m and F (x)_H h m have one canonical form."""
+    q, F, h, m = case
+    n = q.n
+    canonical = q.canonicalize()
+    for head in permutations(range(n - 1)):
+        p = head + (n - 1,)
+        assert q.permuted(p).canonicalize().c == canonical.permuted(p).c, p
+    moved = QElt.from_tensor_and_module(F * h.coproduct(n), m).canonicalize()
+    acted = QElt.from_tensor_and_module(F, m.h_mul(h)).canonicalize()
+    assert moved.c == acted.c
 
 
 # -- sums stay in one space; constructors check their multi-indices -----------

@@ -1,8 +1,8 @@
 """The value-type rule: no public result stores an integral `Fraction`.
 
 Every coefficient is an `int` when it is integral and a `Fraction`
-otherwise.  The rule lives in the accumulation kernel `linalg.bump` /
-`bump_all` (and in the two loops that inline it, the arity-2 `TensorElt`
+otherwise.  The rule lives in the accumulation kernels `linalg.bump`,
+`bump_all` and `bump_outer` (the last runs the arity-2 `TensorElt`
 product and the rank-one rows of the central solvers), so the property
 reads the stored types directly: the references elsewhere in `tests/`
 accumulate through the same `bump` and would share a fault in it.
