@@ -14,6 +14,7 @@ in every report.
 import argparse
 import json
 import math
+import os
 import sys
 from itertools import combinations, product
 
@@ -421,7 +422,14 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # a reader closed stdout (`| head`): exit as SIGPIPE would, stdout on
+        # devnull for the flush at exit (the SIGPIPE note in the `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError, OSError) as exc:
         # str(KeyError(msg)) is repr(msg): print the message itself
         if isinstance(exc, KeyError) and exc.args:

@@ -39,22 +39,19 @@ class LieAlgebra:
         self.table = tbl
         self._trace_ad = None
         self._killing = None
-        # pbw tables in divided powers d^(I), one entry per request:
-        # mul_basis per (I, J), antipode_basis per I, mul_antipode per (I, J)
-        self._mul_cache = {}
-        self._antipode_cache = {}
-        self._mul_antipode_cache = {}
-        # pbw straightening in monomials x^I = I! d^(I), integral when the
-        # structure constants are: x_g x^K per (g, K), at most dim entries
-        # for each monomial reached; and the products x^I x^J and reversed
-        # words of I that a peel passed through but nobody requested (a
-        # requested one is held once, in the divided table above)
+        # pbw tables in the monomial basis x^I = I! d^(I), integral when the
+        # structure constants are, which the Hopf kernels multiply with:
+        # x_g x^K per (g, K), x^I x^J per (I, J), the reversed word R(I) per
+        # I, and x^I S(x^J) per (I, J) for fourier.  The divided-power views
+        # mul_basis, antipode_basis and mul_antipode, converted once per
+        # entry, per request: one division per entry instead of per term
         self._straight_cache = {}
         self._monomial_mul_cache = {}
         self._reversed_cache = {}
-        # I! per multi-index I that a pbw conversion or peel norm used,
-        # computed once per algebra
-        self._factorial_cache = {}
+        self._monomial_mul_antipode_cache = {}
+        self._mul_cache = {}
+        self._antipode_cache = {}
+        self._mul_antipode_cache = {}
         self._adjoint_cache = {}
 
     def bracket(self, i, j):

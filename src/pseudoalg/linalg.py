@@ -33,13 +33,13 @@ product of two PBW expansions: the arity-2 `TensorElt` product and the
 rank-one rows of the central solvers accumulate through it.  No module
 but this one writes the rule out.
 
-Products of elements multiply scaled integers in `scaled_product` and
-`scaled_map`; `QElt.canonicalize` and `pseudo._compose` clear by hand, and
-so does the arity-2 `TensorElt` product, which runs `bump_outer` over the
-two slot products of each operand key pair: one term-rule call and one
-`mul_slots` list per pair cost more there than the products themselves.
-It stays for the products Delta(x) Delta(y) of the Hopf checks, which
-read 1.10x slower through the general kernel.
+Products of elements multiply scaled integers in `scaled_product`;
+`QElt.canonicalize` and `pseudo._compose` clear by hand with `cleared` and
+`divided`.  The Hopf kernels of `pbw` (the `HElt` product and antipode,
+the arity-2 `TensorElt` product, `fourier`) clear too, but in the monomial
+basis x^I = I! d^(I): they read the integral monomial tables, and each
+output coefficient is divided once, by `div`.  The arity-2 product, which
+serves Delta(x) Delta(y), runs `bump_outer` over the two slot products.
 
 `SparseEliminator` keeps its stored rows mutually reduced: each holds its
 own pivot column, with coefficient 1, and no other.  Subtracting one from
@@ -117,16 +117,6 @@ def scaled_product(a, b, terms):
         for kb, vb in B:
             bump_all(out, va * vb, terms(ka, kb))
     return divided(out, Da * Db)
-
-
-def scaled_map(a, terms):
-    """The linear extension sum of a[ka] c [k] over the terms (k, c) of
-    terms(ka), scaled like `scaled_product`."""
-    D, A = cleared(a)
-    out = {}
-    for ka, va in A:
-        bump_all(out, va, terms(ka))
-    return divided(out, D)
 
 
 def bump(d, key, v):

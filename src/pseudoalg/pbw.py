@@ -7,58 +7,50 @@ coproduct integer-free:
 
     coproduct(d^(I)) = sum over J + K = I of d^(J) (x) d^(K)
 
-Straightening works in the monomial basis x^I = x_1^{i_1} ... x_N^{i_N}
-= I! d^(I), where every step is integral when the structure constants
-are.  It rests on one step, `_gen_mul`: the left product x_g x^K of a
-generator and a monomial, straightened with x_g x_h = x_h x_g + [x_g, x_h]
-and memoized per (g, K) on the owning algebra.  `mul_basis` and
-`antipode_basis` peel one generator at a time onto it in a loop (`_peel`)
-that caches every partial product, and `_gen_mul` walks its own chain in
-a loop too.  Both find the generator to peel by an index loop over the
-multi-index, and `_gen_times` reads the (g, K) memo and accumulates
-through `linalg.bump_all`, so a cache miss pays for straightening and
-little else.  A requested table entry converts to divided powers once,
-one exact division per entry:
+Products are straightened in the monomial basis x^I = x_1^{i_1} ... x_N^{i_N}
+= I! d^(I), integral when the structure constants are.  Divided powers are
+not (d^(0,0,k) d^(k,0,0) on sl2 holds (2k)^(k-j) / (k-j)!): they form a
+Z-form only over a Chevalley basis (Kostant, "Groups over Z", 1966).  The
+one step is `_gen_mul`, x_g x^K straightened with x_g x_h = x_h x_g +
+[x_g, x_h] and memoized per (g, K) on the algebra; `_gen_times` reads that
+memo and accumulates through `linalg.bump_all`.  Three monomial tables on
+the algebra hold the rest, R(I) being the generators of I multiplied in
+reversed order, so that S(x^I) = (-1)^|I| R(I):
 
-    d^(I) d^(J) = sum c_M M! / (I! J!) d^(M)   for x^I x^J = sum c_M x^M
-    S(d^(I))    = sum c_M M! / I! d^(M)        for S(x^I) = sum c_M x^M
+    x^I x^J      per (I, J), `_mono_mul`
+    R(I)         per I, `_reversed`
+    x^I S(x^J)   per (I, J), `_mul_reversed`, kept by `fourier` only
 
-`_rescale` makes that conversion and the step back from a requested entry
-that a later peel reaches, dividing with `linalg.div` and taking each M!
-from a memo per multi-index on the algebra.
+`_peel` fills the first two a generator at a time, storing every product
+it passes; the third sums x^I R(J) over them.
 
-Filtration degree of d^(I) is |I|.
+The Hopf kernels (`HElt` product and antipode, the arity-2 `TensorElt`
+product, `fourier`) multiply in monomials: `_cleared` takes the operand
+values a_I to a_I / I!, cleared to integers over one D, the loops multiply
+ints against the tables, and `_divided` converts each output coefficient
+once, c_M M! / D by `linalg.div`; a split J = J1 + J2 of the coproduct slot
+in `fourier` brings the integer J! / J1!.  D and M! are one positive
+constant per output key, so each partial sum vanishes at the step it
+vanished in divided powers: values, key order and value types are those
+of the divided-power loop, at one division per output coefficient instead
+of a `Fraction` product per term.  The other modules read divided-power
+views, memoized per request and converted once per entry (over an abelian
+algebra, x^I x^J = x^(I + J), straight from the multi-indices):
 
-Tensor powers H^{(x) n} use two kernels: `mul_slots`, the slot-by-slot
-product of two tensor keys, and `mul_antipode`, the factor d^(I) S(d^(J))
-a slot picks up when another moves across (x)_H, memoized per (I, J) on
-the algebra beside the product cache.
+    mul_basis        d^(I) d^(J) = x^I x^J / (I! J!)
+    antipode_basis   S(d^(I)) = (-1)^|I| R(I) / I!
+    mul_antipode     d^(I) S(d^(J)), from x^I S(x^J) summed afresh, not kept
 
-Coefficients follow the `linalg` invariant: `int` or `Fraction`, never
-float.  Over an abelian algebra every product and antipode coefficient is
-an integer (a product of binomials, a sign); otherwise the conversion
-divides exactly with `div`, so an integral coefficient stays an `int`.
-
-The element kernels (`HElt` product and antipode, `TensorElt` product,
-`fourier`) are term rules on the tables above, run by
-`linalg.scaled_product` and `linalg.scaled_map`.  The one exception is the
-`TensorElt` product at arity 2, which serves the products Delta(x) Delta(y)
-of the Hopf checks: a term-rule call and a `mul_slots` list per operand
-key pair cost more than the products there, so it runs `scaled_product`
-over `mul_slots` as its own loop, one `linalg.bump_outer` call over the
-two slot products per operand key pair: the same values, key order and
-value types.  Routed through the general kernel instead, the hopf
-benchmark read 1.10x slower.  The central solvers no longer go through
-it: they read their rank-one rows straight off `mul_basis`.  Arities 1
-and 3 keep the general route.
+Tensor powers H^{(x) n} multiply slot by slot (`mul_slots`).  Filtration
+degree of d^(I) is |I|.  Coefficients follow the `linalg` invariant: `int`
+or `Fraction`, never float, an integral value stored as an `int`.
 """
 
 from functools import lru_cache
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, gcd, lcm
 
-from .linalg import (SparseCombination, bump, bump_all, bump_outer, cleared, div, divided,
-                     exact, scaled_map, scaled_product)
+from .linalg import SparseCombination, bump, bump_all, bump_outer, div, exact, scaled_product
 
 
 # -- multi-index helpers ----------------------------------------------------
@@ -96,7 +88,9 @@ def mi_weight(a):
     return sum(a)
 
 
+@lru_cache(maxsize=None)
 def mi_factorial(a):
+    """a! = a_1! ... a_N!, memoised on the multi-index a."""
     out = 1
     for x in a:
         out *= factorial(x)
@@ -183,58 +177,20 @@ def _gen_times(alg, g, comb, acc):
     return acc
 
 
-def _factorial(alg, K):
-    """K!, memoized per multi-index on the algebra."""
-    f = alg._factorial_cache.get(K)
-    if f is None:
-        f = alg._factorial_cache[K] = mi_factorial(K)
-    return f
+def _peel(alg, table, I, J, last):
+    """x^I x^J in monomials, or the reversed word R(I) when J is None, read
+    from or stored into `table`; a product over an abelian algebra is ordered.
 
-
-def _norm(alg, K, J):
-    """K! J! for the product x^K x^J; (-1)^|K| K! for the reversed word of K
-    (J None)."""
-    f = _factorial(alg, K)
-    if J is None:
-        return -f if sum(K) & 1 else f
-    return f * _factorial(alg, J)
-
-
-def _rescale(alg, comb, n, to_divided):
-    """comb with each c [M] moved between the bases x^M = M! d^(M): to
-    c M! / n [d^(M)] when `to_divided`, else to c n / M! [x^M].
-
-    M! comes from the algebra's memo, and each quotient is `div`'s.
+    Peels h, the first generator in I' (the last one when `last` is set),
+    found by an index loop, by x^I' = x_h x^(I' - e_h), from I' = I inward
+    to the first product in `table`, then walks outward, storing each step.
     """
-    facts = alg._factorial_cache
-    out = {}
-    for M, c in comb.items():
-        f = facts.get(M) or _factorial(alg, M)  # M! is never 0
-        out[M] = div(c * f, n) if to_divided else div(c * n, f)
-    return out
-
-
-def _peel(alg, table, partial, I, J, last):
-    """The divided-power table entry of d^(I) d^(J), or of S(d^(I)) when J
-    is None, straightened in monomials.
-
-    Computes x^I times the base x^J (1 for the antipode) on the left,
-    sum c_M x^M, and stores it in `table` as sum c_M M! / n(I) d^(M)
-    (x^M = M! d^(M)), with n from `_norm`.  Peels h, the first generator
-    in I' (the last one when `last` is set), found by an index loop, by
-    x^I' = x_h x^(I' - e_h), from I' = I inward to the first product
-    cached in either form: in monomials in `partial`, or in `table`,
-    multiplied back by n(I') / M!.  Then walks outward, caching each step
-    in `partial`.  Both conversions are `_rescale`.  Every product is held
-    in one form only, so I itself leaves `partial` for `table`.
-    """
-    top = key = I if J is None else (I, J)
-    K, w, chain = I, sum(I), []
+    key, K, w, chain = I if J is None else (I, J), I, sum(I), []
+    if alg.is_abelian:  # R(I) = x^I, x^I x^J = x^(I + J)
+        res = table[key] = {I: 1} if J is None else {mi_add(I, J): 1}
+        return res
     while w:
-        if (res := partial.get(key)) is not None:
-            break
-        if (hit := table.get(key)) is not None:
-            res = _rescale(alg, hit, _norm(alg, K, J), False)
+        if (res := table.get(key)) is not None:
             break
         if last:
             h = len(K) - 1
@@ -249,56 +205,87 @@ def _peel(alg, table, partial, I, J, last):
         key = K if J is None else (K, J)
         w -= 1
     else:
-        res = {(0,) * len(I): 1} if J is None else {J: 1}
+        res = {K: 1} if J is None else {J: 1}
     for key, h in reversed(chain):
-        res = partial[key] = _gen_times(alg, h, res, {})
-    partial.pop(top, None)
-    hit = table[top] = _rescale(alg, res, _norm(alg, I, J), True)
-    return hit
+        res = table[key] = _gen_times(alg, h, res, {})
+    return res
+
+
+def _mono_mul(alg, I, J):
+    """x^I x^J in monomials, memoized per (I, J)."""
+    return _peel(alg, alg._monomial_mul_cache, I, J, False)
+
+
+def _reversed(alg, I):
+    """R(I) in monomials, memoized per I."""
+    return _peel(alg, alg._reversed_cache, I, None, True)
+
+
+def _mul_reversed(alg, I, J):
+    """x^I S(x^J) = (-1)^|J| x^I R(J) in monomials, summed afresh."""
+    out, sign = {}, -1 if sum(J) & 1 else 1
+    for K, c in _reversed(alg, J).items():
+        bump_all(out, sign * c, _mono_mul(alg, I, K).items())
+    return out
+
+
+def _cleared(c, fact):
+    """(D, items): the pairs (k, D v / fact(k)), all `int`, of c's values v
+    over the factorial fact(k) of their key, D their lcm denominator."""
+    parts = []
+    for k, v in c.items():
+        f = fact(k)
+        if type(v) is not int:
+            v, f = v.numerator, f * v.denominator
+        g = gcd(v, f)
+        parts.append((k, v // g, f // g))
+    D = lcm(*[f for _, _, f in parts])
+    return D, [(k, v * (D // f)) for k, v, f in parts]
+
+
+def _divided(out, n, fact):
+    """{k: out[k] fact(k) / n}, each quotient `div`'s: monomial coefficients
+    back in divided powers, with fact(k) the factorial of key k."""
+    return {k: div(v * fact(k), n) for k, v in out.items()}
 
 
 def mul_basis(alg, I, J):
-    """Product d^(I) d^(J) expanded in divided-power monomials.
-
-    Straightens x^I x^J = sum c_M x^M in monomials x^I = I! d^(I),
-    peeling the first generator h of I (x^I = x_h x^(I - e_h)), then
-    converts once: d^(I) d^(J) = sum c_M M! / (I! J!) d^(M).
+    """Product d^(I) d^(J) expanded in divided-power monomials, memoized per
+    (I, J): d^(I) d^(J) = sum c_M M! / (I! J!) d^(M) for x^I x^J = sum c_M x^M.
     """
     hit = alg._mul_cache.get((I, J))
     if hit is None:
-        if alg.is_abelian:
-            K = mi_add(I, J)
-            hit = alg._mul_cache[I, J] = {
-                K: _factorial(alg, K) // (_factorial(alg, I) * _factorial(alg, J))}
-        else:
-            hit = _peel(alg, alg._mul_cache, alg._monomial_mul_cache, I, J, False)
+        mono = {mi_add(I, J): 1} if alg.is_abelian else _mono_mul(alg, I, J)
+        hit = alg._mul_cache[I, J] = _divided(
+            mono, mi_factorial(I) * mi_factorial(J), mi_factorial)
     return hit
 
 
 def antipode_basis(alg, I):
-    """Antipode of d^(I) expanded in divided-power monomials.
-
-    S(x^I) = (-1)^|I| R(I), with R(I) the product of I's generators in
-    reversed order; R(I) = x_h R(I - e_h) peels the last generator h of I.
-    Converts once: S(d^(I)) = (-1)^|I| sum c_M M! / I! d^(M).
+    """Antipode of d^(I) expanded in divided-power monomials, memoized per I:
+    S(d^(I)) = (-1)^|I| sum c_M M! / I! d^(M) for R(I) = sum c_M x^M.
     """
     hit = alg._antipode_cache.get(I)
     if hit is None:
-        if alg.is_abelian:
-            hit = alg._antipode_cache[I] = {I: (-1) ** mi_weight(I)}
-        else:
-            hit = _peel(alg, alg._antipode_cache, alg._reversed_cache, I, None, True)
+        f, mono = mi_factorial(I), {I: 1} if alg.is_abelian else _reversed(alg, I)
+        hit = alg._antipode_cache[I] = _divided(mono, -f if sum(I) & 1 else f, mi_factorial)
     return hit
 
 
+def _pair_factorial(key):
+    """I! J! for a two-slot key (I, J)."""
+    return mi_factorial(key[0]) * mi_factorial(key[1])
+
+
 def mul_antipode(alg, I, J):
-    """d^(I) S(d^(J)), memoized per (I, J) on the algebra."""
+    """d^(I) S(d^(J)), memoized per (I, J): x^I S(x^J) / (I! J!), summed in
+    monomials and converted once; the monomial sum is not kept."""
     hit = alg._mul_antipode_cache.get((I, J))
     if hit is None:
-        hit = {}
-        for K, c in antipode_basis(alg, J).items():
-            bump_all(hit, c, mul_basis(alg, I, K).items())
-        alg._mul_antipode_cache[I, J] = hit
+        mono = ({mi_add(I, J): -1 if sum(J) & 1 else 1} if alg.is_abelian
+                else _mul_reversed(alg, I, J))
+        hit = alg._mul_antipode_cache[I, J] = _divided(
+            mono, mi_factorial(I) * mi_factorial(J), mi_factorial)
     return hit
 
 
@@ -361,14 +348,22 @@ class HElt(SparseCombination):
         if isinstance(other, HElt):
             if other.alg is not self.alg:
                 raise ValueError("elements over different algebras")
-            alg = self.alg
-            return self._with(scaled_product(
-                self.c, other.c, lambda I, J: mul_basis(alg, I, J).items()))
+            alg, table, out = self.alg, self.alg._monomial_mul_cache, {}
+            Da, A = _cleared(self.c, mi_factorial)
+            Db, B = _cleared(other.c, mi_factorial)
+            for I, a in A:
+                for J, b in B:
+                    bump_all(out, a * b, (table.get((I, J)) or _mono_mul(alg, I, J)).items())
+            return self._with(_divided(out, Da * Db, mi_factorial))
         return self.scale(other)
 
     def antipode(self):
-        alg = self.alg
-        return self._with(scaled_map(self.c, lambda I: antipode_basis(alg, I).items()))
+        alg, table, out = self.alg, self.alg._reversed_cache, {}
+        D, A = _cleared(self.c, mi_factorial)
+        for I, a in A:
+            bump_all(out, -a if sum(I) & 1 else a,
+                     (table.get(I) or _reversed(alg, I)).items())
+        return self._with(_divided(out, D, mi_factorial))
 
     def counit(self):
         return self.c.get(mi_zero(self.alg.dim), 0)
@@ -446,15 +441,16 @@ class TensorElt(SparseCombination):
         if self.n != 2:
             return self._with(scaled_product(
                 self.c, other.c, lambda ka, kb: mul_slots(alg, ka, kb, mul_basis)))
-        # `scaled_product` over `mul_slots`, with the term rule inlined
-        Da, A = cleared(self.c)
-        Db, B = cleared(other.c)
-        out = {}
+        # in monomials, slot by slot: x^a1 x^b1 (x) x^a2 x^b2
+        fact, table, out = _pair_factorial, alg._monomial_mul_cache, {}
+        Da, A = _cleared(self.c, fact)
+        Db, B = _cleared(other.c, fact)
         for (a1, a2), va in A:
             for (b1, b2), vb in B:
-                bump_outer(out, va * vb, mul_basis(alg, a1, b1).items(),
-                           mul_basis(alg, a2, b2).items())
-        return self._with(divided(out, Da * Db))
+                bump_outer(out, va * vb,
+                           (table.get((a1, b1)) or _mono_mul(alg, a1, b1)).items(),
+                           (table.get((a2, b2)) or _mono_mul(alg, a2, b2)).items())
+        return self._with(_divided(out, Da * Db, fact))
 
     def permuted(self, perm):
         """Pull slots through a permutation: new slot i holds old slot perm[i]."""
@@ -481,18 +477,26 @@ def fourier(t, slots=(0, 1), inverse=False):
     Forward:  f (x) g  ->  f S(g_split1) (x) g_split2
     Inverse:  f (x) g  ->  f g_split1    (x) g_split2
     computed with the divided-power coproduct, all other slots untouched.
+    Slot i is multiplied in monomials: d^(I) S(d^(J)) = x^I S(x^J) / (I! J!),
+    and a split G = J + K of slot j carries the integer G! / J!.
     """
     i, j = slots
     if i == j or not (0 <= i < t.n) or not (0 <= j < t.n):
         raise ValueError("slots must be two distinct positions")
     alg = t.alg
-    mul = mul_basis if inverse else mul_antipode
-
-    def terms(key):
-        for J, K in mi_splits(key[j], 2):
-            for newI, c in mul(alg, key[i], J).items():
-                nk = list(key)
-                nk[i] = newI
-                nk[j] = K
-                yield tuple(nk), c
-    return t._with(scaled_map(t.c, terms))
+    mul = _mono_mul if inverse else _mul_reversed
+    table = alg._monomial_mul_cache if inverse else alg._monomial_mul_antipode_cache
+    D, T = _cleared(t.c, lambda key: mi_factorial(key[i]) * mi_factorial(key[j]))
+    out = {}
+    for key, v in T:
+        I, G = key[i], key[j]
+        nk = list(key)
+        for J, K in mi_splits(G, 2):
+            nk[j] = K
+            if (hit := table.get((I, J))) is None:
+                hit = table[I, J] = mul(alg, I, J)
+            m = v * (mi_factorial(G) // mi_factorial(J))
+            for M, c in hit.items():
+                nk[i] = M
+                bump(out, tuple(nk), m * c)
+    return t._with(_divided(out, D, lambda key: mi_factorial(key[i])))

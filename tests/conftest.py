@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,17 @@ def rng():
 @pytest.fixture(params=CATALOG)
 def catalog_algebra(request):
     return liealg.algebra_by_name(request.param)
+
+
+def half_solv2():
+    """[a, b] = b / 2: solv2 with a halved, so its PBW tables hold fractions."""
+    return liealg.LieAlgebra("half-solv2", ["a", "b"], {(0, 1): {1: Fraction(1, 2)}})
+
+
+def half_sl2():
+    """sl2 on (e/2, f, h): [e', f] = h / 2, [h, e'] = 2e', [h, f] = -2f."""
+    return liealg.LieAlgebra("half-sl2", ["e'", "f", "h"],
+                             {(0, 1): {2: Fraction(1, 2)}, (0, 2): {0: -2}, (1, 2): {1: 2}})
 
 
 def random_helt(alg, deg, rng, terms=3):

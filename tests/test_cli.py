@@ -57,6 +57,22 @@ def test_python_m_runs_the_cli_from_a_checkout(structure, code):
     assert run.returncode == code
 
 
+def test_closed_stdout_exits_as_sigpipe_without_a_message():
+    """A reader that closes the pipe early (`| head -c 100`) is no input
+    error: exit 141 (128 + SIGPIPE), nothing on stderr.  The report is
+    421 KB, past any pipe buffer, so the write meets the closed pipe."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["--format", "json", "annihilate", "--structure", "wd:sl2", "--cutoff", "5"]
+    proc = subprocess.Popen([sys.executable, "-m", "pseudoalg", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (len(head), proc.wait(timeout=120), err) == (100, 141, b"")
+
+
 def test_cohomology_dim1_example():
     code, out = run_cli("cohomology", "central", "--structure", "wd:dim1",
                         "--dmax", "4")

@@ -18,7 +18,7 @@ from pseudoalg.constructions import (Rank1Datum, make_current, make_rank1, make_
 from pseudoalg.liealg import Form, GeometricDatum, validate_geometric_datum
 from pseudoalg.linalg import (RHS_KEY, SparseEliminator, bump, bump_all, bump_outer, div,
                               exact, invert_matrix, nullspace, quotient_representatives,
-                              scaled_map, scaled_product, solve, span_dim, sparse_sum)
+                              scaled_product, solve, span_dim, sparse_sum)
 from pseudoalg.pbw import HElt, antipode_basis, mi_splits, mul_basis, multiindices_up_to
 from pseudoalg.poisson import PoissonBracketSpec, pseudo_to_poisson
 from pseudoalg.pseudo import PseudoStructure
@@ -151,14 +151,6 @@ def unscaled_product(a, b, terms):
     return out
 
 
-def unscaled_map(a, terms):
-    out = {}
-    for ka, va in a.items():
-        for k, c in terms(ka):
-            bump(out, k, va * c)
-    return out
-
-
 # exact values, as the package stores them: integral ones are ints
 VALUES = st.one_of(st.integers(-3, 3),
                    st.builds(Fr, st.integers(-4, 4), st.sampled_from((2, 3, 4, 6))).map(exact))
@@ -199,15 +191,10 @@ def test_scaled_kernels_match_the_unscaled_loop(inputs):
 
     def terms(ka, kb):
         return table[ka[1] if isinstance(ka, tuple) else ka, kb]
-
-    def row(ka):
-        return terms(ka, 0)
-    cases = [(scaled_product(a, b, terms), unscaled_product(a, b, terms)),
-             (scaled_map(a, row), unscaled_map(a, row))]
-    for new, old in cases:
-        assert new == old
-        assert list(new.items()) == list(old.items())
-        assert all(type(v) is int for v in new.values() if v.denominator == 1), new
+    new, old = scaled_product(a, b, terms), unscaled_product(a, b, terms)
+    assert new == old
+    assert list(new.items()) == list(old.items())
+    assert all(type(v) is int for v in new.values() if v.denominator == 1), new
 
 
 def test_nullspace_drops_explicit_zero_entries():

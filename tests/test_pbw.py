@@ -6,11 +6,11 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_helt
+from conftest import half_sl2, half_solv2, random_helt
 from pseudoalg import liealg
 from pseudoalg.linalg import bump, div
 from pseudoalg.pbw import (HElt, TensorElt, antipode_basis, fourier, mi_factorial,
-                           mi_weight, mi_zero, mul_basis, multiindices_up_to)
+                           mi_weight, mi_zero, mul_antipode, mul_basis, multiindices_up_to)
 
 
 def test_abelian_multinomial_product():
@@ -355,17 +355,6 @@ def divided_antipode_basis(alg, I, caches):
                          {mi_zero(len(I)): 1}, max, -1, caches)
 
 
-def half_solv2():
-    """[a, b] = b / 2: solv2 with a halved."""
-    return liealg.LieAlgebra("half-solv2", ["a", "b"], {(0, 1): {1: Fr(1, 2)}})
-
-
-def half_sl2():
-    """sl2 on (e/2, f, h): [e', f] = h / 2, [h, e'] = 2e', [h, f] = -2f."""
-    return liealg.LieAlgebra("half-sl2", ["e'", "f", "h"],
-                             {(0, 1): {2: Fr(1, 2)}, (0, 2): {0: -2}, (1, 2): {1: 2}})
-
-
 ORACLE_ALGEBRAS = {"sl2": liealg.sl2, "solv2": liealg.solvable2,
                    "heis3": liealg.heisenberg3, "half-solv2": half_solv2,
                    "half-sl2": half_sl2}
@@ -401,33 +390,55 @@ def test_monomial_straightening_matches_divided_oracle(requests):
         assert _typed(antipode_basis(alg, I)) == _typed(divided_antipode_basis(alg, I, caches))
 
 
-def test_requested_products_are_held_once():
-    """A product a later peel passes through is read back from the divided
-    table; the monomial caches never hold a requested key."""
-    alg, caches = liealg.sl2(), {}
+def _converted(table, n):
+    """A monomial table entry sum c_M x^M as sum c_M M! / n d^(M)."""
+    return _typed({M: div(c * mi_factorial(M), n) for M, c in table.items()})
+
+
+def test_divided_views_are_conversions_of_the_monomial_tables():
+    """Each requested divided entry is its monomial entry converted once:
+    d^(I) d^(J) from x^I x^J, S(d^(I)) from R(I), d^(I) S(d^(J)) from the sum
+    of x^I x^K over R(J); `mul_antipode` keeps no monomial copy, and the
+    monomial table of x^I S(x^J) holds only what `fourier` asked for."""
+    alg = liealg.sl2()
     J = (1, 2, 0)
     for I in [(0, 0, 1), (0, 0, 3), (0, 1, 3), (2, 1, 3), (0, 0, 2)]:
-        assert _typed(mul_basis(alg, I, J)) == _typed(divided_mul_basis(alg, I, J, caches))
-        assert _typed(antipode_basis(alg, I)) == _typed(divided_antipode_basis(alg, I, caches))
-    assert alg._monomial_mul_cache and alg._reversed_cache
-    assert not alg._monomial_mul_cache.keys() & alg._mul_cache.keys()
-    assert not alg._reversed_cache.keys() & alg._antipode_cache.keys()
+        mul_basis(alg, I, J)
+        antipode_basis(alg, I)
+        mul_antipode(alg, I, J)
+    assert len(alg._mul_antipode_cache) == 5 and not alg._monomial_mul_antipode_cache
+    fourier(TensorElt.pure([HElt.monomial(alg, (0, 1, 1)), HElt.monomial(alg, J)]))
+    assert alg._monomial_mul_antipode_cache and len(alg._mul_antipode_cache) == 5
+    for (I, K), table in alg._mul_cache.items():
+        norm = mi_factorial(I) * mi_factorial(K)
+        assert _typed(table) == _converted(alg._monomial_mul_cache[I, K], norm)
+    for I, table in alg._antipode_cache.items():
+        norm = (-1) ** mi_weight(I) * mi_factorial(I)
+        assert _typed(table) == _converted(alg._reversed_cache[I], norm)
+    for (I, K), table in alg._mul_antipode_cache.items():
+        monomial = {}
+        for L, c in alg._reversed_cache[K].items():
+            for M, m in alg._monomial_mul_cache[I, L].items():
+                bump(monomial, M, (-1) ** mi_weight(K) * c * m)
+        assert _typed(table) == _converted(monomial, mi_factorial(I) * mi_factorial(K))
 
 
 @pytest.mark.parametrize("name", ["sl2", "solv2", "heis3"])
 def test_monomial_caches_hold_integers(name):
     """Over integral structure constants, straightening never leaves the
-    integers: every cached monomial-basis coefficient is an int."""
+    integers: every monomial table holds nonzero ints only."""
     alg = liealg.algebra_by_name(name)
     rng = __import__("random").Random(7)
     for _ in range(8):
         a, b = random_helt(alg, 4, rng), random_helt(alg, 4, rng)
         (a * b).antipode()
         b.antipode() * a
+        fourier(fourier(TensorElt.pure([a, b])), inverse=True)
     antipode_basis(alg, (5,) * alg.dim)
-    caches = (alg._straight_cache, alg._monomial_mul_cache, alg._reversed_cache)
+    caches = (alg._straight_cache, alg._monomial_mul_cache, alg._reversed_cache,
+              alg._monomial_mul_antipode_cache)
     assert all(caches)
-    assert all(type(v) is int for cache in caches for table in cache.values()
+    assert all(type(v) is int and v for cache in caches for table in cache.values()
                for v in table.values())
 
 
@@ -462,7 +473,8 @@ def test_hopf_axioms_on_fresh_algebras(triple):
     t = TensorElt.pure([x, z])
     assert fourier(fourier(t), inverse=True) == t
     caches = (alg._mul_cache, alg._antipode_cache, alg._mul_antipode_cache,
-              alg._straight_cache, alg._monomial_mul_cache, alg._reversed_cache)
+              alg._straight_cache, alg._monomial_mul_cache, alg._reversed_cache,
+              alg._monomial_mul_antipode_cache)
     assert all(v for cache in caches for table in cache.values() for v in table.values())
 
 

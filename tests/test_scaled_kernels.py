@@ -1,26 +1,33 @@
 """The scaled-integer product kernels against the loops they replaced.
 
-Six product kernels of `pbw`, `tensor` and `pseudo` (the `HElt` product
-and antipode, the `TensorElt` product, `fourier`, `MElt.h_mul` and
-`extend_bilinear`) are term rules run by `linalg.scaled_product` or
-`linalg.scaled_map`, which clear the operands' denominators, multiply
-integers, and divide once per output coefficient.  So is the test helper
-`tensor_mul_left`, which the H-linearity properties multiply with.
-`QElt.canonicalize`, `pseudo._compose` and the arity-2 `TensorElt`
-product clear by hand with `linalg.cleared` and divide with
-`linalg.divided`; the last is also checked against `scaled_product`
-itself, value types included.  Each reference below is
-the loop the kernel ran before, multiplying the stored values directly.  The
-new coefficient map must equal the reference in values and in key order:
-`list(new.items()) == list(old.items())`.  `compose_left` and
-`compose_right` are the exception: they run their second operation once
-per generator by H-bilinearity and build their canonical form directly,
-which the properties at the end check, so they match the old per-part loop
-as maps.
+Each reference below is the loop a kernel ran before, multiplying the
+stored divided-power values directly by the `mul_basis`, `antipode_basis`
+and `mul_antipode` tables.  The kernels clear to integers instead, in one
+of two bases, and divide once per output coefficient:
+
+- The Hopf kernels of `pbw` (the `HElt` product and antipode, the arity-2
+  `TensorElt` product and `fourier`) clear the monomial coefficients
+  a_I / I! and multiply them against the integral monomial tables x^I x^J,
+  R(I) and x^I S(x^J); each output coefficient c_M becomes c_M M! / D.
+- `MElt.h_mul`, `extend_bilinear` and the `TensorElt` product at arities 1
+  and 3 are term rules on the divided-power tables run by
+  `linalg.scaled_product`, as is the test helper `tensor_mul_left`, which
+  the H-linearity properties multiply with.  `QElt.canonicalize` and
+  `pseudo._compose` clear by hand with `linalg.cleared` and `linalg.divided`.
+
+The scale is one positive constant per output key, so the new coefficient
+map must equal the reference in values, key order and value types.  The
+arity-2 product is also checked against `scaled_product` itself.
+`compose_left` and `compose_right` are the exception: they run their
+second operation once per generator by H-bilinearity and build their
+canonical form directly, which the properties at the end check, so they
+match the old per-part loop as maps.
 
 Coefficients are mixed `int` and `Fraction`, with explicit zeros in the
-input maps; the algebras include sl2, solv2 and heis3, whose PBW tables
-hold `Fraction` entries, and abelian3.
+input maps.  The algebras are abelian3, sl2, solv2 and heis3, whose
+divided-power tables hold `Fraction` entries, and half-solv2 and half-sl2,
+whose non-integral structure constants put `Fraction` entries in the
+monomial tables too.
 """
 
 from fractions import Fraction as Fr
@@ -29,7 +36,7 @@ from itertools import product
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import adjoint_module, module_parts
+from conftest import adjoint_module, half_sl2, half_solv2, module_parts
 from pseudoalg import liealg
 from pseudoalg.cohomology import Cochain
 from pseudoalg.constructions import make_current, make_wd
@@ -41,8 +48,9 @@ from pseudoalg.pbw import (HElt, TensorElt, antipode_basis, fourier, mi_splits, 
 from pseudoalg.pseudo import compose_left, compose_right, extend_bilinear
 from pseudoalg.tensor import MElt, QElt
 
-NAMES = ("abelian3", "solv2", "heis3", "sl2")
-ALGEBRAS = {name: liealg.algebra_by_name(name) for name in NAMES}
+NAMES = ("abelian3", "solv2", "heis3", "sl2", "half-solv2", "half-sl2")
+ALGEBRAS = {name: liealg.algebra_by_name(name) for name in NAMES[:4]}
+ALGEBRAS.update({"half-solv2": half_solv2(), "half-sl2": half_sl2()})
 STRUCTURES = {name: make_wd(ALGEBRAS[name])[0] for name in NAMES}
 STRUCTURES["cur:sl2"] = make_current(ALGEBRAS["abelian3"], liealg.sl2())
 FORMS = {name: wd_action_on_forms(STRUCTURES[name], 1) for name in NAMES}
@@ -260,7 +268,8 @@ def scaled_table(P):
 
 
 def assert_same(new, old):
-    assert list(new.items()) == list(old.items())
+    """Same values, key order and value types."""
+    assert [(k, type(v), v) for k, v in new.items()] == [(k, type(v), v) for k, v in old.items()]
 
 
 # -- properties -------------------------------------------------------------------
