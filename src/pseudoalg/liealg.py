@@ -40,11 +40,9 @@ class LieAlgebra:
         self._trace_ad = None
         self._killing = None
         # pbw tables in the monomial basis x^I = I! d^(I), integral when the
-        # structure constants are, which the Hopf kernels multiply with:
-        # x_g x^K per (g, K), x^I x^J per (I, J), the reversed word R(I) per
-        # I, and x^I S(x^J) per (I, J) for fourier.  The divided-power views
-        # mul_basis, antipode_basis and mul_antipode, converted once per
-        # entry, per request: one division per entry instead of per term
+        # structure constants are: x_g x^K per (g, K), x^I x^J per (I, J),
+        # R(I) per I, x^I S(x^J) per (I, J) for fourier; then the divided-power
+        # views mul_basis, antipode_basis and mul_antipode, per request
         self._straight_cache = {}
         self._monomial_mul_cache = {}
         self._reversed_cache = {}

@@ -34,12 +34,15 @@ constant per output key, so each partial sum vanishes at the step it
 vanished in divided powers: values, key order and value types are those
 of the divided-power loop, at one division per output coefficient instead
 of a `Fraction` product per term.  The other modules read divided-power
-views, memoized per request and converted once per entry (over an abelian
-algebra, x^I x^J = x^(I + J), straight from the multi-indices):
+views, memoized per request (over an abelian algebra, x^I x^J = x^(I + J),
+straight from the multi-indices):
 
-    mul_basis        d^(I) d^(J) = x^I x^J / (I! J!)
-    antipode_basis   S(d^(I)) = (-1)^|I| R(I) / I!
-    mul_antipode     d^(I) S(d^(J)), from x^I S(x^J) summed afresh, not kept
+    mul_basis        d^(I) d^(J) = x^I x^J / (I! J!), converted once per entry
+    antipode_basis   S(d^(I)) = (-1)^|I| R(I) / I!, converted once per entry
+    mul_antipode     d^(I) S(d^(J)), summed over the two views above
+
+`mul_antipode` sums views that other requests share; summed in monomials and
+converted per entry, the identities benchmark read about 1.5% slower.
 
 Tensor powers H^{(x) n} multiply slot by slot (`mul_slots`).  Filtration
 degree of d^(I) is |I|.  Coefficients follow the `linalg` invariant: `int`
@@ -213,12 +216,12 @@ def _peel(alg, table, I, J, last):
 
 def _mono_mul(alg, I, J):
     """x^I x^J in monomials, memoized per (I, J)."""
-    return _peel(alg, alg._monomial_mul_cache, I, J, False)
+    return alg._monomial_mul_cache.get((I, J)) or _peel(alg, alg._monomial_mul_cache, I, J, False)
 
 
 def _reversed(alg, I):
     """R(I) in monomials, memoized per I."""
-    return _peel(alg, alg._reversed_cache, I, None, True)
+    return alg._reversed_cache.get(I) or _peel(alg, alg._reversed_cache, I, None, True)
 
 
 def _mul_reversed(alg, I, J):
@@ -278,14 +281,14 @@ def _pair_factorial(key):
 
 
 def mul_antipode(alg, I, J):
-    """d^(I) S(d^(J)), memoized per (I, J): x^I S(x^J) / (I! J!), summed in
-    monomials and converted once; the monomial sum is not kept."""
+    """d^(I) S(d^(J)), memoized per (I, J) on the algebra, summed over the
+    divided-power views it shares with other requests."""
     hit = alg._mul_antipode_cache.get((I, J))
     if hit is None:
-        mono = ({mi_add(I, J): -1 if sum(J) & 1 else 1} if alg.is_abelian
-                else _mul_reversed(alg, I, J))
-        hit = alg._mul_antipode_cache[I, J] = _divided(
-            mono, mi_factorial(I) * mi_factorial(J), mi_factorial)
+        hit = {}
+        for K, c in antipode_basis(alg, J).items():
+            bump_all(hit, c, mul_basis(alg, I, K).items())
+        alg._mul_antipode_cache[I, J] = hit
     return hit
 
 
