@@ -252,6 +252,11 @@ def _divided(out, n, fact):
     return {k: div(v * fact(k), n) for k, v in out.items()}
 
 
+def _pair_factorial(key):
+    """I! J! for a two-slot key (I, J)."""
+    return mi_factorial(key[0]) * mi_factorial(key[1])
+
+
 def mul_basis(alg, I, J):
     """Product d^(I) d^(J) expanded in divided-power monomials, memoized per
     (I, J): d^(I) d^(J) = sum c_M M! / (I! J!) d^(M) for x^I x^J = sum c_M x^M.
@@ -273,11 +278,6 @@ def antipode_basis(alg, I):
         f, mono = mi_factorial(I), {I: 1} if alg.is_abelian else _reversed(alg, I)
         hit = alg._antipode_cache[I] = _divided(mono, -f if sum(I) & 1 else f, mi_factorial)
     return hit
-
-
-def _pair_factorial(key):
-    """I! J! for a two-slot key (I, J)."""
-    return mi_factorial(key[0]) * mi_factorial(key[1])
 
 
 def mul_antipode(alg, I, J):
