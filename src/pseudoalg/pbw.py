@@ -19,7 +19,7 @@ reversed order, so that S(x^I) = (-1)^|I| R(I):
 
     x^I x^J      per (I, J), `_mono_mul`
     R(I)         per I, `_reversed`
-    x^I S(x^J)   per (I, J), `_mul_reversed`, kept by `fourier` only
+    x^I S(x^J)   per (I, J), `_mono_mul_antipode`, for `fourier` only
 
 `_peel` fills the first two a generator at a time, storing every product
 it passes; the third sums x^I R(J) over them.
@@ -224,12 +224,15 @@ def _reversed(alg, I):
     return alg._reversed_cache.get(I) or _peel(alg, alg._reversed_cache, I, None, True)
 
 
-def _mul_reversed(alg, I, J):
-    """x^I S(x^J) = (-1)^|J| x^I R(J) in monomials, summed afresh."""
-    out, sign = {}, -1 if sum(J) & 1 else 1
-    for K, c in _reversed(alg, J).items():
-        bump_all(out, sign * c, _mono_mul(alg, I, K).items())
-    return out
+def _mono_mul_antipode(alg, I, J):
+    """x^I S(x^J) = (-1)^|J| x^I R(J) in monomials, memoized per (I, J)."""
+    hit = alg._monomial_mul_antipode_cache.get((I, J))
+    if hit is None:
+        hit, sign = {}, -1 if sum(J) & 1 else 1
+        for K, c in _reversed(alg, J).items():
+            bump_all(hit, sign * c, _mono_mul(alg, I, K).items())
+        alg._monomial_mul_antipode_cache[I, J] = hit
+    return hit
 
 
 def _cleared(c, fact):
@@ -351,21 +354,20 @@ class HElt(SparseCombination):
         if isinstance(other, HElt):
             if other.alg is not self.alg:
                 raise ValueError("elements over different algebras")
-            alg, table, out = self.alg, self.alg._monomial_mul_cache, {}
+            alg, out = self.alg, {}
             Da, A = _cleared(self.c, mi_factorial)
             Db, B = _cleared(other.c, mi_factorial)
             for I, a in A:
                 for J, b in B:
-                    bump_all(out, a * b, (table.get((I, J)) or _mono_mul(alg, I, J)).items())
+                    bump_all(out, a * b, _mono_mul(alg, I, J).items())
             return self._with(_divided(out, Da * Db, mi_factorial))
         return self.scale(other)
 
     def antipode(self):
-        alg, table, out = self.alg, self.alg._reversed_cache, {}
+        alg, out = self.alg, {}
         D, A = _cleared(self.c, mi_factorial)
         for I, a in A:
-            bump_all(out, -a if sum(I) & 1 else a,
-                     (table.get(I) or _reversed(alg, I)).items())
+            bump_all(out, -a if sum(I) & 1 else a, _reversed(alg, I).items())
         return self._with(_divided(out, D, mi_factorial))
 
     def counit(self):
@@ -445,14 +447,13 @@ class TensorElt(SparseCombination):
             return self._with(scaled_product(
                 self.c, other.c, lambda ka, kb: mul_slots(alg, ka, kb, mul_basis)))
         # in monomials, slot by slot: x^a1 x^b1 (x) x^a2 x^b2
-        fact, table, out = _pair_factorial, alg._monomial_mul_cache, {}
+        fact, out = _pair_factorial, {}
         Da, A = _cleared(self.c, fact)
         Db, B = _cleared(other.c, fact)
         for (a1, a2), va in A:
             for (b1, b2), vb in B:
-                bump_outer(out, va * vb,
-                           (table.get((a1, b1)) or _mono_mul(alg, a1, b1)).items(),
-                           (table.get((a2, b2)) or _mono_mul(alg, a2, b2)).items())
+                bump_outer(out, va * vb, _mono_mul(alg, a1, b1).items(),
+                           _mono_mul(alg, a2, b2).items())
         return self._with(_divided(out, Da * Db, fact))
 
     def permuted(self, perm):
@@ -487,8 +488,7 @@ def fourier(t, slots=(0, 1), inverse=False):
     if i == j or not (0 <= i < t.n) or not (0 <= j < t.n):
         raise ValueError("slots must be two distinct positions")
     alg = t.alg
-    mul = _mono_mul if inverse else _mul_reversed
-    table = alg._monomial_mul_cache if inverse else alg._monomial_mul_antipode_cache
+    mul = _mono_mul if inverse else _mono_mul_antipode
     D, T = _cleared(t.c, lambda key: mi_factorial(key[i]) * mi_factorial(key[j]))
     out = {}
     for key, v in T:
@@ -496,10 +496,8 @@ def fourier(t, slots=(0, 1), inverse=False):
         nk = list(key)
         for J, K in mi_splits(G, 2):
             nk[j] = K
-            if (hit := table.get((I, J))) is None:
-                hit = table[I, J] = mul(alg, I, J)
             m = v * (mi_factorial(G) // mi_factorial(J))
-            for M, c in hit.items():
+            for M, c in mul(alg, I, J).items():
                 nk[i] = M
                 bump(out, tuple(nk), m * c)
     return t._with(_divided(out, D, lambda key: mi_factorial(key[i])))
