@@ -35,7 +35,6 @@ result keeps the values, key order and value types of the unscaled loops
 acts through the public `act`, on series built over its integer parts.
 """
 
-from itertools import chain
 from operator import add
 
 from .linalg import SparseCombination, bump, bump_all, cleared, divided, exact
@@ -47,17 +46,17 @@ class PrecisionError(ValueError):
     """Requested depth exceeds what the inputs can guarantee."""
 
 
-def _truncated_sum(x, y, weight, same):
-    """x + y known to the smaller cutoff; weight(key) is a term's weight.
+def _truncated_sum(x, y, m, weight, same):
+    """x + m y known to the smaller cutoff, m = 1 or -1; weight(key) is a
+    term's weight.
 
     `same` tells whether y lives where x does, cutoffs aside."""
     if not same:
         raise ValueError("%s sum across different spaces" % type(x).__name__)
     cut = min(x.cutoff, y.cutoff)
     c = {}
-    for k, v in chain(x.c.items(), y.c.items()):
-        if weight(k) <= cut:
-            bump(c, k, v)
+    for s, z in ((1, x), (m, y)):
+        bump_all(c, s, [(k, v) for k, v in z.c.items() if weight(k) <= cut])
     out = x._with(c)
     out.cutoff = cut
     return out
@@ -184,8 +183,8 @@ class TruncatedSeries(SparseCombination):
         return _series(self.alg, cutoff,
                        {I: v for I, v in self.c.items() if sum(I) <= cutoff})
 
-    def __add__(self, other):
-        return _truncated_sum(self, other, mi_weight,
+    def _sum(self, other, m):
+        return _truncated_sum(self, other, m, mi_weight,
                               isinstance(other, TruncatedSeries) and other.alg is self.alg)
 
     def __mul__(self, other):
@@ -254,8 +253,8 @@ class AnnihilationElement(SparseCombination):
     def _same_space(self, other):
         return self.module.same_as(other.module) and self.cutoff == other.cutoff
 
-    def __add__(self, other):
-        return _truncated_sum(self, other, lambda key: mi_weight(key[0]),
+    def _sum(self, other, m):
+        return _truncated_sum(self, other, m, lambda key: mi_weight(key[0]),
                               isinstance(other, AnnihilationElement)
                               and self.module.same_as(other.module))
 

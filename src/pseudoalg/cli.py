@@ -33,7 +33,7 @@ from .forms import (PForm, act_on_form, contract_form, differential_on_quotient,
 from .io import load_poisson, save_json
 from .liealg import algebra_by_name
 from .literals import parse_fraction, parse_helt, parse_module_element, parse_tensor
-from .pbw import multiindices_up_to
+from .pbw import mi_weight, multiindices_up_to
 from .poisson import (poisson_catalog, poisson_to_pseudo, pseudo_to_poisson,
                       verify_poisson_jacobi)
 from .pseudo import (Report, verify_axioms, verify_axioms_elements, verify_module,
@@ -70,6 +70,16 @@ VERIFY_MAX_TRIPLES = 50_000
 # dmax 12 (4,095) takes about 7 s, and at dmax 40 (111,069) it ran past
 # 20 s without end in sight.
 CENTRAL_MAX_UNKNOWNS = 3_000
+
+# Largest work estimate, `bracket_work`, of the operands that `bracket` and
+# `xbracket` take on, counted before any product.  The README commands need
+# 6 and 1.  Over wd:sl2, d^(5,5,5) on both sides (1,178,496) takes about 3 s
+# and d^(0,0,34) against d^(34,0,0) (2,000,425) about 0.5 s; d^(6,6,6) on
+# both sides (3,134,677) takes about 10 s, and d^(8,8,8) (15,181,425) ran
+# for about a minute and printed 9.7 MB, from a 50-byte argument.  The
+# estimate ignores that a product of monomials over an abelian algebra is
+# one monomial, so it refuses some abelian operands that would be quick.
+BRACKET_MAX_WORK = 2_500_000
 
 
 def _parse_chi(text):
@@ -202,10 +212,32 @@ def cmd_verify(args):
     return emit(_structure(args)[2](), args.format, args.seed)
 
 
+def bracket_work(P, a, b):
+    """Work estimate of the bracket of module elements a and b, from their
+    terms' multi-indices alone, before any product.
+
+    The canonical form splits the multi-index J of each term of b into
+    prod(J_i + 1) pairs of legs, and each leg pair is a product over
+    monomials of degree up to da + |J|, with da the largest degree in a.
+    The estimate is |a| times the sum over the terms of b of the splits
+    times C(da + |J| + dim, dim), the number of monomials up to that degree.
+    """
+    dim = P.alg.dim
+    da = max((mi_weight(I) for I, _ in a.c), default=0)
+    return len(a.c) * sum(math.prod(j + 1 for j in J) * math.comb(da + mi_weight(J) + dim, dim)
+                          for J, _ in b.c)
+
+
 def _operands(args):
-    """The structure and its --left and --right module elements."""
+    """The structure and its --left and --right module elements, refused as
+    an input error when their bracket is over `BRACKET_MAX_WORK`."""
     P = _structure(args)[1]
-    return P, parse_module_element(P.module, args.left), parse_module_element(P.module, args.right)
+    a, b = parse_module_element(P.module, args.left), parse_module_element(P.module, args.right)
+    work = bracket_work(P, a, b)
+    if work > BRACKET_MAX_WORK:
+        raise ValueError("the bracket of these operands has work estimate %d, over the "
+                         "budget of %d" % (work, BRACKET_MAX_WORK))
+    return P, a, b
 
 
 def cmd_bracket(args):

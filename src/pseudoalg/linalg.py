@@ -29,9 +29,12 @@ to a scaled run of terms in one call; the product kernels, `scale`,
 accumulate through it, and no result needs a pass of its own to make its
 values ints.  `bump_outer` applies it to the two-slot products
 m c1 c2 [(k1, k2)] of two runs of terms, a coefficient in H (x) H as a
-product of two PBW expansions: the arity-2 `TensorElt` product and the
-rank-one rows of the central solvers accumulate through it.  No module
-but this one writes the rule out.
+product of two PBW expansions: the arity-2 `TensorElt` product, the left
+composition of `pseudo` and the rank-one rows of the central solvers
+accumulate through it.  `bump_terms` does the same for the keys
+(k1, g, k2) of a term of H^{(x) n} (x)_H M, slots, generator and module
+multi-index: `QElt.canonicalize` sums its antipode and module legs through
+it.  No module but this one writes the rule out.
 
 Products of elements multiply scaled integers in `scaled_product`;
 `QElt.canonicalize` and `pseudo._compose` clear by hand with `cleared` and
@@ -170,14 +173,37 @@ def bump_outer(d, m, t1, t2):
                 del d[k]
 
 
+def bump_terms(d, m, t1, g, t2):
+    """d[(k1, g, k2)] += m c1 c2 for each term (k1, c1) of t1 and (k2, c2)
+    of t2, t1 in the outer loop, by the `bump` rule.
+
+    The key shape of a term of H^{(x) n} (x)_H M: slots k1, generator g,
+    module multi-index k2.  The same as `bump(d, (k1, g, k2), m * c1 * c2)`
+    term by term, in values, key order and value types, with no call per
+    term.  t2 is read once per term of t1, so it must be re-iterable.
+    """
+    for k1, c1 in t1:
+        v1 = m * c1
+        for k2, c2 in t2:
+            k = (k1, g, k2)
+            v = v1 * c2
+            s = d.get(k)
+            if s is not None:
+                v = s + v
+            if v:
+                d[k] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+            elif s is not None:
+                del d[k]
+
+
 class SparseCombination:
     """Finite combination sum c_k [k], stored as the coefficient map `c`.
 
     A subclass names in `_space` the attributes that fix where its
     elements live (algebra, arity, module, cutoff); sums, negatives and
     multiples share them, and a sum of two elements of different spaces
-    raises ValueError.  It may refine `_same_space` and refine `_bump`
-    with an admission rule.
+    raises ValueError.  It may refine `_same_space`, refine `_bump` with
+    an admission rule, and refine `_sum`, which serves both + and -.
     """
 
     __slots__ = ()
@@ -200,19 +226,23 @@ class SparseCombination:
     def __bool__(self):
         return bool(self.c)
 
-    def __add__(self, other):
+    def _sum(self, other, m):
+        """self + m other, m = 1 or -1: other's terms bumped into a copy of
+        self, so a difference builds no negated copy of other."""
         if not (isinstance(other, type(self)) and self._same_space(other)):
             raise ValueError("%s sum across different spaces" % type(self).__name__)
         c = dict(self.c)
-        for k, v in other.c.items():
-            bump(c, k, v)
+        bump_all(c, m, other.c.items())
         return self._with(c)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
 
     def __neg__(self):
         return self._with({k: -v for k, v in self.c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, k):
         k = exact(k)

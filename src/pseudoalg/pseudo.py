@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .linalg import bump, bump_all, cleared, divided, scaled_product
+from .linalg import bump, bump_all, bump_outer, cleared, divided, scaled_product
 from .pbw import HElt, mi_splits, mi_weight, mul_basis, mul_slots
 from .tensor import MElt, QElt
 
@@ -208,6 +208,9 @@ def _compose(inner, value, pos, out_module):
 
     Left (pos 0): X_g = sum of (f (x) 1) Delta(d^(L)) over the terms on g;
     slot 0 of value(e_g) splits by Delta and X_g multiplies its two legs.
+    The product X_g Delta(d^(p)) depends on the slot-0 key p alone, so it is
+    formed once per distinct p of value(e_g), by `bump_outer` over the two
+    `mul_basis` legs, and spread over the value terms that share p.
     Right (pos 1): d^(L) moves into the value at arity 2,
     a * (d^(L) e_g) = canonicalize((1 (x) d^(L)) value(e_g)), once per
     distinct (g, L); each of its terms (p (x) 1) (x)_H m' and each f of
@@ -223,8 +226,9 @@ def _compose(inner, value, pos, out_module):
             bump(X.setdefault(g, {}).setdefault(L, {}), key[0], v)
             continue
         Xg = X.setdefault(g, {})
-        for split in mi_splits(L, 2):
-            bump_all(Xg, v, mul_slots(alg, key, split, mul_basis))
+        for s0, s1 in mi_splits(L, 2):
+            bump_outer(Xg, v, mul_basis(alg, key[0], s0).items(),
+                       mul_basis(alg, key[1], s1).items())
     parts = []
     for g, Xg in X.items():
         if not Xg:
@@ -247,17 +251,23 @@ def _compose(inner, value, pos, out_module):
     acc = {}
     for Xg, (Dp, items) in parts:
         s = D // Dp
+        Y = {}  # slot-0 key p of the value -> the terms of X_g Delta(d^(p))
         for (pk, g, L), v in items:
             v *= s
             if pos:
                 for f, fv in Xg.items():
                     bump(acc, ((pk[0], f, pk[1]), g, L), v * fv)
                 continue
-            for split in mi_splits(pk[0], 2):
-                for xk, xv in Xg.items():
-                    xv *= v
-                    for K, w in mul_slots(alg, xk, split, mul_basis):
-                        bump(acc, (K + pk[1:], g, L), xv * w)
+            p = pk[0]
+            Yp = Y.get(p)
+            if Yp is None:
+                prod = {}
+                for s0, s1 in mi_splits(p, 2):
+                    for (a, b), xv in Xg.items():
+                        bump_outer(prod, xv, mul_basis(alg, a, s0).items(),
+                                   mul_basis(alg, b, s1).items())
+                Yp = Y[p] = [(K + pk[1:], y) for K, y in prod.items()]
+            bump_all(acc, v, [((K, g, L), y) for K, y in Yp])
     out = QElt(out_module, 3, canonical=True)
     out.c = divided(acc, D * Din)
     return out

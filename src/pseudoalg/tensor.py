@@ -15,13 +15,24 @@ and its remaining coproduct leg onto the module side:
 
 with g_1, ..., g_n the n-part divided-power splits of g.
 
+`canonicalize` runs this as one loop over the terms.  It clears the
+coefficients to integers once (`linalg.cleared`), reads each split's
+factors straight off the memoized tables, the antipode legs from
+`mul_antipode` (at arity 2 the one table entry d^(I) S(d^(J)) itself, with
+no slot list; above it their `mul_slots` product) and the module leg from
+`mul_basis`, and sums their products through `linalg.bump_terms`, keyed by
+the head slots alone: every output term ends in the slot d^(0), which is
+appended as the sums are divided out once (`linalg.divided`).
+
 Module generators normally generate free summands; a generator may
 instead be marked `counit`, meaning h e = counit(h) e (the one-dimensional
 center used by central extensions); `_bump` then drops every term that
-is not constant on it.
+is not constant on it, and `canonicalize` checks it once per input term:
+only the splits whose last leg is d^(0) reach such a generator.
 """
 
-from .linalg import SparseCombination, bump, cleared, divided, exact, scaled_product
+from .linalg import (SparseCombination, bump, bump_terms, cleared, divided, exact,
+                     scaled_product)
 from .pbw import (HElt, checked_mi, checked_slots, mi_splits, mi_zero, mul_antipode,
                   mul_basis, mul_slots)
 
@@ -157,8 +168,8 @@ class QElt(SparseCombination):
                 out._bump(key, g, L, tv * mv)
         return out
 
-    def __add__(self, other):
-        out = SparseCombination.__add__(self, other)
+    def _sum(self, other, m):
+        out = SparseCombination._sum(self, other, m)
         out.canonical = self.canonical and other.canonical
         return out
 
@@ -177,29 +188,47 @@ class QElt(SparseCombination):
         return out
 
     def canonicalize(self):
-        """Unique representative with last tensor slot equal to d^(0)."""
+        """Unique representative with last tensor slot equal to d^(0).
+
+        One pass over the terms (see the module docstring), with the
+        products read straight off the `mul_antipode` and `mul_basis`
+        tables.  Every output term ends in the slot d^(0), so the pass sums
+        over the head slots alone, key[0] at arity 2 and key[:-1] above it,
+        and appends that slot when it divides out the denominators.
+        """
         if self.canonical:
             return self
-        alg = self.module.alg
-        one = (mi_zero(alg.dim),)
+        alg, n = self.module.alg, self.n
+        one = mi_zero(alg.dim)
+        counit = self.module.counit_gens
         D, items = cleared(self.c)
-        out = QElt(self.module, self.n)
+        acc = {}  # (head slots, g, L) -> D times the coefficient
         for (key, g, L), v in items:
-            last = key[-1]
-            if not any(last):
-                out._bump(key, g, L, v)
+            # h e = counit(h) e: on a counit generator only the constant
+            # component survives, so only a last leg d^(0) reaches it
+            unit = g in counit
+            if unit and any(L):
                 continue
-            for split in mi_splits(last, self.n):
-                # first n-1 legs act through the antipode on the left slots,
-                # the last leg lands on the module coefficient
-                modmap = mul_basis(alg, split[-1], L)
-                for nk, w in mul_slots(alg, key[:-1], split[:-1], mul_antipode):
-                    nk += one
-                    w *= v
-                    for Lp, cl in modmap.items():
-                        out._bump(nk, g, Lp, w * cl)
-        out.c = divided(out.c, D)
-        out.canonical = True
+            last = key[-1]
+            head = key[0] if n == 2 else key[:-1]
+            if not any(last):
+                bump(acc, (head, g, L), v)
+                continue
+            for split in mi_splits(last, n):
+                if unit and any(split[-1]):
+                    continue
+                # the first n-1 legs act through the antipode on the head
+                # slots, the last leg lands on the module coefficient
+                if n == 2:
+                    heads = mul_antipode(alg, head, split[0]).items()
+                else:
+                    heads = mul_slots(alg, head, split[:-1], mul_antipode)
+                bump_terms(acc, v, heads, g, mul_basis(alg, split[-1], L).items())
+        out = QElt(self.module, n, canonical=True)
+        if n == 2:
+            out.c = {((h, one), g, L): v for (h, g, L), v in divided(acc, D).items()}
+        else:
+            out.c = {(h + (one,), g, L): v for (h, g, L), v in divided(acc, D).items()}
         return out
 
     def __eq__(self, other):

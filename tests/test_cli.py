@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 from pseudoalg import cli
-from pseudoalg.cli import (CENTRAL_MAX_UNKNOWNS, VERIFY_MAX_TRIPLES, build_structure,
-                          main)
+from pseudoalg.cli import (BRACKET_MAX_WORK, CENTRAL_MAX_UNKNOWNS, VERIFY_MAX_TRIPLES,
+                          build_structure, main)
 from pseudoalg.constructions import CEND_MAX_GENERATORS
+from pseudoalg.literals import parse_module_element
 from pseudoalg.pseudo import PseudoStructure
 
 
@@ -313,6 +314,60 @@ def test_central_budget_refuses_before_any_solve(spec, dmax, count, monkeypatch,
     assert run_cli(*argv) == (2, "")
     assert capsys.readouterr().err.startswith("input error: %s at dmax %d has %d unknowns"
                                               % (spec, dmax, count))
+
+
+def _bracket_operands():
+    """(spec, alpha, algebra, left, right) of every bracket and xbracket run
+    of the golden cases, the README and DISPATCH."""
+    argvs = ([c["argv"] for c in GOLDEN_CASES] + _readme_commands()
+             + [argv for argv, _, _ in DISPATCH])
+    return sorted({tuple(_option(argv, name) for name in
+                         ("--structure", "--alpha", "--algebra", "--left", "--right"))
+                   for argv in argvs if "bracket" in argv or "xbracket" in argv}, key=repr)
+
+
+def _bracket_work(spec, left, right, alpha=None, algebra=None):
+    P = build_structure(spec, alpha, algebra)[1]
+    return cli.bracket_work(P, parse_module_element(P.module, left),
+                            parse_module_element(P.module, right))
+
+
+def test_bracket_budget_admits_the_pinned_operands():
+    """Every known operand pair is far under the budget (16 at most), and
+    so are the widest measured over wd:sl2: d^(5,5,5) on both sides (about
+    3 s) and the deep pair of `test_deep_bracket_exits_zero`."""
+    cases = _bracket_operands()
+    assert ("wd:abelian2", None, None, "(1) @ w_d1", "(d^(1,0)) @ w_d2") in cases
+    assert len(cases) == 10
+    for spec, alpha, algebra, left, right in cases:
+        assert _bracket_work(spec, left, right, alpha, algebra) <= 16, spec
+    for left, right, work in [("(d^(5,5,5)) @ w_e", "(d^(5,5,5)) @ w_f", 1_178_496),
+                              ("(d^(0,0,34)) @ w_h", "(d^(34,0,0)) @ w_e", 2_000_425)]:
+        assert _bracket_work("wd:sl2", left, right) == work <= BRACKET_MAX_WORK
+
+
+@pytest.mark.parametrize("command", ["bracket", "xbracket"])
+@pytest.mark.parametrize("k, work", [(6, 3_134_677), (8, 15_181_425), (12, 148_352_425)])
+def test_bracket_budget_refuses_before_any_product(command, k, work, monkeypatch, capsys):
+    """The work is estimated from the operands' term counts and degrees
+    before any product: with the bracket failing, an admitted pair fails
+    and these are refused as input errors naming the estimate and the
+    budget.  d^(8,8,8) on both sides ran for about a minute before."""
+    def evaluated(*args):
+        raise AssertionError("a bracket was evaluated")
+    monkeypatch.setattr(PseudoStructure, "bracket", evaluated)
+    extra = ["--x", "t^(1,0,0)"] if command == "xbracket" else []
+    argv = [command, "--structure", "wd:sl2", "--left", "(d^(1,1,1)) @ w_e",
+            "--right", "(d^(1,1,1)) @ w_f"] + extra
+    with pytest.raises(AssertionError):
+        run_cli(*argv)
+    left, right = "(d^(%d,%d,%d)) @ w_e" % (k, k, k), "(d^(%d,%d,%d)) @ w_f" % (k, k, k)
+    assert _bracket_work("wd:sl2", left, right) == work
+    argv[argv.index("--left") + 1], argv[argv.index("--right") + 1] = left, right
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == (
+        "input error: the bracket of these operands has work estimate %d, over the "
+        "budget of %d\n" % (work, BRACKET_MAX_WORK))
 
 
 def test_annihilate_negative_cutoff_is_usage_error(capsys):

@@ -12,8 +12,15 @@ of two bases, and divide once per output coefficient:
 - `MElt.h_mul`, `extend_bilinear` and the `TensorElt` product at arities 1
   and 3 are term rules on the divided-power tables run by
   `linalg.scaled_product`, as is the test helper `tensor_mul_left`, which
-  the H-linearity properties multiply with.  `QElt.canonicalize` and
-  `pseudo._compose` clear by hand with `linalg.cleared` and `linalg.divided`.
+  the H-linearity properties multiply with.
+- `QElt.canonicalize` clears with `linalg.cleared`, runs one loop over the
+  `mul_antipode` and `mul_basis` tables through `linalg.bump_terms` (at
+  arity 2 with no `mul_slots` list), applies the counit rule once per
+  input term and divides with `linalg.divided`.  Its properties draw
+  arities 2 and 3 over the structures' modules and over modules with a
+  counit generator, whose raw maps may hold terms that rule drops.
+- `pseudo._compose` clears the same way; on the left it forms
+  X_g Delta(d^(p)) once per distinct slot-0 key p of a value.
 
 The scale is one positive constant per output key, so the new coefficient
 map must equal the reference in values, key order and value types.  The
@@ -46,7 +53,7 @@ from pseudoalg.linalg import cleared, divided, scaled_product
 from pseudoalg.pbw import (HElt, TensorElt, antipode_basis, fourier, mi_splits, mi_zero,
                            mul_antipode, mul_basis, mul_slots, multiindices_up_to)
 from pseudoalg.pseudo import compose_left, compose_right, extend_bilinear
-from pseudoalg.tensor import MElt, QElt
+from pseudoalg.tensor import FreeModule, MElt, QElt
 
 NAMES = ("abelian3", "solv2", "heis3", "sl2", "half-solv2", "half-sl2")
 ALGEBRAS = {name: liealg.algebra_by_name(name) for name in NAMES[:4]}
@@ -54,6 +61,9 @@ ALGEBRAS.update({"half-solv2": half_solv2(), "half-sl2": half_sl2()})
 STRUCTURES = {name: make_wd(ALGEBRAS[name])[0] for name in NAMES}
 STRUCTURES["cur:sl2"] = make_current(ALGEBRAS["abelian3"], liealg.sl2())
 FORMS = {name: wd_action_on_forms(STRUCTURES[name], 1) for name in NAMES}
+# a counit generator z (h z = counit(h) z) beside two free ones
+COUNIT_MODULES = [FreeModule(ALGEBRAS[name], ["m", "n", "z"], counit_gens={"z"},
+                             label="counit") for name in NAMES]
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 # the composition properties draw bracket and cochain tables, so shrinking a
 # failure among them takes minutes; they report the first failing example
@@ -312,18 +322,27 @@ def melt_pairs(draw):
     return P, a, b, draw(st.booleans())
 
 
+MODULE = st.one_of(STRUCTURE.map(lambda P: P.module), st.sampled_from(COUNIT_MODULES))
+
+
 @st.composite
 def qelt_inputs(draw):
-    """q, t; q often holds a raw form minus its canonical form, so that most
-    of its terms cancel under canonicalize."""
-    P = draw(STRUCTURE)
+    """q, t, raw; q often holds a raw form minus its canonical form, so that
+    most of its terms cancel under canonicalize.  Over a module with a
+    counit generator z, raw holds terms on z that need not be constant
+    there: a raw map that ignores the counit rule, which canonicalize
+    applies."""
+    module = draw(MODULE)
     n = draw(st.integers(2, 3))
-    q = draw(qelts(P.module, n))
+    q = draw(qelts(module, n))
     if draw(st.booleans()):
-        q = q - draw(qelts(P.module, n)).canonicalize()
+        q = q - draw(qelts(module, n)).canonicalize()
         q = q + (-q.canonicalize())
-        q = q + draw(qelts(P.module, n))
-    return q, draw(tensors(P.alg, n))
+        q = q + draw(qelts(module, n))
+    raw = {}
+    if module.counit_gens:
+        raw = draw(qelts(FreeModule(module.alg, ["z"]), n)).c
+    return q, draw(tensors(module.alg, n)), raw
 
 
 @st.composite
@@ -417,9 +436,11 @@ def test_extend_bilinear_matches_reference(inputs):
 @SETTINGS
 @given(qelt_inputs())
 def test_canonicalize_and_tensor_mul_left_match_reference(inputs):
-    q, t = inputs
+    q, t, raw = inputs
     assert_same(q.canonicalize().c, reference_canonicalize(q))
     assert_same(tensor_mul_left(q, t).c, reference_tensor_mul_left(q, t))
+    q.c.update(raw)
+    assert_same(q.canonicalize().c, reference_canonicalize(q))
 
 
 @SETTINGS
