@@ -188,21 +188,17 @@ class QElt(SparseCombination):
         return out
 
     def canonicalize(self):
-        """Unique representative with last tensor slot equal to d^(0).
-
-        One pass over the terms (see the module docstring), with the
-        products read straight off the `mul_antipode` and `mul_basis`
-        tables.  Every output term ends in the slot d^(0), so the pass sums
-        over the head slots alone, key[0] at arity 2 and key[:-1] above it,
-        and appends that slot when it divides out the denominators.
-        """
+        """Unique representative with last tensor slot equal to d^(0), in one
+        pass over the terms (see the module docstring)."""
         if self.canonical:
             return self
         alg, n = self.module.alg, self.n
         one = mi_zero(alg.dim)
         counit = self.module.counit_gens
         D, items = cleared(self.c)
-        acc = {}  # (head slots, g, L) -> D times the coefficient
+        # (head slots, g, L) -> D times the coefficient; the head is key[0]
+        # at arity 2 and key[:-1] above it, the last slot d^(0) comes at the end
+        acc = {}
         for (key, g, L), v in items:
             # h e = counit(h) e: on a counit generator only the constant
             # component survives, so only a last leg d^(0) reaches it

@@ -11,14 +11,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudoalg import liealg
+from pseudoalg.annihilation import TruncatedSeries
 from pseudoalg.cohomology import (sd_central_suite, solve_central_extensions,
                                   solve_central_extensions_rank1)
 from pseudoalg.constructions import (Rank1Datum, make_current, make_rank1, make_sd,
                                      make_wd, named_rank1_datum, wd_element)
 from pseudoalg.liealg import Form, GeometricDatum, validate_geometric_datum
-from pseudoalg.linalg import (RHS_KEY, SparseEliminator, bump, bump_all, bump_outer, div,
-                              exact, invert_matrix, nullspace, quotient_representatives,
-                              scaled_product, solve, span_dim, sparse_sum)
+from pseudoalg.linalg import (RHS_KEY, SparseEliminator, bump, bump_all, bump_outer,
+                              bump_terms, div, exact, invert_matrix, nullspace,
+                              quotient_representatives, scaled_product, solve, span_dim,
+                              sparse_sum)
 from pseudoalg.pbw import HElt, antipode_basis, mi_splits, mul_basis, multiindices_up_to
 from pseudoalg.poisson import PoissonBracketSpec, pseudo_to_poisson
 from pseudoalg.pseudo import PseudoStructure
@@ -119,17 +121,23 @@ def bump_outer_inputs(draw):
 @example(({("x", 0): 2, ("y", 0): 1}, 2, [("x", 1), ("x", Fr(-1, 2))], [(0, -1), (1, 3)]))
 def test_bump_outer_is_the_one_term_loop(inputs):
     """`bump_outer(d, m, t1, t2)` is `bump(d, (k1, k2), m * c1 * c2)` over t1
-    in the outer loop and t2 in the inner one: the same values, key order
-    and int/Fraction types."""
+    in the outer loop and t2 in the inner one, and `bump_terms(d, m, t1, g,
+    t2)` the same with the key (k1, g, k2): the same values, key order and
+    int/Fraction types."""
     d, m, t1, t2 = inputs
-    want = dict(d)
-    for k1, c1 in t1:
-        for k2, c2 in t2:
-            bump(want, (k1, k2), m * c1 * c2)
-    got = dict(d)
-    bump_outer(got, m, iter(t1), t2)
-    assert list(got.items()) == list(want.items())
-    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    for g, key in ((None, lambda k1, k2: (k1, k2)), ("g", lambda k1, k2: (k1, "g", k2))):
+        start = {key(*k): v for k, v in d.items()}
+        want = dict(start)
+        for k1, c1 in t1:
+            for k2, c2 in t2:
+                bump(want, key(k1, k2), m * c1 * c2)
+        got = dict(start)
+        if g is None:
+            bump_outer(got, m, iter(t1), t2)
+        else:
+            bump_terms(got, m, iter(t1), g, t2)
+        assert list(got.items()) == list(want.items())
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
 
 def test_sparse_sum_follows_bump():
@@ -138,6 +146,57 @@ def test_sparse_sum_follows_bump():
     got = sparse_sum([("a", 1), ("b", Fr(1, 2)), ("a", -1), ("b", Fr(3, 2)), ("a", Fr(3, 2))])
     assert list(got.items()) == [("b", 2), ("a", Fr(3, 2))]
     assert type(got["b"]) is int
+
+
+SL2 = liealg.sl2()
+SL2_MODULE = FreeModule(SL2, ["m", "n"])
+
+
+@st.composite
+def differences(draw):
+    """x, y of one space: HElts, arity-2 QElts (canonical or not) or
+    truncated series of two cutoffs.  y often repeats some of x's keys with
+    x's values, which cancel."""
+    kind = draw(st.sampled_from(("helt", "qelt", "series")))
+    mis = multiindices_up_to(SL2.dim, 2)
+    keys = st.sampled_from(mis)
+    if kind == "qelt":
+        keys = st.tuples(st.tuples(keys, keys), st.sampled_from(SL2_MODULE.gens), keys)
+    maps = [draw(st.dictionaries(keys, RAW_VALUES, max_size=5)) for _ in range(2)]
+    if maps[0]:
+        shared = draw(st.lists(st.sampled_from(sorted(maps[0], key=repr)), unique=True))
+        maps[1].update({k: maps[0][k] for k in shared})
+    if kind == "helt":
+        return [HElt(SL2, c) for c in maps]
+    if kind == "qelt":
+        return [QElt(SL2_MODULE, 2, c, canonical=draw(st.booleans())) for c in maps]
+    cutoffs = [draw(st.integers(1, 2)) for _ in maps]
+    return [TruncatedSeries(SL2, cut, {I: v for I, v in c.items() if sum(I) <= cut})
+            for cut, c in zip(cutoffs, maps)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(differences())
+def test_difference_is_a_sum_with_a_negated_copy(pair):
+    """x - y bumps y's terms into a copy of x; it is x + (-y) as the negated
+    copy gave it: the same values, key order and int/Fraction types, the
+    QElt canonical flag of both operands and the smaller cutoff of two
+    truncated series, whose terms above it drop."""
+    x, y = pair
+    series = isinstance(x, TruncatedSeries)
+    cut = min(x.cutoff, y.cutoff) if series else None
+    want = {}
+    for z in (x, -y):
+        for k, v in z.c.items():
+            if not series or sum(k) <= cut:
+                bump(want, k, v)
+    got = x - y
+    assert [(k, type(v), v) for k, v in got.c.items()] == [
+        (k, type(v), v) for k, v in want.items()]
+    if isinstance(x, QElt):
+        assert got.canonical == (x.canonical and y.canonical)
+    if series:
+        assert got.cutoff == cut
 
 
 # -- the scaled product kernel against the unscaled loop -------------------------
