@@ -35,11 +35,13 @@ result keeps the values, key order and value types of the unscaled loops
 acts through the public `act`, on series built over its integer parts.
 """
 
+from itertools import product
 from operator import add
 
 from .linalg import SparseCombination, bump, bump_all, cleared, divided, exact
 from .pbw import (HElt, antipode_basis, checked_mi, mi_weight, mi_zero, mul_basis,
                   multiindices_up_to)
+from .pseudo import Report
 
 
 class PrecisionError(ValueError):
@@ -362,6 +364,30 @@ def vector_field_bracket(alg, u, v):
                 bump(out.c, (I, a), s)
     out.c = divided(out.c, Du * Dv)
     return out
+
+
+def annihilation_suite(P, cutoff):
+    """Report of `annihilation_bracket` against `vector_field_bracket` on
+    the vector-field structure P of `make_wd`, at a cutoff.
+
+    One check per ordered pair of generators t_I w_a with
+    |I| <= min(3, cutoff - 2), the two brackets compared up to the smaller
+    of their cutoffs.  A cutoff too shallow for a bracket raises
+    PrecisionError.
+    """
+    alg = P.alg
+    rep = Report("annihilation:%s@D=%d" % (alg.name, cutoff))
+    mis = multiindices_up_to(alg.dim, min(3, max(0, cutoff - 2)))
+    gens = {(I, a): (AnnihilationElement.generator(P.module, I, a, cutoff), "t%s w%d" % (I, a))
+            for I in mis for a in range(alg.dim)}
+    for I, J, a, b in product(mis, mis, range(alg.dim), range(alg.dim)):
+        (u, uname), (v, vname) = gens[(I, a)], gens[(J, b)]
+        br = annihilation_bracket(P, u, v)
+        vf = vector_field_bracket(alg, u, v)
+        cut = min(br.cutoff, vf.cutoff)
+        ok = br.truncate(cut).c == vf.truncate(cut).c
+        rep.record("cross-oracle[%s, %s]" % (uname, vname), ok, None if ok else (br, vf))
+    return rep
 
 
 def counit_functional(alg, cutoff):

@@ -8,7 +8,9 @@ family's verify report and its central-extension solver.  Exit codes: 0
 all checks pass, 1 a mathematical check failed (witnesses in the
 report), 2 input or usage error, unreadable or unwritable files
 included.  Reports are deterministic for a fixed --seed, which is echoed
-in every report.
+in every report.  A command prints nothing itself: it returns a `Report`
+or a pair (data, text lines), and `main` hands that to `emit`, the one
+printer, and turns refusals into exit codes.
 """
 
 import argparse
@@ -16,29 +18,24 @@ import json
 import math
 import os
 import sys
-from itertools import combinations, product
 
 from . import liealg
-from .annihilation import (AnnihilationElement, PrecisionError, TruncatedSeries,
-                           annihilation_bracket, vector_field_bracket)
+from .annihilation import PrecisionError, TruncatedSeries, annihilation_suite
 from .cohomology import (sd_central_suite, solve_central_extensions,
                          solve_central_extensions_rank1)
 from .constructions import (Rank1Datum, check_ybe, embed_rank1_in_wd,
                             make_current, make_gc, make_rank1,
                             make_rank1_from_alpha, make_sd, make_wd,
-                            named_rank1_datum, wd_element)
-from .forms import (PForm, act_on_form, contract_form, differential_on_quotient,
-                    form_differential, form_module, volume_action_expected,
-                    wd_action_on_forms)
+                            named_rank1_datum)
+from .forms import forms_suite
 from .io import load_poisson, save_json
 from .liealg import algebra_by_name
 from .literals import parse_fraction, parse_helt, parse_module_element, parse_tensor
-from .pbw import mi_weight, multiindices_up_to
+from .pbw import mi_weight
 from .poisson import (poisson_catalog, poisson_to_pseudo, pseudo_to_poisson,
                       verify_poisson_jacobi)
 from .pseudo import (Report, verify_axioms, verify_axioms_elements, verify_module,
                      x_bracket)
-from .tensor import QElt
 
 # Largest number of dual basis monomials t_I (|I| <= cutoff) that
 # `annihilate` takes on; the README command (wd:abelian2 at cutoff 6)
@@ -180,36 +177,50 @@ def _structure(args):
     return build_structure(args.structure, args.alpha, args.algebra)
 
 
-def emit(report, fmt, seed):
-    if not report.checks:
-        raise ValueError("%s checks nothing" % (report.title or "report"))
-    data = report.as_dict()
-    data["seed"] = seed
-    if fmt == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        print("%s: %s" % (data["title"] or "report", "ok" if data["ok"] else "FAILED"))
-        for c in data["checks"]:
-            if not c["passed"]:
-                witness = "  witness: " + c["witness"] if c["witness"] else ""
-                print("  FAIL %s%s" % (c["name"], witness))
-        npass = sum(1 for c in data["checks"] if c["passed"])
-        print("  %d/%d checks passed (seed %d)" % (npass, len(data["checks"]), seed))
-    return 0 if data["ok"] else 1
+class Refused(Exception):
+    """A usage refusal that `main` prints as it stands, with exit code 2."""
 
 
-def _print_or_write(data, out):
-    """Print the JSON of `data`, or write it to the file `out` if one is named."""
-    if out:
-        save_json(out, data)
-        print("wrote %s" % out)
-    else:
+def emit(args, result):
+    """Print a command's result in the --format of `args`; return the exit code.
+
+    The result is a `Report` or a pair (data, lines): the JSON object and
+    the text lines.  Lines None print the JSON in either format, data None
+    the text.  A report exits 1 when a check failed, and a report of no
+    checks is an input error.
+    """
+    code = 0
+    if isinstance(result, Report):
+        if not result.checks:
+            raise ValueError("%s checks nothing" % (result.title or "report"))
+        data = dict(result.as_dict(), seed=args.seed)
+        failed = [c for c in data["checks"] if not c["passed"]]
+        lines = ["%s: %s" % (data["title"] or "report", "FAILED" if failed else "ok")]
+        lines += ["  FAIL %s%s" % (c["name"], "  witness: " + c["witness"] if c["witness"] else "")
+                  for c in failed]
+        lines.append("  %d/%d checks passed (seed %d)"
+                     % (len(data["checks"]) - len(failed), len(data["checks"]), args.seed))
+        code = 1 if failed else 0
+        result = data, lines
+    data, lines = result
+    if data is not None and (args.format == "json" or lines is None):
         print(json.dumps(data, indent=2, sort_keys=True))
-    return 0
+    else:
+        print("\n".join(lines))
+    return code
+
+
+def _json_result(data, out):
+    """The JSON of `data`, in either format, or `data` written to the file
+    `out` if one is named."""
+    if not out:
+        return data, None
+    save_json(out, data)
+    return None, ["wrote %s" % out]
 
 
 def cmd_verify(args):
-    return emit(_structure(args)[2](), args.format, args.seed)
+    return _structure(args)[2]()
 
 
 def bracket_work(P, a, b):
@@ -243,51 +254,30 @@ def _operands(args):
 def cmd_bracket(args):
     P, a, b = _operands(args)
     q = repr(P.bracket(a, b))
-    print(json.dumps({"bracket": q}, indent=2) if args.format == "json" else q)
-    return 0
+    return {"bracket": q}, [q]
 
 
 def cmd_xbracket(args):
     P, a, b = _operands(args)
     x = parse_helt(P.alg, args.x, symbol="t")
+    if args.cutoff < 0:  # an input error here, not the series' precision error
+        raise ValueError("cutoff must be nonnegative")
     xs = TruncatedSeries(P.alg, args.cutoff, dict(x.c))
-    try:
-        res = x_bracket(P, a, xs, b)
-    except PrecisionError as exc:
-        print("precision error: %s" % exc, file=sys.stderr)
-        return 2
-    print(repr(res))
-    return 0
+    return None, [repr(x_bracket(P, a, xs, b))]
 
 
 def cmd_annihilate(args):
     family, P, _, _ = _structure(args)
     if family != "wd":
-        print("annihilate expects a wd:<algebra> structure", file=sys.stderr)
-        return 2
-    alg = P.alg
-    D = args.cutoff
-    need = math.comb(D + alg.dim, alg.dim) if D >= 0 else 0
+        raise Refused("annihilate expects a wd:<algebra> structure")
+    D, dim = args.cutoff, P.alg.dim
+    if D < 0:  # an input error here, not the suite's precision error
+        raise ValueError("cutoff must be nonnegative")
+    need = math.comb(D + dim, dim)
     if need > ANNIHILATE_MAX_MONOMIALS:
         raise ValueError("cutoff %d needs %d dual basis monomials, over the budget of %d"
                          % (D, need, ANNIHILATE_MAX_MONOMIALS))
-    rep = Report("annihilation:%s@D=%d" % (alg.name, D))
-    basis_depth = max(0, D - 2)
-    mis = multiindices_up_to(alg.dim, min(3, basis_depth))
-    gens = {(I, a): (AnnihilationElement.generator(P.module, I, a, D), "t%s w%d" % (I, a))
-            for I in mis for a in range(alg.dim)}
-    for I, J, a, b in product(mis, mis, range(alg.dim), range(alg.dim)):
-        (u, uname), (v, vname) = gens[(I, a)], gens[(J, b)]
-        try:
-            br = annihilation_bracket(P, u, v)
-            vf = vector_field_bracket(alg, u, v)
-        except PrecisionError as exc:
-            print("precision error: %s" % exc, file=sys.stderr)
-            return 2
-        cut = min(br.cutoff, vf.cutoff)
-        ok = br.truncate(cut).c == vf.truncate(cut).c
-        rep.record("cross-oracle[%s, %s]" % (uname, vname), ok, None if ok else (br, vf))
-    return emit(rep, args.format, args.seed)
+    return annihilation_suite(P, D)
 
 
 def cmd_cohomology(args):
@@ -304,15 +294,10 @@ def cmd_cohomology(args):
     data["cocycle_basis"] = render_tables(sol.basis)
     data["shift_space"] = render_tables(sol.trivial)
     data["seed"] = args.seed
-    if args.format == "json":
-        print(json.dumps(data, indent=2, sort_keys=True, default=str))
-    else:
-        print("second cohomology dimension: %d (%s)" % (data["dim_h2"], data["completeness"]))
-        print("cocycle space %d, shift space %d, dmax %d, seed %d"
-              % (data["dim_cocycles"], data["dim_trivial"], data["dmax"], args.seed))
-        for t in data["representatives"]:
-            print("  representative: %s" % t)
-    return 0
+    lines = ["second cohomology dimension: %d (%s)" % (data["dim_h2"], data["completeness"]),
+             "cocycle space %d, shift space %d, dmax %d, seed %d"
+             % (data["dim_cocycles"], data["dim_trivial"], data["dmax"], args.seed)]
+    return data, lines + ["  representative: %s" % t for t in data["representatives"]]
 
 
 def cmd_poisson(args):
@@ -322,27 +307,26 @@ def cmd_poisson(args):
             params["chi"] = _parse_chi(args.chi)
         if args.g:
             params["g"] = algebra_by_name(args.g)
-        return _print_or_write(poisson_catalog(args.family, **params).as_dict(), args.out)
+        return _json_result(poisson_catalog(args.family, **params).as_dict(), args.out)
     if args.file is None:
-        print("poisson %s needs --file" % args.action, file=sys.stderr)
-        return 2
+        raise Refused("poisson %s needs --file" % args.action)
     spec = load_poisson(args.file)
     if args.action == "export":
-        return _print_or_write(spec.as_dict(), args.out)
+        return _json_result(spec.as_dict(), args.out)
     if args.action == "import":
         P, beta = poisson_to_pseudo(spec)
         back = pseudo_to_poisson(P, names=spec.names)
         rep = Report("poisson-import")
         rep.record("round-trip-identity", back.Q == spec.Q)
         rep.record("central-terms-carried", (beta is not None) == bool(spec.central))
-        return emit(rep, args.format, args.seed)
+        return rep
     # one Jacobi residual per triple of the r fields, counted before the
     # pseudoalgebra is built
     triples = spec.r ** 3
     if triples > VERIFY_MAX_TRIPLES:
         raise ValueError("%s has %d generator triples to verify (r = %d), over the "
                          "budget of %d" % (args.file, triples, spec.r, VERIFY_MAX_TRIPLES))
-    return emit(verify_poisson_jacobi(spec), args.format, args.seed)
+    return verify_poisson_jacobi(spec)
 
 
 def cmd_catalog(args):
@@ -351,44 +335,12 @@ def cmd_catalog(args):
                   "k-type:<datum>", "gc:<n>[@<d>]", "cend:<n>[@<d>]", "rank1 (--alpha ...)"]
     data = {"algebras": algs, "structures": structures,
             "rank1_data": ["solv2", "abelian2", "heisenberg", "sl2"]}
-    if args.format == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        print("algebras:   " + " ".join(algs))
-        print("structures: " + "  ".join(structures))
-        print("rank1 data: " + " ".join(data["rank1_data"]))
-    return 0
+    return data, ["algebras:   " + " ".join(algs), "structures: " + "  ".join(structures),
+                  "rank1 data: " + " ".join(data["rank1_data"])]
 
 
 def cmd_forms(args):
-    alg = algebra_by_name(args.algebra)
-    P, _ = make_wd(alg)
-    N = alg.dim
-    rep = Report("forms:%s" % alg.name)
-    for n in range(N - 1):
-        for T in combinations(range(N), n):
-            w = PForm.basis(alg, T)
-            dd = form_differential(alg, form_differential(alg, w))
-            rep.record("dd-zero[deg %d %s]" % (n, (T,)), dd.is_zero())
-    for a in range(N):
-        field = wd_element(P, [((0,) * N, a, 1)])
-        got = act_on_form(alg, field, PForm.basis(alg, tuple(range(N))))
-        rep.record("volume-action[%s]" % alg.basis[a],
-                   got == volume_action_expected(alg, a))
-        for deg in range(N + 1):
-            for T in combinations(range(N), deg):
-                w = PForm.basis(alg, T)
-                lhs = act_on_form(alg, field, w)
-                rhs1 = (differential_on_quotient(alg, contract_form(alg, field, w), deg - 1)
-                        if deg >= 1 else QElt(form_module(alg, deg), 2))
-                rhs2 = (contract_form(alg, field, form_differential(alg, w))
-                        if deg <= N - 1 else QElt(form_module(alg, deg), 2))
-                rep.record("cartan[%s; deg %d %s]" % (alg.basis[a], deg, (T,)),
-                           lhs == (rhs1 + rhs2).canonicalize())
-    for n in range(N + 1):
-        M = wd_action_on_forms(P, n)
-        verify_module(P, M, report=rep)
-    return emit(rep, args.format, args.seed)
+    return forms_suite(algebra_by_name(args.algebra))
 
 
 def make_parser():
@@ -451,10 +403,9 @@ def make_parser():
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = emit(args, args.func(args))
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
     except BrokenPipeError:
@@ -462,6 +413,12 @@ def main(argv=None):
         # devnull for the flush at exit (the SIGPIPE note in the `signal` docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except Refused as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except PrecisionError as exc:
+        print("precision error: %s" % exc, file=sys.stderr)
+        return 2
     except (ValueError, KeyError, OSError) as exc:
         # str(KeyError(msg)) is repr(msg): print the message itself
         if isinstance(exc, KeyError) and exc.args:

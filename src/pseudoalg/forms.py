@@ -11,10 +11,11 @@ relevant degree, via the identification
 
 from itertools import combinations
 
+from .constructions import make_wd, wd_element
 from .liealg import sort_with_sign
 from .linalg import SparseCombination, bump
 from .pbw import HElt, mi_unit, mi_zero, mul_basis
-from .pseudo import ModuleStructure, PseudoStructure
+from .pseudo import ModuleStructure, PseudoStructure, Report, verify_module
 from .tensor import FreeModule, MElt, QElt
 
 
@@ -225,6 +226,38 @@ def volume_action_expected(alg, a):
         out._bump((zero, zero), T, zero, -tr)
     out._bump((zero, ea), T, zero, -1)
     return out.canonicalize()
+
+
+def forms_suite(alg):
+    """Report of the pseudoform calculus over W(d) for the algebra d: d d = 0
+    below the top degree, the action on the volume form, the Cartan
+    identity L_X = d i_X + i_X d on every basis form, and the module
+    identities of W(d) acting on the forms of each degree."""
+    P, _ = make_wd(alg)
+    N = alg.dim
+    rep = Report("forms:%s" % alg.name)
+    for n in range(N - 1):
+        for T in combinations(range(N), n):
+            w = PForm.basis(alg, T)
+            dd = form_differential(alg, form_differential(alg, w))
+            rep.record("dd-zero[deg %d %s]" % (n, (T,)), dd.is_zero())
+    for a in range(N):
+        field = wd_element(P, [((0,) * N, a, 1)])
+        got = act_on_form(alg, field, PForm.basis(alg, tuple(range(N))))
+        rep.record("volume-action[%s]" % alg.basis[a], got == volume_action_expected(alg, a))
+        for deg in range(N + 1):
+            for T in combinations(range(N), deg):
+                w = PForm.basis(alg, T)
+                lhs = act_on_form(alg, field, w)
+                rhs1 = (differential_on_quotient(alg, contract_form(alg, field, w), deg - 1)
+                        if deg >= 1 else QElt(form_module(alg, deg), 2))
+                rhs2 = (contract_form(alg, field, form_differential(alg, w))
+                        if deg <= N - 1 else QElt(form_module(alg, deg), 2))
+                rep.record("cartan[%s; deg %d %s]" % (alg.basis[a], deg, (T,)),
+                           lhs == (rhs1 + rhs2).canonicalize())
+    for n in range(N + 1):
+        verify_module(P, wd_action_on_forms(P, n), report=rep)
+    return rep
 
 
 # -- wedge current structure --------------------------------------------------

@@ -13,9 +13,12 @@ from pathlib import Path
 import pytest
 
 from pseudoalg import cli
+from pseudoalg.annihilation import annihilation_suite
 from pseudoalg.cli import (BRACKET_MAX_WORK, CENTRAL_MAX_UNKNOWNS, VERIFY_MAX_TRIPLES,
                           build_structure, main)
-from pseudoalg.constructions import CEND_MAX_GENERATORS
+from pseudoalg.constructions import CEND_MAX_GENERATORS, make_wd
+from pseudoalg.forms import forms_suite
+from pseudoalg.liealg import algebra_by_name
 from pseudoalg.literals import parse_module_element
 from pseudoalg.pseudo import PseudoStructure
 
@@ -131,6 +134,19 @@ def test_annihilate_cross_oracle():
 def test_forms_suite():
     code, out = run_cli("forms", "--algebra", "abelian2")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, suite", [
+    (["annihilate", "--structure", "wd:abelian2", "--cutoff", "6"],
+     lambda: annihilation_suite(make_wd(algebra_by_name("abelian2"))[0], 6)),
+    (["forms", "--algebra", "solv2"], lambda: forms_suite(algebra_by_name("solv2")))])
+def test_suites_are_the_library_functions(argv, suite):
+    """The README's annihilate and forms reports are the library suites'
+    reports, seed aside."""
+    code, out = run_cli("--format", "json", *argv)
+    data = json.loads(out)
+    assert data.pop("seed") == 20260801
+    assert (code, data) == (0, suite().as_dict())
 
 
 def test_poisson_catalog_and_verify(tmp_path):
