@@ -367,13 +367,10 @@ def vector_field_bracket(alg, u, v):
 
 
 def annihilation_suite(P, cutoff):
-    """Report of `annihilation_bracket` against `vector_field_bracket` on
-    the vector-field structure P of `make_wd`, at a cutoff.
-
-    One check per ordered pair of generators t_I w_a with
-    |I| <= min(3, cutoff - 2), the two brackets compared up to the smaller
-    of their cutoffs.  A cutoff too shallow for a bracket raises
-    PrecisionError.
+    """Report of `annihilation_bracket` against `vector_field_bracket` on the
+    structure P of `make_wd` at a cutoff: one check per ordered pair of
+    generators t_I w_a with |I| <= min(3, cutoff - 2), up to the smaller
+    output cutoff.  A cutoff too shallow for a bracket raises PrecisionError.
     """
     alg = P.alg
     rep = Report("annihilation:%s@D=%d" % (alg.name, cutoff))

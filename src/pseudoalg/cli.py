@@ -185,9 +185,9 @@ def emit(args, result):
     """Print a command's result in the --format of `args`; return the exit code.
 
     The result is a `Report` or a pair (data, lines): the JSON object and
-    the text lines.  Lines None print the JSON in either format, data None
-    the text.  A report exits 1 when a check failed, and a report of no
-    checks is an input error.
+    the text lines, None to print the JSON in either format.  A report
+    exits 1 when a check failed, and a report of no checks is an input
+    error.
     """
     code = 0
     if isinstance(result, Report):
@@ -203,20 +203,11 @@ def emit(args, result):
         code = 1 if failed else 0
         result = data, lines
     data, lines = result
-    if data is not None and (args.format == "json" or lines is None):
+    if args.format == "json" or lines is None:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         print("\n".join(lines))
     return code
-
-
-def _json_result(data, out):
-    """The JSON of `data`, in either format, or `data` written to the file
-    `out` if one is named."""
-    if not out:
-        return data, None
-    save_json(out, data)
-    return None, ["wrote %s" % out]
 
 
 def cmd_verify(args):
@@ -263,7 +254,8 @@ def cmd_xbracket(args):
     if args.cutoff < 0:  # an input error here, not the series' precision error
         raise ValueError("cutoff must be nonnegative")
     xs = TruncatedSeries(P.alg, args.cutoff, dict(x.c))
-    return None, [repr(x_bracket(P, a, xs, b))]
+    q = repr(x_bracket(P, a, xs, b))
+    return {"xbracket": q}, [q]
 
 
 def cmd_annihilate(args):
@@ -281,38 +273,29 @@ def cmd_annihilate(args):
 
 
 def cmd_cohomology(args):
-    sol = _structure(args)[3](args.dmax)
+    _, P, _, central = _structure(args)
+    sol = central(args.dmax)
 
-    def render_tables(vectors):
-        return ["; ".join("%s -> %s" % (k, v) for k, v in sol.beta_table_of(vec).items())
-                for vec in vectors]
-
-    data = sol.summary()
-    data["completeness"] = ("complete" if sol.complete
-                            else "complete up to degree %d" % sol.dmax)
-    data["representatives"] = render_tables(sol.representatives)
-    data["cocycle_basis"] = render_tables(sol.basis)
-    data["shift_space"] = render_tables(sol.trivial)
-    data["seed"] = args.seed
-    lines = ["second cohomology dimension: %d (%s)" % (data["dim_h2"], data["completeness"]),
+    def tables(vectors):
+        return ["; ".join("%s -> %s" % kv for kv in sol.beta_table_of(v).items()) for v in vectors]
+    # the subject: the reference as given, a rank1 one with its --alpha
+    structure = args.structure + (" --alpha " + args.alpha if args.structure == "rank1" else "")
+    data = dict(sol.summary(), structure=structure, algebra=P.alg.name, seed=args.seed,
+                completeness="complete" if sol.complete else "complete up to degree %d" % sol.dmax,
+                representatives=tables(sol.representatives), cocycle_basis=tables(sol.basis),
+                shift_space=tables(sol.trivial))
+    lines = ["central extensions of %s (algebra %s)" % (structure, P.alg.name),
+             "second cohomology dimension: %d (%s)" % (sol.dim, data["completeness"]),
              "cocycle space %d, shift space %d, dmax %d, seed %d"
-             % (data["dim_cocycles"], data["dim_trivial"], data["dmax"], args.seed)]
+             % (sol.dim_cocycles, sol.dim_trivial, sol.dmax, args.seed)]
     return data, lines + ["  representative: %s" % t for t in data["representatives"]]
 
 
 def cmd_poisson(args):
-    if args.action == "catalog":
-        params = {"r": args.r, "N": args.N}
-        if args.chi:
-            params["chi"] = _parse_chi(args.chi)
-        if args.g:
-            params["g"] = algebra_by_name(args.g)
-        return _json_result(poisson_catalog(args.family, **params).as_dict(), args.out)
-    if args.file is None:
-        raise Refused("poisson %s needs --file" % args.action)
-    spec = load_poisson(args.file)
-    if args.action == "export":
-        return _json_result(spec.as_dict(), args.out)
+    if args.action != "catalog":
+        if args.file is None:
+            raise Refused("poisson %s needs --file" % args.action)
+        spec = load_poisson(args.file)
     if args.action == "import":
         P, beta = poisson_to_pseudo(spec)
         back = pseudo_to_poisson(P, names=spec.names)
@@ -320,13 +303,26 @@ def cmd_poisson(args):
         rep.record("round-trip-identity", back.Q == spec.Q)
         rep.record("central-terms-carried", (beta is not None) == bool(spec.central))
         return rep
-    # one Jacobi residual per triple of the r fields, counted before the
-    # pseudoalgebra is built
-    triples = spec.r ** 3
-    if triples > VERIFY_MAX_TRIPLES:
-        raise ValueError("%s has %d generator triples to verify (r = %d), over the "
-                         "budget of %d" % (args.file, triples, spec.r, VERIFY_MAX_TRIPLES))
-    return verify_poisson_jacobi(spec)
+    if args.action == "verify":
+        # one Jacobi residual per triple of the r fields, counted before the
+        # pseudoalgebra is built
+        triples = spec.r ** 3
+        if triples > VERIFY_MAX_TRIPLES:
+            raise ValueError("%s has %d generator triples to verify (r = %d), over the "
+                             "budget of %d" % (args.file, triples, spec.r, VERIFY_MAX_TRIPLES))
+        return verify_poisson_jacobi(spec)
+    if args.action == "catalog":
+        params = {"r": args.r, "N": args.N}
+        if args.chi:
+            params["chi"] = _parse_chi(args.chi)
+        if args.g:
+            params["g"] = algebra_by_name(args.g)
+        spec = poisson_catalog(args.family, **params)
+    # an export prints its JSON in either format, or writes it to --out
+    if not args.out:
+        return spec.as_dict(), None
+    save_json(args.out, spec.as_dict())
+    return {"wrote": args.out}, ["wrote %s" % args.out]
 
 
 def cmd_catalog(args):

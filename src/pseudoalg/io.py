@@ -1,4 +1,4 @@
-"""File formats: Lie algebra specs, pseudoalgebra specs, Poisson specs.
+"""File formats: pseudoalgebra specs, with inline Lie algebras, and Poisson specs.
 
 All files are UTF-8 JSON.  Rationals are strings "p/q" or plain integers.
 
@@ -57,17 +57,10 @@ def lie_algebra_to_dict(alg):
     }
 
 
-def load_lie_algebra(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return lie_algebra_from_dict(json.load(fh))
-
-
 def resolve_algebra(ref):
-    """Name from the built-in catalog, a path to a spec file, or a dict."""
+    """Name from the built-in catalog, or an inline spec dict."""
     if isinstance(ref, dict):
         return lie_algebra_from_dict(ref)
-    if isinstance(ref, str) and ref.endswith(".json"):
-        return load_lie_algebra(ref)
     return algebra_by_name(ref)
 
 

@@ -457,13 +457,11 @@ class TensorElt(SparseCombination):
         return self._with(_divided(out, Da * Db, fact))
 
     def permuted(self, perm):
-        """Pull slots through a permutation: new slot i holds old slot perm[i]."""
+        """Pull slots through a permutation: new slot i holds old slot perm[i].
+        Distinct keys go to distinct keys, so the map stays valid as it is."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation of the slots")
-        out = {}
-        for key, v in self.c.items():
-            bump(out, tuple(key[perm[i]] for i in range(self.n)), v)
-        return self._with(out)
+        return self._with({tuple(key[i] for i in perm): v for key, v in self.c.items()})
 
     def max_degree(self):
         if not self.c:

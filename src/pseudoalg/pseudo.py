@@ -370,13 +370,9 @@ def verify_homomorphism(P1, P2, images, report=None):
     present in both structures.
     """
     rep = report or Report("homomorphism:%s->%s" % (P1.name, P2.name))
-
-    def phi(g):
-        return images[g]
-
     for gi in images:
         for gj in images:
-            lhs = P1.gen_bracket(gi, gj).map_module(phi, P2.module)
+            lhs = P1.gen_bracket(gi, gj).map_module(images.__getitem__, P2.module)
             rhs = P2.bracket(images[gi], images[gj])
             ok = lhs == rhs
             rep.record("bracket-compat[%s,%s]" % (P1.module.gen_name(gi),

@@ -177,14 +177,14 @@ class QElt(SparseCombination):
         """Permute tensor slots: new slot i holds old slot perm[i].
 
         A permutation that fixes the last slot maps a canonical form to a
-        canonical form, so the flag is kept then.
+        canonical form, so the flag is kept then.  Distinct keys go to
+        distinct keys and g and L stay, so the map stays valid as it is.
         """
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a slot permutation")
         out = QElt(self.module, self.n,
                    canonical=self.canonical and perm[-1] == self.n - 1)
-        for (key, g, L), v in self.c.items():
-            out._bump(tuple(key[perm[i]] for i in range(self.n)), g, L, v)
+        out.c = {(tuple(key[i] for i in perm), g, L): v for (key, g, L), v in self.c.items()}
         return out
 
     def canonicalize(self):

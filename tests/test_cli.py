@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -182,8 +183,13 @@ def test_sd_cohomology_rejects_nonzero_chi(capsys):
     code, out = run_cli("cohomology", "central", "--structure", "sd:abelian3:1,2,3")
     assert code == 2 and out == ""
     assert "chi" in capsys.readouterr().err
-    assert (run_cli("cohomology", "central", "--structure", "sd:abelian3:0,0,0", "--dmax", "2")
-            == run_cli("cohomology", "central", "--structure", "sd:abelian3", "--dmax", "2"))
+    # chi = 0 spelled out is the same window: the reports differ in the
+    # reference they name alone
+    runs = [run_cli("--format", "json", "cohomology", "central", "--structure", spec, "--dmax", "2")
+            for spec in ("sd:abelian3:0,0,0", "sd:abelian3")]
+    reports = [json.loads(out) for _, out in runs]
+    assert [r.pop("structure") for r in reports] == ["sd:abelian3:0,0,0", "sd:abelian3"]
+    assert [code for code, _ in runs] == [0, 0] and reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("dmax", ["0", "1"])
@@ -536,7 +542,9 @@ ALPHA = "d^(1)#d^(0) - d^(0)#d^(1)"
 # code and the sha256 of its stdout as the per-family dispatch first printed
 # them; argv runs in JSON unless it names its own --format.  The JSON central
 # windows over several generators were pinned again when `kernel` began to
-# list each vector's pivot unknowns in the order of the unknowns
+# list each vector's pivot unknowns in the order of the unknowns, every
+# central window again when its report began to name its structure and
+# algebra, and the xbracket cells when --format json began to print JSON
 DISPATCH = [
     (["verify", "--structure", "gc:2"], 0,
      "de5e8ea492df90b669fa3ec46bb4fbd6261bdee45d74f02643bf530728f0b2e2"),
@@ -563,28 +571,29 @@ DISPATCH = [
      "fcebda29cbbb75827c1841177f3e6e55a677352eb7677bd76f7f7987c77454a4"),
     (["xbracket", "--structure", "cur:sl2",
       "--left", "(1) @ g_e", "--right", "(d^(2)) @ g_h", "--x", "t^(1)"], 0,
-     "3651a07b914cdc3fcbacf0a15a3cf8fee003114b85873465eda3c0937c4b006e"),
+     "16a6918b707f0b5754f3607c84e9ba2a90ecd8835db54e8916f342a49b5d7bc1"),
     (["xbracket", "--structure", "k-type:heisenberg", "--left", "(1) @ e",
       "--right", "(d^(1,0,0)) @ e", "--x", "t^(0,1,0)", "--cutoff", "4"], 0,
-     "f37e9c194ba361e677c7c0a90ccd24e3076315af869711ba42c764a15308bf03"),
+     "c6e3d8d66cad3058178761d85b5dbf19b7547a2a584ef3a48acc22d83b620537"),
     (["cohomology", "central", "--structure", "cur:sl2", "--dmax", "3"], 0,
-     "e0672ad9675d4549d8b1549ef4cb35ce3790efea39136e2c330a725d70a6195a"),
+     "df2a3c2295bb2caef6f74372eba84a222e7da91407af9ea2f13104bc9abc1ecb"),
     (["cohomology", "central", "--structure", "wd:solv2", "--dmax", "3"], 0,
-     "ac443097969d6d5e20ce72fa8f44b7b4d36ac42dc78440300c1172a4cb83b688"),
+     "b8bdc3981dbc57878fe766567c8fd4a4e6278a9da83144473457aa4431882b6d"),
     # the closed rank-one form and the generic solver agree on one variable
+    # (`test_rank_one_and_generic_solvers_agree_on_one_variable`)
     (["cohomology", "central", "--structure", "wd:abelian1", "--dmax", "3"], 0,
-     "c15e50f651ebc398df3d216b43b1808b015a0db9368afff376ad4ca51f18c8f2"),
+     "e5d6e161927307cae64c9104d016547424d0bff555d4f6982912ec84d463c19e"),
     (["cohomology", "central", "--structure", "rank1", "--alpha", ALPHA, "--dmax", "3"], 0,
-     "c15e50f651ebc398df3d216b43b1808b015a0db9368afff376ad4ca51f18c8f2"),
+     "6001a99a09c704eb7653dce216fcc54813b9599b6122ed268277df278dfbba31"),
     (["cohomology", "central", "--structure", "k-type:sl2", "--dmax", "3"], 0,
-     "d3a1e49285edc523ef5599df61c40500eb804d93b06fa23f874c1dd42182b7ca"),
+     "a32e327d4710b21cb31f91845b3be21c4a00198a25f0bf15903de4d81a48588b"),
     (["--format", "text", "verify", "--structure", "cend:1"], 0,
      "a2f0ed29a52c12e76a79c9d21db010e405a0606033c8bdce1c392ea16f715256"),
     (["--format", "text", "bracket", "--structure", "cur:sl2",
       "--left", "(1) @ g_e", "--right", "(d^(1)) @ g_f"], 0,
      "12f1004428fdc2f4b58e1197d91bb3ce35d541d0903c536864a4ad019bb7a381"),
     (["--format", "text", "cohomology", "central", "--structure", "cur:sl2", "--dmax", "3"], 0,
-     "023bc6450a004fe0fdb4655f91a6477d4000c59e8bc9169e15c1d04bc6e36c4b"),
+     "165d39e0e6daf52e31749ad09acf786222dbb8f520f935d3d0632d1c56932ee2"),
     # heavier reports, pinned before a rework of the table code so that it
     # keeps their bytes: full axiom suites and central-extension windows
     (["verify", "--structure", "gc:3"], 0,
@@ -594,17 +603,17 @@ DISPATCH = [
     (["verify", "--structure", "sd:abelian4"], 0,
      "37305161de328c04ab95bd50b5143814762c1b9e77928d06cbb3ed65a787ba3a"),
     (["cohomology", "central", "--structure", "wd:sl2", "--dmax", "3"], 0,
-     "de3ac310d069c9cb9c69037a22023b7fc8fa5756e8af1f2f0fd3d6d0503ac470"),
+     "8a61209f98bdb20fe1d591d5072a3814ec1ebcfc929271f4e82956e3c559be23"),
     (["cohomology", "central", "--structure", "sd:abelian3", "--dmax", "3"], 0,
-     "410c32a494b18fa897e75b391010fbd0e2b3897bf07da3f633d6d06fbcdf72df"),
+     "8700e2c2132eef5c0eb4e1cf267b7a2fa0327858c7fb920195252181708758fe"),
     # larger windows, pinned before a rework of the eliminator and of the
     # tensor product kernel so that both keep their bytes
     (["cohomology", "central", "--structure", "k-type:sl2", "--dmax", "8"], 0,
-     "d1769e40493d64c692fe163966755833b34f1195a5e239095f05eca051884345"),
+     "bf8da9aaa9571888a977149388610f842c92a1ac4a8bb8114435757b77f34024"),
     (["cohomology", "central", "--structure", "h-type:solv2", "--dmax", "8"], 0,
-     "9675deaeebb2c629c41949ce3c46fa5d133ec5e0777d9fa9cbd631ee7a80fba5"),
+     "57fd0f1a29edefb7f0eba98786f13d897440c461ca79d80e457ae072eb53d4ad"),
     (["cohomology", "central", "--structure", "sd:abelian4", "--dmax", "3"], 0,
-     "f177a7b742c32ad8fcddc1965c84bb8d4516f526001c998401db3d5c1bbfdab9"),
+     "74d3edfe4469f4de217e812f43dbc01c28a1987d7cf5acb6b517e73345221f41"),
     # the S catalog reads its tables off the pair structure of S(d)
     (["poisson", "catalog", "--family", "S", "--r", "3", "--N", "3"], 0,
      "82f9596e7266a6348f70961176a3fc4ffde76fa041e81683827e81438faac3f2"),
@@ -643,6 +652,48 @@ def test_family_dispatch_matrix(argv, code, sha):
         argv = ["--format", "json"] + argv
     got, out = run_cli(*argv)
     assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, sha)
+
+
+def test_json_format_prints_one_document():
+    """Every golden case and JSON dispatch cell prints one JSON document, the
+    xbracket value and the name of a written file included."""
+    cells = [["--format", "json"] + c["argv"] for c in GOLDEN_CASES]
+    cells += [argv if argv[0] == "--format" else ["--format", "json"] + argv
+              for argv, _, _ in DISPATCH]
+    cells = [argv for argv in cells if argv[1] == "json"]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # the golden catalog case writes w11.json, which verify reads
+        try:
+            for argv in cells:
+                json.loads(run_cli(*argv)[1])
+        finally:
+            os.chdir(cwd)
+
+
+def test_rank_one_and_generic_solvers_agree_on_one_variable():
+    """wd:abelian1 takes the closed rank-one solver and rank1 --alpha the
+    generic one: their reports differ in the structure they name alone."""
+    reports = [json.loads(run_cli("--format", "json", "cohomology", "central", *argv,
+                                  "--dmax", "3")[1])
+               for argv in (["--structure", "wd:abelian1"],
+                            ["--structure", "rank1", "--alpha", ALPHA])]
+    assert [r.pop("structure") for r in reports] == ["wd:abelian1", "rank1 --alpha " + ALPHA]
+    assert reports[0] == reports[1] and reports[0]["algebra"] == "abelian1"
+
+
+def test_central_reports_name_their_subject():
+    """Two structures whose central windows have the same solution print
+    different reports: each names its structure and algebra, in JSON and on
+    the first text line."""
+    argv = ["cohomology", "central", "--dmax", "3", "--structure"]
+    reports = {spec: json.loads(run_cli("--format", "json", *argv, spec)[1])
+               for spec in ("k-type:sl2", "k-type:heisenberg")}
+    assert {spec: (r.pop("structure"), r.pop("algebra")) for spec, r in reports.items()} == {
+        "k-type:sl2": ("k-type:sl2", "sl2"), "k-type:heisenberg": ("k-type:heisenberg", "heis3")}
+    assert reports["k-type:sl2"] == reports["k-type:heisenberg"]
+    first = run_cli(*argv, "k-type:sl2")[1].splitlines()[0]
+    assert first == "central extensions of k-type:sl2 (algebra sl2)"
 
 
 @pytest.mark.parametrize("argv", [["--structure", "sd:abelian3"],

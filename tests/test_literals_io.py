@@ -116,6 +116,15 @@ def test_pseudo_spec_round_trip():
                 assert {(k, name(g), L): v for (k, g, L), v in a.c.items()} == b.c, spec
 
 
+def test_pseudo_spec_algebra_is_a_name_or_an_inline_spec():
+    """A spec's algebra is a catalog name or an inline dict: a file name is
+    an unknown algebra, not a file to read."""
+    data = pseudo_to_dict(build_structure("wd:solv2")[1])
+    data["algebra"] = "x.json"
+    with pytest.raises(KeyError, match="unknown Lie algebra 'x.json'"):
+        pseudo_from_dict(data)
+
+
 def test_pseudo_spec_refuses_relations():
     # a spec has no relations field; writing one would reload as the free structure
     P = make_sd(liealg.abelian(3)).pair_structure()

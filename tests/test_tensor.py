@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_helt
 from test_scaled_kernels import tensor_mul_left
 from pseudoalg import liealg
+from pseudoalg.linalg import bump
 from pseudoalg.pbw import HElt, TensorElt, mi_zero, multiindices_up_to
 from pseudoalg.tensor import FreeModule, MElt, QElt
 
@@ -207,6 +208,37 @@ def test_canonical_forms_respect_slot_permutations_and_the_h_action(case):
     moved = QElt.from_tensor_and_module(F * h.coproduct(n), m).canonicalize()
     acted = QElt.from_tensor_and_module(F, m.h_mul(h)).canonicalize()
     assert moved.c == acted.c
+
+
+def _permuted_by_bump(x, perm):
+    """The per-term reference of `permuted`: one bump per term."""
+    key_of = lambda key: tuple(key[perm[i]] for i in range(x.n))
+    if isinstance(x, TensorElt):
+        out = {}
+        for key, v in x.c.items():
+            bump(out, key_of(key), v)
+        return x._with(out)
+    out = QElt(x.module, x.n, canonical=x.canonical and perm[-1] == x.n - 1)
+    for (key, g, L), v in x.c.items():
+        out._bump(key_of(key), g, L, v)
+    return out
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(canonical_cases())
+def test_permuted_matches_the_per_term_reference(case):
+    """`QElt.permuted` and `TensorElt.permuted` build their maps in one pass
+    with the values, key order, value types and canonical flag of a bump
+    per term, at arities 2 and 3, and refuse a non-permutation."""
+    q, F, _, _ = case
+    for x in (q, q.canonicalize(), F):
+        for p in permutations(range(x.n)):
+            got, ref = x.permuted(p), _permuted_by_bump(x, p)
+            assert [(k, v, type(v)) for k, v in got.c.items()] == \
+                [(k, v, type(v)) for k, v in ref.c.items()], p
+            assert getattr(got, "canonical", None) == getattr(ref, "canonical", None), p
+        with pytest.raises(ValueError, match="not a"):
+            x.permuted((0,) * x.n)
 
 
 # -- sums stay in one space; constructors check their multi-indices -----------
