@@ -277,7 +277,8 @@ def cmd_cohomology(args):
     sol = central(args.dmax)
 
     def tables(vectors):
-        return ["; ".join("%s -> %s" % kv for kv in sol.beta_table_of(v).items()) for v in vectors]
+        return ["; ".join("%s -> %s" % kv for kv in sol.beta_table_of(vec).items())
+                for vec in vectors]
     # the subject: the reference as given, a rank1 one with its --alpha
     structure = args.structure + (" --alpha " + args.alpha if args.structure == "rank1" else "")
     data = dict(sol.summary(), structure=structure, algebra=P.alg.name, seed=args.seed,
