@@ -91,8 +91,13 @@ def build_structure(spec, alpha=None, algebra=None):
     reference (or "rank1"); P is the structure that bracket, xbracket and
     annihilate act on; verify() builds the family's report; central(dmax)
     runs the family's central-extension solver once the window's unknowns
-    are counted under `CENTRAL_MAX_UNKNOWNS`.
+    are counted under `CENTRAL_MAX_UNKNOWNS`.  `alpha` and `algebra` (the
+    `--alpha` and `--algebra` options) define rank1 alone; given with any
+    other reference they are refused.
     """
+    for option, value in (("--alpha", alpha), ("--algebra", algebra)):
+        if value is not None and spec != "rank1":
+            raise ValueError("%s applies to rank1 only, not to %s" % (option, spec))
     family, _, rest = spec.partition(":")
     verify = central = ngens = None
     if spec == "rank1":

@@ -12,8 +12,7 @@ of the Jacobi identity on generator triples.
 from itertools import chain, combinations_with_replacement
 
 from .constructions import make_sd
-from .linalg import (RHS_KEY, SparseEliminator, bump, bump_outer, nullspace,
-                     quotient_representatives, solve, span_dim)
+from .linalg import SparseEliminator, bump, bump_outer, nullspace
 from .pbw import (HElt, TensorElt, antipode_basis, mi_splits, mi_weight,
                   mi_zero, mul_antipode, mul_basis, multiindices_up_to)
 from .pseudo import (PseudoStructure, Report, compose_left, compose_right,
@@ -200,8 +199,9 @@ class CentralExtensionSolution:
     """Nullspace data of a central-extension solve.
 
     `basis` spans the cocycle tables, `trivial` the coboundary span,
-    `representatives` a complement; `complete` is True when the degree
-    window provably contains every cocycle.
+    `representatives` a complement: the basis vectors that enlarge the
+    span of `trivial` and of those before them.  `complete` is True when
+    the degree window provably contains every cocycle.
     """
 
     def __init__(self, P, unknowns, basis, trivial, complete, dmax):
@@ -209,9 +209,12 @@ class CentralExtensionSolution:
         self.unknowns = unknowns
         self.basis = basis
         self.trivial = trivial
-        self.representatives = quotient_representatives(basis, trivial)
+        elim = SparseEliminator()
+        for v in trivial:
+            elim.add(v)
+        self.dim_trivial = elim.rank
+        self.representatives = [v for v in basis if elim.add(v)]
         self.dim_cocycles = len(basis)  # each vector owns its free column
-        self.dim_trivial = span_dim(trivial)
         self.dim = len(self.representatives)
         self.complete = complete
         self.dmax = dmax
@@ -527,27 +530,15 @@ def verify_cur_cocycle(P_cur, d_element=None, beta_table=None, report=None):
                            None if ok else (lhs - rhs))
 
     # triviality: the shift by an H-linear functional phi has values
-    # phi([v_i, v_j]) in the scalars; match coefficients monomial by monomial
-    rows = []
-    for i in range(g.dim):
-        for j in range(g.dim):
-            target = beta_table[(i, j)]
-            idx = set(target.c) | {mi_zero(alg.dim)}
-            for I in idx:
-                row = {} if any(I) else g.bracket(i, j)
-                v = target.c.get(I)
-                if v:
-                    row[RHS_KEY] = v
-                if row:
-                    rows.append(row)
-    sol = solve(rows)
-    matched = sol is not None
-    if matched:
-        for row in rows:
-            acc = sum(v * sol.get(k, 0) for k, v in row.items() if k != RHS_KEY)
-            if acc != row.get(RHS_KEY, 0):
-                matched = False
-                break
+    # phi([v_i, v_j]) in the scalars, so beta is one iff its table lies in
+    # the span of the shifts by the dual basis, matched monomial by monomial
+    zero = mi_zero(alg.dim)
+    shifts = SparseEliminator()
+    for k in range(g.dim):
+        shifts.add({((i, j), zero): g.bracket(i, j).get(k, 0)
+                    for i in range(g.dim) for j in range(g.dim)})
+    matched = shifts.contains({((i, j), I): v for i in range(g.dim) for j in range(g.dim)
+                               for I, v in beta_table[(i, j)].c.items()})
     rep.record("trivial" if matched else "nontrivial", True,
                "matched by counit shift" if matched else "no counit shift matches")
     rep.is_trivial = matched

@@ -56,7 +56,7 @@ those unknowns.  The stored rows are the reduced row echelon form under
 `_colkey`, and `kernel` reads the basis off them: it depends on the span
 alone, not on the order the rows came in.  A rewrite stores an integral
 value as an `int` through `bump_all`, as `div` does for a new row, so
-`kernel` and `solve` hand out the stored values as they are.
+`kernel` hands out the stored values as they are.
 """
 
 from collections import defaultdict
@@ -386,13 +386,8 @@ class SparseEliminator:
         return not red
 
 
-RHS_KEY = "__rhs__"  # the constant-term column of the rows of `solve`
-
-
 def _colkey(c):
-    # the right-hand-side marker of inhomogeneous systems must never be
-    # preferred as a pivot while real unknowns remain
-    return (1 if c == RHS_KEY else 0, repr(type(c)), repr(c))
+    return (repr(type(c)), repr(c))
 
 
 def nullspace(rows, columns):
@@ -406,50 +401,6 @@ def nullspace(rows, columns):
     for r in rows:
         elim.add(r)
     return elim.kernel(columns)
-
-
-def span_dim(vectors):
-    elim = SparseEliminator()
-    for v in vectors:
-        elim.add(v)
-    return elim.rank
-
-
-def quotient_representatives(space, subspace):
-    """Vectors of `space` spanning a complement of `subspace` inside it.
-
-    Both arguments are lists of sparse vectors; `subspace` must lie inside
-    the span of `space` for the dimension count to be meaningful.
-    """
-    elim = SparseEliminator()
-    for v in subspace:
-        elim.add(v)
-    reps = []
-    for v in space:
-        if elim.add(v):
-            reps.append(v)
-    return reps
-
-
-def solve(rows):
-    """Solve an inhomogeneous sparse system.
-
-    Each row is a sparse vector augmented with `RHS_KEY` for the constant
-    term (row . x = rhs).  Returns one particular solution as a sparse
-    vector, or None if inconsistent.
-    """
-    elim = SparseEliminator()
-    for r in rows:
-        elim.add(r)
-    # inconsistent iff some reduced row is constant-only
-    if RHS_KEY in elim.pivots:
-        return None
-    # the stored rows are mutually reduced, so no pivot row holds another
-    # pivot column: with the free unknowns at zero each pivot unknown is
-    # its row's right-hand side
-    return {pcol: prow[RHS_KEY]
-            for pcol, prow in sorted(elim.pivots.items(), key=lambda kv: _colkey(kv[0]))
-            if prow.get(RHS_KEY)}
 
 
 def invert_matrix(mat):

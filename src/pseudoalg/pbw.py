@@ -463,11 +463,6 @@ class TensorElt(SparseCombination):
             raise ValueError("not a permutation of the slots")
         return self._with({tuple(key[i] for i in perm): v for key, v in self.c.items()})
 
-    def max_degree(self):
-        if not self.c:
-            return None
-        return max(sum(mi_weight(I) for I in key) for key in self.c)
-
     def __repr__(self):
         from .literals import render_tensor
         return render_tensor(self)

@@ -319,15 +319,14 @@ def module_residual(P, M, a, b, m):
     return _action_residual(P, M.act, M.module, P.kind == "lie", a, b, m)
 
 
-def verify_axioms(P, report=None, gens=None):
-    """Check the defining identities on generator pairs and triples.
+def verify_axioms(P, report=None):
+    """Check the defining identities on pairs and triples of `P.verify_gens`.
 
     By H-bilinearity this suffices for the full structure; the randomized
     tests exercise the bilinear extension separately.
     """
     rep = report or Report("axioms:%s" % P.name)
-    gens = list(gens if gens is not None else P.verify_gens)
-    elements = {g: P.element(g) for g in gens}
+    elements = {g: P.element(g) for g in P.verify_gens}
     return verify_axioms_elements(P, elements, rep)
 
 

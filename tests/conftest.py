@@ -66,3 +66,24 @@ def module_parts(q):
         m = MElt(q.module)
         m._bump(L, g, v)
         yield key, m
+
+
+def span_dim(vectors):
+    """Dimension of the span of sparse vectors: the rank of one
+    `SparseEliminator` fed all of them.  The class is looked up at call
+    time, so a test that swaps it for a reference swaps it here too."""
+    from pseudoalg import linalg
+    elim = linalg.SparseEliminator()
+    for v in vectors:
+        elim.add(v)
+    return elim.rank
+
+
+def complement(space, subspace):
+    """The vectors of `space` that enlarge the span of `subspace` and of the
+    vectors of `space` before them, from one `SparseEliminator` as above."""
+    from pseudoalg import linalg
+    elim = linalg.SparseEliminator()
+    for v in subspace:
+        elim.add(v)
+    return [v for v in space if elim.add(v)]

@@ -627,6 +627,12 @@ DISPATCH = [
     (["bracket", "--structure", "gc:1",
       "--left", "(1) @ c[1;0,0]", "--right", "(1) @ c[0;0,0]"], 0,
      "f879606a5fe267cba8e5d04b58cff9cdc288596b9311e03d2712bfbee6cc9ebf"),
+    # the JSON central windows the CI workflow pins by hash: their reports
+    # print the cocycle basis, the shift space and the representatives
+    (["cohomology", "central", "--structure", "sd:abelian4", "--dmax", "4"], 0,
+     "5918f004b683e2dcdb8ecaf5d97ceb861382ed817f7006dfb14f24b34ce3132d"),
+    (["cohomology", "central", "--structure", "wd:sl2", "--dmax", "8"], 0,
+     "bcc424587f00b393c6771c64485864cb29bf1cd70e73571a490b691e11b8ec58"),
     # non-abelian annihilate reports, pinned before the brackets began to
     # clear denominators once per call, so that they keep their bytes
     (["annihilate", "--structure", "wd:sl2", "--cutoff", "5"], 0,
@@ -680,6 +686,21 @@ def test_central_reports_name_their_subject():
     assert reports["k-type:sl2"] == reports["k-type:heisenberg"]
     first = run_cli(*argv, "k-type:sl2")[1].splitlines()[0]
     assert first == "central extensions of k-type:sl2 (algebra sl2)"
+
+
+@pytest.mark.parametrize("argv, option, spec", [
+    (["verify", "--structure", "wd:abelian1", "--alpha", "garbage", "--algebra", "nosuch"],
+     "--alpha", "wd:abelian1"),
+    (["cohomology", "central", "--structure", "cur:sl2", "--algebra", "sl2"],
+     "--algebra", "cur:sl2")])
+def test_rank1_options_are_refused_on_other_families(argv, option, spec, capsys):
+    """--alpha and --algebra define rank1 alone; with another family they
+    are input errors naming the option, where they were ignored before."""
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == "input error: %s applies to rank1 only, not to %s\n" % (
+        option, spec)
+    with pytest.raises(ValueError, match="%s applies to rank1 only" % option):
+        build_structure(spec, **{option[2:]: "sl2"})
 
 
 @pytest.mark.parametrize("argv", [["--structure", "sd:abelian3"],

@@ -1,12 +1,12 @@
 from fractions import Fraction as Fr
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adjoint_module, random_melt
+from conftest import adjoint_module, complement, random_melt, span_dim
 from pseudoalg import liealg
 from pseudoalg.cohomology import (Cochain, _central_jacobi_rows,
                                   _central_relation_rows, _degree_window, _rank1_rows,
@@ -18,9 +18,8 @@ from pseudoalg.cohomology import (Cochain, _central_jacobi_rows,
                                   trivial_cocycle_table, verify_cur_cocycle)
 from pseudoalg.constructions import (Rank1Datum, make_current, make_module_rank1,
                                      make_rank1, make_sd, make_wd, named_rank1_datum)
-from pseudoalg.linalg import (SparseEliminator, bump, nullspace, quotient_representatives,
-                              span_dim)
-from pseudoalg.pbw import (HElt, TensorElt, antipode_basis, mi_splits, mul_antipode,
+from pseudoalg.linalg import SparseEliminator, _colkey, bump, nullspace
+from pseudoalg.pbw import (HElt, TensorElt, antipode_basis, mi_splits, mi_zero, mul_antipode,
                            mul_basis, multiindices_up_to)
 from pseudoalg.pseudo import (compose_left, compose_right, extend_bilinear, verify_axioms,
                               verify_homomorphism)
@@ -271,6 +270,104 @@ def test_cur_zero_and_scalar_candidates_trivial():
     table = trivial_cocycle_table(P, {0: Fr(1), 1: Fr(-2), 2: Fr(0)})
     rep = verify_cur_cocycle(P, beta_table=table)
     assert rep.ok and rep.is_trivial
+
+
+# the triviality check `verify_cur_cocycle` ran before it asked the eliminator
+# for span membership: an inhomogeneous system in the shift coefficients
+# phi_k, its constant terms in the column RHS, solved and then checked again
+
+RHS = "__rhs__"
+
+
+class _RhsLastEliminator(SparseEliminator):
+    """An eliminator that picks RHS as a pivot only when no unknown is left,
+    so a stored RHS pivot row reads 0 = 1: the system is inconsistent."""
+
+    def _pick(self, row):
+        return min(row, key=lambda c: (c == RHS, _colkey(c)))
+
+
+def _solve_with_rhs(rows):
+    """One solution of the rows (row . x = row[RHS]), or None if there is none:
+    with the free unknowns at zero, each pivot unknown is its row's RHS."""
+    elim = _RhsLastEliminator()
+    for r in rows:
+        elim.add(r)
+    if RHS in elim.pivots:
+        return None
+    return {pcol: prow[RHS] for pcol, prow in elim.pivots.items() if prow.get(RHS)}
+
+
+def _is_counit_shift(P, beta_table):
+    """Whether beta(i, j) = phi([v_i, v_j]) for some phi, matched monomial by
+    monomial: a nonconstant term asks for 0 = v, a constant one for
+    sum_k c_ij^k phi_k = v."""
+    g = P.coefficient_algebra
+    rows = []
+    for i in range(g.dim):
+        for j in range(g.dim):
+            target = beta_table[(i, j)]
+            for I in set(target.c) | {mi_zero(P.alg.dim)}:
+                row = {} if any(I) else g.bracket(i, j)
+                v = target.c.get(I)
+                if v:
+                    row[RHS] = v
+                if row:
+                    rows.append(row)
+    sol = _solve_with_rhs(rows)
+    return sol is not None and all(
+        sum(v * sol.get(k, 0) for k, v in row.items() if k != RHS) == row.get(RHS, 0)
+        for row in rows)
+
+
+CUR_TABLE_KINDS = ("d-element", "shift", "shift plus a nonconstant term",
+                   "constant, not antisymmetric")
+SMALL = st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def cur_cocycle_tables(draw):
+    """(P, table, trivial): cur:sl2 over abelian1-3 with a drawn table of one
+    of the four kinds, and whether the table is a counit shift."""
+    N = draw(st.integers(1, 3))
+    P = _cur_sl2(N)
+    g, alg = P.coefficient_algebra, P.alg
+    pairs = [(i, j) for i in range(g.dim) for j in range(g.dim)]
+    kind = draw(st.sampled_from(CUR_TABLE_KINDS))
+    if kind == "d-element":
+        d = draw(st.lists(SMALL, min_size=N, max_size=N))
+        d_elt = HElt.from_vector(alg, dict(enumerate(d)))
+        K = g.killing_form()
+        return P, {(i, j): d_elt.scale(K[i][j]) for i, j in pairs}, not any(d)
+    if kind == "constant, not antisymmetric":
+        table = dict.fromkeys(pairs, 0)
+        for i, j in pairs:
+            if i < j:
+                table[(i, j)] = v = draw(SMALL)
+                table[(j, i)] = -v
+        table[draw(st.sampled_from(pairs))] += draw(SMALL.filter(bool))
+        zero = mi_zero(alg.dim)
+        return P, {p: HElt.monomial(alg, zero, v) for p, v in table.items()}, False
+    table = trivial_cocycle_table(P, {k: draw(SMALL) for k in range(g.dim)})
+    if kind == "shift":
+        return P, table, True
+    I = draw(st.sampled_from([I for I in multiindices_up_to(alg.dim, 2) if any(I)]))
+    p = draw(st.sampled_from(pairs))
+    table[p] = table[p] + HElt.monomial(alg, I, draw(SMALL.filter(bool)))
+    return P, table, False
+
+
+@lru_cache(maxsize=None)
+def _cur_sl2(N):
+    return make_current(liealg.abelian(N), liealg.sl2())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(cur_cocycle_tables())
+def test_cur_triviality_matches_the_solve_oracle(case):
+    P, table, trivial = case
+    rep = verify_cur_cocycle(P, beta_table=table)
+    assert rep.is_trivial == _is_counit_shift(P, table) == trivial
 
 
 def test_cur_degenerate_pairing_rejected():
@@ -711,7 +808,7 @@ def test_forced_zero_skip_matches_unskipped_rows(name, dmax):
     # order included, as every row built and handed to `nullspace`
     sol, basis = _oracle_solve(name, dmax)
     assert repr(sol.basis) == repr(basis)
-    reps = quotient_representatives(basis, sol.trivial)
+    reps = complement(basis, sol.trivial)
     assert repr(sol.representatives) == repr(reps)
     assert (sol.dim_cocycles, sol.dim_trivial, sol.dim) == \
         (span_dim(basis), span_dim(sol.trivial), len(reps))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import span_dim
 from pseudoalg import liealg
 from pseudoalg.constructions import Rank1Datum, check_ybe
 from pseudoalg.liealg import (Form, GeometricDatum, LieAlgebra, ce_differential,
@@ -275,7 +276,6 @@ def _random_square(rng, n, singular):
 
 
 def _same_span(us, vs):
-    from pseudoalg.linalg import span_dim
     return len(us) == len(vs) == span_dim(us) == span_dim(vs) == span_dim(us + vs)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import complement, span_dim
 from pseudoalg import liealg
 from pseudoalg.annihilation import TruncatedSeries
 from pseudoalg.cohomology import (sd_central_suite, solve_central_extensions,
@@ -17,9 +18,8 @@ from pseudoalg.cohomology import (sd_central_suite, solve_central_extensions,
 from pseudoalg.constructions import (Rank1Datum, make_current, make_rank1, make_sd,
                                      make_wd, named_rank1_datum, wd_element)
 from pseudoalg.liealg import Form, GeometricDatum, validate_geometric_datum
-from pseudoalg.linalg import (RHS_KEY, SparseEliminator, bump, bump_all, bump_outer,
-                              bump_terms, div, exact, invert_matrix, nullspace,
-                              quotient_representatives, scaled_product, solve, span_dim,
+from pseudoalg.linalg import (SparseEliminator, bump, bump_all, bump_outer, bump_terms,
+                              div, exact, invert_matrix, nullspace, scaled_product,
                               sparse_sum)
 from pseudoalg.pbw import HElt, antipode_basis, mi_splits, mul_basis, multiindices_up_to
 from pseudoalg.poisson import PoissonBracketSpec, pseudo_to_poisson
@@ -260,35 +260,13 @@ def test_nullspace_drops_explicit_zero_entries():
     assert nullspace([{0: Fr(0), 1: Fr(1)}], [0, 1]) == [{0: 1}]
 
 
-def test_nullspace_and_solve_on_mixed_rows_are_exact():
+def test_nullspace_on_mixed_rows_is_exact():
     rows = [{0: 2, 1: Fr(1, 3), 2: 0}, {1: Fr(3, 2), 2: 4, 3: Fr(6, 2)}, {0: True, 3: 1}]
     kernel = nullspace(rows, range(4))
     assert kernel
     for v in kernel:
         _assert_exact(v.values(), "nullspace")
         assert all(sum(c * v.get(k, 0) for k, c in row.items()) == 0 for row in rows)
-    rhs = [dict(row, __rhs__=Fr(5, 4) if i % 2 else 7) for i, row in enumerate(rows)]
-    sol = solve(rhs)
-    _assert_exact(sol.values(), "solve")
-    for row in rhs:
-        assert sum(c * sol.get(k, 0) for k, c in row.items() if k != "__rhs__") == row["__rhs__"]
-
-
-def test_solve_reads_the_one_right_hand_side_column():
-    # `solve` once took the name of the constant's column as an option, but
-    # `_colkey` keeps only RHS_KEY out of the pivots: with the constant of
-    # x = 2 under "b", b became a pivot and the system read inconsistent
-    assert solve([{"x": 1, RHS_KEY: 2}]) == {"x": 2}
-    assert solve([{"b": 1, RHS_KEY: 2}, {"x": 1, "b": 1}]) == {"b": 2, "x": -2}
-    assert solve([{RHS_KEY: 1}]) is None
-    with pytest.raises(TypeError):
-        solve([{"x": 1, "b": 2}], rhs_key="b")
-
-
-def test_solve_keeps_integral_values_int():
-    # the rewrite of the first stored row by the second leaves Fraction(-5, 1)
-    rows = [{RHS_KEY: Fr(3, 2), 1: Fr(1, 2), 0: -1}, {RHS_KEY: 2, 1: -1, 0: 1}]
-    assert repr(solve(rows)) == "{0: -5, 1: -7}"
 
 
 def _integral_fractions(elim):
@@ -394,42 +372,6 @@ def test_mi_splits_memoised_tuple_matches_reference():
             got = mi_splits(I, parts)
             assert isinstance(got, tuple) and list(got) == _reference_splits(I, parts)
             assert mi_splits(I, parts) is got
-
-
-def _solve_reference(rows, rhs_key="__rhs__"):
-    """The back-substituting body `solve` had before it read the pivot rows."""
-    from pseudoalg.linalg import SparseEliminator, _colkey
-    elim = SparseEliminator()
-    for r in rows:
-        elim.add(r)
-    sol = {}
-    for pcol, prow in elim.pivots.items():
-        if pcol == rhs_key:
-            return None
-    for pcol, prow in sorted(elim.pivots.items(), key=lambda kv: _colkey(kv[0])):
-        rhs = 0
-        for c, v in prow.items():
-            if c == rhs_key:
-                rhs += v
-            elif c != pcol and c in sol:
-                rhs -= v * sol[c]
-        sol[pcol] = rhs
-    return {k: v for k, v in sol.items() if v and k != rhs_key}
-
-
-def test_solve_matches_back_substitution_reference(rng):
-    inconsistent = 0
-    for _ in range(400):
-        ncols = rng.randint(1, 6)
-        cols = rng.sample([0, 1, 2, "a", "b", (0, 1), (1, 0)], ncols)
-        rows = [{c: Fr(rng.randint(-3, 3), rng.randint(1, 3))
-                 for c in rng.sample(cols + ["__rhs__"], rng.randint(1, ncols + 1))}
-                for _ in range(rng.randint(1, 7))]
-        want = _solve_reference(rows)
-        got = solve(rows)
-        inconsistent += want is None
-        assert got == want and (got is None or list(got) == list(want)), rows
-    assert 50 < inconsistent < 350
 
 
 def vec_add(u, v, cv=1):
@@ -570,12 +512,12 @@ def test_indexed_eliminator_matches_scanning_reference(rng, monkeypatch):
     for _ in range(500):
         cols = rng.sample(keys, rng.randint(1, len(keys)))
         rows = [{c: _random_value(rng)
-                 for c in rng.sample(cols + ["__rhs__"], rng.randint(1, min(5, len(cols) + 1)))}
+                 for c in rng.sample(cols, rng.randint(1, min(5, len(cols))))}
                 for _ in range(rng.randint(1, 2 * len(cols)))]
         _assert_same_stream(rows)
         accepted += span_dim(rows)
-        for fn, args in ((nullspace, (rows, cols + ["__rhs__"])), (solve, (rows,)),
-                         (span_dim, (rows,)), (quotient_representatives, (rows, rows[::2]))):
+        for fn, args in ((nullspace, (rows, cols)), (span_dim, (rows,)),
+                         (complement, (rows, rows[::2]))):
             got, want = _with_reference(monkeypatch, fn, *args)
             assert repr(got) == repr(want), (fn.__name__, rows)
         n = rng.randint(1, 6)
@@ -585,17 +527,17 @@ def test_indexed_eliminator_matches_scanning_reference(rng, monkeypatch):
     assert accepted > 2000
 
 
-# column keys of mixed types; "__rhs__" is the marker `_colkey` ranks last
+# column keys of mixed types
 STREAM_KEYS = [0, 1, 2, 3, "a", "b", (0, 1), (1, 0), Fr(1, 2)]
 
 
 @st.composite
 def row_streams(draw):
-    """(cols, rows, mat): a stream of sparse rows over a few drawn columns and
-    the right-hand-side marker, with explicit zeros and mixed int/Fraction
-    values, and a small square matrix for `invert_matrix`."""
+    """(cols, rows, mat): a stream of sparse rows over a few drawn columns,
+    with explicit zeros and mixed int/Fraction values, and a small square
+    matrix for `invert_matrix`."""
     cols = draw(st.lists(st.sampled_from(STREAM_KEYS), min_size=1, max_size=6, unique=True))
-    row = st.dictionaries(st.sampled_from(cols + ["__rhs__"]), RAW_VALUES,
+    row = st.dictionaries(st.sampled_from(cols), RAW_VALUES,
                           min_size=1, max_size=5)
     rows = draw(st.lists(row, min_size=1, max_size=2 * len(cols)))
     n = draw(st.integers(1, 4))
@@ -606,14 +548,13 @@ def row_streams(draw):
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(row_streams())
 def test_indexed_eliminator_matches_scanning_reference_on_drawn_streams(stream):
-    """The stream check and the five entry points of the seeded test above,
+    """The stream check and the four entry points of the seeded test above,
     over drawn row streams; `pytest.MonkeyPatch` swaps the eliminator per
     example."""
     cols, rows, mat = stream
     _assert_same_stream(rows)
-    for fn, args in ((nullspace, (rows, cols + ["__rhs__"])), (solve, (rows,)),
-                     (span_dim, (rows,)), (quotient_representatives, (rows, rows[::2])),
-                     (invert_matrix, (mat,))):
+    for fn, args in ((nullspace, (rows, cols)), (span_dim, (rows,)),
+                     (complement, (rows, rows[::2])), (invert_matrix, (mat,))):
         got, want = _with_reference(pytest.MonkeyPatch, fn, *args)
         assert repr(got) == repr(want), (fn.__name__, args)
 
@@ -712,4 +653,4 @@ def test_kernel_ignores_the_order_of_central_rows(window, order):
 def test_kernel_ignores_the_order_of_drawn_rows(stream, data):
     cols, rows, _ = stream
     permuted = data.draw(st.permutations(rows))
-    _assert_kernel_ignores_row_order(rows, permuted, cols + [RHS_KEY])
+    _assert_kernel_ignores_row_order(rows, permuted, cols)
