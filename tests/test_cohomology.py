@@ -325,6 +325,11 @@ CUR_TABLE_KINDS = ("d-element", "shift", "shift plus a nonconstant term",
 SMALL = st.fractions(-3, 3, max_denominator=3)
 
 
+@lru_cache(maxsize=None)
+def _cur_sl2(N):
+    return make_current(liealg.abelian(N), liealg.sl2())
+
+
 @st.composite
 def cur_cocycle_tables(draw):
     """(P, table, trivial): cur:sl2 over abelian1-3 with a drawn table of one
@@ -355,11 +360,6 @@ def cur_cocycle_tables(draw):
     p = draw(st.sampled_from(pairs))
     table[p] = table[p] + HElt.monomial(alg, I, draw(SMALL.filter(bool)))
     return P, table, False
-
-
-@lru_cache(maxsize=None)
-def _cur_sl2(N):
-    return make_current(liealg.abelian(N), liealg.sl2())
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
