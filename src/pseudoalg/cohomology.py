@@ -123,10 +123,7 @@ def extension_cocycle_residual(P, Mact, Nact, gamma, a, b, n):
         gamma([a b])(n) = a (gamma(b)(n)) - sigma12 gamma(b)(a n)
                           - sigma12 (b (gamma(a)(n))) + gamma(a)(b n)
     """
-    def gamma_ab(x_elt, y_elt):
-        return extend_bilinear(lambda gx, gy: gamma.get((gx, gy)),
-                               x_elt, y_elt, Mact.module)
-
+    gamma_ab = Cochain(2, P, Mact, gamma).value2
     ea, eb = P.element(a), P.element(b)
     en = Nact.module.element(n)
     lhs = compose_left(P.bracket(ea, eb), gamma_ab, en, Mact.module)

@@ -2,11 +2,16 @@
 
 A PForm of degree n is a linear map from n-th wedge powers of the algebra
 to H, stored on strictly increasing index tuples.  The vector-field
-action, the contraction and the differential all land in quotient
-elements over the free module whose generators are the basis forms of the
-relevant degree, via the identification
+action and the contraction land in quotient elements over the free module
+whose generators are the basis forms of the relevant degree, via the
+identification
 
     ((u (x) v) (x)_H w)(args) = (u (x) v) * coproduct(w(args)).
+
+Each is written once, for a generator field w_a = 1 (x) d_a and a basis
+form w*(T), and reaches every field and form through the one H-bilinear
+extension `pseudo.extend_bilinear`, as brackets and module actions do.
+The differential is H-linear and acts on PForm values directly.
 """
 
 from itertools import combinations
@@ -14,24 +19,30 @@ from itertools import combinations
 from .constructions import make_wd, wd_element
 from .liealg import sort_with_sign
 from .linalg import SparseCombination, bump
-from .pbw import HElt, mi_unit, mi_zero, mul_basis
-from .pseudo import ModuleStructure, PseudoStructure, Report, verify_module
+from .pbw import HElt, mi_unit, mi_zero
+from .pseudo import ModuleStructure, PseudoStructure, Report, extend_bilinear, verify_module
 from .tensor import FreeModule, MElt, QElt
 
 
+def _form_name(T):
+    """The printed name w*(i,...) of the basis form on T, indices 1-based."""
+    return "w*(%s)" % ",".join(str(i + 1) for i in T)
+
+
+def _forms_on(alg, gens, label):
+    gens = list(gens)
+    return FreeModule(alg, gens, names={g: _form_name(g) for g in gens}, label=label)
+
+
 def form_module(alg, degree):
-    gens = list(combinations(range(alg.dim), degree))
-    names = {g: "w*(%s)" % (",".join(str(i + 1) for i in g)) if g else "w*()" for g in gens}
-    return FreeModule(alg, gens, names=names, label="forms%d:%s" % (degree, alg.name))
+    return _forms_on(alg, combinations(range(alg.dim), degree),
+                     "forms%d:%s" % (degree, alg.name))
 
 
 def full_form_module(alg):
     """All degrees at once; used by the wedge current structure."""
-    gens = []
-    for n in range(alg.dim + 1):
-        gens.extend(combinations(range(alg.dim), n))
-    names = {g: "w*(%s)" % (",".join(str(i + 1) for i in g)) if g else "w*()" for g in gens}
-    return FreeModule(alg, gens, names=names, label="forms:%s" % alg.name)
+    return _forms_on(alg, (T for n in range(alg.dim + 1) for T in combinations(range(alg.dim), n)),
+                     "forms:%s" % alg.name)
 
 
 class PForm(SparseCombination):
@@ -100,67 +111,72 @@ class PForm(SparseCombination):
     def __repr__(self):
         if not self.c:
             return "PForm(0)"
-        return " + ".join("(%r) w*(%s)" % (h, ",".join(str(i + 1) for i in T))
-                          for T, h in sorted(self.c.items()))
+        return " + ".join("(%r) %s" % (h, _form_name(T)) for T, h in sorted(self.c.items()))
 
 
-def _add_pairs(acc, K, h, scale):
-    """acc += scale * (d^(K) (x) h), keyed by pairs (K, I)."""
-    for I, v in h.c.items():
-        bump(acc, (K, I), scale * v)
+def _basis_value(T0, args):
+    """The value of the basis form w*(T0) on args: the sign that sorts args
+    onto T0, else 0."""
+    sign, key = sort_with_sign(args)
+    return sign if key == T0 else 0
+
+
+def _action_on_basis(alg, mod, a, T0):
+    """w_a acting on the basis form w*(T0), uncanonicalized over `mod`.
+
+    The value on each target T, bumped in this order, is
+        - (1 (x) d_a) where T = T0
+        + sum over slots i: sign_i * (d_{T_i} (x) 1) w*(T0)(a ^ T-without-i)
+        + sum over slots i: sign_i * (1 (x) 1) w*(T0)([a, T_i] ^ T-without-i),
+    with sign_i = (-1)^(i+1) for the 0-based slot i.
+    """
+    zero = mi_zero(alg.dim)
+    out = QElt(mod, 2)
+    for T in combinations(range(alg.dim), len(T0)):
+        if T == T0:
+            out._bump((zero, mi_unit(alg.dim, a)), T, zero, -1)
+        for pos in range(len(T)):
+            rest = T[:pos] + T[pos + 1:]
+            sign = (-1) ** (pos + 1)
+            out._bump((mi_unit(alg.dim, T[pos]), zero), T, zero,
+                      sign * _basis_value(T0, (a,) + rest))
+            brk = sum(c * _basis_value(T0, (k,) + rest)
+                      for k, c in alg.bracket(a, T[pos]).items())
+            out._bump((zero, zero), T, zero, sign * brk)
+    return out
+
+
+def _contraction_of_basis(alg, mod, a, T0):
+    """The contraction of w*(T0) by w_a, uncanonicalized over `mod`: the
+    value map T -> (1 (x) 1) w*(T0)(a ^ T), nonzero only on T0 without a."""
+    out = QElt(mod, 2)
+    if a in T0:
+        i = T0.index(a)
+        zero = mi_zero(alg.dim)
+        out._bump((zero, zero), T0[:i] + T0[i + 1:], zero, (-1) ** i)
+    return out
+
+
+def _extend(formula, field, m, target):
+    """A generator formula extended H-bilinearly to the field and the form
+    element m, canonicalized over the target module."""
+    return extend_bilinear(lambda a, T: formula(target.alg, target, a, T),
+                           field, m, target).canonicalize()
 
 
 def act_on_form(alg, wfield, w):
-    """Vector-field action on a pseudoform, canonicalized.
-
-    For a field sum f (x) d_a the value map on arguments args is
-        - f (x) w(args) d_a
-        + sum over slots: sign * f d_{args i} (x) w(a ^ args-without-i)
-        + sum over slots: sign * f (x) w([a, args i] ^ args-without-i).
-    """
-    n = w.degree
-    mod = form_module(alg, n)
-    out = QElt(mod, 2)
-    zero = mi_zero(alg.dim)
-    for (F, a), fv in wfield.c.items():
-        for T in combinations(range(alg.dim), n):
-            acc = {}  # coefficients of d^(K) (x) d^(I)
-            base = w.value(T)
-            if base:
-                _add_pairs(acc, F, base * HElt.gen(alg, a), -fv)
-            for pos in range(n):
-                rest = T[:pos] + T[pos + 1:]
-                sign = (-1) ** (pos + 1)
-                inner = w.value((a,) + rest)
-                if inner:
-                    ai = mi_unit(alg.dim, T[pos])
-                    for K, ck in mul_basis(alg, F, ai).items():
-                        _add_pairs(acc, K, inner, sign * fv * ck)
-                brk = alg.bracket(a, T[pos])
-                if brk:
-                    val = w.value_with_vector(brk, rest)
-                    if val:
-                        _add_pairs(acc, F, val, sign * fv)
-            for (K, I), v in acc.items():
-                out._bump((K, I), T, zero, v)
-    return out.canonicalize()
+    """Vector-field action on a pseudoform, canonicalized."""
+    mod = form_module(alg, w.degree)
+    return _extend(_action_on_basis, wfield, w.as_module_element(mod), mod)
 
 
 def contract_form(alg, wfield, w):
-    """Contraction: value map args -> f (x) w(a ^ args)."""
+    """Contraction: value map args -> f (x) w(a ^ args) for a field f (x) d_a."""
     n = w.degree
     if n == 0:
         raise ValueError("cannot contract a degree-0 form")
-    mod = form_module(alg, n - 1)
-    out = QElt(mod, 2)
-    zero = mi_zero(alg.dim)
-    for (F, a), fv in wfield.c.items():
-        for T in combinations(range(alg.dim), n - 1):
-            val = w.value((a,) + T)
-            if val:
-                for I, v in val.c.items():
-                    out._bump((F, I), T, zero, fv * v)
-    return out.canonicalize()
+    return _extend(_contraction_of_basis, wfield, w.as_module_element(form_module(alg, n)),
+                   form_module(alg, n - 1))
 
 
 def form_differential(alg, w):
@@ -169,11 +185,6 @@ def form_differential(alg, w):
     if n >= alg.dim:
         return PForm(alg, alg.dim)
     out = PForm(alg, n + 1)
-    if n == 0:
-        base = w.value(())
-        for a in range(alg.dim):
-            out.set_value((a,), -(base * HElt.gen(alg, a)))
-        return out
     for T in combinations(range(alg.dim), n + 1):
         acc = HElt.zero(alg)
         for i in range(n + 1):
@@ -202,14 +213,9 @@ def differential_on_quotient(alg, q, src_degree):
 
 def wd_action_on_forms(P_wd, degree):
     """ModuleStructure wrapper used by the module-identity checks."""
-    alg = P_wd.alg
-    mod = form_module(alg, degree)
-
-    def action(a, T):
-        field = MElt(P_wd.module, {(mi_zero(alg.dim), a): 1})
-        return act_on_form(alg, field, PForm.basis(alg, T))
-
-    return ModuleStructure(P_wd, mod, action_fn=action, name="forms%d" % degree)
+    mod = form_module(P_wd.alg, degree)
+    return ModuleStructure(P_wd, mod, action_fn=lambda a, T: _action_on_basis(mod.alg, mod, a, T),
+                           name="forms%d" % degree)
 
 
 def volume_action_expected(alg, a):
@@ -279,12 +285,4 @@ def wedge_structure(alg):
 
 def act_on_full_module(P_wd, field, m):
     """Action of a vector field on an element of the all-degrees form module."""
-    alg = P_wd.alg
-    full = full_form_module(alg)
-    out = QElt(full, 2)
-    for (I, T), v in m.c.items():
-        w = PForm(alg, len(T), {T: HElt.monomial(alg, I, v)})
-        q = act_on_form(alg, field, w)
-        for (key, Tg, L), qv in q.c.items():
-            out._bump(key, Tg, L, qv)
-    return out.canonicalize()
+    return _extend(_action_on_basis, field, m, full_form_module(P_wd.alg))

@@ -53,27 +53,26 @@ class PoissonBracketSpec:
             raise ValueError("%s = %r is not a list of nonnegative integers" % (field, lam))
         return checked_mi(lam, self.N, what=field)
 
+    @staticmethod
+    def _add(tables, where, key, coeff):
+        """tables[where][key] += coeff, skipping a zero coefficient and
+        dropping a table the sum empties."""
+        coeff = exact(coeff)
+        if not coeff:
+            return
+        tbl = tables.setdefault(where, {})
+        bump(tbl, key, coeff)
+        if not tbl:
+            del tables[where]
+
     def add_term(self, i, j, k, lam, der, coeff):
         self._check_fields(i, j, k)
         key = (self._exponent("lambda", lam), self._exponent("partial", der))
-        coeff = exact(coeff)
-        if not coeff:
-            return
-        tbl = self.Q.setdefault((i, j, k), {})
-        bump(tbl, key, coeff)
-        if not tbl:
-            del self.Q[(i, j, k)]
+        self._add(self.Q, (i, j, k), key, coeff)
 
     def add_central(self, i, j, lam, coeff):
         self._check_fields(i, j)
-        key = self._exponent("lambda", lam)
-        coeff = exact(coeff)
-        if not coeff:
-            return
-        tbl = self.central.setdefault((i, j), {})
-        bump(tbl, key, coeff)
-        if not tbl:
-            del self.central[(i, j)]
+        self._add(self.central, (i, j), self._exponent("lambda", lam), coeff)
 
     def __eq__(self, other):
         return (isinstance(other, PoissonBracketSpec) and self.r == other.r
