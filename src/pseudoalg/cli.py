@@ -23,7 +23,7 @@ from . import liealg
 from .annihilation import PrecisionError, TruncatedSeries, annihilation_suite
 from .cohomology import (sd_central_suite, solve_central_extensions,
                          solve_central_extensions_rank1)
-from .constructions import (Rank1Datum, check_ybe, embed_rank1_in_wd,
+from .constructions import (RANK1_DATA, Rank1Datum, check_ybe, embed_rank1_in_wd,
                             make_current, make_gc, make_rank1,
                             make_rank1_from_alpha, make_sd, make_wd,
                             named_rank1_datum)
@@ -73,9 +73,9 @@ CENTRAL_MAX_UNKNOWNS = 3_000
 # 6 and 1.  Over wd:sl2, d^(5,5,5) on both sides (1,178,496) takes about 3 s
 # and d^(0,0,34) against d^(34,0,0) (2,000,425) about 0.5 s; d^(6,6,6) on
 # both sides (3,134,677) takes about 10 s, and d^(8,8,8) (15,181,425) ran
-# for about a minute and printed 9.7 MB, from a 50-byte argument.  The
-# estimate ignores that a product of monomials over an abelian algebra is
-# one monomial, so it refuses some abelian operands that would be quick.
+# for about a minute and printed 9.7 MB, from a 50-byte argument.  Over
+# wd:abelian1, d^(100000) on both sides is refused; over wd:abelian4,
+# d^(11,11,11,11) on both sides (1,845,504) takes about 1.4 s.
 BRACKET_MAX_WORK = 2_500_000
 
 
@@ -228,10 +228,15 @@ def bracket_work(P, a, b):
     monomials of degree up to da + |J|, with da the largest degree in a.
     The estimate is |a| times the sum over the terms of b of the splits
     times C(da + |J| + dim, dim), the number of monomials up to that degree.
+    Over an abelian algebra a product of monomials is one monomial, so a
+    split costs da + |J| + 1 there; in one variable the two counts agree.
     """
-    dim = P.alg.dim
+    alg = P.alg
     da = max((mi_weight(I) for I, _ in a.c), default=0)
-    return len(a.c) * sum(math.prod(j + 1 for j in J) * math.comb(da + mi_weight(J) + dim, dim)
+
+    def split_cost(degree):
+        return degree + 1 if alg.is_abelian else math.comb(degree + alg.dim, alg.dim)
+    return len(a.c) * sum(math.prod(j + 1 for j in J) * split_cost(da + mi_weight(J))
                           for J, _ in b.c)
 
 
@@ -336,7 +341,7 @@ def cmd_catalog(args):
     structures = ["cur:<g>[@<d>]", "wd:<d>", "sd:<d>[:<chi>]", "h-type:<datum>",
                   "k-type:<datum>", "gc:<n>[@<d>]", "cend:<n>[@<d>]", "rank1 (--alpha ...)"]
     data = {"algebras": algs, "structures": structures,
-            "rank1_data": ["solv2", "abelian2", "heisenberg", "sl2"]}
+            "rank1_data": list(RANK1_DATA)}
     return data, ["algebras:   " + " ".join(algs), "structures: " + "  ".join(structures),
                   "rank1 data: " + " ".join(data["rank1_data"])]
 

@@ -485,7 +485,7 @@ def solve_central_extensions(P, dmax=4, complete=False):
 
 # -- current-structure cocycles ----------------------------------------------
 
-def verify_cur_cocycle(P_cur, d_element=None, beta_table=None, report=None):
+def verify_cur_cocycle(P_cur, d_element=None, beta_table=None):
     """Closedness and triviality analysis for cocycles of a current structure.
 
     With a simple coefficient algebra, the pairing table
@@ -496,7 +496,7 @@ def verify_cur_cocycle(P_cur, d_element=None, beta_table=None, report=None):
     and is a counit shift only when zero; scalar-valued tables are matched
     against the shift space instead.
     """
-    rep = report or Report("cur-cocycle")
+    rep = Report("cur-cocycle")
     g = P_cur.coefficient_algebra
     alg = P_cur.alg
     K = g.killing_form()

@@ -10,7 +10,7 @@ import re
 from itertools import combinations
 from math import comb
 
-from .liealg import validate_geometric_datum
+from .liealg import algebra_by_name, validate_geometric_datum
 from .linalg import bump, div, exact, invert_matrix, sparse_sum
 from .pbw import (HElt, TensorElt, antipode_basis, mi_splits, mi_unit,
                   mi_weight, mi_zero, mul_basis, multiindices_up_to)
@@ -115,12 +115,11 @@ def divergence(alg, w, chi=None):
     return out
 
 
-def divergence2(alg, q, chi=None):
+def divergence2(alg, q):
     """Divergence applied inside H^{(x) 2} (x)_H W(d), landing in H (x) H."""
     out = TensorElt(alg, 2)
     for (key, a, L), v in q.c.items():
-        chi_v = 0 if chi is None else chi[a]
-        div = HElt.monomial(alg, L, 1) * (HElt.gen(alg, a) + HElt.one(alg).scale(chi_v))
+        div = HElt.monomial(alg, L, 1) * HElt.gen(alg, a)
         t = TensorElt(alg, 2, {key: v})
         out = out + t * div.coproduct(2)
     return out
@@ -291,7 +290,7 @@ class GeneratedSubalgebra:
         return rep
 
 
-def _koszul_decompose(alg, tops, d, directions=None):
+def _koszul_decompose(alg, tops, d, directions):
     """Write top symbols sum p_a (x) d_a with sum p_a y_a = 0 (in the symbol
     algebra) as sum f_ij (y_i (x) d_j - y_j (x) d_i), f_ij of degree d-1.
 
@@ -299,7 +298,7 @@ def _koszul_decompose(alg, tops, d, directions=None):
     current variable, fold the counterpart into the remaining slots.  Only
     variables in `directions` are split, so pair indices stay inside them.
     """
-    directions = list(range(alg.dim)) if directions is None else sorted(directions)
+    directions = sorted(directions)
     p = [dict(t) for t in tops]
     out = {}
     for pos, i in enumerate(directions[:-1]):
@@ -318,8 +317,8 @@ def _koszul_decompose(alg, tops, d, directions=None):
     return out
 
 
-def make_sd(alg, chi=None, directions=None):
-    return GeneratedSubalgebra(alg, chi, directions)
+def make_sd(alg, chi=None):
+    return GeneratedSubalgebra(alg, chi)
 
 
 # -- rank-one data and the Yang-Baxter conditions ----------------------------
@@ -417,9 +416,9 @@ def check_ybe(datum):
     return rep
 
 
-def make_rank1(datum, run_axioms=True, name=None):
+def make_rank1(datum, run_axioms=True):
     """Free rank-one structure with [e e] = alpha (x)_H e."""
-    P = make_rank1_from_alpha(datum.alg, datum.alpha(), name or "rank1:%s" % datum.alg.name)
+    P = make_rank1_from_alpha(datum.alg, datum.alpha(), "rank1:%s" % datum.alg.name)
     P.datum = datum
     if run_axioms:
         P.axiom_report = verify_axioms(P)
@@ -504,7 +503,6 @@ def cend_module(alg, n, label):
 
     # generator set is infinite; names computed and read back on demand
     mod.gen_name, mod.gen_by_name = name, by_name
-    mod.is_counit = lambda g: False
     return mod
 
 
@@ -557,9 +555,9 @@ def make_cend(alg, n, max_gen_degree=1):
     return P
 
 
-def make_gc(alg, n, max_gen_degree=1):
+def make_gc(alg, n):
     """Commutator structure of the associative pseudolinear product."""
-    C = make_cend(alg, n, max_gen_degree)
+    C = make_cend(alg, n)
 
     def bracket(g1, g2):
         return (C.gen_bracket(g1, g2)
@@ -568,7 +566,6 @@ def make_gc(alg, n, max_gen_degree=1):
     P = PseudoStructure(C.module, "lie", bracket_fn=bracket,
                         verify_gens=list(C.verify_gens), name="gc%d:%s" % (n, alg.name))
     P.size = n
-    P.associative = C
     return C, P
 
 
@@ -633,10 +630,10 @@ def gamma_symplectic(n):
     return gamma
 
 
-def minus_fixed_generators(C, gamma=None, max_degree=1):
+def minus_fixed_generators(C, gamma=None):
     """Generating data of the minus-one eigenspace of the anti-involution."""
     out = []
-    for J in multiindices_up_to(C.alg.dim, max_degree):
+    for J in multiindices_up_to(C.alg.dim, 1):
         for p in range(C.size):
             for q in range(C.size):
                 x = cend_element_from_pairs(C, [(mi_zero(C.alg.dim), J, p, q, 1)])
@@ -723,23 +720,21 @@ def rank1_module_check(datum, beta):
 
 # -- named catalog -----------------------------------------------------------
 
+# Stock (r, s) data, name -> (algebra name, r, s): the solvable plane, a
+# flat symplectic plane, the Heisenberg contact datum and the
+# simple-algebra contact datum, r = e (x) f - f (x) e, s = -h in the
+# (e, f, h) basis of sl2.
+RANK1_DATA = {
+    "solv2": ("solv2", [[0, 1], [-1, 0]], (0, 1)),
+    "abelian2": ("abelian2", [[0, 1], [-1, 0]], (0, 0)),
+    "heisenberg": ("heis3", [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], (0, 0, -1)),
+    "sl2": ("sl2", [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], (0, 0, -1)),
+}
+
+
 def named_rank1_datum(name):
-    """Stock (r, s) data: the solvable plane, the Heisenberg contact datum,
-    the simple-algebra contact datum, and flat symplectic planes."""
-    from . import liealg
-    if name == "solv2":
-        alg = liealg.solvable2()
-        r = [[0, 1], [-1, 0]]
-        s = (0, 1)
-        return Rank1Datum(alg, r, s)
-    if name == "abelian2":
-        alg = liealg.abelian(2)
-        return Rank1Datum(alg, [[0, 1], [-1, 0]], (0, 0))
-    if name == "heisenberg":
-        alg = liealg.heisenberg3()
-        return Rank1Datum(alg, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], (0, 0, -1))
-    if name == "sl2":
-        alg = liealg.sl2()
-        # r = e (x) f - f (x) e, s = -h in the (e, f, h) basis
-        return Rank1Datum(alg, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], (0, 0, -1))
-    raise KeyError("unknown rank-one datum %r" % name)
+    """The `RANK1_DATA` entry of that name as a `Rank1Datum`."""
+    if name not in RANK1_DATA:
+        raise KeyError("unknown rank-one datum %r" % name)
+    aname, r, s = RANK1_DATA[name]
+    return Rank1Datum(algebra_by_name(aname), r, s)

@@ -80,11 +80,11 @@ def render_helt(e, symbol="d"):
                        for I in sorted(e.c, key=lambda I: (sum(I), I)))
 
 
-def render_tensor(t, symbol="d"):
+def render_tensor(t):
     pairs = []
     for key in sorted(t.c):
         v = t.c[key]
-        mono = " # ".join(render_mi(I, symbol) for I in key)
+        mono = " # ".join(render_mi(I) for I in key)
         pairs.append((v, mono if abs(v) == 1 else "(%s)" % mono))
     return _signed_sum(pairs)
 
@@ -196,7 +196,7 @@ def parse_helt(alg, text, symbol="d"):
                                 for term in _split_terms(text)))
 
 
-def parse_tensor(alg, text, arity=None, symbol="d"):
+def parse_tensor(alg, text, arity=None):
     """Sum of "#"-joined products of single terms, e.g. "d^(1)#d^(0) - d^(0)#d^(1)"."""
     from .pbw import TensorElt
     text = text.strip()
@@ -209,7 +209,7 @@ def parse_tensor(alg, text, arity=None, symbol="d"):
         key = []
         coeff = 1
         for pos, f in enumerate(factors):
-            I, v = parse_term(alg, f if pos == 0 else f.strip(), symbol)
+            I, v = parse_term(alg, f if pos == 0 else f.strip())
             key.append(I)
             coeff *= v
         t = TensorElt(alg, len(key), {tuple(key): coeff})

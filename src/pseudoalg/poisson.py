@@ -162,14 +162,12 @@ def _substitute(terms):
     return out
 
 
-def poisson_to_pseudo(spec, alg=None):
+def poisson_to_pseudo(spec):
     """Pseudoalgebra of the bracket tables over the abelian algebra.
 
     Returns (structure, central beta table or None).
     """
-    alg = alg or abelian(spec.N)
-    if not alg.is_abelian or alg.dim != spec.N:
-        raise ValueError("needs the abelian algebra in %d variables" % spec.N)
+    alg = abelian(spec.N)
     mod = FreeModule(alg, list(range(spec.r)),
                      names={i: spec.names[i] for i in range(spec.r)},
                      label="poisson(r=%d)" % spec.r)
@@ -358,10 +356,10 @@ def poisson_catalog(name, **params):
     return build(*(params.get(p) for p in names))
 
 
-def verify_poisson_jacobi(spec, report=None):
+def verify_poisson_jacobi(spec):
     """Skew and Jacobi of the kernel, via the pseudo image."""
     from .pseudo import verify_axioms
     P, _ = poisson_to_pseudo(spec)
-    rep = verify_axioms(P, report=report)
+    rep = verify_axioms(P)
     rep.title = "poisson-jacobi(r=%d,N=%d)" % (spec.r, spec.N)
     return rep

@@ -351,24 +351,22 @@ def verify_axioms_elements(P, elements, report=None):
     return rep
 
 
-def verify_module(P, M, report=None, lgens=None, mgens=None):
+def verify_module(P, M, report=None):
     rep = report or Report("module:%s" % (M.name or P.name))
-    lgens = list(lgens if lgens is not None else P.verify_gens)
-    mgens = list(mgens if mgens is not None else M.module.gens)
-    for x, y, m in product(lgens, lgens, mgens):
+    for x, y, m in product(P.verify_gens, P.verify_gens, M.module.gens):
         res = module_residual(P, M, P.element(x), P.element(y), M.module.element(m))
         rep.record("module-identity[%s,%s;%s]" % (x, y, m), not res, res or None)
     return rep
 
 
-def verify_homomorphism(P1, P2, images, report=None):
+def verify_homomorphism(P1, P2, images):
     """Check phi([a b]) = [phi(a) phi(b)] on generator pairs.
 
     `images`: {generator of P1 -> MElt over P2}.  The map extends
     H-linearly; counit generators map to themselves implicitly when
     present in both structures.
     """
-    rep = report or Report("homomorphism:%s->%s" % (P1.name, P2.name))
+    rep = Report("homomorphism:%s->%s" % (P1.name, P2.name))
     for gi in images:
         for gj in images:
             lhs = P1.gen_bracket(gi, gj).map_module(images.__getitem__, P2.module)

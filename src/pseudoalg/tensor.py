@@ -253,30 +253,6 @@ class QElt(SparseCombination):
                 out._bump(key, gp, Lp, v * w)
         return out
 
-    def as_dict(self):
-        """Bit-exact dump for regression fixtures."""
-        return {
-            "arity": self.n,
-            "canonical": self.canonical,
-            "terms": [{"slots": [list(I) for I in key],
-                       "gen": self.module.gen_name(g),
-                       "m": list(L), "coeff": str(v)}
-                      for (key, g, L), v in sorted(
-                          self.c.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), kv[0][2]))],
-        }
-
-    @classmethod
-    def from_dict(cls, module, data):
-        from .literals import parse_fraction
-        q = cls(module, int(data["arity"]))
-        dim = module.alg.dim
-        for t in data["terms"]:
-            q._bump(checked_slots(t["slots"], q.n, dim),
-                    module.gen_by_name(t["gen"]), checked_mi(t["m"], dim),
-                    parse_fraction(t["coeff"]))
-        q.canonical = bool(data.get("canonical"))
-        return q
-
     def __repr__(self):
         from .literals import render_quotient
         return render_quotient(self)

@@ -16,7 +16,7 @@ from pseudoalg import cli
 from pseudoalg.annihilation import annihilation_suite
 from pseudoalg.cli import (BRACKET_MAX_WORK, CENTRAL_MAX_UNKNOWNS, VERIFY_MAX_TRIPLES,
                           build_structure, main)
-from pseudoalg.constructions import CEND_MAX_GENERATORS, make_wd
+from pseudoalg.constructions import CEND_MAX_GENERATORS, make_wd, named_rank1_datum
 from pseudoalg.forms import forms_suite
 from pseudoalg.liealg import algebra_by_name
 from pseudoalg.literals import parse_module_element
@@ -368,6 +368,29 @@ def test_bracket_budget_admits_the_pinned_operands():
         assert _bracket_work("wd:sl2", left, right) == work <= BRACKET_MAX_WORK
 
 
+def test_bracket_budget_counts_one_monomial_per_abelian_product(capsys):
+    """Over an abelian algebra a product of monomials is one monomial, so
+    each split of a right multi-index J costs da + |J| + 1: d^(3,3,3,3) on
+    both sides over wd:abelian4 reads 6,400 (C(da + |J| + dim, dim) counted
+    5,241,600) and runs.  In one variable the two counts agree, so
+    d^(100000) on both sides over wd:abelian1 is still refused."""
+    for spec, J, work in [("wd:abelian4", "3,3,3,3", 6_400),
+                          ("wd:abelian4", "11,11,11,11", 1_845_504),
+                          ("wd:abelian2", "80,80", 2_106_081),
+                          ("wd:abelian3", "20,20,20", 1_120_581)]:
+        left, right = "(d^(%s)) @ w_d1" % J, "(d^(%s)) @ w_d2" % J
+        assert _bracket_work(spec, left, right) == work <= BRACKET_MAX_WORK
+    code, out = run_cli("bracket", "--structure", "wd:abelian4", "--left",
+                        "(d^(3,3,3,3)) @ w_d1", "--right", "(d^(3,3,3,3)) @ w_d2")
+    assert code == 0 and out
+    left = right = "(d^(100000)) @ w_d1"
+    work = 100_001 * 200_001  # 100,001 splits of d^(100000), each 200,000 + 1
+    assert _bracket_work("wd:abelian1", left, right) == work
+    assert run_cli("bracket", "--structure", "wd:abelian1", "--left", left,
+                   "--right", right) == (2, "")
+    assert "work estimate %d, over the budget" % work in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["bracket", "xbracket"])
 @pytest.mark.parametrize("k, work", [(6, 3_134_677), (8, 15_181_425), (12, 148_352_425)])
 def test_bracket_budget_refuses_before_any_product(command, k, work, monkeypatch, capsys):
@@ -533,6 +556,57 @@ def test_readme_commands_are_golden_cases():
     assert len(commands) == 14
     for argv in commands:
         assert argv in pinned, argv
+
+
+def test_readme_quick_start_prints_what_its_comments_state():
+    """The README's library example, run as a process from the checkout,
+    prints the value that the comment of each print line states."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    stated = [line.split("# ", 1)[1].strip() for line in block.splitlines()
+              if line.startswith("print(")]
+    assert stated == ["True", "True", "True", "1 d^(3)"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines() == stated
+
+
+# one reference per head that `catalog` lists under structures, with the
+# --alpha and --algebra options it needs
+CATALOG_EXAMPLES = {
+    "cur": ("cur:sl2@abelian2", None, None),
+    "wd": ("wd:heis3", None, None),
+    "sd": ("sd:abelian3:1,0,0", None, None),
+    "h-type": ("h-type:solv2", None, None),
+    "k-type": ("k-type:sl2", None, None),
+    "gc": ("gc:2@sl2", None, None),
+    "cend": ("cend:3", None, None),
+    "rank1": ("rank1", "d^(1)#d^(0) - d^(0)#d^(1)", "abelian1"),
+}
+
+
+def test_catalog_lists_what_build_structure_builds():
+    """Every head that `catalog` lists builds from an example reference, a
+    head it does not list is refused, and its rank1 data are the names
+    `named_rank1_datum` accepts."""
+    code, out = run_cli("--format", "json", "catalog")
+    data = json.loads(out)
+    heads = [s.split(":")[0].split(" ")[0] for s in data["structures"]]
+    assert code == 0 and sorted(heads) == sorted(CATALOG_EXAMPLES)
+    for head, (spec, alpha, algebra) in CATALOG_EXAMPLES.items():
+        assert build_structure(spec, alpha, algebra)[0] == head
+    for spec in ("gl:2", "w:abelian1", "rank2", "cur2:sl2", "H-type:solv2"):
+        with pytest.raises(ValueError, match="unknown structure %r" % spec):
+            build_structure(spec)
+    for name in data["rank1_data"]:
+        assert build_structure("k-type:" + name)[0] == "k-type"
+    for name in ("heis3", "abelian1", "Sl2", ""):
+        with pytest.raises(KeyError, match="unknown rank-one datum %r" % name):
+            named_rank1_datum(name)
 
 
 # -- the family dispatch, cell by cell ---------------------------------------------

@@ -133,15 +133,6 @@ def test_pseudo_spec_refuses_relations():
         pseudo_to_dict(P)
 
 
-def test_quotient_dump_round_trip():
-    P, _ = make_wd(liealg.solvable2())
-    q = P.gen_bracket(0, 1)
-    from pseudoalg.tensor import QElt
-    data = json.loads(json.dumps(q.as_dict()))
-    back = QElt.from_dict(P.module, data)
-    assert back.c == q.c and back.canonical == q.canonical
-
-
 def test_form_literal_round_trip():
     from pseudoalg.literals import parse_pform, render_pform
     alg = liealg.heisenberg3()
