@@ -114,7 +114,9 @@ def build_structure(spec, alpha=None, algebra=None):
         P, M = make_wd(alg)
 
         def verify():
-            return verify_module(P, M, report=verify_axioms(P))
+            rep = verify_axioms(P)
+            rep.extend(verify_module(P, M))
+            return rep
         if alg.dim == 1 and alg.is_abelian:
             def central(dmax):
                 # the one-variable vector fields are the rank-one datum r = 0, s = 1
@@ -129,7 +131,7 @@ def build_structure(spec, alpha=None, algebra=None):
         def verify():
             rep = Report("sd:%s" % S.alg.name)
             elts = {"e_%d%d" % (a + 1, b + 1): S.gens[(a, b)] for (a, b) in S.pairs}
-            verify_axioms_elements(P, elts, report=rep)
+            rep.extend(verify_axioms_elements(P, elts))
             rep.extend(S.closure_report())
             return rep
 
@@ -143,7 +145,7 @@ def build_structure(spec, alpha=None, algebra=None):
 
         def verify():
             rep = check_ybe(datum)
-            verify_axioms(P, report=rep)
+            rep.extend(verify_axioms(P))
             rep.extend(embed_rank1_in_wd(datum))
             return rep
 

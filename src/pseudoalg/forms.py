@@ -262,7 +262,7 @@ def forms_suite(alg):
                 rep.record("cartan[%s; deg %d %s]" % (alg.basis[a], deg, (T,)),
                            lhs == (rhs1 + rhs2).canonicalize())
     for n in range(N + 1):
-        verify_module(P, wd_action_on_forms(P, n), report=rep)
+        rep.extend(verify_module(P, wd_action_on_forms(P, n)))
     return rep
 
 

@@ -1,4 +1,4 @@
-"""Textual element literals: the one grammar of the CLI and the file formats.
+"""Textual element literals: the one grammar of the CLI.
 
     coeff    := integer | "p/q"
     monomial := "d^(" int ("," int)* ")"
@@ -6,8 +6,7 @@
     element  := [sign] term (("+"|"-") term)*
 
 Tensor factors are joined by "#" and truncated-series monomials are
-written "t^(i1,...,iN)".  Module elements, bracket entries and forms are
-sums of "@"-terms:
+written "t^(i1,...,iN)".  Module elements are sums of "@"-terms:
 
     at-term  := sign* ("(" element ")" | element) "@" rest
     at-sum   := "0" | "" | at-term (("+"|"-") at-term)*
@@ -15,17 +14,10 @@ sums of "@"-terms:
 A top-level "+" or "-" starts a new "@"-term only once the current term
 holds its "@", so a coefficient may itself be a sum.  The signs before a
 term scale its whole coefficient, and an empty coefficient is refused.
-The caller reads `rest`:
-
-    module element  "(h) @ gen"
-    bracket entry   "(h) @ gen" or "(h) @ (m) gen", m a module coefficient
-    pseudoform      "(h) @ e*^(i1,...,ik)", indices 1-based and increasing;
-                    a form needs at least one term
-
-A generator name is non-empty, has no whitespace at either end, holds
-none of "+", "-" and "@", does not open with "(" and keeps its
-parentheses balanced; `check_gen_name` refuses any other name, since the
-grammar cannot read it back.
+The caller reads `rest`: module elements "(h) @ gen", the one reader,
+take it as a generator name.  A name with "@", or with "+" or "-" outside
+its brackets, or one opening with "(", would not read back; none that the
+package makes does.
 """
 
 import re
@@ -155,18 +147,6 @@ def parse_at_terms(alg, text):
         yield parse_coefficient(alg, left).scale(sign), rest.strip()
 
 
-def check_gen_name(name):
-    """Refuse a generator name that "(h) @ name" or "(h) @ (m) name" cannot read back."""
-    depth = 0
-    for ch in name:
-        depth += (ch == "(") - (ch == ")")
-        if depth < 0:
-            break
-    if depth or name != name.strip() or name[:1] in ("", "(") or any(c in "+-@" for c in name):
-        raise ValueError("generator name %r cannot be read back from an element literal"
-                         % (name,))
-
-
 def parse_term(alg, text, symbol="d"):
     """One signed term -> (multi-index, coefficient)."""
     m = _TERM_RE.fullmatch(text)
@@ -253,32 +233,3 @@ def render_quotient(q):
         pairs.append((q.c[(key, g, L)],
                       "(%s) @ %s" % (" # ".join(render_mi(I) for I in key), mod)))
     return _signed_sum(pairs)
-
-
-def parse_pform(alg, text, degree=None):
-    """Form literal: sums of "h @ e*^(i1,...,ik)" with 1-based increasing indices."""
-    from .forms import PForm
-    out = None
-    for h, tail in parse_at_terms(alg, text):
-        if not tail.startswith("e*^(") or not tail.endswith(")"):
-            raise ValueError("form term %r needs an e*^(...) tail" % tail)
-        T = tuple(int(x) - 1 for x in tail[4:-1].split(",") if x.strip())
-        if list(T) != sorted(set(T)) or not all(0 <= i < alg.dim for i in T):
-            raise ValueError("form indices must be strictly increasing in 1..%d" % alg.dim)
-        if degree is None:
-            degree = len(T)
-        if len(T) != degree:
-            raise ValueError("mixed form degrees in %r" % text)
-        piece = PForm(alg, degree, {T: h})
-        out = piece if out is None else out + piece
-    if out is None:
-        raise ValueError("empty form literal")
-    return out
-
-
-def render_pform(w):
-    if not w.c:
-        return "0"
-    return " + ".join("(%s) @ e*^(%s)" % (render_helt(h),
-                                          ",".join(str(i + 1) for i in T))
-                      for T, h in sorted(w.c.items()))

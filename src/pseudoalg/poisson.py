@@ -15,10 +15,11 @@ with the first polynomial slot acting on the first tensor factor.
 Constant kernel terms ride along as a central-extension candidate.
 """
 
+from .cohomology import hat_central_extension
 from .liealg import abelian
 from .linalg import bump, div, exact
 from .pbw import HElt, checked_mi, mi_add, mi_factorial, mi_splits, mi_unit, mi_weight, mi_zero
-from .pseudo import PseudoStructure
+from .pseudo import PseudoStructure, verify_axioms_elements
 from .tensor import FreeModule, QElt
 
 
@@ -357,9 +358,15 @@ def poisson_catalog(name, **params):
 
 
 def verify_poisson_jacobi(spec):
-    """Skew and Jacobi of the kernel, via the pseudo image."""
-    from .pseudo import verify_axioms
-    P, _ = poisson_to_pseudo(spec)
-    rep = verify_axioms(P)
+    """Skew and Jacobi of the kernel, via the pseudo image.
+
+    Central terms enter as the extension cocycle: the checks then run on
+    the extension over the central generator z, on the r fields alone,
+    since every bracket with z vanishes.
+    """
+    P, beta = poisson_to_pseudo(spec)
+    if beta is not None:
+        P = hat_central_extension(P, beta)
+    rep = verify_axioms_elements(P, {g: P.element(g) for g in range(spec.r)})
     rep.title = "poisson-jacobi(r=%d,N=%d)" % (spec.r, spec.N)
     return rep

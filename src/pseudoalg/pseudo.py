@@ -319,24 +319,22 @@ def module_residual(P, M, a, b, m):
     return _action_residual(P, M.act, M.module, P.kind == "lie", a, b, m)
 
 
-def verify_axioms(P, report=None):
+def verify_axioms(P):
     """Check the defining identities on pairs and triples of `P.verify_gens`.
 
     By H-bilinearity this suffices for the full structure; the randomized
     tests exercise the bilinear extension separately.
     """
-    rep = report or Report("axioms:%s" % P.name)
-    elements = {g: P.element(g) for g in P.verify_gens}
-    return verify_axioms_elements(P, elements, rep)
+    return verify_axioms_elements(P, {g: P.element(g) for g in P.verify_gens})
 
 
-def verify_axioms_elements(P, elements, report=None):
+def verify_axioms_elements(P, elements):
     """Same identities on an arbitrary finite family of named elements.
 
     Used both for generator verification and for subalgebras handed as
     element lists inside an ambient structure.
     """
-    rep = report or Report("axioms:%s" % P.name)
+    rep = Report("axioms:%s" % P.name)
     names = list(elements)
     if P.kind == "lie":
         for x, y in product(names, repeat=2):
@@ -351,8 +349,8 @@ def verify_axioms_elements(P, elements, report=None):
     return rep
 
 
-def verify_module(P, M, report=None):
-    rep = report or Report("module:%s" % (M.name or P.name))
+def verify_module(P, M):
+    rep = Report("module:%s" % (M.name or P.name))
     for x, y, m in product(P.verify_gens, P.verify_gens, M.module.gens):
         res = module_residual(P, M, P.element(x), P.element(y), M.module.element(m))
         rep.record("module-identity[%s,%s;%s]" % (x, y, m), not res, res or None)

@@ -130,6 +130,15 @@ def test_negative_cutoff_is_precision_error():
         AnnihilationElement.generator(P.module, (0, 0), 0, 6).truncate(-1)
 
 
+def test_index_beyond_cutoff_is_refused():
+    alg = liealg.abelian(2)
+    P, _ = make_wd(alg)
+    with pytest.raises(ValueError, match="index beyond cutoff"):
+        TruncatedSeries(alg, 1, {(1, 1): 1})
+    with pytest.raises(ValueError, match="index beyond cutoff"):
+        AnnihilationElement(P.module, 1, {((2, 0), P.module.gens[0]): 1})
+
+
 def test_product_rule_dual_basis():
     alg = liealg.abelian(2)
     a = TruncatedSeries.dual_basis(alg, (1, 0), 6)

@@ -17,9 +17,9 @@ from pseudoalg.annihilation import annihilation_suite
 from pseudoalg.cli import (BRACKET_MAX_WORK, CENTRAL_MAX_UNKNOWNS, VERIFY_MAX_TRIPLES,
                           build_structure, main)
 from pseudoalg.constructions import CEND_MAX_GENERATORS, make_wd, named_rank1_datum
-from pseudoalg.forms import forms_suite
-from pseudoalg.liealg import algebra_by_name
-from pseudoalg.literals import parse_module_element
+from pseudoalg.forms import form_module, forms_suite
+from pseudoalg.liealg import CATALOG_BUILDERS, algebra_by_name
+from pseudoalg.literals import parse_module_element, render_module_element
 from pseudoalg.pseudo import PseudoStructure
 
 
@@ -459,9 +459,12 @@ def test_readme_commands_golden_json(case, tmp_path, monkeypatch):
 
     The fixtures were captured from the reference implementation; change
     them only for an intended change of output.  Commands that write or
-    read a file do so in a fresh working directory.
+    read a file do so in a fresh working directory, which holds the case's
+    `files` as JSON.
     """
     monkeypatch.chdir(tmp_path)
+    for name, data in case.get("files", {}).items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
     if "before" in case:
         assert run_cli("--format", "json", *case["before"])[0] == 0
     code, out = run_cli("--format", "json", *case["argv"])
@@ -607,6 +610,26 @@ def test_catalog_lists_what_build_structure_builds():
     for name in ("heis3", "abelian1", "Sl2", ""):
         with pytest.raises(KeyError, match="unknown rank-one datum %r" % name):
             named_rank1_datum(name)
+
+
+def test_every_generator_name_reads_back():
+    """Each generator that a catalog structure or a form module names,
+    printed as the module element (1) @ name, parses back to itself: the
+    "@"-term grammar splits no name the package makes.  The lazily indexed
+    gc and cend modules are read over their `verify_gens`."""
+    modules = [(P.module, P.verify_gens) for P in
+               (build_structure(*example)[1] for example in CATALOG_EXAMPLES.values())]
+    for name in CATALOG_BUILDERS:
+        alg = algebra_by_name(name)
+        modules += [(M, M.gens) for M in (form_module(alg, n) for n in range(alg.dim + 1))]
+    checked = 0
+    for module, gens in modules:
+        for g in gens:
+            element = module.element(g)
+            text = render_module_element(element)
+            assert parse_module_element(module, text) == element, text
+            checked += 1
+    assert checked == 96
 
 
 # -- the family dispatch, cell by cell ---------------------------------------------

@@ -368,6 +368,11 @@ def test_embedding_requires_ybe():
         embed_rank1_in_wd(bad)
 
 
+def test_rank1_datum_refuses_a_matrix_that_is_not_skew():
+    with pytest.raises(ValueError, match="r must be skew"):
+        Rank1Datum(liealg.abelian(2), [[0, 1], [1, 0]], (0, 0))
+
+
 def test_zero_datum_embeds_trivially():
     alg = liealg.abelian(2)
     datum = Rank1Datum(alg, [[0, 0], [0, 0]], (0, 0))

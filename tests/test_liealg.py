@@ -169,6 +169,36 @@ def test_k_type_sl2_contact_datum():
     assert s[0] == 0 and s[1] == 0 and s[2] != 0
 
 
+# one datum per refusal of `validate_geometric_datum` that an earlier check
+# leaves reachable: the algebra, the datum and the one check it fails
+GEOMETRIC_REFUSALS = {
+    "even-dimension": ("abelian3", "H", {"chi": (1, {}), "omega": (2, {(0, 1): 1})}),
+    "degree-shape H": ("abelian2", "H", {"chi": (1, {}), "omega": (1, {(0,): 1})}),
+    "omega-degenerate": ("abelian2", "H", {"chi": (1, {}), "omega": (2, {})}),
+    # [a, b] = b, so d(e^b)(a, b) = -1
+    "chi-not-closed": ("solv2", "H", {"chi": (1, {(1,): 1}), "omega": (2, {(0, 1): 1})}),
+    # e^1 ^ (e^12 + e^34) = e^134, while d vanishes on the abelian algebra
+    "omega-twisted-cocycle": ("abelian4", "H", {"chi": (1, {(0,): 1}),
+                                                "omega": (2, {(0, 1): 1, (2, 3): 1})}),
+    "odd-dimension": ("abelian2", "K", {"theta": (1, {(0,): 1})}),
+    "degree-shape K": ("abelian3", "K", {"theta": (2, {(0, 1): 1})}),
+    "not-contact N=1": ("abelian1", "K", {"theta": (1, {})}),
+    "not-contact N=3": ("abelian3", "K", {"theta": (1, {(2,): 1})}),
+}
+
+
+@pytest.mark.parametrize("case", GEOMETRIC_REFUSALS)
+def test_geometric_datum_refusal_names_its_check(case):
+    name, kind, forms = GEOMETRIC_REFUSALS[case]
+    alg = liealg.algebra_by_name(name)
+    datum = GeometricDatum(kind, **{k: Form(alg, deg, c) for k, (deg, c) in forms.items()})
+    rep = validate_geometric_datum(alg, datum)
+    assert [c.name for c in rep.failures()] == [case.split(" ")[0]]
+    assert rep.checks == rep.failures() and "r" not in rep.data
+    with pytest.raises(ValueError, match="invalid geometric datum"):
+        Rank1Datum.from_geometric(alg, datum)
+
+
 def test_wedge_signs():
     alg = liealg.abelian(3)
     a = Form(alg, 1, {(0,): 1})
