@@ -19,7 +19,7 @@ from .constructions import (GeneratedSubalgebra, Rank1Datum, check_ybe,
                             make_current, make_gc, make_module_rank1,
                             make_rank1, make_sd, make_wd, named_rank1_datum,
                             rank1_module_check)
-from .forms import PForm, act_on_form, contract_form, form_differential
+from .forms import act_on_form, contract_form, form_differential, form_module
 from .annihilation import (AnnihilationElement, PrecisionError,
                            TruncatedSeries, annihilation_bracket,
                            vector_field_bracket)

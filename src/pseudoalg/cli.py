@@ -62,10 +62,11 @@ VERIFY_MAX_TRIPLES = 50_000
 # Largest number of unknowns, |gens|^2 * C(dmax + dim, dim), that
 # `cohomology central` solves for: one cocycle coefficient per ordered
 # generator pair and window monomial, counted before any row is built.
-# It admits wd:sl2 at dmax 10 (2,574 unknowns, about 2 s) and sd:abelian4
-# at dmax 4 (2,520, about 0.3 s), the widest known windows; wd:sl2 at
-# dmax 12 (4,095) takes about 7 s, and at dmax 40 (111,069) it ran past
-# 20 s without end in sight.
+# It admits wd:sl2 at dmax 10 (2,574 unknowns, about 0.6 s from the CLI)
+# and sd:abelian4 at dmax 4 (2,520, about 0.3 s), the widest known
+# windows; wd:sl2 at dmax 12 (4,095) takes about 1.1 s in process, and at
+# dmax 40 (111,069) it ran past 20 s without end in sight.  Timings are
+# Python 3.11 on 2 vCPUs, with the Jacobi rows fed shortest first.
 CENTRAL_MAX_UNKNOWNS = 3_000
 
 # Largest work estimate, `bracket_work`, of the operands that `bracket` and
@@ -311,10 +312,10 @@ def cmd_poisson(args):
         spec = load_poisson(args.file)
     if args.action == "import":
         P, beta = poisson_to_pseudo(spec)
-        back = pseudo_to_poisson(P, names=spec.names)
+        back = pseudo_to_poisson(P, names=spec.names, beta=beta)
         rep = Report("poisson-import")
         rep.record("round-trip-identity", back.Q == spec.Q)
-        rep.record("central-terms-carried", (beta is not None) == bool(spec.central))
+        rep.record("central-terms-carried", back.central == spec.central)
         return rep
     if args.action == "verify":
         # one Jacobi residual per triple of the r fields, counted before the

@@ -361,7 +361,9 @@ def _central_jacobi_rows(P, monos, zeros):
     a <= b <= c in generator order are visited: once the skew link holds
     the extended bracket is skew-commutative, and then the Jacobi identity
     on one order of a triple gives it on every other.  The rows of a triple
-    are built only after those of the previous one were consumed.
+    are built only after those of the previous one were consumed, and are
+    handed out shortest first: short rows fix pivots before the long rows
+    arrive, so the eliminator's stored rows fill in less (Markowitz's rule).
 
     No expansion (bracket term, monomial I) is built whose unknown lies in
     `zeros`, the live set of unknowns the consuming eliminator has already
@@ -404,7 +406,7 @@ def _central_jacobi_rows(P, monos, zeros):
                     continue
                 for tkey, cs in split_against(key[0], L, I).items():
                     bump(rows.setdefault(tkey, {}), u, -v * cs)
-        yield from rows.values()
+        yield from sorted(rows.values(), key=len)
 
 
 def _central_relation_rows(P, monos):

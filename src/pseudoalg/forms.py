@@ -1,24 +1,25 @@
 """Pseudoforms: the vector-field module H (x) Wedge^n d* with its calculus.
 
-A PForm of degree n is a linear map from n-th wedge powers of the algebra
-to H, stored on strictly increasing index tuples.  The vector-field
-action and the contraction land in quotient elements over the free module
-whose generators are the basis forms of the relevant degree, via the
-identification
+A pseudoform of degree n is an element of the free module
+`form_module(alg, n)`, whose generators are the basis forms w*(T) on the
+strictly increasing index tuples T of length n; its degree is the length
+of those tuples.  The vector-field action and the contraction land in
+quotient elements over such a module, via the identification
 
     ((u (x) v) (x)_H w)(args) = (u (x) v) * coproduct(w(args)).
 
 Each is written once, for a generator field w_a = 1 (x) d_a and a basis
 form w*(T), and reaches every field and form through the one H-bilinear
 extension `pseudo.extend_bilinear`, as brackets and module actions do.
-The differential is H-linear and acts on PForm values directly.
+The differential is H-linear: it is written once, on a basis form, and
+reaches every form term by term and every quotient element through
+`QElt.map_module`.
 """
 
 from itertools import combinations
 
 from .constructions import make_wd, wd_element
 from .liealg import sort_with_sign
-from .linalg import SparseCombination, bump
 from .pbw import HElt, mi_unit, mi_zero
 from .pseudo import ModuleStructure, PseudoStructure, Report, extend_bilinear, verify_module
 from .tensor import FreeModule, MElt, QElt
@@ -43,75 +44,6 @@ def full_form_module(alg):
     """All degrees at once; used by the wedge current structure."""
     return _forms_on(alg, (T for n in range(alg.dim + 1) for T in combinations(range(alg.dim), n)),
                      "forms:%s" % alg.name)
-
-
-class PForm(SparseCombination):
-    """Degree-n pseudoform: {increasing index tuple: HElt coefficients}.
-
-    A sparse combination in the sense of `linalg` whose coefficients are
-    nonzero HElt values rather than rationals.
-    """
-
-    __slots__ = ("alg", "degree", "c")
-    _space = ("alg", "degree")
-
-    def __init__(self, alg, degree, coeffs=None):
-        self.alg = alg
-        self.degree = degree
-        self.c = {}
-        for T, h in (coeffs or {}).items():
-            self.set_value(tuple(T), h)
-
-    def set_value(self, T, h):
-        if len(T) != self.degree or list(T) != sorted(set(T)):
-            raise ValueError("indices must be strictly increasing")
-        bump(self.c, T, h)
-
-    @classmethod
-    def basis(cls, alg, T):
-        return cls(alg, len(T), {tuple(T): HElt.one(alg)})
-
-    def value(self, args):
-        """Evaluate on basis vectors in any order, with sign; 0 on repeats."""
-        if len(args) != self.degree:
-            raise ValueError("arity mismatch")
-        sign, key = sort_with_sign(args)
-        base = self.c.get(key)
-        if not sign or base is None:
-            return HElt.zero(self.alg)
-        return base.scale(sign)
-
-    def value_with_vector(self, vec, rest):
-        """First slot filled with a coefficient vector over the basis."""
-        out = HElt.zero(self.alg)
-        for i, ci in vec.items():
-            out = out + self.value((i,) + tuple(rest)).scale(ci)
-        return out
-
-    def h_mul(self, h):
-        return PForm(self.alg, self.degree, {T: h * v for T, v in self.c.items()})
-
-    def is_zero(self):
-        return not self.c
-
-    def as_module_element(self, module):
-        m = MElt.zero(module)
-        for T, h in self.c.items():
-            for I, v in h.c.items():
-                m._bump(I, T, v)
-        return m
-
-    @classmethod
-    def from_module_element(cls, alg, m, degree):
-        out = cls(alg, degree)
-        for (I, T), v in m.c.items():
-            out.set_value(T, HElt.monomial(alg, I, v))
-        return out
-
-    def __repr__(self):
-        if not self.c:
-            return "PForm(0)"
-        return " + ".join("(%r) %s" % (h, _form_name(T)) for T, h in sorted(self.c.items()))
 
 
 def _basis_value(T0, args):
@@ -164,51 +96,62 @@ def _extend(formula, field, m, target):
                            field, m, target).canonicalize()
 
 
+def _degree(m):
+    """The length of its module's basis tuples, or dim + 1 past the top degree."""
+    return len(m.module.gens[0]) if m.module.gens else m.module.alg.dim + 1
+
+
 def act_on_form(alg, wfield, w):
     """Vector-field action on a pseudoform, canonicalized."""
-    mod = form_module(alg, w.degree)
-    return _extend(_action_on_basis, wfield, w.as_module_element(mod), mod)
+    return _extend(_action_on_basis, wfield, w, form_module(alg, _degree(w)))
 
 
 def contract_form(alg, wfield, w):
     """Contraction: value map args -> f (x) w(a ^ args) for a field f (x) d_a."""
-    n = w.degree
+    n = _degree(w)
     if n == 0:
         raise ValueError("cannot contract a degree-0 form")
-    return _extend(_contraction_of_basis, wfield, w.as_module_element(form_module(alg, n)),
-                   form_module(alg, n - 1))
+    return _extend(_contraction_of_basis, wfield, w, form_module(alg, n - 1))
+
+
+def _differential_of_basis(alg, T0, target):
+    """The differential of the basis form w*(T0), over `target`, the forms
+    of one degree higher.  The value on each target T, bumped in this
+    order, is
+        sum over slot pairs i < j: (-1)^(i+j) w*(T0)([T_i, T_j] ^ T-without-i,j)
+        + sum over slots i: (-1)^(i+1) w*(T0)(T-without-i) d_{T_i},
+    for 0-based slots; on degree 0, (dw)(a) = -w d_a.
+    """
+    zero = mi_zero(alg.dim)
+    out = MElt(target)
+    for T in target.gens:
+        for i in range(len(T)):
+            for j in range(i + 1, len(T)):
+                rest = T[:i] + T[i + 1:j] + T[j + 1:]
+                brk = sum(c * _basis_value(T0, (k,) + rest)
+                          for k, c in alg.bracket(T[i], T[j]).items())
+                out._bump(zero, T, (-1) ** (i + j) * brk)
+        for i in range(len(T)):
+            out._bump(mi_unit(alg.dim, T[i]), T,
+                      (-1) ** (i + 1) * _basis_value(T0, T[:i] + T[i + 1:]))
+    return out
 
 
 def form_differential(alg, w):
-    """H-linear differential; on degree 0, (dw)(a) = -w a."""
-    n = w.degree
-    if n >= alg.dim:
-        return PForm(alg, alg.dim)
-    out = PForm(alg, n + 1)
-    for T in combinations(range(alg.dim), n + 1):
-        acc = HElt.zero(alg)
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                rest = tuple(T[p] for p in range(n + 1) if p != i and p != j)
-                sign = (-1) ** (i + j)  # (-1)^{i+j} for the 1-based pair
-                acc = acc + w.value_with_vector(alg.bracket(T[i], T[j]), rest).scale(sign)
-        for i in range(n + 1):
-            rest = tuple(T[p] for p in range(n + 1) if p != i)
-            sign = (-1) ** (i + 1)
-            acc = acc + (w.value(rest) * HElt.gen(alg, T[i])).scale(sign)
-        out.set_value(T, acc)
+    """The H-linear differential: d^(I) w*(T0) goes to d^(I) d w*(T0).  A
+    top-degree form goes to zero over the forms of degree dim + 1, which
+    have no basis, as in `differential_on_quotient`."""
+    target = form_module(alg, _degree(w) + 1)
+    out = MElt(target)
+    for (I, T0), v in w.c.items():
+        out = out + _differential_of_basis(alg, T0, target).h_mul(HElt.monomial(alg, I, v))
     return out
 
 
 def differential_on_quotient(alg, q, src_degree):
     """Apply the form differential to the module part of a quotient element."""
     target = form_module(alg, src_degree + 1)
-
-    def dgen(T):
-        dT = form_differential(alg, PForm.basis(alg, T))
-        return dT.as_module_element(target)
-
-    return q.map_module(dgen, target)
+    return q.map_module(lambda T: _differential_of_basis(alg, T, target), target)
 
 
 def wd_action_on_forms(P_wd, degree):
@@ -241,24 +184,24 @@ def forms_suite(alg):
     identities of W(d) acting on the forms of each degree."""
     P, _ = make_wd(alg)
     N = alg.dim
+    mods = [form_module(alg, n) for n in range(N + 1)]
     rep = Report("forms:%s" % alg.name)
     for n in range(N - 1):
-        for T in combinations(range(N), n):
-            w = PForm.basis(alg, T)
-            dd = form_differential(alg, form_differential(alg, w))
-            rep.record("dd-zero[deg %d %s]" % (n, (T,)), dd.is_zero())
+        for T in mods[n].gens:
+            dd = form_differential(alg, form_differential(alg, mods[n].element(T)))
+            rep.record("dd-zero[deg %d %s]" % (n, (T,)), not dd)
     for a in range(N):
         field = wd_element(P, [((0,) * N, a, 1)])
-        got = act_on_form(alg, field, PForm.basis(alg, tuple(range(N))))
+        got = act_on_form(alg, field, mods[N].element(tuple(range(N))))
         rep.record("volume-action[%s]" % alg.basis[a], got == volume_action_expected(alg, a))
-        for deg in range(N + 1):
-            for T in combinations(range(N), deg):
-                w = PForm.basis(alg, T)
+        for deg, mod in enumerate(mods):
+            for T in mod.gens:
+                w = mod.element(T)
                 lhs = act_on_form(alg, field, w)
                 rhs1 = (differential_on_quotient(alg, contract_form(alg, field, w), deg - 1)
-                        if deg >= 1 else QElt(form_module(alg, deg), 2))
+                        if deg >= 1 else QElt(mod, 2))
                 rhs2 = (contract_form(alg, field, form_differential(alg, w))
-                        if deg <= N - 1 else QElt(form_module(alg, deg), 2))
+                        if deg <= N - 1 else QElt(mod, 2))
                 rep.record("cartan[%s; deg %d %s]" % (alg.basis[a], deg, (T,)),
                            lhs == (rhs1 + rhs2).canonicalize())
     for n in range(N + 1):

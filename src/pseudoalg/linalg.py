@@ -9,17 +9,16 @@ their eliminator has already forced to zero, so at degree 3 they build
 reach the eliminator instead of 28,286; exact sparse elimination serves.
 
 Every element type of the package (enveloping-algebra elements, tensors,
-module and quotient elements, truncated functionals, forms) is such a
-sparse combination, built on `bump` and `SparseCombination`.  Their one
-invariant: the coefficient map stores no zeros, so an element is zero iff
-its map is empty and equality is map equality.  Coefficients are `int`
-or `Fraction`, never float; equal values compare and hash alike.  A value
-is stored as an `int` when it is integral (the constructions are integral
-almost everywhere, and int arithmetic is several times cheaper): entry
-points pass their inputs through `exact`, quotients go through `div`, and
-`bump` stores an integral `Fraction` sum as its numerator.  Pseudoforms
-hold enveloping-algebra elements instead of rationals, which `bump`
-stores as given.
+module and quotient elements, pseudoforms among them, truncated
+functionals) is such a sparse combination, built on `bump` and
+`SparseCombination`.  Their one invariant: the coefficient map stores no
+zeros, so an element is zero iff its map is empty and equality is map
+equality.  Coefficients are `int` or `Fraction`, never float; equal
+values compare and hash alike.  A value is stored as an `int` when it is
+integral (the constructions are integral almost everywhere, and int
+arithmetic is several times cheaper): entry points pass their inputs
+through `exact`, quotients go through `div`, and `bump` stores an
+integral `Fraction` sum as its numerator.
 
 The accumulation rule is `bump`: d[k] += v, a key whose sum vanishes is
 deleted, and a later term puts it back at the end.  It fixes the values,

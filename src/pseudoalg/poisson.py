@@ -195,8 +195,9 @@ def poisson_to_pseudo(spec):
     return P, beta
 
 
-def pseudo_to_poisson(P, names=None):
-    """Inverse dictionary; requires the abelian base and a plain-generator table."""
+def pseudo_to_poisson(P, names=None, beta=None):
+    """Inverse dictionary; requires the abelian base and a plain-generator table.
+    A central table beta maps back term by term: v d^(A) to (-1)^|A| v / A! lambda^A."""
     alg = P.alg
     if not alg.is_abelian:
         raise ValueError("the dictionary is defined over the abelian algebra")
@@ -217,6 +218,10 @@ def pseudo_to_poisson(P, names=None):
                 poly = {(M, K): div(c, mi_factorial(M) * mi_factorial(K))}
                 for (A, B), c2 in _substitute(poly).items():
                     spec.add_term(i, j, k, A, B, c2)
+    for (gi, gj), h in (beta or {}).items():
+        for A, v in h.c.items():
+            spec.add_central(index[gi], index[gj], A,
+                             (-1) ** mi_weight(A) * div(v, mi_factorial(A)))
     return spec
 
 

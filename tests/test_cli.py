@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pseudoalg import cli
+from pseudoalg import cli, poisson
 from pseudoalg.annihilation import annihilation_suite
 from pseudoalg.cli import (BRACKET_MAX_WORK, CENTRAL_MAX_UNKNOWNS, VERIFY_MAX_TRIPLES,
                           build_structure, main)
@@ -20,6 +20,7 @@ from pseudoalg.constructions import CEND_MAX_GENERATORS, make_wd, named_rank1_da
 from pseudoalg.forms import form_module, forms_suite
 from pseudoalg.liealg import CATALOG_BUILDERS, algebra_by_name
 from pseudoalg.literals import parse_module_element, render_module_element
+from pseudoalg.pbw import HElt, mi_factorial, mi_weight
 from pseudoalg.pseudo import PseudoStructure
 
 
@@ -163,6 +164,37 @@ def test_poisson_catalog_and_verify(tmp_path):
     assert code == 0
     code, out = run_cli("poisson", "export", "--file", str(spec_path))
     assert code == 0 and json.loads(out)["r"] == 1
+
+
+# the one-field vector fields with the Virasoro term lambda^3 / 12, whose
+# exponent is odd and whose factorial is not 1
+VIRASORO_SPEC = {"r": 1, "N": 1,
+                 "Q": [{"i": 1, "j": 1, "k": 1,
+                        "terms": [{"lambda": [0], "partial": [1], "coeff": "1"},
+                                  {"lambda": [1], "partial": [0], "coeff": "2"}]}],
+                 "central": [{"i": 1, "j": 1, "terms": [{"lambda": [3], "coeff": "1/12"}]}]}
+
+
+@pytest.mark.parametrize("coeff, code", [
+    (lambda A, c: (-1) ** mi_weight(A) * c * mi_factorial(A), 0),
+    (lambda A, c: c * mi_factorial(A), 1),
+    (lambda A, c: (-1) ** mi_weight(A) * c, 1)],
+    ids=["dictionary", "sign-dropped", "factorial-dropped"])
+def test_poisson_import_checks_the_central_conversion(coeff, code, tmp_path, monkeypatch):
+    """`poisson import` maps the central terms to the cocycle and back: the
+    dictionary's own conversion passes, and one with the sign or the
+    factorial dropped fails the round trip."""
+    def convert(spec):
+        P, _ = poisson.poisson_to_pseudo(spec)
+        return P, {ij: HElt(P.alg, {A: coeff(A, c) for A, c in terms.items()})
+                   for ij, terms in spec.central.items()}
+
+    path = tmp_path / "virasoro.json"
+    path.write_text(json.dumps(VIRASORO_SPEC))
+    monkeypatch.setattr(cli, "poisson_to_pseudo", convert)
+    got, out = run_cli("poisson", "import", "--file", str(path))
+    assert got == code
+    assert ("FAIL central-terms-carried" in out) == bool(code)
 
 
 def test_zero_denominator_literal_is_usage_error():

@@ -94,11 +94,15 @@ def test_integral_table_coefficient_is_int():
     lambda: catalog_special(2, 3, (Fr(1), Fr(0))),
     lambda: catalog_special(3, 3),
     lambda: catalog_semidirect(1, 2, liealg.sl2()),
+    # central terms of odd and even exponent, with factorials above 1
+    lambda: catalog_h_cocycle(catalog_hamiltonian(2, 2), (Fr(1), Fr(2))),
+    lambda: PoissonBracketSpec(1, 1, {(0, 0, 0): {((0,), (1,)): 1, ((1,), (0,)): 2}},
+                               central={(0, 0): {(3,): Fr(1, 12), (2,): Fr(-2, 3)}}),
 ])
 def test_round_trips_are_identities(build):
     spec = build()
-    P, _ = poisson_to_pseudo(spec)
-    assert pseudo_to_poisson(P, names=spec.names) == spec
+    P, beta = poisson_to_pseudo(spec)
+    assert pseudo_to_poisson(P, names=spec.names, beta=beta) == spec
 
 
 # explicit zeros of both types and integral Fractions such as Fraction(4, 2)

@@ -246,7 +246,7 @@ def test_permuted_matches_the_per_term_reference(case):
 def _spaces():
     """Per element type, a builder of two elements of different spaces."""
     from pseudoalg.annihilation import AnnihilationElement, TruncatedSeries
-    from pseudoalg.forms import PForm
+    from pseudoalg.forms import form_module
     from pseudoalg.liealg import Form
     sl2, solv2, heis3 = (liealg.algebra_by_name(n) for n in ("sl2", "solv2", "heis3"))
     m3, m3b = FreeModule(sl2, ["e"]), FreeModule(sl2, ["e", "f"])
@@ -270,7 +270,8 @@ def _spaces():
                               AnnihilationElement(m3b, 2, {((1, 0, 0), "e"): 1})),
                      id="AnnihilationElement-module"),
         pytest.param(lambda: (Form(sl2, 1, {(0,): 1}), Form(sl2, 2, {(0, 1): 1})), id="Form-degree"),
-        pytest.param(lambda: (PForm.basis(sl2, (0,)), PForm.basis(heis3, (0,))), id="PForm-algebra"),
+        pytest.param(lambda: (form_module(sl2, 1).element((0,)),
+                              form_module(heis3, 1).element((0,))), id="MElt-form-algebra"),
         pytest.param(lambda: (HElt.gen(sl2, 0), TensorElt.one(sl2, 1)), id="HElt-TensorElt"),
     ]
 
