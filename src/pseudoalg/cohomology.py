@@ -80,9 +80,11 @@ def differential(gamma):
         for a in P.module.gens:
             for b in P.module.gens:
                 t1 = M.act(P.element(a), gamma.values[b])
-                t2 = M.act(P.element(b), gamma.values[a]).permuted([1, 0])
+                # sigma_12 (b gamma(a)), off the swapped table
+                t2 = extend_bilinear(M.swapped_action, gamma.values[a], P.element(b),
+                                     M.module)
                 t3 = P.bracket(P.element(a), P.element(b)).map_module(gval, M.module)
-                vals[(a, b)] = (t1 - t2.canonicalize() - t3).canonicalize()
+                vals[(a, b)] = (t1 - t2 - t3).canonicalize()
         return Cochain(2, P, M, vals)
 
     # degree 2 -> 3, used by the complex checks
@@ -104,14 +106,6 @@ def differential(gamma):
                                          M.module).permuted([2, 0, 1]).canonicalize()
                 vals[(a, b, c)] = acc.canonicalize()
     return Cochain(3, P, M, vals)
-
-
-def is_zero_cochain(gamma):
-    if gamma.degree == 0:
-        return not any(gamma.values)
-    if gamma.degree == 1:
-        return not any(bool(v) for v in gamma.values.values())
-    return not any(bool(v.canonicalize()) for v in gamma.values.values())
 
 
 def extension_cocycle_residual(P, Mact, Nact, gamma, a, b, n):

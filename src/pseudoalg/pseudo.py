@@ -20,6 +20,14 @@ a * (d^(L) e_g) = (1 (x) d^(L)) (a * e_g), canonicalized once per distinct
 (g, L), whose terms (p (x) 1) (x)_H m give p (x) f (x) 1 (x)_H m.  The
 verification routines check skew-commutativity, the Jacobi identity (or
 associativity), module identities and homomorphisms on canonical forms.
+
+The slot swap sigma_12 commutes with the H-bilinear extension:
+
+    sigma_12 [(d^(Ia) e_ga), (d^(Ib) e_gb)] = (d^(Ib) (x) d^(Ia)) sigma_12 T(ga, gb),
+
+so sigma_12 of a product is the extension of the swapped table
+`swapped_action` to the swapped operands, and the bracket's own
+coefficients never pass through the antipode a second time.
 """
 
 from fractions import Fraction
@@ -132,6 +140,7 @@ class ModuleStructure:
         self.alg = module.alg
         self.name = name
         self._table = {pair: q.canonicalize() for pair, q in (table or {}).items()}
+        self._swapped = {}
         self._action_fn = action_fn
 
     def gen_action(self, g_l, g_m):
@@ -140,6 +149,18 @@ class ModuleStructure:
             if self._action_fn is None:
                 return QElt.zero(self.module, 2)
             q = self._table[(g_l, g_m)] = self._action_fn(g_l, g_m).canonicalize()
+        return q
+
+    def swapped_action(self, g_m, g_l):
+        """sigma_12 of `gen_action(g_l, g_m)`, canonicalized once; its
+        H-bilinear extension to (m, a) is sigma_12 of `act(a, m)` (see the
+        module docstring).  Memoized beside the table and only for pairs
+        the table holds, so it never has more entries than the table."""
+        q = self._swapped.get((g_m, g_l))
+        if q is None:
+            q = self.gen_action(g_l, g_m).permuted([1, 0]).canonicalize()
+            if (g_l, g_m) in self._table:
+                self._swapped[(g_m, g_l)] = q
         return q
 
     def act(self, a, m):
@@ -171,6 +192,7 @@ class PseudoStructure(ModuleStructure):
         self._coefficient_degree = None
 
     gen_bracket = ModuleStructure.gen_action
+    swapped_bracket = ModuleStructure.swapped_action
     bracket = ModuleStructure.act
 
     def element(self, g):
@@ -284,8 +306,17 @@ def compose_right(a, inner, op, out_module):
 
 
 def skew_residual(P, a, b):
-    """[b a] + sigma_12 [a b]; zero iff skew-commutativity holds on the pair."""
-    return (P.bracket(b, a) + P.bracket(a, b).permuted([1, 0])).canonicalize()
+    """[b a] + sigma_12 [a b]; zero iff skew-commutativity holds on the pair.
+
+    sigma_12 commutes with the H-bilinear extension,
+    sigma_12 [d^(Ia) e_ga, d^(Ib) e_gb] = (d^(Ib) (x) d^(Ia)) sigma_12 T(ga, gb),
+    so sigma_12 [a b] is the extension of the swapped table to (b, a): the
+    one closing canonicalize moves only the elements' own coefficients,
+    not the bracket's.  Both sides are read off the table independently,
+    and `P.bracket(b, a)` refuses foreign elements first.
+    """
+    return (P.bracket(b, a)
+            + extend_bilinear(P.swapped_bracket, b, a, P.module)).canonicalize()
 
 
 def _action_residual(P, act, out_module, lie, a, b, m):

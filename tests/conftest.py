@@ -58,6 +58,11 @@ def adjoint_module(P):
                            name="adjoint")
 
 
+def is_zero_cochain(gamma):
+    """True iff every value of a degree-2 or degree-3 cochain vanishes."""
+    return not any(v.canonicalize() for v in gamma.values.values())
+
+
 def module_parts(q):
     """Each term of a QElt as (tensor key, MElt): the per-part loop that the
     composition references run the second operation on."""

@@ -12,12 +12,12 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_helt, random_melt
+from conftest import is_zero_cochain, random_helt, random_melt
 from pseudoalg import liealg
 from pseudoalg.annihilation import (AnnihilationElement, TruncatedSeries,
                                     annihilation_bracket, vector_field_bracket)
 from pseudoalg.cohomology import (Cochain, differential, hat_central_extension,
-                                  is_zero_cochain, sd_central_suite,
+                                  sd_central_suite,
                                   solve_central_extensions,
                                   solve_central_extensions_rank1,
                                   trivial_cocycle_table, verify_cur_cocycle)
