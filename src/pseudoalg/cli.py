@@ -28,12 +28,11 @@ from .constructions import (RANK1_DATA, Rank1Datum, check_ybe, embed_rank1_in_wd
                             make_rank1_from_alpha, make_sd, make_wd,
                             named_rank1_datum)
 from .forms import forms_suite
-from .io import load_poisson, save_json
 from .liealg import algebra_by_name
 from .literals import parse_fraction, parse_helt, parse_module_element, parse_tensor
 from .pbw import mi_weight
-from .poisson import (poisson_catalog, poisson_to_pseudo, pseudo_to_poisson,
-                      verify_poisson_jacobi)
+from .poisson import (CATALOG_FAMILIES, load_poisson, poisson_catalog, poisson_to_pseudo,
+                      pseudo_to_poisson, save_poisson, verify_poisson_jacobi)
 from .pseudo import (Report, verify_axioms, verify_axioms_elements, verify_module,
                      x_bracket)
 
@@ -58,6 +57,18 @@ ANNIHILATE_MAX_MONOMIALS = 2000
 # admits gc:45, whose suite would never end; this one admits gc:4 over one
 # direction, gc:3 over sl2 and a spec of 36 fields.
 VERIFY_MAX_TRIPLES = 50_000
+
+# Largest work estimate, `poisson_work`, of the spec that `poisson verify` and
+# `poisson import` take on, counted before the pseudoalgebra is built.  The
+# golden, CI and test specs need at most 16.  With r = N = 1 and one term,
+# lambda^222 d^223 (99,681) verifies in about 1.4 s, and d^445 (99,681)
+# verifies in about 1.7 s and imports in about 2.9 s, the slowest admitted
+# spec found; with N = 3, d^(8,8,8) (91,125) takes about 1.2 s and 1.3 s.
+# Refused: lambda^400 d^400 (321,201) and lambda = d = (8,8,8) (3,581,577),
+# each about 7 s to verify, and lambda^800 (321,201), whose verify report
+# fails to print a coefficient of over 4,300 digits.  Timings are from the
+# CLI, Python 3.11 on 2 vCPUs.
+POISSON_MAX_WORK = 100_000
 
 # Largest number of unknowns, |gens|^2 * C(dmax + dim, dim), that
 # `cohomology central` solves for: one cocycle coefficient per ordered
@@ -105,7 +116,7 @@ def build_structure(spec, alpha=None, algebra=None):
         alg = algebra_by_name(algebra or "abelian1")
         if alpha is None:
             raise ValueError("rank1 needs --alpha")
-        P = make_rank1_from_alpha(alg, parse_tensor(alg, alpha, arity=2), name="rank1")
+        P = make_rank1_from_alpha(alg, parse_tensor(alg, alpha), name="rank1")
     elif family == "cur":
         gname, _, dname = rest.partition("@")
         g = algebra_by_name(gname)
@@ -243,6 +254,21 @@ def bracket_work(P, a, b):
                           for J, _ in b.c)
 
 
+def poisson_work(spec):
+    """Work estimate of a Poisson spec, from its exponents alone.
+
+    A term lambda^A d^B becomes a table entry whose Jacobi and round-trip
+    products run over pairs of monomials of degree up to A_i + B_i in
+    each variable: prod C(A_i + B_i + 2, 2) of them, which grows with the
+    degree and with its spread over the N variables.  The estimate sums
+    that over the terms, a central term lambda^A counted with B = 0.
+    """
+    def pairs(degrees):
+        return math.prod(math.comb(d + 2, 2) for d in degrees)
+    return (sum(pairs(map(sum, zip(A, B))) for terms in spec.Q.values() for A, B in terms)
+            + sum(pairs(A) for terms in spec.central.values() for A in terms))
+
+
 def _operands(args):
     """The structure and its --left and --right module elements, refused as
     an input error when their bracket is over `BRACKET_MAX_WORK`."""
@@ -305,11 +331,36 @@ def cmd_cohomology(args):
     return data, lines + ["  representative: %s" % t for t in data["representatives"]]
 
 
+# the options each poisson action reads; a catalog reads its family's parameters too
+POISSON_OPTIONS = {"import": ("file",), "verify": ("file",), "export": ("file", "out"),
+                   "catalog": ("family", "out")}
+
+
 def cmd_poisson(args):
+    needs = "family" if args.action == "catalog" else "file"
+    if getattr(args, needs) is None:
+        raise Refused("poisson %s needs --%s" % (args.action, needs))
+    reads, where = POISSON_OPTIONS[args.action], "poisson " + args.action
+    if args.action == "catalog":
+        reads += CATALOG_FAMILIES[args.family][1]
+        where += " --family " + args.family
+    for option in ("file", "out", "family", "r", "N", "chi", "g"):
+        if getattr(args, option) is not None and option not in reads:
+            raise ValueError("--%s does not apply to %s" % (option, where))
     if args.action != "catalog":
-        if args.file is None:
-            raise Refused("poisson %s needs --file" % args.action)
         spec = load_poisson(args.file)
+    if args.action == "verify":
+        # one Jacobi residual per triple of the r fields, counted before the
+        # pseudoalgebra is built
+        triples = spec.r ** 3
+        if triples > VERIFY_MAX_TRIPLES:
+            raise ValueError("%s has %d generator triples to verify (r = %d), over the "
+                             "budget of %d" % (args.file, triples, spec.r, VERIFY_MAX_TRIPLES))
+    if args.action in ("import", "verify"):
+        work = poisson_work(spec)
+        if work > POISSON_MAX_WORK:
+            raise ValueError("%s has work estimate %d, over the budget of %d"
+                             % (args.file, work, POISSON_MAX_WORK))
     if args.action == "import":
         P, beta = poisson_to_pseudo(spec)
         back = pseudo_to_poisson(P, names=spec.names, beta=beta)
@@ -318,12 +369,6 @@ def cmd_poisson(args):
         rep.record("central-terms-carried", back.central == spec.central)
         return rep
     if args.action == "verify":
-        # one Jacobi residual per triple of the r fields, counted before the
-        # pseudoalgebra is built
-        triples = spec.r ** 3
-        if triples > VERIFY_MAX_TRIPLES:
-            raise ValueError("%s has %d generator triples to verify (r = %d), over the "
-                             "budget of %d" % (args.file, triples, spec.r, VERIFY_MAX_TRIPLES))
         return verify_poisson_jacobi(spec)
     if args.action == "catalog":
         params = {"r": args.r, "N": args.N}
@@ -335,7 +380,7 @@ def cmd_poisson(args):
     # an export prints its JSON in either format, or writes it to --out
     if not args.out:
         return spec.as_dict(), None
-    save_json(args.out, spec.as_dict())
+    save_poisson(args.out, spec)
     return {"wrote": args.out}, ["wrote %s" % args.out]
 
 

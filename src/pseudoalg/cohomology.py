@@ -63,10 +63,8 @@ def differential(gamma):
                 coeff = gamma.values[k]
                 if not coeff:
                     continue
-                q = M.gen_action(a, mg)
+                q = M.gen_action(a, mg)  # canonical: its second slot is d^(0)
                 for (key, g, L), v in q.c.items():
-                    if any(key[1]):
-                        continue  # counit of the second slot
                     h = HElt.monomial(M.module.alg, key[0], v * coeff)
                     acc = acc + MElt(M.module, {(L, g): 1}).h_mul(h)
             vals[a] = acc
@@ -158,7 +156,7 @@ def trivial_cocycle_table(P, phi):
     return out
 
 
-def hat_central_extension(P, beta_table, name=None):
+def hat_central_extension(P, beta_table):
     """Structure on module + central counit generator z with the bracket
     shifted by (beta(a, b) (x) 1) (x)_H z."""
     alg = P.alg
@@ -168,7 +166,7 @@ def hat_central_extension(P, beta_table, name=None):
     mod = FreeModule(alg, list(P.module.gens) + [zkey],
                      names={g: P.module.gen_name(g) for g in P.module.gens},
                      counit_gens=set(P.module.counit_gens) | {zkey},
-                     label=(name or ("hat:" + P.name)))
+                     label="hat:" + P.name)
     zero = mi_zero(alg.dim)
     table = {}
     for gi in P.module.gens:

@@ -8,7 +8,6 @@ the module element with coefficient h_a on generator a.
 
 import re
 from itertools import combinations
-from math import comb
 
 from .liealg import algebra_by_name, validate_geometric_datum
 from .linalg import bump, div, exact, invert_matrix, sparse_sum
@@ -506,14 +505,14 @@ def cend_module(alg, n, label):
     return mod
 
 
-# Largest number of generators d^(J) E_pq, |J| <= max_gen_degree, that
-# `make_cend` lists, C(dim + max_gen_degree, dim) n^2, counted before the
-# list is made; gc:4, the largest size tests and benchmark build, has 32.
+# Largest number of generators d^(J) E_pq, |J| <= 1, that `make_cend`
+# lists, (dim + 1) n^2, counted before the list is made; gc:4, the largest
+# size tests and benchmark build, has 32.
 # It bounds the build only: a verify run checks (generators)^3 triples.
 CEND_MAX_GENERATORS = 4096
 
 
-def make_cend(alg, n, max_gen_degree=1):
+def make_cend(alg, n):
     """Associative structure of pseudolinear maps of a free rank-n module.
 
     Generators are keyed (J, p, q); the product of two is
@@ -522,17 +521,15 @@ def make_cend(alg, n, max_gen_degree=1):
             = delta_qr sum over J = J1 + J2 of
               (1 (x) d^(J1)) (x)_H (1 (x) d^(K) d^(J2) (x) E_ps).
 
-    `verify_gens` is the degree-truncated family the axiom suite runs on;
-    products land on generators of higher degree, which the lazy module
-    accepts.
+    `verify_gens` is the family |J| <= 1 the axiom suite runs on; products
+    land on generators of higher degree, which the lazy module accepts.
     """
     if n < 1:
         raise ValueError("pseudolinear maps need rank n >= 1, got %d" % n)
-    count = comb(alg.dim + max_gen_degree, alg.dim) * n * n
+    count = (alg.dim + 1) * n * n
     if count > CEND_MAX_GENERATORS:
-        raise ValueError("rank %d over %s needs %d generators of degree <= %d, over the "
-                         "budget of %d" % (n, alg.name, count, max_gen_degree,
-                                           CEND_MAX_GENERATORS))
+        raise ValueError("rank %d over %s needs %d generators of degree <= 1, over the "
+                         "budget of %d" % (n, alg.name, count, CEND_MAX_GENERATORS))
     mod = cend_module(alg, n, "cend%d:%s" % (n, alg.name))
     zero = mi_zero(alg.dim)
 
@@ -547,7 +544,7 @@ def make_cend(alg, n, max_gen_degree=1):
                 out._bump((zero, J1), (Kp, p, s), zero, ck)
         return out
 
-    gens = [(J, p, q) for J in multiindices_up_to(alg.dim, max_gen_degree)
+    gens = [(J, p, q) for J in multiindices_up_to(alg.dim, 1)
             for p in range(n) for q in range(n)]
     P = PseudoStructure(mod, "assoc", bracket_fn=product, verify_gens=gens,
                         name="cend%d:%s" % (n, alg.name))
@@ -560,8 +557,7 @@ def make_gc(alg, n):
     C = make_cend(alg, n)
 
     def bracket(g1, g2):
-        return (C.gen_bracket(g1, g2)
-                - C.gen_bracket(g2, g1).permuted([1, 0])).canonicalize()
+        return C.gen_bracket(g1, g2) - C.swapped_bracket(g1, g2)
 
     P = PseudoStructure(C.module, "lie", bracket_fn=bracket,
                         verify_gens=list(C.verify_gens), name="gc%d:%s" % (n, alg.name))

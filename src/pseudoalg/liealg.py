@@ -40,13 +40,12 @@ class LieAlgebra:
         self._trace_ad = None
         self._killing = None
         # pbw tables in the monomial basis x^I = I! d^(I), integral when the
-        # structure constants are: x_g x^K per (g, K), x^I x^J per (I, J),
-        # R(I) per I, x^I S(x^J) per (I, J) for fourier; then the divided-power
-        # views mul_basis, antipode_basis and mul_antipode, per request
+        # structure constants are: x_g x^K per (g, K), x^I x^J per (I, J) and
+        # R(I) per I; then the divided-power views mul_basis, antipode_basis
+        # and mul_antipode, per request
         self._straight_cache = {}
         self._monomial_mul_cache = {}
         self._reversed_cache = {}
-        self._monomial_mul_antipode_cache = {}
         self._mul_cache = {}
         self._antipode_cache = {}
         self._mul_antipode_cache = {}

@@ -8,16 +8,15 @@
 Tensor factors are joined by "#" and truncated-series monomials are
 written "t^(i1,...,iN)".  Module elements are sums of "@"-terms:
 
-    at-term  := sign* ("(" element ")" | element) "@" rest
+    at-term  := sign* ("(" element ")" | element) "@" gen
     at-sum   := "0" | "" | at-term (("+"|"-") at-term)*
 
 A top-level "+" or "-" starts a new "@"-term only once the current term
 holds its "@", so a coefficient may itself be a sum.  The signs before a
 term scale its whole coefficient, and an empty coefficient is refused.
-The caller reads `rest`: module elements "(h) @ gen", the one reader,
-take it as a generator name.  A name with "@", or with "+" or "-" outside
-its brackets, or one opening with "(", would not read back; none that the
-package makes does.
+`gen` is a generator name of the module.  A name with "@", or with "+"
+or "-" outside its brackets, or one opening with "(", would not read
+back; none that the package makes does.
 """
 
 import re
@@ -67,8 +66,8 @@ def _signed_sum(pairs):
     return out[2:] if out.startswith("+ ") else ("-" + out[2:])
 
 
-def render_helt(e, symbol="d"):
-    return _signed_sum((e.c[I], render_mi(I, symbol) if any(I) else "")
+def render_helt(e):
+    return _signed_sum((e.c[I], render_mi(I) if any(I) else "")
                        for I in sorted(e.c, key=lambda I: (sum(I), I)))
 
 
@@ -118,35 +117,6 @@ def split_group(text):
     raise ValueError("unbalanced parentheses in %r" % text)
 
 
-def parse_coefficient(alg, text):
-    """Coefficient "(h)" or "h" of an "@"-term; an empty one is refused."""
-    text = text.strip()
-    if text.startswith("("):
-        group, tail = split_group(text)
-        if not tail.strip():
-            text = group[1:-1]
-    if not text.strip():
-        raise ValueError("empty coefficient")
-    return parse_helt(alg, text)
-
-
-def parse_at_terms(alg, text):
-    """Each "(h) @ rest" term of an "@"-sum -> (signed HElt h, stripped rest)."""
-    if text.strip() in ("", "0"):
-        return
-    for term in _split_terms(text, "@"):
-        left, at, rest = term.partition("@")
-        if not at:
-            raise ValueError("term %r lacks '@'" % term.strip())
-        left = left.strip()
-        sign = 1
-        while left.startswith(("+", "-")):
-            if left[0] == "-":
-                sign = -sign
-            left = left[1:].strip()
-        yield parse_coefficient(alg, left).scale(sign), rest.strip()
-
-
 def parse_term(alg, text, symbol="d"):
     """One signed term -> (multi-index, coefficient)."""
     m = _TERM_RE.fullmatch(text)
@@ -176,16 +146,16 @@ def parse_helt(alg, text, symbol="d"):
                                 for term in _split_terms(text)))
 
 
-def parse_tensor(alg, text, arity=None):
-    """Sum of "#"-joined products of single terms, e.g. "d^(1)#d^(0) - d^(0)#d^(1)"."""
+def parse_tensor(alg, text):
+    """Sum of "#"-joined pairs of single terms, e.g. "d^(1)#d^(0) - d^(0)#d^(1)"."""
     from .pbw import TensorElt
     text = text.strip()
     terms = _split_terms(text)
     out = None
     for term in terms:
         factors = term.split("#")
-        if arity is not None and len(factors) != arity:
-            raise ValueError("expected %d tensor factors in %r" % (arity, term))
+        if len(factors) != 2:
+            raise ValueError("expected 2 tensor factors in %r" % term)
         key = []
         coeff = 1
         for pos, f in enumerate(factors):
@@ -200,13 +170,30 @@ def parse_tensor(alg, text, arity=None):
 
 
 def parse_module_element(module, text):
-    """Sums of "(h) @ gen" with gen a generator name of the module."""
+    """An "@"-sum; each term's coefficient is read before its generator name."""
     from .tensor import MElt
     out = MElt.zero(module)
-    for h, name in parse_at_terms(module.alg, text):
-        key = module.gen_by_name(name)
+    if text.strip() in ("", "0"):
+        return out
+    for term in _split_terms(text, "@"):
+        left, at, rest = term.partition("@")
+        if not at:
+            raise ValueError("term %r lacks '@'" % term.strip())
+        left, sign = left.strip(), 1
+        while left.startswith(("+", "-")):
+            if left[0] == "-":
+                sign = -sign
+            left = left[1:].strip()
+        if left.startswith("("):
+            group, tail = split_group(left)
+            if not tail.strip():
+                left = group[1:-1]
+        if not left.strip():
+            raise ValueError("empty coefficient")
+        h = parse_helt(module.alg, left)
+        key = module.gen_by_name(rest.strip())
         for I, v in h.c.items():
-            out._bump(I, key, v)
+            out._bump(I, key, sign * v)
     return out
 
 

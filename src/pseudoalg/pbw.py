@@ -13,16 +13,14 @@ not (d^(0,0,k) d^(k,0,0) on sl2 holds (2k)^(k-j) / (k-j)!): they form a
 Z-form only over a Chevalley basis (Kostant, "Groups over Z", 1966).  The
 one step is `_gen_mul`, x_g x^K straightened with x_g x_h = x_h x_g +
 [x_g, x_h] and memoized per (g, K) on the algebra; `_gen_times` reads that
-memo and accumulates through `linalg.bump_all`.  Three monomial tables on
+memo and accumulates through `linalg.bump_all`.  Two monomial tables on
 the algebra hold the rest, R(I) being the generators of I multiplied in
 reversed order, so that S(x^I) = (-1)^|I| R(I):
 
     x^I x^J      per (I, J), `_mono_mul`
     R(I)         per I, `_reversed`
-    x^I S(x^J)   per (I, J), `_mono_mul_antipode`, for `fourier` only
 
-`_peel` fills the first two a generator at a time, storing every product
-it passes; the third sums x^I R(J) over them.
+`_peel` fills both a generator at a time, storing every product it passes.
 
 The Hopf kernels (`HElt` product and antipode, the arity-2 `TensorElt`
 product, `fourier`) multiply in monomials: `_cleared` takes the operand
@@ -222,17 +220,6 @@ def _mono_mul(alg, I, J):
 def _reversed(alg, I):
     """R(I) in monomials, memoized per I."""
     return alg._reversed_cache.get(I) or _peel(alg, alg._reversed_cache, I, None, True)
-
-
-def _mono_mul_antipode(alg, I, J):
-    """x^I S(x^J) = (-1)^|J| x^I R(J) in monomials, memoized per (I, J)."""
-    hit = alg._monomial_mul_antipode_cache.get((I, J))
-    if hit is None:
-        hit, sign = {}, -1 if sum(J) & 1 else 1
-        for K, c in _reversed(alg, J).items():
-            bump_all(hit, sign * c, _mono_mul(alg, I, K).items())
-        alg._monomial_mul_antipode_cache[I, J] = hit
-    return hit
 
 
 def _cleared(c, fact):
@@ -475,13 +462,13 @@ def fourier(t, slots=(0, 1), inverse=False):
     Inverse:  f (x) g  ->  f g_split1    (x) g_split2
     computed with the divided-power coproduct, all other slots untouched.
     Slot i is multiplied in monomials: d^(I) S(d^(J)) = x^I S(x^J) / (I! J!),
-    and a split G = J + K of slot j carries the integer G! / J!.
+    summed as (-1)^|J| x^I x^L over the terms x^L of R(J), and a split
+    G = J + K of slot j carries the integer G! / J!.
     """
     i, j = slots
     if i == j or not (0 <= i < t.n) or not (0 <= j < t.n):
         raise ValueError("slots must be two distinct positions")
     alg = t.alg
-    mul = _mono_mul if inverse else _mono_mul_antipode
     D, T = _cleared(t.c, lambda key: mi_factorial(key[i]) * mi_factorial(key[j]))
     out = {}
     for key, v in T:
@@ -490,7 +477,12 @@ def fourier(t, slots=(0, 1), inverse=False):
         for J, K in mi_splits(G, 2):
             nk[j] = K
             m = v * (mi_factorial(G) // mi_factorial(J))
-            for M, c in mul(alg, I, J).items():
-                nk[i] = M
-                bump(out, tuple(nk), m * c)
+            # the inverse multiplies by x^J alone
+            legs = ((J, 1),) if inverse else _reversed(alg, J).items()
+            if not inverse and sum(J) & 1:
+                m = -m
+            for L, c in legs:
+                for M, e in _mono_mul(alg, I, L).items():
+                    nk[i] = M
+                    bump(out, tuple(nk), m * c * e)
     return t._with(_divided(out, D, lambda key: mi_factorial(key[i])))

@@ -99,6 +99,16 @@ class PoissonBracketSpec:
 
     @classmethod
     def from_dict(cls, data):
+        """The spec of a Poisson spec file, the one file the CLI reads and writes.
+
+        UTF-8 JSON, as `as_dict` writes it; field indices are 1-based and
+        rationals are strings "p/q" or plain integers.
+
+            {"r": fields, "N": variables, "names": [names],
+             "Q": [{"i": i, "j": j, "k": k,
+                    "terms": [{"lambda": [N ints], "partial": [N ints], "coeff": c}]}],
+             "central": [{"i": i, "j": j, "terms": [{"lambda": [N ints], "coeff": c}]}]}
+        """
         if not isinstance(data, dict):
             raise ValueError("a Poisson spec is a JSON object, not %s" % type(data).__name__)
         spec = cls(_positive(data, "r"), _positive(data, "N"),
@@ -116,6 +126,20 @@ class PoissonBracketSpec:
     def __repr__(self):
         return "PoissonBracketSpec(r=%d, N=%d, %d nonzero tables)" % (
             self.r, self.N, len(self.Q))
+
+
+# json is imported on use: `import pseudoalg` does not load it (about 0.3 MB)
+def load_poisson(path):
+    import json
+    with open(path, "r", encoding="utf-8") as fh:
+        return PoissonBracketSpec.from_dict(json.load(fh))
+
+
+def save_poisson(path, spec):
+    import json
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(spec.as_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _positive(data, field):
@@ -343,7 +367,7 @@ def catalog_h_cocycle(spec, alpha):
 
 
 # each family's catalog function and its parameters in call order; only chi may be absent
-_CATALOG_FAMILIES = {
+CATALOG_FAMILIES = {
     "W": (catalog_general, ("r", "N")),
     "S": (catalog_special, ("r", "N", "chi")),
     "H": (catalog_hamiltonian, ("r", "N")),
@@ -353,9 +377,9 @@ _CATALOG_FAMILIES = {
 
 
 def poisson_catalog(name, **params):
-    if name not in _CATALOG_FAMILIES:
+    if name not in CATALOG_FAMILIES:
         raise KeyError("unknown catalog family %r" % name)
-    build, names = _CATALOG_FAMILIES[name]
+    build, names = CATALOG_FAMILIES[name]
     missing = [p for p in names if p != "chi" and params.get(p) is None]
     if missing:
         raise ValueError("family %s needs the parameter %s" % (name, ", ".join(missing)))

@@ -236,12 +236,11 @@ class QElt(SparseCombination):
 
     __hash__ = None
 
-    def map_module(self, fn, target_module=None):
+    def map_module(self, fn, target):
         """Push the module part through an H-linear map given on generators.
 
         fn: generator key -> MElt over the target module.
         """
-        target = target_module or self.module
         alg = self.module.alg
         out = QElt(target, self.n)
         for (key, g, L), v in self.c.items():

@@ -14,8 +14,8 @@ import pytest
 
 from pseudoalg import cli, poisson
 from pseudoalg.annihilation import annihilation_suite
-from pseudoalg.cli import (BRACKET_MAX_WORK, CENTRAL_MAX_UNKNOWNS, VERIFY_MAX_TRIPLES,
-                          build_structure, main)
+from pseudoalg.cli import (BRACKET_MAX_WORK, CENTRAL_MAX_UNKNOWNS, POISSON_MAX_WORK,
+                          VERIFY_MAX_TRIPLES, build_structure, main)
 from pseudoalg.constructions import CEND_MAX_GENERATORS, make_wd, named_rank1_datum
 from pseudoalg.forms import form_module, forms_suite
 from pseudoalg.liealg import CATALOG_BUILDERS, algebra_by_name
@@ -926,3 +926,88 @@ def test_well_formed_poisson_spec_still_loads(tmp_path):
     code, out = run_cli("--format", "json", "poisson", "export", "--file", str(path))
     assert code == 0 and json.loads(out) == _w11()
     assert run_cli("poisson", "verify", "--file", str(path))[0] == 0
+
+
+def _one_term_spec(lam, der, central=None):
+    data = {"r": 1, "N": len(lam),
+            "Q": [{"i": 1, "j": 1, "k": 1,
+                   "terms": [{"lambda": lam, "partial": der, "coeff": "1"}]}]}
+    if central:
+        data["central"] = [{"i": 1, "j": 1, "terms": [{"lambda": central, "coeff": "1"}]}]
+    return data
+
+
+@pytest.mark.parametrize("lam, der, central, work", [
+    ([0], [445], None, 99_681), ([222], [223], None, 99_681), ([0], [446], None, 100_128),
+    ([445], [0], None, 99_681), ([0], [1], [445], 99_684), ([0], [1], [446], 100_131),
+    ([0, 0, 0], [8, 8, 8], None, 91_125), ([0, 0, 0], [9, 8, 8], None, 111_375),
+    ([400], [400], None, 321_201), ([8, 8, 8], [8, 8, 8], None, 3_581_577),
+    ([800], [800], None, 1_282_401)],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, list) else None)
+def test_poisson_spec_work_budget_refuses_before_any_build(lam, der, central, work, tmp_path,
+                                                           monkeypatch, capsys):
+    """`poisson verify` and `poisson import` price a spec from its exponents
+    before the pseudoalgebra is built: prod C(A_i + B_i + 2, 2) per term,
+    summed, grows with the degree and with its spread over the variables.
+    With the builds patched to raise, a spec at the budget reaches them,
+    and one over it is refused as an input error naming the estimate and
+    the budget."""
+    def built(spec):
+        raise Solved
+    monkeypatch.setattr(cli, "verify_poisson_jacobi", built)
+    monkeypatch.setattr(cli, "poisson_to_pseudo", built)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_one_term_spec(lam, der, central)), encoding="utf-8")
+    assert cli.poisson_work(poisson.load_poisson(path)) == work
+    for action in ("verify", "import"):
+        if work <= POISSON_MAX_WORK:
+            with pytest.raises(Solved):
+                main(["poisson", action, "--file", str(path)])
+            continue
+        assert run_cli("poisson", action, "--file", str(path)) == (2, "")
+        assert capsys.readouterr().err == (
+            "input error: %s has work estimate %d, over the budget of %d\n"
+            % (path, work, POISSON_MAX_WORK))
+
+
+POISSON_UNREAD_OPTIONS = [
+    (["catalog", "--family", "H", "--r", "2", "--N", "2", "--chi", "1"],
+     "--chi does not apply to poisson catalog --family H"),
+    (["catalog", "--family", "W", "--r", "1", "--N", "1", "--g", "sl2"],
+     "--g does not apply to poisson catalog --family W"),
+    (["catalog", "--family", "S", "--r", "2", "--N", "2", "--g", "sl2"],
+     "--g does not apply to poisson catalog --family S"),
+    (["catalog", "--family", "Cur", "--g", "sl2", "--N", "1", "--r", "1"],
+     "--r does not apply to poisson catalog --family Cur"),
+    (["catalog", "--family", "semidirect", "--r", "1", "--N", "1", "--g", "sl2", "--chi", "1"],
+     "--chi does not apply to poisson catalog --family semidirect"),
+    (["catalog", "--family", "W", "--r", "1", "--N", "1", "--file", "spec.json"],
+     "--file does not apply to poisson catalog --family W"),
+    (["verify", "--file", "spec.json", "--out", "out.json"], "--out does not apply to poisson verify"),
+    (["import", "--file", "spec.json", "--out", "out.json"], "--out does not apply to poisson import"),
+    (["export", "--file", "spec.json", "--family", "W"], "--family does not apply to poisson export"),
+    (["verify", "--file", "spec.json", "--r", "1"], "--r does not apply to poisson verify"),
+    (["import", "--file", "spec.json", "--N", "1"], "--N does not apply to poisson import"),
+    (["export", "--file", "spec.json", "--chi", "1"], "--chi does not apply to poisson export"),
+]
+
+
+@pytest.mark.parametrize("argv, message", POISSON_UNREAD_OPTIONS,
+                         ids=[" ".join(a) for a, _ in POISSON_UNREAD_OPTIONS])
+def test_poisson_refuses_options_it_does_not_read(argv, message, tmp_path, monkeypatch, capsys):
+    """An option the action (or the catalog family) does not read is refused
+    as an input error naming it, before any file is read or written; the
+    same command without it runs."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(_w11()), encoding="utf-8")
+    assert run_cli("poisson", *argv) == (2, "")
+    assert capsys.readouterr().err == "input error: %s\n" % message
+    assert not (tmp_path / "out.json").exists()
+    option = message.split()[0]
+    at = argv.index(option)
+    assert run_cli("poisson", *argv[:at], *argv[at + 2:])[0] == 0
+
+
+def test_poisson_catalog_needs_a_family(capsys):
+    assert run_cli("poisson", "catalog", "--r", "1", "--N", "1") == (2, "")
+    assert capsys.readouterr().err == "poisson catalog needs --family\n"

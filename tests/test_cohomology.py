@@ -274,8 +274,8 @@ def test_hat_extension_from_representative_passes_axioms():
 def test_trivial_cocycle_gives_split_extension():
     P = w_type_dim1()
     tau = {("e", "e"): HElt(P.alg, {(1,): 6})}  # three times the shift 2s
-    hat_tau = hat_central_extension(P, tau, name="hat-tau")
-    hat_0 = hat_central_extension(P, {}, name="hat-0")
+    hat_tau = hat_central_extension(P, tau)
+    hat_0 = hat_central_extension(P, {})
     z = hat_tau.central_generator
     images = {"e": MElt(hat_tau.module, {((0,), "e"): 1, ((0,), z): 3}),
               z: hat_tau.module.element(z)}

@@ -409,20 +409,40 @@ def test_cend_generator_budget_bounds_the_build():
     for build in (make_cend, make_gc):
         with pytest.raises(ValueError, match="needs 4232 generators of degree <= 1"):
             build(liealg.abelian(1), 46)
-    # C(2 + 3, 2) = 10 multi-indices of degree <= 3 in two directions
-    with pytest.raises(ValueError, match="rank 21 over abelian2 needs 4410 generators"):
-        make_cend(liealg.abelian(2), 21, max_gen_degree=3)
+    # C(2 + 1, 2) = 3 multi-indices of degree <= 1 in two directions
+    with pytest.raises(ValueError, match="rank 37 over abelian2 needs 4107 generators"):
+        make_cend(liealg.abelian(2), 37)
 
 
 def test_cend_generator_names_read_back():
-    C = make_cend(liealg.abelian(2), 2, max_gen_degree=2)
-    for g in C.verify_gens:
+    C = make_cend(liealg.abelian(2), 2)
+    for g in C.verify_gens + [((2, 0), 0, 1), ((1, 1), 1, 0), ((0, 2), 1, 1)]:
         assert C.module.gen_by_name(C.module.gen_name(g)) == g
     # one entry of J per direction, p and q below the rank, no padded digits
     for name in ["c[0;0,0]", "c[0,0,0;0,0]", "c[0,0;2,0]", "c[0,0;0,2]", "c[0,01;0,0]",
                  "c[0,0;0,0", "e_12"]:
         with pytest.raises(KeyError):
             C.module.gen_by_name(name)
+
+
+def reference_gc_bracket(C, g1, g2):
+    """The commutator of `make_gc` before it read the swapped table: the
+    reversed product with its slots permuted, the difference canonicalized."""
+    return (C.gen_bracket(g1, g2) - C.gen_bracket(g2, g1).permuted([1, 0])).canonicalize()
+
+
+@pytest.mark.parametrize("name, n", [("abelian1", 3), ("sl2", 2)])
+def test_gc_bracket_matches_the_permuted_product(name, n):
+    """Over every verify pair of gc:3 and gc:2@sl2, the commutator read off
+    the swapped table is canonical as built and has the values and value
+    types of the retired formula."""
+    C, G = make_gc(liealg.algebra_by_name(name), n)
+    for g1 in G.verify_gens:
+        for g2 in G.verify_gens:
+            got, want = G.gen_bracket(g1, g2), reference_gc_bracket(C, g1, g2)
+            assert got.canonical
+            assert ({k: (type(v), v) for k, v in got.c.items()}
+                    == {k: (type(v), v) for k, v in want.c.items()})
 
 
 def test_cend_assoc_and_gc_jacobi_rank2():
@@ -464,7 +484,7 @@ def test_anti_involution_reverses_products(rng):
         lhs = C.bracket(apply_anti_involution(C, a), apply_anti_involution(C, b))
         rhs = C.bracket(b, a).permuted([1, 0]).canonicalize().map_module(
             lambda g: apply_anti_involution(
-                C, cend_element_from_pairs(C, [((0,) * 1, g[0], g[1], g[2], 1)])))
+                C, cend_element_from_pairs(C, [((0,) * 1, g[0], g[1], g[2], 1)])), C.module)
         assert lhs == rhs.canonicalize()
 
 
@@ -479,7 +499,7 @@ def test_minus_eigenspace_closed_under_bracket(rng):
                 moved = br.map_module(
                     lambda g: apply_anti_involution(
                         C, cend_element_from_pairs(C, [((0,), g[0], g[1], g[2], 1)]),
-                        gamma))
+                        gamma), G.module)
                 assert (br + moved).canonicalize().c == {}
 
 

@@ -28,12 +28,12 @@ def test_parse_fraction_coefficients():
 
 def test_parse_tensor_factors():
     alg = liealg.abelian(1)
-    t = parse_tensor(alg, "d^(1)#d^(0) - d^(0)#d^(1)", arity=2)
+    t = parse_tensor(alg, "d^(1)#d^(0) - d^(0)#d^(1)")
     want = TensorElt.pure([HElt.gen(alg, 0), HElt.one(alg)]) \
         - TensorElt.pure([HElt.one(alg), HElt.gen(alg, 0)])
     assert t == want
     with pytest.raises(ValueError):
-        parse_tensor(alg, "d^(1)", arity=2)
+        parse_tensor(alg, "d^(1)")
 
 
 def test_parse_module_element():

@@ -398,17 +398,17 @@ def _converted(table, n):
 def test_divided_views_are_conversions_of_the_monomial_tables():
     """Each requested divided entry is its monomial entry converted once:
     d^(I) d^(J) from x^I x^J, S(d^(I)) from R(I), d^(I) S(d^(J)) from the sum
-    of x^I x^K over R(J); `mul_antipode` keeps no monomial copy, and the
-    monomial table of x^I S(x^J) holds only what `fourier` asked for."""
+    of x^I x^K over R(J); `mul_antipode` keeps no monomial copy, and
+    `fourier` reads the monomial tables alone."""
     alg = liealg.sl2()
     J = (1, 2, 0)
     for I in [(0, 0, 1), (0, 0, 3), (0, 1, 3), (2, 1, 3), (0, 0, 2)]:
         mul_basis(alg, I, J)
         antipode_basis(alg, I)
         mul_antipode(alg, I, J)
-    assert len(alg._mul_antipode_cache) == 5 and not alg._monomial_mul_antipode_cache
+    assert len(alg._mul_antipode_cache) == 5
     fourier(TensorElt.pure([HElt.monomial(alg, (0, 1, 1)), HElt.monomial(alg, J)]))
-    assert alg._monomial_mul_antipode_cache and len(alg._mul_antipode_cache) == 5
+    assert len(alg._mul_antipode_cache) == 5
     for (I, K), table in alg._mul_cache.items():
         norm = mi_factorial(I) * mi_factorial(K)
         assert _typed(table) == _converted(alg._monomial_mul_cache[I, K], norm)
@@ -435,8 +435,7 @@ def test_monomial_caches_hold_integers(name):
         b.antipode() * a
         fourier(fourier(TensorElt.pure([a, b])), inverse=True)
     antipode_basis(alg, (5,) * alg.dim)
-    caches = (alg._straight_cache, alg._monomial_mul_cache, alg._reversed_cache,
-              alg._monomial_mul_antipode_cache)
+    caches = (alg._straight_cache, alg._monomial_mul_cache, alg._reversed_cache)
     assert all(caches)
     assert all(type(v) is int and v for cache in caches for table in cache.values()
                for v in table.values())
@@ -473,8 +472,7 @@ def test_hopf_axioms_on_fresh_algebras(triple):
     t = TensorElt.pure([x, z])
     assert fourier(fourier(t), inverse=True) == t
     caches = (alg._mul_cache, alg._antipode_cache, alg._mul_antipode_cache,
-              alg._straight_cache, alg._monomial_mul_cache, alg._reversed_cache,
-              alg._monomial_mul_antipode_cache)
+              alg._straight_cache, alg._monomial_mul_cache, alg._reversed_cache)
     assert all(v for cache in caches for table in cache.values() for v in table.values())
 
 

@@ -90,7 +90,7 @@ def results(case):
             ("fourier", fourier(t2a)), ("fourier inverse", fourier(t3, (2, 0), True)),
             ("MElt +", a + b), ("MElt h_mul", a.h_mul(x)),
             ("QElt canonicalize", q.canonicalize()), ("QElt permuted", q.permuted((1, 0))),
-            ("QElt map_module", q.map_module(lambda g: a if g == mod.gens[0] else b)),
+            ("QElt map_module", q.map_module(lambda g: a if g == mod.gens[0] else b, mod)),
             ("bracket", P.bracket(a, b)),
             ("compose_left", compose_left(P.bracket(a, b), P.bracket, c, mod)),
             ("compose_right", compose_right(a, P.bracket(b, c), P.bracket, mod)),
