@@ -62,7 +62,7 @@ VERIFY_MAX_TRIPLES = 50_000
 # `poisson import` take on, counted before the pseudoalgebra is built.  The
 # golden, CI and test specs need at most 16.  With r = N = 1 and one term,
 # lambda^222 d^223 (99,681) verifies in about 1.4 s, and d^445 (99,681)
-# verifies in about 1.7 s and imports in about 2.9 s, the slowest admitted
+# verifies in about 1.7 s and imports in about 1.9 s, the slowest admitted
 # spec found; with N = 3, d^(8,8,8) (91,125) takes about 1.2 s and 1.3 s.
 # Refused: lambda^400 d^400 (321,201) and lambda = d = (8,8,8) (3,581,577),
 # each about 7 s to verify, and lambda^800 (321,201), whose verify report
@@ -70,14 +70,27 @@ VERIFY_MAX_TRIPLES = 50_000
 # CLI, Python 3.11 on 2 vCPUs.
 POISSON_MAX_WORK = 100_000
 
+# Largest work estimate, `catalog_work`, of the spec that `poisson catalog`
+# builds, counted from its parameters before anything is built.  The
+# README, golden, CI and test catalogs need at most 840 (S at r = 3,
+# N = 4).  The widest admitted builds end within 2 s from the CLI: W at
+# r = N = 69 (985,527, printing 32 MB of JSON), H at r = N = 1000,
+# semidirect over sl2 at r = N = 60, S at r = N = 9 and S at r = 3,
+# N = 69.  Refused: W at r = N = 150 (10,125,000), which printed 314 MB in
+# 29 s, and S at r = 2, N = 300 (81,003,600), 7.5 s to build in process.
+# Timings are Python 3.11 on 2 vCPUs.
+CATALOG_MAX_WORK = 1_000_000
+
 # Largest number of unknowns, |gens|^2 * C(dmax + dim, dim), that
 # `cohomology central` solves for: one cocycle coefficient per ordered
 # generator pair and window monomial, counted before any row is built.
-# It admits wd:sl2 at dmax 10 (2,574 unknowns, about 0.6 s from the CLI)
+# It admits wd:sl2 at dmax 10 (2,574 unknowns, about 0.5 s from the CLI)
 # and sd:abelian4 at dmax 4 (2,520, about 0.3 s), the widest known
-# windows; wd:sl2 at dmax 12 (4,095) takes about 1.1 s in process, and at
-# dmax 40 (111,069) it ran past 20 s without end in sight.  Timings are
-# Python 3.11 on 2 vCPUs, with the Jacobi rows fed shortest first.
+# windows, and k-type:sl2 at dmax 24 (2,925, about 8.5 s), the slowest
+# admitted one found; wd:sl2 at dmax 12 (4,095) takes about 0.8-1.3 s in
+# process, and at dmax 40 (111,069) it ran past 20 s without end in sight.
+# Timings are Python 3.11 on 2 vCPUs, every row set fed shortest first
+# and the rank-one rows built from the top weight down.
 CENTRAL_MAX_UNKNOWNS = 3_000
 
 # Largest work estimate, `bracket_work`, of the operands that `bracket` and
@@ -269,6 +282,21 @@ def poisson_work(spec):
             + sum(pairs(A) for terms in spec.central.values() for A in terms))
 
 
+def catalog_work(family, params):
+    """Work estimate of a `poisson catalog` build, from r, N and dim g alone:
+    the table terms the family builds, each counted once per variable.  W
+    writes 3 r^2 terms, H r and Cur dim(g)^3; semidirect writes those of W
+    and Cur and 3 r dim(g) more.  S builds the vector-field table on N
+    variables (3 N^2 terms), then about 6 p^2 terms over its p = r(r-1)/2
+    pair fields, each found against the r directions.  A parameter that is
+    absent or negative counts as 0, and the build refuses it."""
+    r, N = (max(params.get(k) or 0, 0) for k in ("r", "N"))
+    d = params["g"].dim if "g" in params else 0
+    terms = {"W": 3 * r * r, "H": r, "Cur": d ** 3, "semidirect": 3 * r * r + d ** 3 + 3 * r * d,
+             "S": 3 * N * N + 6 * (r * (r - 1) // 2) ** 2 * r}[family]
+    return terms * N
+
+
 def _operands(args):
     """The structure and its --left and --right module elements, refused as
     an input error when their bracket is over `BRACKET_MAX_WORK`."""
@@ -376,6 +404,10 @@ def cmd_poisson(args):
             params["chi"] = _parse_chi(args.chi)
         if args.g:
             params["g"] = algebra_by_name(args.g)
+        work = catalog_work(args.family, params)
+        if work > CATALOG_MAX_WORK:
+            raise ValueError("poisson catalog --family %s has work estimate %d, over the "
+                             "budget of %d" % (args.family, work, CATALOG_MAX_WORK))
         spec = poisson_catalog(args.family, **params)
     # an export prints its JSON in either format, or writes it to --out
     if not args.out:

@@ -9,7 +9,7 @@ or through the generic linear system extracted from the central component
 of the Jacobi identity on generator triples.
 """
 
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, groupby
 
 from .constructions import make_sd
 from .linalg import SparseEliminator, bump, bump_outer, nullspace
@@ -225,24 +225,24 @@ class CentralExtensionSolution:
 
 
 def _skew_rows(alg, gens, monos):
-    """Rows of the skew link beta(q, p) = -S(beta(p, q)) on every ordered
-    generator pair, one per pair and window monomial; some are empty."""
+    """Rows of the skew link beta(q, p) = -S(beta(p, q)) for p <= q, one per
+    pair and window monomial, nonempty, shortest first; S^2 = 1 on the
+    window, so the link on (q, p) is the image under S of these rows."""
     rows = {}
-    for p in gens:
-        for q in gens:
-            for I in monos:
-                bump(rows.setdefault((p, q, I), {}), ((q, p), I), 1)
-                for K, v in antipode_basis(alg, I).items():
-                    bump(rows.setdefault((p, q, K), {}), ((p, q), I), v)
-    return rows.values()
+    for p, q in combinations_with_replacement(gens, 2):
+        for I in monos:
+            bump(rows.setdefault((p, q, I), {}), ((q, p), I), 1)
+            for K, v in antipode_basis(alg, I).items():
+                bump(rows.setdefault((p, q, K), {}), ((p, q), I), v)
+    return sorted(filter(None, rows.values()), key=len)
 
 
 # -- rank-one solver ----------------------------------------------------------
 
 def _rank1_rows(alg, datum, gen, monos, zeros):
-    """Rows of the second rank-one condition, {tensor key: row}: for each
-    window monomial I whose unknown u = ((gen, gen), I) is not in `zeros`,
-    the coefficients at u of
+    """The rows of the second rank-one condition, as (tensor key, row): for
+    each window monomial I whose unknown u = ((gen, gen), I) is not in
+    `zeros`, the coefficients at u of
 
         alpha Delta(beta) - (beta (x) 1 + 1 (x) beta) alpha
             - beta (x) t + t (x) beta,    t = 3s - x,  beta = d^(I),
@@ -255,40 +255,54 @@ def _rank1_rows(alg, datum, gen, monos, zeros):
     one unknown are summed by `bump` and `bump_outer` before they reach
     their rows, so no row holds a zero, and an integral value is an `int`.
     `zeros` is read as in `_central_jacobi_rows`; an empty set builds
-    every row.
+    every row.  As d^(A) d^(J) has weight at most |A| + |J|, an unknown of
+    weight m reaches no key of weight above m + D, D the largest |A1| + |A2|
+    over alpha and at least 1, for t.  So the unknowns are built one weight
+    of `monos` (in weight order) at a time, from the top; once weight m is,
+    the rows of key weight m + D are complete and handed out shortest first,
+    each unless `zeros` has come to hold all its unknowns since.
     """
     alpha = list(datum.alpha().c.items())
     # A -> J -> terms of d^(A) d^(J), for the legs A of alpha
     tables = {A: {} for key, _ in alpha for A in key}
     t = (HElt.from_vector(alg, {i: 3 * datum.s[i] for i in range(alg.dim)})
          - HElt.from_vector(alg, datum.x_element())).c.items()
-    rows = {}
-    for I in monos:
-        u = ((gen, gen), I)
-        if u in zeros:
-            continue
-        lhs = {}
-        splits = mi_splits(I, 2)
-        for (A1, A2), a in alpha:
-            lt, rt = tables[A1], tables[A2]
-            for J1, J2 in splits:
-                t1 = lt.get(J1)
-                if t1 is None:
-                    t1 = lt[J1] = mul_basis(alg, A1, J1).items()
-                t2 = rt.get(J2)
-                if t2 is None:
-                    t2 = rt[J2] = mul_basis(alg, A2, J2).items()
-                bump_outer(lhs, a, t1, t2)
-            for K1, c1 in mul_basis(alg, I, A1).items():
-                bump(lhs, (K1, A2), -a * c1)
-            for K2, c2 in mul_basis(alg, I, A2).items():
-                bump(lhs, (A1, K2), -a * c2)
-        for T, v in t:
-            bump(lhs, (I, T), -v)
-            bump(lhs, (T, I), v)
-        for key, v in lhs.items():
-            rows.setdefault(key, {})[u] = v
-    return rows
+    D = max([1] + [mi_weight(A1) + mi_weight(A2) for (A1, A2), _ in alpha])
+    rows, due = {}, {}  # key -> row; key weight -> [(key, row)]
+    for m, level in groupby(reversed(monos), mi_weight):
+        for I in level:
+            u = ((gen, gen), I)
+            if u in zeros:
+                continue
+            lhs = {}
+            splits = mi_splits(I, 2)
+            for (A1, A2), a in alpha:
+                lt, rt = tables[A1], tables[A2]
+                for J1, J2 in splits:
+                    t1 = lt.get(J1)
+                    if t1 is None:
+                        t1 = lt[J1] = mul_basis(alg, A1, J1).items()
+                    t2 = rt.get(J2)
+                    if t2 is None:
+                        t2 = rt[J2] = mul_basis(alg, A2, J2).items()
+                    bump_outer(lhs, a, t1, t2)
+                for K1, c1 in mul_basis(alg, I, A1).items():
+                    bump(lhs, (K1, A2), -a * c1)
+                for K2, c2 in mul_basis(alg, I, A2).items():
+                    bump(lhs, (A1, K2), -a * c2)
+            for T, v in t:
+                bump(lhs, (I, T), -v)
+                bump(lhs, (T, I), v)
+            for key, v in lhs.items():
+                if (row := rows.get(key)) is None:
+                    row = rows[key] = {}
+                    due.setdefault(sum(key[0]) + sum(key[1]), []).append((key, row))
+                row[u] = v
+        # weight 0 is the last: every row left is complete
+        batch = due.pop(m + D, ()) if m else chain(*due.values())
+        for kr in sorted(batch, key=lambda kr: len(kr[1])):
+            if not zeros.issuperset(kr[1]):
+                yield kr
 
 
 def solve_central_extensions_rank1(P, dmax=4):
@@ -305,11 +319,11 @@ def solve_central_extensions_rank1(P, dmax=4):
     nonzero every solution has degree one, so any window with dmax >= 1
     is complete; otherwise completeness holds up to the stated degree.
 
-    Every skew row is fed first.  They force many unknowns to zero, and
-    the second condition is built only for the monomials whose unknown is
-    still free, each entry read straight off the PBW tables
-    (`_rank1_rows`) with no tensor element built; `kernel` reads the basis
-    off the reduced row echelon form, which the span alone fixes.
+    The skew rows go first, shortest first, and force many unknowns to
+    zero.  `_rank1_rows` then builds the second condition from the top
+    weight down for the free unknowns, each row fed once complete, so what
+    it forces is skipped below; `kernel` reads the basis off the reduced
+    row echelon form, which the span alone fixes.
     """
     datum = getattr(P, "datum", None)
     if datum is None or P.module.rank != 1:
@@ -322,9 +336,9 @@ def solve_central_extensions_rank1(P, dmax=4):
     monos = _degree_window(alg, dmax)
     unknowns = [((gen, gen), I) for I in monos]
     elim = SparseEliminator()
-    for row in filter(None, _skew_rows(alg, [gen], monos)):
+    for row in _skew_rows(alg, [gen], monos):
         elim.add(row)
-    for row in _rank1_rows(alg, datum, gen, monos, elim.zeros).values():
+    for _, row in _rank1_rows(alg, datum, gen, monos, elim.zeros):
         elim.add(row)
 
     basis = elim.kernel(unknowns)
@@ -439,12 +453,13 @@ def solve_central_extensions(P, dmax=4, complete=False):
     cocycle must vanish on the relations for any presentation, and no
     general argument shows that Jacobi forces it, so the rows stay.
 
-    The rows go to one `SparseEliminator` as they are built, and the
-    Jacobi rows leave out every unknown in its `zeros`, whose unit rows it
-    already spans, so the span is that of the rows built in full; `kernel`
-    reads the basis off its reduced row echelon form, which the span alone
-    fixes.  The counit shifts are found before any row, so a window below
-    their degree is refused at once.
+    The rows go to one `SparseEliminator`, each set shortest first: the
+    skew link on unordered pairs, the relation rows, then the Jacobi rows
+    one triple at a time, which leave out every unknown in its `zeros`,
+    whose unit rows it already spans, so the span is that of the rows
+    built in full; `kernel` reads the basis off its reduced row echelon
+    form, which the span alone fixes.  The counit shifts are found before
+    any row, so a window below their degree is refused at once.
     """
     alg = P.alg
     gens = P.module.gens
@@ -470,7 +485,7 @@ def solve_central_extensions(P, dmax=4, complete=False):
 
     elim = SparseEliminator()
     for row in filter(None, chain(_skew_rows(alg, gens, monos),
-                                  _central_relation_rows(P, monos).values(),
+                                  sorted(_central_relation_rows(P, monos).values(), key=len),
                                   _central_jacobi_rows(P, monos, elim.zeros))):
         elim.add(row)
     basis = elim.kernel(unknowns)

@@ -221,7 +221,9 @@ def poisson_to_pseudo(spec):
 
 def pseudo_to_poisson(P, names=None, beta=None):
     """Inverse dictionary; requires the abelian base and a plain-generator table.
-    A central table beta maps back term by term: v d^(A) to (-1)^|A| v / A! lambda^A."""
+    A central table beta maps back term by term: v d^(A) to (-1)^|A| v / A! lambda^A.
+    The terms made here have fields and exponents in range by construction,
+    so they go through the table rule `_add` unchecked."""
     alg = P.alg
     if not alg.is_abelian:
         raise ValueError("the dictionary is defined over the abelian algebra")
@@ -240,12 +242,12 @@ def pseudo_to_poisson(P, names=None, beta=None):
             for (M, K, k), c in terms.items():
                 # divided monomials back to plain power coefficients
                 poly = {(M, K): div(c, mi_factorial(M) * mi_factorial(K))}
-                for (A, B), c2 in _substitute(poly).items():
-                    spec.add_term(i, j, k, A, B, c2)
+                for AB, c2 in _substitute(poly).items():
+                    spec._add(spec.Q, (i, j, k), AB, c2)
     for (gi, gj), h in (beta or {}).items():
         for A, v in h.c.items():
-            spec.add_central(index[gi], index[gj], A,
-                             (-1) ** mi_weight(A) * div(v, mi_factorial(A)))
+            spec._add(spec.central, (index[gi], index[gj]), A,
+                      (-1) ** mi_weight(A) * div(v, mi_factorial(A)))
     return spec
 
 

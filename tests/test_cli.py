@@ -14,8 +14,8 @@ import pytest
 
 from pseudoalg import cli, poisson
 from pseudoalg.annihilation import annihilation_suite
-from pseudoalg.cli import (BRACKET_MAX_WORK, CENTRAL_MAX_UNKNOWNS, POISSON_MAX_WORK,
-                          VERIFY_MAX_TRIPLES, build_structure, main)
+from pseudoalg.cli import (BRACKET_MAX_WORK, CATALOG_MAX_WORK, CENTRAL_MAX_UNKNOWNS,
+                          POISSON_MAX_WORK, VERIFY_MAX_TRIPLES, build_structure, main)
 from pseudoalg.constructions import CEND_MAX_GENERATORS, make_wd, named_rank1_datum
 from pseudoalg.forms import form_module, forms_suite
 from pseudoalg.liealg import CATALOG_BUILDERS, algebra_by_name
@@ -968,6 +968,61 @@ def test_poisson_spec_work_budget_refuses_before_any_build(lam, der, central, wo
         assert capsys.readouterr().err == (
             "input error: %s has work estimate %d, over the budget of %d\n"
             % (path, work, POISSON_MAX_WORK))
+
+
+def _patch_catalog_build(monkeypatch):
+    def built(name, **params):
+        raise Solved
+    monkeypatch.setattr(cli, "poisson_catalog", built)
+
+
+def test_catalog_budget_admits_the_pinned_catalogs(monkeypatch):
+    """Every `poisson catalog` run of the golden cases, the README and
+    DISPATCH reaches the build; the widest, S at r = 3, N = 4, is priced
+    at 840, and the CI step's H at r = N = 2 at 4."""
+    _patch_catalog_build(monkeypatch)
+    argvs = [argv for argv in ([c["argv"] for c in GOLDEN_CASES] + _readme_commands()
+                               + [argv for argv, code, _ in DISPATCH if code == 0])
+             if argv[:2] == ["poisson", "catalog"]]
+    assert len(argvs) >= 4
+    for argv in argvs:
+        with pytest.raises(Solved):
+            main(argv)
+    assert cli.catalog_work("S", {"r": 3, "N": 4}) == 840
+    assert cli.catalog_work("H", {"r": 2, "N": 2}) == 4
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["W", "--r", "69", "--N", "69"], 985_527), (["W", "--r", "70", "--N", "70"], 1_029_000),
+    (["W", "--r", "150", "--N", "150"], 10_125_000),
+    (["S", "--r", "9", "--N", "9"], 632_043), (["S", "--r", "10", "--N", "10"], 1_218_000),
+    (["S", "--r", "3", "--N", "69"], 996_705), (["S", "--r", "3", "--N", "70"], 1_040_340),
+    (["H", "--r", "1000", "--N", "1000"], 1_000_000),
+    (["H", "--r", "1000", "--N", "1001"], 1_001_000),
+    (["Cur", "--g", "sl2", "--N", "37037"], 999_999),
+    (["Cur", "--g", "sl2", "--N", "37038"], 1_000_026),
+    (["semidirect", "--r", "60", "--N", "60", "--g", "sl2"], 682_020),
+    (["semidirect", "--r", "70", "--N", "70", "--g", "sl2"], 1_074_990)],
+    ids=lambda v: "_".join(x.lstrip("-") for x in v) if isinstance(v, list) else None)
+def test_catalog_budget_refuses_before_any_build(argv, work, monkeypatch, capsys):
+    """`poisson catalog` prices its family from r, N and dim g before it
+    builds: with the build patched to raise, a catalog at the budget
+    reaches it, and one just over it is refused as an input error naming
+    the estimate and the budget, the build never called."""
+    params = {name[2:]: int(v) for name, v in zip(argv[1::2], argv[2::2]) if name != "--g"}
+    if "--g" in argv:
+        params["g"] = algebra_by_name(_option(argv, "--g"))
+    assert cli.catalog_work(argv[0], params) == work
+    _patch_catalog_build(monkeypatch)
+    argv = ["poisson", "catalog", "--family"] + argv
+    if work <= CATALOG_MAX_WORK:
+        with pytest.raises(Solved):
+            main(argv)
+        return
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == (
+        "input error: poisson catalog --family %s has work estimate %d, over the budget "
+        "of %d\n" % (argv[3], work, CATALOG_MAX_WORK))
 
 
 POISSON_UNREAD_OPTIONS = [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import adjoint_module, complement, is_zero_cochain, random_melt, span_dim
 from pseudoalg import liealg
 from pseudoalg.cohomology import (Cochain, _central_jacobi_rows,
-                                  _central_relation_rows, _degree_window, _rank1_rows,
+                                  _central_relation_rows, _degree_window, _rank1_rows, _skew_rows,
                                   differential,
                                   extension_cocycle_residual,
                                   hat_central_extension,
@@ -672,8 +672,18 @@ def reference_sd_solve(alg, dmax):
     return unknowns, nullspace(rows.values(), unknowns), trivial
 
 
+# rank-one data with r = 0 over a non-abelian algebra: their cocycle bases hold
+# vectors of more than one weight, which the named data's do not
+R0_DATA = {"solv2/r0": ("solv2", (1, 1)), "sl2/r0": ("sl2", (0, 1, 1))}
+
+
 def _pool_structure(name):
     family, _, rest = name.partition(":")
+    if family == "rank1" and rest in R0_DATA:
+        aname, s = R0_DATA[rest]
+        alg = liealg.algebra_by_name(aname)
+        r = [[0] * alg.dim for _ in range(alg.dim)]
+        return make_rank1(Rank1Datum(alg, r, s), run_axioms=False)
     if family == "rank1":
         return w_type_dim1() if rest == "w1" else make_rank1(named_rank1_datum(rest),
                                                               run_axioms=False)
@@ -761,19 +771,24 @@ def unskipped_jacobi_rows(P, monos):
         yield from rows.values()
 
 
-def unskipped_central_rows(P, monos):
-    """The generic solver's nonempty rows in the order it fed them: skew link,
-    relations, then every Jacobi expansion."""
-    alg = P.alg
-    gens = P.module.gens
+def ordered_skew_rows(alg, gens, monos):
+    """The skew link beta(q, p) = -S(beta(p, q)) on every ordered generator
+    pair, one row per pair and window monomial, some of them empty."""
     rows = {}
     for p in gens:
         for q in gens:
             for I in monos:
-                bump(rows.setdefault(("skew", p, q, I), {}), ((q, p), I), 1)
+                bump(rows.setdefault((p, q, I), {}), ((q, p), I), 1)
                 for K, v in antipode_basis(alg, I).items():
-                    bump(rows.setdefault(("skew", p, q, K), {}), ((p, q), I), v)
-    return list(filter(None, chain(rows.values(), element_relation_rows(P, monos).values(),
+                    bump(rows.setdefault((p, q, K), {}), ((p, q), I), v)
+    return rows.values()
+
+
+def unskipped_central_rows(P, monos):
+    """The generic solver's nonempty rows in the order it fed them: skew link
+    on every ordered pair, relations, then every Jacobi expansion."""
+    return list(filter(None, chain(ordered_skew_rows(P.alg, P.module.gens, monos),
+                                   element_relation_rows(P, monos).values(),
                                    unskipped_jacobi_rows(P, monos))))
 
 
@@ -846,7 +861,8 @@ ORACLE_WINDOWS = ([("sd:abelian3", 3), ("sd:abelian3", 4), ("sd:abelian4", 3)]
                      for d in (3, 4, 5)]
                   + [("cur:sl2", d) for d in (3, 4, 5, 6)]
                   + [("rank1:%s" % n, d)
-                     for n in ("w1", "abelian2", "heisenberg", "solv2", "sl2")
+                     for n in ("w1", "abelian2", "heisenberg", "solv2", "sl2", "solv2/r0",
+                               "sl2/r0")
                      for d in (3, 4, 6, 8)])
 
 
@@ -863,24 +879,71 @@ def test_forced_zero_skip_matches_unskipped_rows(name, dmax):
         (span_dim(basis), span_dim(sol.trivial), len(reps))
 
 
+# structures of the benchmark's central pool, and wd:sl2, at windows 0-3
+SKEW_POOL = ["rank1:sl2", "cur:sl2", "wd:solv2", "wd:heis3", "wd:abelian3", "wd:sl2",
+             "sd:abelian3"]
+
+
+@lru_cache(maxsize=None)
+def _skew_pool_case(name, dmax):
+    """(window, unknowns, nonempty Jacobi rows with every entry built)."""
+    if name.startswith("sd:"):
+        P = make_sd(liealg.algebra_by_name(name[3:])).pair_structure()
+    else:
+        P = _pool_structure(name)
+    monos = _degree_window(P.alg, dmax)
+    gens = P.module.gens
+    unknowns = [((p, q), I) for p in gens for q in gens for I in monos]
+    return P, monos, unknowns, [r for r in _central_jacobi_rows(P, monos, set()) if r]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(SKEW_POOL), st.integers(0, 3), st.integers(0, 3), st.integers(1, 4))
+def test_skew_link_on_sorted_pairs_keeps_the_kernel(name, dmax, start, step):
+    # `_skew_rows` builds the link on pairs p <= q only; fed before a drawn
+    # part of the Jacobi rows, it leaves the same kernel, by repr, as the
+    # link on every ordered pair
+    P, monos, unknowns, jacobi = _skew_pool_case(name, dmax)
+    kernels = []
+    for skew in (_skew_rows(P.alg, P.module.gens, monos),
+                 ordered_skew_rows(P.alg, P.module.gens, monos)):
+        elim = SparseEliminator()
+        for row in chain(filter(None, skew), jacobi[start::step]):
+            elim.add(row)
+        kernels.append(repr(elim.kernel(unknowns)))
+    assert kernels[0] == kernels[1]
+
+
 # -- the rows read off the PBW tables against element arithmetic ----------------------
 
 def _nonempty(rows):
     return {key: row for key, row in rows.items() if row}
 
 
+def _handed_out(rows):
+    """The (key, row) pairs a row generator yields, as a {key: row} map of
+    copies taken as each is handed out: each key comes once, and a row
+    that is not complete then has a copy that misses entries."""
+    out = {}
+    for key, row in rows:
+        assert key not in out
+        out[key] = dict(row)
+    return out
+
+
 def _assert_rank1_rows_match(datum, dmax):
-    """`_rank1_rows` with nothing known to be zero equals the element-arithmetic
-    rows as a {key: row} map, and stores no integral Fraction; with a set of
-    unknowns given as zeros it equals them with those unknowns left out."""
+    """The rows `_rank1_rows` yields with nothing known to be zero, keyed,
+    equal the element-arithmetic rows as a {key: row} map, and store no
+    integral Fraction; with a set of unknowns given as zeros they equal
+    them with those unknowns left out."""
     monos = _degree_window(datum.alg, dmax)
     want = element_rank1_rows(datum, "e", monos)
-    got = _rank1_rows(datum.alg, datum, "e", monos, set())
+    got = _handed_out(_rank1_rows(datum.alg, datum, "e", monos, set()))
     assert got == want
     assert not [v for row in got.values() for v in row.values()
                 if type(v) is not int and v.denominator == 1]
     zeros = {(("e", "e"), I) for I in monos[::3]}
-    skipped = _rank1_rows(datum.alg, datum, "e", monos, zeros)
+    skipped = _handed_out(_rank1_rows(datum.alg, datum, "e", monos, zeros))
     assert skipped == _nonempty({key: {u: v for u, v in row.items() if u not in zeros}
                                  for key, row in want.items()})
 
@@ -888,11 +951,31 @@ def _assert_rank1_rows_match(datum, dmax):
 RANK1_DATA = ["w1", "abelian2", "heisenberg", "solv2", "sl2"]
 
 
+def _rank1_datum(name):
+    return w_type_dim1().datum if name == "w1" else named_rank1_datum(name)
+
+
 @pytest.mark.parametrize("name", RANK1_DATA)
 def test_rank1_rows_match_element_arithmetic(name):
-    datum = w_type_dim1().datum if name == "w1" else named_rank1_datum(name)
+    datum = _rank1_datum(name)
     for dmax in range(3, 9):
         _assert_rank1_rows_match(datum, dmax)
+
+
+@pytest.mark.parametrize("name", RANK1_DATA)
+def test_rank1_row_keys_stay_within_the_weight_bound(name):
+    # `_rank1_rows` hands out the rows of key weight >= m + D once level m is
+    # built, which is sound only if an unknown of weight m reaches no key of
+    # weight above m + D: D is the largest |A1| + |A2| over alpha, and 1 for
+    # the terms beta (x) t, t of weight 1.  Checked on the rows it yields and
+    # on the element-arithmetic ones
+    datum = _rank1_datum(name)
+    D = max([1] + [sum(A1) + sum(A2) for A1, A2 in datum.alpha().c])
+    monos = _degree_window(datum.alg, 8)
+    rows = list(_rank1_rows(datum.alg, datum, "e", monos, set()))
+    assert rows
+    for key, row in chain(rows, element_rank1_rows(datum, "e", monos).items()):
+        assert all(sum(key[0]) + sum(key[1]) <= sum(I) + D for _, I in row)
 
 
 RANK1_ALGEBRAS = {name: liealg.algebra_by_name(name)
