@@ -7,10 +7,10 @@ into the structure that bracket, xbracket and annihilate act on, the
 family's verify report and its central-extension solver.  Exit codes: 0
 all checks pass, 1 a mathematical check failed (witnesses in the
 report), 2 input or usage error, unreadable or unwritable files
-included.  Reports are deterministic for a fixed --seed, which is echoed
-in every report.  A command prints nothing itself: it returns a `Report`
-or a pair (data, text lines), and `main` hands that to `emit`, the one
-printer, and turns refusals into exit codes.
+included.  No check draws a random number, so a command line's report
+is the same bytes on every run.  A command prints nothing itself: it
+returns a `Report` or a pair (data, text lines), and `main` hands that to
+`emit`, the one printer, and turns refusals into exit codes.
 """
 
 import argparse
@@ -72,13 +72,14 @@ POISSON_MAX_WORK = 100_000
 
 # Largest work estimate, `catalog_work`, of the spec that `poisson catalog`
 # builds, counted from its parameters before anything is built.  The
-# README, golden, CI and test catalogs need at most 840 (S at r = 3,
-# N = 4).  The widest admitted builds end within 2 s from the CLI: W at
-# r = N = 69 (985,527, printing 32 MB of JSON), H at r = N = 1000,
-# semidirect over sl2 at r = N = 60, S at r = N = 9 and S at r = 3,
-# N = 69.  Refused: W at r = N = 150 (10,125,000), which printed 314 MB in
-# 29 s, and S at r = 2, N = 300 (81,003,600), 7.5 s to build in process.
-# Timings are Python 3.11 on 2 vCPUs.
+# README, golden and test catalogs need at most 756 (S at r = 3, N = 4),
+# the CI ones 7,200 (S at r = 2, N = 300).  The widest admitted builds end
+# within 2 s from the CLI: W at r = N = 69 (985,527, printing 32 MB of
+# JSON), H at r = N = 1000, semidirect over sl2 at r = N = 60, S at
+# r = N = 9 (632,043, 3.4 MB in 1.1 s), S at r = 3, N = 5291 (999,999,
+# 6.0 MB in 0.26 s) and S at r = 2, N = 41,666 (999,984, 2.5 MB in
+# 0.19 s).  Refused: W at r = N = 150 (10,125,000), which printed 314 MB
+# in 29 s.  Timings are Python 3.11 on 2 vCPUs.
 CATALOG_MAX_WORK = 1_000_000
 
 # Largest number of unknowns, |gens|^2 * C(dmax + dim, dim), that
@@ -225,13 +226,13 @@ def emit(args, result):
     if isinstance(result, Report):
         if not result.checks:
             raise ValueError("%s checks nothing" % (result.title or "report"))
-        data = dict(result.as_dict(), seed=args.seed)
+        data = result.as_dict()
         failed = [c for c in data["checks"] if not c["passed"]]
         lines = ["%s: %s" % (data["title"] or "report", "FAILED" if failed else "ok")]
         lines += ["  FAIL %s%s" % (c["name"], "  witness: " + c["witness"] if c["witness"] else "")
                   for c in failed]
-        lines.append("  %d/%d checks passed (seed %d)"
-                     % (len(data["checks"]) - len(failed), len(data["checks"]), args.seed))
+        lines.append("  %d/%d checks passed" % (len(data["checks"]) - len(failed),
+                                                len(data["checks"])))
         code = 1 if failed else 0
         result = data, lines
     data, lines = result
@@ -286,14 +287,15 @@ def catalog_work(family, params):
     """Work estimate of a `poisson catalog` build, from r, N and dim g alone:
     the table terms the family builds, each counted once per variable.  W
     writes 3 r^2 terms, H r and Cur dim(g)^3; semidirect writes those of W
-    and Cur and 3 r dim(g) more.  S builds the vector-field table on N
-    variables (3 N^2 terms), then about 6 p^2 terms over its p = r(r-1)/2
-    pair fields, each found against the r directions.  A parameter that is
-    absent or negative counts as 0, and the build refuses it."""
+    and Cur and 3 r dim(g) more.  S builds the vector-field table on r
+    variables (3 r^2 terms), then about 6 p^2 terms over its p = r(r-1)/2
+    pair fields, each found against the r directions, and pads them to N.
+    A parameter that is absent or negative counts as 0, and the build
+    refuses it."""
     r, N = (max(params.get(k) or 0, 0) for k in ("r", "N"))
     d = params["g"].dim if "g" in params else 0
     terms = {"W": 3 * r * r, "H": r, "Cur": d ** 3, "semidirect": 3 * r * r + d ** 3 + 3 * r * d,
-             "S": 3 * N * N + 6 * (r * (r - 1) // 2) ** 2 * r}[family]
+             "S": 3 * r * r + 6 * (r * (r - 1) // 2) ** 2 * r}[family]
     return terms * N
 
 
@@ -348,14 +350,14 @@ def cmd_cohomology(args):
                 for vec in vectors]
     # the subject: the reference as given, a rank1 one with its --alpha
     structure = args.structure + (" --alpha " + args.alpha if args.structure == "rank1" else "")
-    data = dict(sol.summary(), structure=structure, algebra=P.alg.name, seed=args.seed,
+    data = dict(sol.summary(), structure=structure, algebra=P.alg.name,
                 completeness="complete" if sol.complete else "complete up to degree %d" % sol.dmax,
                 representatives=tables(sol.representatives), cocycle_basis=tables(sol.basis),
                 shift_space=tables(sol.trivial))
     lines = ["central extensions of %s (algebra %s)" % (structure, P.alg.name),
              "second cohomology dimension: %d (%s)" % (sol.dim, data["completeness"]),
-             "cocycle space %d, shift space %d, dmax %d, seed %d"
-             % (sol.dim_cocycles, sol.dim_trivial, sol.dmax, args.seed)]
+             "cocycle space %d, shift space %d, dmax %d"
+             % (sol.dim_cocycles, sol.dim_trivial, sol.dmax)]
     return data, lines + ["  representative: %s" % t for t in data["representatives"]]
 
 
@@ -434,8 +436,6 @@ def make_parser():
     p = argparse.ArgumentParser(prog="pseudoalg",
                                 description="finite pseudoalgebra workbench")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=20260801,
-                   help="seed for randomized spot checks; echoed in reports")
     sub = p.add_subparsers(dest="command", required=True)
 
     structure = argparse.ArgumentParser(add_help=False)

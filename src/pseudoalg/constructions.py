@@ -144,23 +144,16 @@ def sd_generator(P, chi, a, b):
 
 
 class GeneratedSubalgebra:
-    """Divergence-free subalgebra presented inside the vector-field structure.
-
-    `directions` restricts to the sub-collection of basis directions
-    actually spanned (the current-over-subalgebra realization); default is
-    all of them.
+    """Divergence-free subalgebra S(d, chi) presented inside the vector-field
+    structure, on the pair generators e_ab of the basis directions a < b.
     """
 
-    def __init__(self, alg, chi=None, directions=None):
+    def __init__(self, alg, chi=None):
         chi = _trace_form(alg, chi)
         self.alg = alg
         self.chi = chi
-        self.directions = sorted(directions) if directions is not None else list(range(alg.dim))
-        for (i, j) in alg.table:
-            if i not in self.directions or j not in self.directions:
-                raise ValueError("directions must span a subalgebra")
         self.ambient, self.h_action = make_wd(alg)
-        self.pairs = [(a, b) for a in self.directions for b in self.directions if a < b]
+        self.pairs = [(a, b) for a in range(alg.dim) for b in range(a + 1, alg.dim)]
         self.gens = {(a, b): sd_generator(self.ambient, chi, a, b) for a, b in self.pairs}
         self._pair_structure = None
 
@@ -172,8 +165,6 @@ class GeneratedSubalgebra:
         return -self.gens[(b, a)]
 
     def is_member(self, w):
-        if any(a not in self.directions for (I, a) in w.c):
-            return False
         return not divergence(self.alg, w, self.chi)
 
     def express(self, w):
@@ -200,7 +191,7 @@ class GeneratedSubalgebra:
             for (I, a), v in cur.c.items():
                 if mi_weight(I) == d:
                     tops[a][I] = v
-            for (i, j), f in _koszul_decompose(alg, tops, d, self.directions).items():
+            for (i, j), f in _koszul_decompose(alg, tops, d).items():
                 if not f:
                     continue
                 coeffs[(i, j)] = coeffs[(i, j)] + f
@@ -258,7 +249,7 @@ class GeneratedSubalgebra:
     def _relations(self):
         rels = []
         one = HElt.one(self.alg)
-        for a, b, c in combinations(self.directions, 3):
+        for a, b, c in combinations(range(self.alg.dim), 3):
             rel = {}
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                 h = HElt.gen(self.alg, x) + one.scale(self.chi[x])
@@ -289,20 +280,18 @@ class GeneratedSubalgebra:
         return rep
 
 
-def _koszul_decompose(alg, tops, d, directions):
+def _koszul_decompose(alg, tops, d):
     """Write top symbols sum p_a (x) d_a with sum p_a y_a = 0 (in the symbol
     algebra) as sum f_ij (y_i (x) d_j - y_j (x) d_i), f_ij of degree d-1.
 
     Works direction by direction: split off every monomial containing the
-    current variable, fold the counterpart into the remaining slots.  Only
-    variables in `directions` are split, so pair indices stay inside them.
+    current variable, fold the counterpart into the remaining slots.
     """
-    directions = sorted(directions)
     p = [dict(t) for t in tops]
     out = {}
-    for pos, i in enumerate(directions[:-1]):
+    for i in range(alg.dim - 1):
         # phi_j: the y_i-divided part of p_j for later directions j
-        for j in directions[pos + 1:]:
+        for j in range(i + 1, alg.dim):
             phi = {}
             for I, v in list(p[j].items()):
                 if I[i] > 0:

@@ -314,24 +314,25 @@ def catalog_special(r, N, chi=None):
     """Divergence-type subalgebra tables on pair generators.
 
     Fields are indexed by pairs (a, b), a < b <= r, representing
-    (d_a + chi_a) u_b - (d_b + chi_b) u_a; brackets are computed inside
-    the vector-field structure and re-expressed over the pair fields.
+    (d_a + chi_a) u_b - (d_b + chi_b) u_a.  Over N variables this is the
+    current pseudoalgebra Cur S = H (x)_H' S of PAPER.md, for
+    H' = U(abelian r) in H = U(abelian N) on the first r directions: by
+    (f (x) a)*(g (x) b) = ((f (x) g) (x)_H 1)(a*b), its table is that of S
+    on r variables with every exponent padded by N - r zeros.  That table
+    is computed inside the vector-field structure on r variables and
+    re-expressed over the pair fields.
     """
     if not 2 <= r <= N:
         raise ValueError("needs 2 <= r <= N")
-    chi = (0,) * r if chi is None else tuple(map(exact, chi))
-    if len(chi) != r:
-        raise ValueError("chi needs %d entries, got %d" % (r, len(chi)))
-    from .constructions import GeneratedSubalgebra
-    alg = abelian(N)
-    chi_full = chi + (0,) * (N - r)
-    S = GeneratedSubalgebra(alg, chi_full, directions=list(range(r)))
+    from .constructions import make_sd
+    S = make_sd(abelian(r), chi)
     spec = pseudo_to_poisson(S.pair_structure(), ["u%d%d" % (a + 1, b + 1) for a, b in S.pairs])
+    pad = (0,) * (N - r)
+    out = PoissonBracketSpec(spec.r, N, names=spec.names)
     # pair fields map to the negated generators, so flip the signs
-    for terms in spec.Q.values():
-        for key in terms:
-            terms[key] = -terms[key]
-    return spec
+    out.Q = {ijk: {(A + pad, B + pad): -c for (A, B), c in terms.items()}
+             for ijk, terms in spec.Q.items()}
+    return out
 
 
 def catalog_semidirect(r, N, g):

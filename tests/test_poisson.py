@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pseudoalg import liealg
 from pseudoalg.cohomology import hat_central_extension, trivial_cocycle_table
-from pseudoalg.constructions import make_rank1, named_rank1_datum
+from pseudoalg.constructions import make_rank1, make_sd, named_rank1_datum
 from pseudoalg.poisson import (PoissonBracketSpec, catalog_general,
                                catalog_h_cocycle, catalog_hamiltonian,
                                catalog_current, catalog_semidirect,
@@ -15,7 +15,8 @@ from pseudoalg.poisson import (PoissonBracketSpec, catalog_general,
                                poisson_catalog, poisson_to_pseudo,
                                pseudo_to_poisson, verify_poisson_jacobi,
                                _substitute)
-from pseudoalg.pseudo import verify_axioms
+from pseudoalg.pseudo import PseudoStructure, verify_axioms
+from pseudoalg.tensor import FreeModule, QElt
 
 
 def test_general_dim1_is_the_conformal_table():
@@ -176,6 +177,41 @@ def test_substitution_involution_and_point_oracle(rng):
             assert ev(sub, z, w) == ev(terms, [-x for x in z],
                                        [x + y for x, y in zip(z, w)])
         assert _substitute(sub) == terms
+
+
+def reference_catalog_special(r, N, chi=None):
+    """The S tables as `catalog_special` once built them: S(d, chi) on all N
+    variables, its pair structure cut down to the pairs of the first r
+    directions (their brackets name only those pairs, since the Koszul step
+    splits only the variables their symbols hold), then the dictionary and
+    the sign flip of the pair fields."""
+    chi = (0,) * r if chi is None else tuple(chi)
+    S = make_sd(liealg.abelian(N), chi + (0,) * (N - r))
+    E = S.pair_structure()
+    pairs = [(a, b) for a, b in S.pairs if b < r]
+    mod = FreeModule(S.alg, pairs)
+    P = PseudoStructure(mod, "lie", bracket_fn=lambda p, q: QElt(mod, 2, E.gen_bracket(p, q).c))
+    spec = pseudo_to_poisson(P, ["u%d%d" % (a + 1, b + 1) for a, b in pairs])
+    for terms in spec.Q.values():
+        for key in terms:
+            terms[key] = -terms[key]
+    return spec
+
+
+@pytest.mark.parametrize("r, N", [(r, N) for r in (2, 3, 4) for N in range(r, r + 3)])
+def test_special_catalog_is_the_build_on_all_variables(r, N, rng):
+    """S on r fields over N variables, read off the pair structure on r
+    variables with its exponents padded, is the S tables computed inside the
+    vector fields on all N variables: equal specs, equal JSON, and the same
+    tables and terms in the same order with the same value types."""
+    def ordered(spec):
+        return repr([(where, list(terms.items())) for where, terms in spec.Q.items()])
+    drawn = tuple(Fr(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r))
+    for chi in (None, drawn):
+        spec, ref = catalog_special(r, N, chi), reference_catalog_special(r, N, chi)
+        assert spec == ref
+        assert json.dumps(spec.as_dict()) == json.dumps(ref.as_dict())
+        assert ordered(spec) == ordered(ref)
 
 
 def test_central_terms_become_cocycles():
