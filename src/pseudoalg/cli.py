@@ -73,13 +73,15 @@ POISSON_MAX_WORK = 100_000
 # Largest work estimate, `catalog_work`, of the spec that `poisson catalog`
 # builds, counted from its parameters before anything is built.  The
 # README, golden and test catalogs need at most 756 (S at r = 3, N = 4),
-# the CI ones 7,200 (S at r = 2, N = 300).  The widest admitted builds end
-# within 2 s from the CLI: W at r = N = 69 (985,527, printing 32 MB of
-# JSON), H at r = N = 1000, semidirect over sl2 at r = N = 60, S at
+# the CI ones 985,527 (W at r = N = 69).  The widest admitted builds end
+# within about 2 s from the CLI: W at r = N = 69 (985,527, printing 32 MB
+# of JSON in 2.1 s), H at r = N = 1000 (1,000,000, 30 MB in 1.4 s),
+# semidirect over sl2 at r = N = 60 (682,020, 22 MB in 1.3 s), S at
 # r = N = 9 (632,043, 3.4 MB in 1.1 s), S at r = 3, N = 5291 (999,999,
-# 6.0 MB in 0.26 s) and S at r = 2, N = 41,666 (999,984, 2.5 MB in
-# 0.19 s).  Refused: W at r = N = 150 (10,125,000), which printed 314 MB
-# in 29 s.  Timings are Python 3.11 on 2 vCPUs.
+# 6.0 MB in 0.3 s), S at r = 2, N = 41,666 (999,984, 2.5 MB in 0.2 s) and
+# Cur over sl2 at N = 37,037 (999,999, 6.7 MB in 0.4 s).  Refused: W at
+# r = N = 150 (10,125,000), which printed 314 MB in 29 s.  Timings are
+# Python 3.11 on 2 vCPUs.
 CATALOG_MAX_WORK = 1_000_000
 
 # Largest number of unknowns, |gens|^2 * C(dmax + dim, dim), that
@@ -285,13 +287,14 @@ def poisson_work(spec):
 
 def catalog_work(family, params):
     """Work estimate of a `poisson catalog` build, from r, N and dim g alone:
-    the table terms the family builds, each counted once per variable.  W
+    the table terms the family builds, each counted once per variable.  W,
+    S and Cur are read off the pseudo tables of `wd` and `sd` on r variables
+    and `cur` on N variables, then padded to N (`poisson._current`).  W
     writes 3 r^2 terms, H r and Cur dim(g)^3; semidirect writes those of W
     and Cur and 3 r dim(g) more.  S builds the vector-field table on r
     variables (3 r^2 terms), then about 6 p^2 terms over its p = r(r-1)/2
-    pair fields, each found against the r directions, and pads them to N.
-    A parameter that is absent or negative counts as 0, and the build
-    refuses it."""
+    pair fields, each found against the r directions.  A parameter that is
+    absent or negative counts as 0, and the build refuses it."""
     r, N = (max(params.get(k) or 0, 0) for k in ("r", "N"))
     d = params["g"].dim if "g" in params else 0
     terms = {"W": 3 * r * r, "H": r, "Cur": d ** 3, "semidirect": 3 * r * r + d ** 3 + 3 * r * d,

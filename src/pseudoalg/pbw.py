@@ -50,6 +50,7 @@ or `Fraction`, never float, an integral value stored as an `int`.
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial, gcd, lcm
+from operator import add
 
 from .linalg import SparseCombination, bump, bump_all, bump_outer, div, exact, scaled_product
 
@@ -66,7 +67,7 @@ def mi_unit(n, i):
 
 
 def mi_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def checked_mi(I, n, what="multi-index"):

@@ -324,7 +324,9 @@ def test_quotient_sites_divide_exactly():
     # the pseudo coefficient -2 of d^(3) (x) 1 is the kernel lambda^3 / 3
     mod = FreeModule(line, [0])
     P = PseudoStructure(mod, table={(0, 0): QElt(mod, 2, {(((3,), (0,)), 0, (0,)): -2})})
-    assert pseudo_to_poisson(P) == PoissonBracketSpec(1, 1, {(0, 0, 0): {((3,), (0,)): Fr(1, 3)}})
+    spec = PoissonBracketSpec(1, 1)
+    spec.add_term(0, 0, 0, (3,), (0,), Fr(1, 3))
+    assert pseudo_to_poisson(P) == spec
 
 
 # the central-extension windows of the benchmark with dmax <= 4

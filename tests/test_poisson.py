@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pseudoalg import liealg
 from pseudoalg.cohomology import hat_central_extension, trivial_cocycle_table
 from pseudoalg.constructions import make_rank1, make_sd, named_rank1_datum
+from pseudoalg.pbw import mi_unit
 from pseudoalg.poisson import (PoissonBracketSpec, catalog_general,
                                catalog_h_cocycle, catalog_hamiltonian,
                                catalog_current, catalog_semidirect,
@@ -79,10 +80,20 @@ def test_zero_spec_abelian_image():
 
 
 def test_integral_table_coefficient_is_int():
-    spec = PoissonBracketSpec(1, 1, {(0, 0, 0): {((3,), (0,)): Fr(1, 3)}})
+    spec = PoissonBracketSpec(1, 1)
+    spec.add_term(0, 0, 0, (3,), (0,), Fr(1, 3))
     P, _ = poisson_to_pseudo(spec)
     (v,) = P.gen_bracket(0, 0).c.values()
     assert v == -2 and type(v) is int
+
+
+def w11_with_central_terms():
+    spec = PoissonBracketSpec(1, 1)
+    spec.add_term(0, 0, 0, (0,), (1,), 1)
+    spec.add_term(0, 0, 0, (1,), (0,), 2)
+    spec.add_central(0, 0, (3,), Fr(1, 12))
+    spec.add_central(0, 0, (2,), Fr(-2, 3))
+    return spec
 
 
 @pytest.mark.parametrize("build", [
@@ -97,8 +108,7 @@ def test_integral_table_coefficient_is_int():
     lambda: catalog_semidirect(1, 2, liealg.sl2()),
     # central terms of odd and even exponent, with factorials above 1
     lambda: catalog_h_cocycle(catalog_hamiltonian(2, 2), (Fr(1), Fr(2))),
-    lambda: PoissonBracketSpec(1, 1, {(0, 0, 0): {((0,), (1,)): 1, ((1,), (0,)): 2}},
-                               central={(0, 0): {(3,): Fr(1, 12), (2,): Fr(-2, 3)}}),
+    lambda: w11_with_central_terms(),
 ])
 def test_round_trips_are_identities(build):
     spec = build()
@@ -212,6 +222,86 @@ def test_special_catalog_is_the_build_on_all_variables(r, N, rng):
         assert spec == ref
         assert json.dumps(spec.as_dict()) == json.dumps(ref.as_dict())
         assert ordered(spec) == ordered(ref)
+
+
+def reference_catalog_general(r, N):
+    """The W tables as `catalog_general` once wrote them by hand."""
+    spec = PoissonBracketSpec(r, N)
+    for i in range(r):
+        for j in range(r):
+            ei = mi_unit(N, i)
+            ej = mi_unit(N, j)
+            z = (0,) * N
+            spec.add_term(i, j, j, z, ei, 1)
+            spec.add_term(i, j, j, ei, z, 1)
+            spec.add_term(i, j, i, ej, z, 1)
+    return spec
+
+
+def reference_catalog_current(g, N):
+    """The Cur tables as `catalog_current` once wrote them by hand."""
+    spec = PoissonBracketSpec(g.dim, N, names=["v_%s" % b for b in g.basis])
+    z = (0,) * N
+    for i in range(g.dim):
+        for j in range(g.dim):
+            for k, c in g.bracket(i, j).items():
+                spec.add_term(i, j, k, z, z, c)
+    return spec
+
+
+def reference_catalog_semidirect(r, N, g):
+    """The semidirect tables as `catalog_semidirect` once copied them, term
+    by term, from the W and Cur tables, plus the cross terms."""
+    w = reference_catalog_general(r, N)
+    c = reference_catalog_current(g, N)
+    spec = PoissonBracketSpec(r + g.dim, N, names=w.names + c.names)
+    for (i, j, k), terms in w.Q.items():
+        for key, v in terms.items():
+            spec.add_term(i, j, k, key[0], key[1], v)
+    for (i, j, k), terms in c.Q.items():
+        for key, v in terms.items():
+            spec.add_term(r + i, r + j, r + k, key[0], key[1], v)
+    z = (0,) * N
+    for i in range(r):
+        ei = mi_unit(N, i)
+        for m in range(g.dim):
+            spec.add_term(i, r + m, r + m, z, ei, 1)
+            spec.add_term(i, r + m, r + m, ei, z, 1)
+            spec.add_term(r + m, i, r + m, ei, z, 1)
+    return spec
+
+
+GRID_ALGEBRAS = ("sl2", "heis3", "solv2", "abelian2")
+CATALOG_GRID = (
+    [("W", (r, N)) for r in range(1, 5) for N in range(r, r + 3)]
+    + [("semidirect", (r, N, g)) for r in range(1, 5) for N in range(r, r + 3)
+       for g in GRID_ALGEBRAS]
+    + [("S", (r, N, chi)) for r in range(2, 5) for N in range(r, r + 3)
+       for chi in (None, tuple(Fr(a - 1, 2) for a in range(r)))]
+    + [("Cur", (g, N)) for g in GRID_ALGEBRAS + ("abelian1",) for N in range(1, 5)])
+
+
+@pytest.mark.parametrize("family, args", CATALOG_GRID,
+                         ids=["-".join([f] + ["chi" if type(x) is tuple else str(x) for x in a])
+                              for f, a in CATALOG_GRID])
+def test_catalog_is_the_retired_table(family, args):
+    """W, Cur and semidirect, read off their pseudo constructions as
+    currents, are the hand tables they replace (and S the build on all
+    variables): the same JSON, names and key order included, and the same
+    value type for every coefficient."""
+    build, reference = {
+        "W": (catalog_general, reference_catalog_general),
+        "semidirect": (catalog_semidirect, reference_catalog_semidirect),
+        "S": (catalog_special, reference_catalog_special),
+        "Cur": (catalog_current, reference_catalog_current)}[family]
+    args = [liealg.algebra_by_name(a) if a in liealg.CATALOG_BUILDERS else a for a in args]
+
+    def typed(spec):
+        return {where: {key: (type(c), c) for key, c in terms.items()}
+                for where, terms in spec.Q.items()}
+    spec, ref = build(*args), reference(*args)
+    assert json.dumps(spec.as_dict()) == json.dumps(ref.as_dict())
+    assert typed(spec) == typed(ref)
 
 
 def test_central_terms_become_cocycles():

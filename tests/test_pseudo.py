@@ -1,4 +1,5 @@
 from fractions import Fraction as Fr
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -345,3 +346,33 @@ def test_dict_witness_prints_ints_and_fractions_alike():
     assert texts[0] == texts[1]
     witness = "{'triple': (0, 1, 2), 'residual': {2: 1, 0: -1/2}, 'rows': [1], 'single': (1,)}"
     assert texts[0] == (witness, "Report(w): FAILED\n  jacobi: FAIL (%s)" % witness)
+
+
+@st.composite
+def skew_brackets(draw):
+    """A skew bracket on 3-5 basis vectors with entries in -2..3; Jacobi is
+    not imposed, so many draws are not Lie algebras."""
+    n = draw(st.integers(3, 5))
+    entries = st.dictionaries(st.integers(0, n - 1), st.integers(-2, 3), max_size=2)
+    return liealg.LieAlgebra("drawn", ["x%d" % (i + 1) for i in range(n)],
+                             {(i, j): draw(entries) for i in range(n) for j in range(i + 1, n)})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(skew_brackets(), st.sampled_from(("abelian1", "abelian2", "solv2", "sl2", "heis3")))
+def test_current_jacobi_failures_are_the_finite_ones(g, hopf):
+    """Cur g = H (x) g is Lie iff g is: every ordering of a triple that
+    `jacobi_failures` names fails verify, with the finite cyclic sum times
+    the sign of the ordering on d^(0) (x) d^(0) (x) d^(0) as its witness, and
+    nothing else fails."""
+    P = make_current(liealg.algebra_by_name(hopf), g)
+    zero = (0,) * P.alg.dim
+    finite = dict(g.jacobi_failures())
+    expected = {}
+    for x, y, z in product(range(g.dim), repeat=3):
+        sign, triple = liealg.sort_with_sign((x, y, z))
+        if sign and triple in finite:
+            expected["jacobi[%d,%d,%d]" % (x, y, z)] = {
+                ((zero, zero, zero), k, zero): sign * c for k, c in finite[triple].items()}
+    failed = {check.name: check.witness.c for check in verify_axioms(P).failures()}
+    assert failed == expected
